@@ -86,6 +86,9 @@ class FunctionModel {
   // Invocation count at which the model matured; -1 while immature (§7.1.3
   // maturation-quickness metric).
   int matured_at() const { return matured_at_; }
+  // The two trees as last trained (empty until the first training).
+  const ml::J48& memory_model() const { return memory_model_; }
+  const ml::J48& benefit_model() const { return benefit_model_; }
 
   // ---- Persistence (models live in OWK's metadata database, §5.1) ---------------
 

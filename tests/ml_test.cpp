@@ -1,19 +1,29 @@
 // Unit tests for the ML library: dataset, tree math, the four classifiers of
-// Table 1, and the evaluation harness.
+// Table 1, the evaluation harness, and golden digests of trained J48 trees.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "src/common/rng.h"
+#include "src/core/ml_service.h"
 #include "src/ml/dataset.h"
 #include "src/ml/evaluation.h"
 #include "src/ml/hoeffding_tree.h"
 #include "src/ml/j48.h"
 #include "src/ml/random_forest.h"
 #include "src/ml/random_tree.h"
+#include "src/ml/serialization.h"
 #include "src/ml/tree_math.h"
+#include "src/workloads/functions.h"
 
 namespace ofc::ml {
 namespace {
@@ -240,18 +250,23 @@ TEST(J48MissingTest, DatasetAcceptsNaNAsMissing) {
   EXPECT_TRUE(data.Add({{1.0, kMissing}, 1, 1.0}).ok());  // Nominal missing too.
 }
 
-TEST(J48MissingTest, TrainsThroughMissingValues) {
-  // The crisp rule dataset with 20 % of x values knocked out: the tree must
-  // still learn the rule from the known instances.
-  Dataset train(TwoFeatureSchema());
+// The crisp rule dataset with 20 % of x values knocked out.
+Dataset MissingXDataset() {
+  Dataset data(TwoFeatureSchema());
   Rng rng(101);
   for (int i = 0; i < 600; ++i) {
     const double x = rng.Uniform(0.0, 10.0);
     const double color = static_cast<double>(rng.UniformInt(0, 2));
     const int label = (x > 5.0 && color != 2.0) ? 1 : 0;
     const double feature_x = rng.Bernoulli(0.2) ? kMissing : x;
-    ASSERT_TRUE(train.Add({{feature_x, color}, label, 1.0}).ok());
+    EXPECT_TRUE(data.Add({{feature_x, color}, label, 1.0}).ok());
   }
+  return data;
+}
+
+TEST(J48MissingTest, TrainsThroughMissingValues) {
+  // The tree must still learn the rule from the known instances.
+  Dataset train = MissingXDataset();
   J48 model;
   ASSERT_TRUE(model.Train(train).ok());
   Dataset test = RuleDataset(300, 103);
@@ -537,6 +552,100 @@ TEST_P(AllClassifiersTest, PredictionInRange) {
 INSTANTIATE_TEST_SUITE_P(Table1Algorithms, AllClassifiersTest,
                          ::testing::Values("J48", "RandomForest", "RandomTree",
                                            "HoeffdingTree"));
+
+// ---- J48 tree goldens ---------------------------------------------------------
+//
+// FNV-64 digests of trained trees' hexfloat dumps (SerializeJ48), pinned in
+// testdata/goldens/j48_trees.txt. The dump holds every threshold and class
+// weight bit for bit, so a change to the split search that moves one
+// floating-point result shows here. Re-bless with tools/update_goldens.py
+// (OFC_UPDATE_GOLDENS=1 rewrites the file instead of comparing).
+
+bool UpdateGoldens() {
+  const char* env = std::getenv("OFC_UPDATE_GOLDENS");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+std::string TreeDigest(const J48& model) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis.
+  for (const unsigned char c : SerializeJ48(model)) {
+    h ^= c;
+    h *= 0x00000100000001b3ULL;  // FNV prime.
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// Missing values in both features, tied x values, and non-unit weights: the
+// fractional-instance paths where summation order is easiest to disturb.
+Dataset TiedWeightedMissingDataset() {
+  Dataset data(TwoFeatureSchema());
+  Rng rng(211);
+  for (int i = 0; i < 500; ++i) {
+    const double x = std::round(rng.Uniform(0.0, 10.0) * 4.0) / 4.0;
+    const double color = static_cast<double>(rng.UniformInt(0, 2));
+    const int label = (x > 5.0 && color != 2.0) != rng.Bernoulli(0.1) ? 1 : 0;
+    const double weight = 0.5 * static_cast<double>(rng.UniformInt(1, 3));
+    const double feature_x = rng.Bernoulli(0.2) ? kMissing : x;
+    const double feature_color = rng.Bernoulli(0.1) ? kMissing : color;
+    EXPECT_TRUE(data.Add({{feature_x, feature_color}, label, weight}).ok());
+  }
+  return data;
+}
+
+std::map<std::string, std::string> GoldenTreeDigests() {
+  std::map<std::string, std::string> digests;
+  J48 missing_x;
+  EXPECT_TRUE(missing_x.Train(MissingXDataset()).ok());
+  digests["missing_x"] = TreeDigest(missing_x);
+  J48 tied_weighted_missing;
+  EXPECT_TRUE(tied_weighted_missing.Train(TiedWeightedMissingDataset()).ok());
+  digests["tied_weighted_missing"] = TreeDigest(tied_weighted_missing);
+
+  // Both trees of a FunctionModel pretrained past the 1,500-sample cap, one
+  // function per input kind: the 128-interval memory tree over the curated
+  // set's mixed 1.0 / 2.0 weights, and the two-class benefit tree.
+  core::ModelRegistry registry((core::ModelConfig()));
+  core::ModelTrainer trainer(&registry, store::StoreProfile::Swift());
+  for (const char* function : {"wand_sepia", "audio_compress", "video_grayscale",
+                               "text_summarize"}) {
+    Rng rng(2024);
+    trainer.Pretrain(*workloads::FindFunction(function), 1600, rng);
+    const core::FunctionModel* model = registry.Find(function);
+    EXPECT_TRUE(model->trained());
+    digests[std::string(function) + ".memory"] = TreeDigest(model->memory_model());
+    digests[std::string(function) + ".benefit"] = TreeDigest(model->benefit_model());
+  }
+  return digests;
+}
+
+TEST(J48GoldenTest, TreesMatchGoldens) {
+  const std::map<std::string, std::string> actual = GoldenTreeDigests();
+  const std::filesystem::path path =
+      std::filesystem::path(OFC_TESTDATA_DIR) / "goldens" / "j48_trees.txt";
+  if (UpdateGoldens()) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    for (const auto& [name, digest] : actual) {
+      out << name << ' ' << digest << '\n';
+    }
+    GTEST_SKIP() << "golden updated: " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden " << path
+                         << " — run tools/update_goldens.py to bless it";
+  std::map<std::string, std::string> expected;
+  std::string name;
+  std::string digest;
+  while (in >> name >> digest) {
+    expected[name] = digest;
+  }
+  EXPECT_EQ(expected.size(), actual.size());
+  for (const auto& [tree, value] : actual) {
+    EXPECT_EQ(expected[tree], value) << "tree " << tree << " changed";
+  }
+}
 
 }  // namespace
 }  // namespace ofc::ml

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the exporter golden files under tests/testdata/goldens/.
+"""Regenerate the golden files under tests/testdata/goldens/.
 
-The golden scenario lives in tests/golden_test.cpp; this script just builds
-that binary and re-runs it with OFC_UPDATE_GOLDENS=1, which makes each test
-rewrite its golden in place instead of comparing. Review the resulting diff
-before committing — a golden churn you cannot explain is a regression, not a
+The exporter golden scenario lives in tests/golden_test.cpp and the J48 tree
+digests in tests/ml_test.cpp (J48GoldenTest); this script builds both binaries
+and re-runs them with OFC_UPDATE_GOLDENS=1, which makes each test rewrite its
+golden in place instead of comparing. Review the resulting diff before
+committing — a golden churn you cannot explain is a regression, not a
 blessing.
 
 Usage:
@@ -37,11 +38,12 @@ def main() -> int:
         build_dir = REPO_ROOT / build_dir
     if not (build_dir / "CMakeCache.txt").exists():
         run(["cmake", "-B", str(build_dir), "-S", str(REPO_ROOT)])
-    run(["cmake", "--build", str(build_dir), "--target", "golden_test",
+    run(["cmake", "--build", str(build_dir), "--target", "golden_test", "ml_test",
          "-j", str(os.cpu_count() or 2)])
 
     env = dict(os.environ, OFC_UPDATE_GOLDENS="1")
     run([str(build_dir / "tests" / "golden_test")], env=env)
+    run([str(build_dir / "tests" / "ml_test"), "--gtest_filter=J48GoldenTest.*"], env=env)
 
     print(f"\ngoldens rewritten under {GOLDENS}; review with:")
     print(f"  git diff -- {GOLDENS.relative_to(REPO_ROOT)}")
