@@ -10,16 +10,24 @@ namespace ofc::core {
 
 namespace {
 
-const std::vector<std::string>& BenefitClassNames() {
-  static const std::vector<std::string> kNames = {"no", "yes"};
-  return kNames;
+// Validates restored samples against `schema`, keeping their order.
+Result<ml::Dataset> ToDataset(const ml::Schema& schema, std::vector<ml::Instance> samples) {
+  ml::Dataset data(schema);
+  for (ml::Instance& sample : samples) {
+    OFC_RETURN_IF_ERROR(data.Add(std::move(sample)));
+  }
+  return data;
 }
 
 }  // namespace
 
 FunctionModel::FunctionModel(std::string function, std::vector<ml::Attribute> features,
                              ModelConfig config)
-    : function_(std::move(function)), feature_attrs_(std::move(features)), config_(config) {}
+    : function_(std::move(function)),
+      config_(config),
+      memory_data_(ml::Schema(features, config_.intervals.ClassAttribute())),
+      benefit_data_(ml::Schema(std::move(features),
+                               ml::Attribute::Nominal("benefit", {"no", "yes"}))) {}
 
 std::optional<int> FunctionModel::PredictClass(const std::vector<double>& features) const {
   if (!trained_) {
@@ -36,16 +44,16 @@ std::optional<bool> FunctionModel::PredictBenefit(const std::vector<double>& fea
 }
 
 double FunctionModel::BenefitConfidence() const {
-  if (!benefit_trained_ || benefit_samples_.empty()) {
+  if (!benefit_trained_ || benefit_data_.empty()) {
     return 0.5;
   }
   std::size_t helpful = 0;
-  for (const ml::Instance& inst : benefit_samples_) {
+  for (const ml::Instance& inst : benefit_data_.instances()) {
     if (inst.label == 1) {
       ++helpful;
     }
   }
-  return static_cast<double>(helpful) / static_cast<double>(benefit_samples_.size());
+  return static_cast<double>(helpful) / static_cast<double>(benefit_data_.size());
 }
 
 double FunctionModel::eo_rate() const {
@@ -114,20 +122,23 @@ void FunctionModel::Learn(const std::vector<double>& features, Bytes actual_memo
     weight = config_.under_weight;
   }
 
-  if (keep) {
-    memory_samples_.push_back(ml::Instance{features, truth, weight});
-    while (memory_samples_.size() > config_.max_training_set) {
-      memory_samples_.pop_front();
-    }
+  if (keep && AddSample(memory_data_, ml::Instance{features, truth, weight})) {
     ++new_samples_since_train_;
   }
-
-  benefit_samples_.push_back(ml::Instance{features, benefit_label ? 1 : 0, 1.0});
-  while (benefit_samples_.size() > config_.max_training_set) {
-    benefit_samples_.pop_front();
-  }
-
+  AddSample(benefit_data_, ml::Instance{features, benefit_label ? 1 : 0, 1.0});
   MaybeRetrain();
+}
+
+bool FunctionModel::AddSample(ml::Dataset& set, ml::Instance sample) {
+  const Status status = set.Add(std::move(sample));
+  if (!status.ok()) {
+    OFC_LOG(Warning) << function_ << ": training sample rejected: " << status.ToString();
+    return false;
+  }
+  while (set.size() > config_.max_training_set) {
+    set.PopFront();
+  }
+  return true;
 }
 
 std::string FunctionModel::SerializeState() const {
@@ -142,11 +153,10 @@ std::string FunctionModel::SerializeState() const {
   }
   ml::WriteJ48(out, memory_model_);
   ml::WriteJ48(out, benefit_model_);
-  // Training sets (schemas first, for instance arity).
-  const ml::Schema memory_schema(feature_attrs_, config_.intervals.ClassAttribute());
-  ml::WriteSchema(out, memory_schema);
-  ml::WriteInstances(out, {memory_samples_.begin(), memory_samples_.end()});
-  ml::WriteInstances(out, {benefit_samples_.begin(), benefit_samples_.end()});
+  // Training sets (schema first, for instance arity).
+  ml::WriteSchema(out, memory_data_.schema());
+  ml::WriteInstances(out, memory_data_.instances());
+  ml::WriteInstances(out, benefit_data_.instances());
   return out.str();
 }
 
@@ -196,7 +206,7 @@ Status FunctionModel::RestoreState(const std::string& data) {
   if (!schema.ok()) {
     return schema.status();
   }
-  if (schema->num_features() != feature_attrs_.size()) {
+  if (schema->num_features() != memory_data_.schema().num_features()) {
     return InvalidArgumentError("feature arity mismatch in model document");
   }
   auto memory_samples = ml::ReadInstances(in, *schema);
@@ -206,6 +216,14 @@ Status FunctionModel::RestoreState(const std::string& data) {
   auto benefit_samples = ml::ReadInstances(in, *schema);
   if (!benefit_samples.ok()) {
     return benefit_samples.status();
+  }
+  auto memory_data = ToDataset(memory_data_.schema(), std::move(*memory_samples));
+  if (!memory_data.ok()) {
+    return memory_data.status();
+  }
+  auto benefit_data = ToDataset(benefit_data_.schema(), std::move(*benefit_samples));
+  if (!benefit_data.ok()) {
+    return benefit_data.status();
   }
 
   observations_ = observations;
@@ -218,14 +236,14 @@ Status FunctionModel::RestoreState(const std::string& data) {
   benefit_trained_ = benefit_model->NumNodes() > 0;
   memory_model_ = std::move(*memory_model);
   benefit_model_ = std::move(*benefit_model);
-  memory_samples_.assign(memory_samples->begin(), memory_samples->end());
-  benefit_samples_.assign(benefit_samples->begin(), benefit_samples->end());
+  memory_data_ = std::move(*memory_data);
+  benefit_data_ = std::move(*benefit_data);
   return OkStatus();
 }
 
 void FunctionModel::MaybeRetrain() {
   const bool first_train =
-      !trained_ && static_cast<int>(memory_samples_.size()) >= config_.min_train;
+      !trained_ && static_cast<int>(memory_data_.size()) >= config_.min_train;
   const bool periodic = trained_ && new_samples_since_train_ >= config_.retrain_every;
   if (!first_train && !periodic) {
     return;
@@ -233,22 +251,8 @@ void FunctionModel::MaybeRetrain() {
   new_samples_since_train_ = 0;
 
   // J48 is not incremental (§5.3.3): rebuild both models from the curated sets.
-  ml::Dataset memory_data(ml::Schema(feature_attrs_, config_.intervals.ClassAttribute()));
-  for (const ml::Instance& inst : memory_samples_) {
-    (void)memory_data.Add(inst);
-  }
-  if (!memory_data.empty()) {
-    trained_ = memory_model_.Train(memory_data).ok() || trained_;
-  }
-
-  ml::Dataset benefit_data(
-      ml::Schema(feature_attrs_, ml::Attribute::Nominal("benefit", BenefitClassNames())));
-  for (const ml::Instance& inst : benefit_samples_) {
-    (void)benefit_data.Add(inst);
-  }
-  if (!benefit_data.empty()) {
-    benefit_trained_ = benefit_model_.Train(benefit_data).ok() || benefit_trained_;
-  }
+  trained_ = memory_model_.Train(memory_data_).ok() || trained_;
+  benefit_trained_ = benefit_model_.Train(benefit_data_).ok() || benefit_trained_;
 }
 
 }  // namespace ofc::core

@@ -82,7 +82,7 @@ class FunctionModel {
   int evaluated() const { return evaluated_; }
   double eo_rate() const;
   double under_within_one_rate() const;
-  std::size_t training_set_size() const { return memory_samples_.size(); }
+  std::size_t training_set_size() const { return memory_data_.size(); }
   // Invocation count at which the model matured; -1 while immature (§7.1.3
   // maturation-quickness metric).
   int matured_at() const { return matured_at_; }
@@ -95,15 +95,17 @@ class FunctionModel {
   // Full state: both trees, curated training sets, maturity counters.
   std::string SerializeState() const;
   // Restores a state produced by SerializeState(); schemas must match this
-  // model's function (feature arity is validated).
+  // model's function (feature arity and every restored sample are validated).
   Status RestoreState(const std::string& data);
 
  private:
   void MaybeRetrain();
   void UpdateMaturity(int predicted, int truth);
+  // Appends a validated sample to a curated set, dropping the oldest past the
+  // cap. A sample the set's schema rejects is logged and not kept.
+  bool AddSample(ml::Dataset& set, ml::Instance sample);
 
   std::string function_;
-  std::vector<ml::Attribute> feature_attrs_;
   ModelConfig config_;
 
   ml::J48 memory_model_;
@@ -111,9 +113,10 @@ class FunctionModel {
   bool trained_ = false;
   bool benefit_trained_ = false;
 
-  // Curated training samples (deques so the cap can drop the oldest).
-  std::deque<ml::Instance> memory_samples_;
-  std::deque<ml::Instance> benefit_samples_;
+  // Curated training sets, oldest first, validated on entry; the trees train
+  // on them directly.
+  ml::Dataset memory_data_;
+  ml::Dataset benefit_data_;
   int new_samples_since_train_ = 0;
 
   // Maturity tracking: sliding window of (predicted, truth) shadow evaluations.

@@ -1,5 +1,6 @@
 #include "src/ml/dataset.h"
 
+#include <cassert>
 #include <cmath>
 
 namespace ofc::ml {
@@ -39,9 +40,19 @@ Status Dataset::Add(Instance instance) {
   return OkStatus();
 }
 
+void Dataset::PopFront() {
+  assert(!empty());
+  instances_[head_++] = Instance{};
+  if (head_ * 8 >= size()) {
+    instances_.erase(instances_.begin(),
+                     instances_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
 double Dataset::TotalWeight() const {
   double total = 0.0;
-  for (const Instance& inst : instances_) {
+  for (const Instance& inst : instances()) {
     total += inst.weight;
   }
   return total;
@@ -49,7 +60,7 @@ double Dataset::TotalWeight() const {
 
 std::vector<double> Dataset::ClassDistribution() const {
   std::vector<double> dist(schema_.num_classes(), 0.0);
-  for (const Instance& inst : instances_) {
+  for (const Instance& inst : instances()) {
     dist[static_cast<std::size_t>(inst.label)] += inst.weight;
   }
   return dist;

@@ -9,6 +9,7 @@
 #define OFC_ML_DATASET_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,13 +71,19 @@ class Dataset {
   explicit Dataset(Schema schema) : schema_(std::move(schema)) {}
 
   const Schema& schema() const { return schema_; }
-  std::size_t size() const { return instances_.size(); }
-  bool empty() const { return instances_.empty(); }
-  const Instance& instance(std::size_t i) const { return instances_[i]; }
-  const std::vector<Instance>& instances() const { return instances_; }
+  std::size_t size() const { return instances_.size() - head_; }
+  bool empty() const { return size() == 0; }
+  const Instance& instance(std::size_t i) const { return instances_[head_ + i]; }
+  std::span<const Instance> instances() const {
+    return std::span<const Instance>(instances_).subspan(head_);
+  }
 
   // Validates feature arity and nominal ranges before accepting the instance.
   Status Add(Instance instance);
+
+  // Drops the oldest instance in amortized O(1), for sets capped to their
+  // most recent instances. Requires !empty().
+  void PopFront();
 
   // Total instance weight.
   double TotalWeight() const;
@@ -88,7 +95,7 @@ class Dataset {
   template <typename Pred>
   Dataset Filter(Pred keep) const {
     Dataset out(schema_);
-    for (const Instance& inst : instances_) {
+    for (const Instance& inst : instances()) {
       if (keep(inst)) {
         out.instances_.push_back(inst);
       }
@@ -96,11 +103,18 @@ class Dataset {
     return out;
   }
 
-  void Clear() { instances_.clear(); }
+  void Clear() {
+    instances_.clear();
+    head_ = 0;
+  }
 
  private:
   Schema schema_;
+  // Live instances are instances_[head_..]. PopFront() frees a dropped
+  // instance's features at once and erases the dropped prefix when it reaches
+  // an eighth of the live part: eight moves per pop on average, little slack.
   std::vector<Instance> instances_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace ofc::ml

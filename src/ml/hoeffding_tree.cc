@@ -9,18 +9,6 @@
 
 namespace ofc::ml {
 
-namespace {
-
-double SumOf(const std::vector<double>& v) {
-  double s = 0.0;
-  for (double x : v) {
-    s += x;
-  }
-  return s;
-}
-
-}  // namespace
-
 void HoeffdingTree::GaussianEstimator::Add(double x, double w) {
   weight += w;
   const double delta = x - mean;
@@ -75,15 +63,14 @@ std::unique_ptr<HoeffdingTree::Node> HoeffdingTree::MakeLeaf() {
     if (attr.kind == AttributeKind::kNumeric) {
       stats.gaussians[a].resize(schema_.num_classes());
     } else {
-      stats.nominal_counts[a].assign(attr.num_values(),
-                                     std::vector<double>(schema_.num_classes(), 0.0));
+      stats.nominal_counts[a].assign(attr.num_values() * schema_.num_classes(), 0.0);
     }
   }
   return node;
 }
 
 double HoeffdingTree::TotalWeight(const LeafStats& stats) const {
-  return SumOf(stats.class_counts);
+  return WeightSum(stats.class_counts);
 }
 
 Status HoeffdingTree::Observe(const Instance& instance) {
@@ -99,7 +86,7 @@ Status HoeffdingTree::Observe(const Instance& instance) {
   // Adaptive leaf prediction: score both strategies on this instance *before*
   // absorbing it (prequential evaluation).
   if (options_.leaf_prediction == LeafPrediction::kNaiveBayesAdaptive &&
-      SumOf(stats.class_counts) > 0.0) {
+      WeightSum(stats.class_counts) > 0.0) {
     if (static_cast<int>(ArgMax(stats.class_counts)) == instance.label) {
       stats.majority_correct += instance.weight;
     }
@@ -119,7 +106,8 @@ Status HoeffdingTree::Observe(const Instance& instance) {
       stats.attr_min[a] = std::min(stats.attr_min[a], v);
       stats.attr_max[a] = std::max(stats.attr_max[a], v);
     } else {
-      stats.nominal_counts[a][static_cast<std::size_t>(v)][label] += instance.weight;
+      stats.nominal_counts[a][static_cast<std::size_t>(v) * schema_.num_classes() + label] +=
+          instance.weight;
     }
   }
   const double weight = TotalWeight(stats);
@@ -146,13 +134,15 @@ void HoeffdingTree::MaybeSplit(Node* leaf) {
     bool numeric = false;
     double threshold = 0.0;
   };
+  const std::size_t num_classes = schema_.num_classes();
   std::vector<Candidate> candidates;
+  std::vector<double> split(2 * num_classes);  // [left | right] class weights.
   for (std::size_t a = 0; a < schema_.num_features(); ++a) {
     const Attribute& attr = schema_.feature(a);
     Candidate cand;
     cand.attr = static_cast<int>(a);
     if (attr.kind == AttributeKind::kNominal) {
-      cand.gain = node_entropy - PartitionEntropy(stats.nominal_counts[a]);
+      cand.gain = node_entropy - PartitionEntropy(stats.nominal_counts[a], num_classes);
       cand.numeric = false;
       candidates.push_back(cand);
     } else {
@@ -166,15 +156,13 @@ void HoeffdingTree::MaybeSplit(Node* leaf) {
         const double t = stats.attr_min[a] + (stats.attr_max[a] - stats.attr_min[a]) *
                                                  static_cast<double>(b) /
                                                  static_cast<double>(options_.numeric_bins);
-        std::vector<double> left(schema_.num_classes(), 0.0);
-        std::vector<double> right(schema_.num_classes(), 0.0);
-        for (std::size_t c = 0; c < schema_.num_classes(); ++c) {
+        for (std::size_t c = 0; c < num_classes; ++c) {
           const GaussianEstimator& g = stats.gaussians[a][c];
           const double below = g.weight * g.CdfBelow(t);
-          left[c] = below;
-          right[c] = g.weight - below;
+          split[c] = below;
+          split[num_classes + c] = g.weight - below;
         }
-        const double gain = node_entropy - PartitionEntropy({left, right});
+        const double gain = node_entropy - PartitionEntropy(split, num_classes);
         if (gain > best_gain) {
           best_gain = gain;
           best_threshold = t;
@@ -257,18 +245,18 @@ const HoeffdingTree::Node* HoeffdingTree::Descend(const std::vector<double>& fea
       return last_informed;
     }
     node = node->children[branch].get();
-    if (node->IsLeaf() && SumOf(node->stats->class_counts) > 0.0) {
+    if (node->IsLeaf() && WeightSum(node->stats->class_counts) > 0.0) {
       last_informed = node;
     } else if (!node->IsLeaf()) {
       last_informed = node;
     }
   }
-  return node->IsLeaf() && SumOf(node->stats->class_counts) > 0.0 ? node : last_informed;
+  return node->IsLeaf() && WeightSum(node->stats->class_counts) > 0.0 ? node : last_informed;
 }
 
 int HoeffdingTree::NaiveBayesPredict(const LeafStats& stats,
                                      const std::vector<double>& features) const {
-  const double total = SumOf(stats.class_counts);
+  const double total = WeightSum(stats.class_counts);
   if (total <= 0.0) {
     return 0;
   }
@@ -287,9 +275,10 @@ int HoeffdingTree::NaiveBayesPredict(const LeafStats& stats,
         continue;  // Missing feature: contributes no evidence.
       }
       if (attr.kind == AttributeKind::kNominal) {
-        const auto& counts = stats.nominal_counts[a][static_cast<std::size_t>(v)];
+        const double count =
+            stats.nominal_counts[a][static_cast<std::size_t>(v) * num_classes + c];
         // Laplace smoothing over the attribute's value ensemble.
-        log_score += std::log((counts[c] + 1.0) /
+        log_score += std::log((count + 1.0) /
                               (stats.class_counts[c] +
                                static_cast<double>(attr.num_values())));
       } else {
@@ -322,12 +311,12 @@ int HoeffdingTree::LeafPredict(const LeafStats& stats,
 int HoeffdingTree::Predict(const std::vector<double>& features) const {
   assert(trained_);
   const Node* node = Descend(features);
-  if (node->IsLeaf() && SumOf(node->stats->class_counts) > 0.0) {
+  if (node->IsLeaf() && WeightSum(node->stats->class_counts) > 0.0) {
     return LeafPredict(*node->stats, features);
   }
   const std::vector<double>& counts =
       node->IsLeaf() ? node->stats->class_counts : node->class_counts_snapshot;
-  if (SumOf(counts) <= 0.0) {
+  if (WeightSum(counts) <= 0.0) {
     return 0;
   }
   return static_cast<int>(ArgMax(counts));
@@ -338,7 +327,7 @@ std::vector<double> HoeffdingTree::PredictDistribution(
   const Node* node = Descend(features);
   std::vector<double> dist =
       node->IsLeaf() ? node->stats->class_counts : node->class_counts_snapshot;
-  const double total = SumOf(dist);
+  const double total = WeightSum(dist);
   if (total > 0.0) {
     for (double& d : dist) {
       d /= total;

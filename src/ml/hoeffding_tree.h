@@ -74,8 +74,8 @@ class HoeffdingTree : public Classifier {
     std::vector<std::vector<GaussianEstimator>> gaussians;
     std::vector<double> attr_min;
     std::vector<double> attr_max;
-    // [nominal attr slot][value][class] counts.
-    std::vector<std::vector<std::vector<double>>> nominal_counts;
+    // [nominal attr slot] counts, row-major [value][class].
+    std::vector<std::vector<double>> nominal_counts;
     double weight_at_last_attempt = 0.0;
     // Adaptive leaf-prediction bookkeeping: training-stream accuracy of the
     // majority-class vote vs the naive-Bayes model at this leaf.

@@ -65,15 +65,12 @@ class J48 : public Classifier {
     bool IsLeaf() const { return attr < 0; }
   };
 
-  // (index, accumulated path weight) — fractions arise from missing values.
-  struct WeightedIndex {
-    std::size_t index;
-    double weight;
-  };
+  // Split-search scratch buffers shared by all nodes of one Train() call.
+  struct Workspace;
 
-  std::unique_ptr<Node> Build(const Dataset& data, const std::vector<WeightedIndex>& items,
-                              int depth, const std::vector<double>& parent_dist);
-  std::unique_ptr<Node> MakeLeaf(const std::vector<double>& dist) const;
+  // Grows the subtree for the non-empty instance range [begin, end) of the
+  // workspace's item stack.
+  std::unique_ptr<Node> Build(Workspace& ws, std::size_t begin, std::size_t end, int depth);
   // Returns the estimated (pessimistic) error count of the subtree, pruning it
   // in place to a leaf where that lowers the estimate.
   double Prune(Node* node);

@@ -19,14 +19,6 @@ std::vector<double> DistributionOf(const Dataset& data, const std::vector<std::s
   return dist;
 }
 
-double SumOf(const std::vector<double>& v) {
-  double s = 0.0;
-  for (double x : v) {
-    s += x;
-  }
-  return s;
-}
-
 }  // namespace
 
 Status RandomTree::Train(const Dataset& data) {
@@ -57,7 +49,7 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
   }
   node->class_dist = DistributionOf(data, indices);
   node->majority = static_cast<int>(ArgMax(node->class_dist));
-  node->weight = SumOf(node->class_dist);
+  node->weight = WeightSum(node->class_dist);
 
   const double node_entropy = Entropy(node->class_dist);
   if (node->weight < 2.0 * options_.min_leaf_weight || node_entropy <= 0.0 ||
@@ -82,6 +74,7 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
     std::swap(attrs[i], attrs[i + rng.Index(num_features - i)]);
   }
 
+  const std::size_t num_classes = node->class_dist.size();
   double best_gain = 1e-9;
   int best_attr = -1;
   bool best_numeric = false;
@@ -90,17 +83,17 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
     const std::size_t a = attrs[slot];
     const Attribute& attr = schema_.feature(a);
     if (attr.kind == AttributeKind::kNominal) {
-      std::vector<std::vector<double>> branches(attr.num_values(),
-                                                std::vector<double>(node->class_dist.size(), 0.0));
+      // One row of class weights per nominal value.
+      std::vector<double> branches(attr.num_values() * num_classes, 0.0);
       for (std::size_t i : indices) {
         const Instance& inst = data.instance(i);
         if (std::isnan(inst.features[a])) {
           continue;  // Missing values carry no evidence for this split.
         }
-        branches[static_cast<std::size_t>(inst.features[a])]
-                [static_cast<std::size_t>(inst.label)] += inst.weight;
+        branches[static_cast<std::size_t>(inst.features[a]) * num_classes +
+                 static_cast<std::size_t>(inst.label)] += inst.weight;
       }
-      const double gain = node_entropy - PartitionEntropy(branches);
+      const double gain = node_entropy - PartitionEntropy(branches, num_classes);
       if (gain > best_gain) {
         best_gain = gain;
         best_attr = static_cast<int>(a);
@@ -116,18 +109,20 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
       std::sort(sorted.begin(), sorted.end(), [&](std::size_t x, std::size_t y) {
         return data.instance(x).features[a] < data.instance(y).features[a];
       });
-      std::vector<double> left(node->class_dist.size(), 0.0);
-      std::vector<double> right = node->class_dist;
+      // [left | right] class weights.
+      std::vector<double> split(2 * num_classes, 0.0);
+      std::copy(node->class_dist.begin(), node->class_dist.end(),
+                split.begin() + static_cast<std::ptrdiff_t>(num_classes));
       for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
         const Instance& inst = data.instance(sorted[pos]);
-        left[static_cast<std::size_t>(inst.label)] += inst.weight;
-        right[static_cast<std::size_t>(inst.label)] -= inst.weight;
+        split[static_cast<std::size_t>(inst.label)] += inst.weight;
+        split[num_classes + static_cast<std::size_t>(inst.label)] -= inst.weight;
         const double v = inst.features[a];
         const double v_next = data.instance(sorted[pos + 1]).features[a];
         if (v_next <= v) {
           continue;
         }
-        const double gain = node_entropy - PartitionEntropy({left, right});
+        const double gain = node_entropy - PartitionEntropy(split, num_classes);
         if (gain > best_gain) {
           best_gain = gain;
           best_attr = static_cast<int>(a);
@@ -213,7 +208,7 @@ int RandomTree::Predict(const std::vector<double>& features) const {
 std::vector<double> RandomTree::PredictDistribution(const std::vector<double>& features) const {
   const Node* node = Descend(features);
   std::vector<double> dist = node->class_dist;
-  const double total = SumOf(dist);
+  const double total = WeightSum(dist);
   if (total > 0.0) {
     for (double& d : dist) {
       d /= total;

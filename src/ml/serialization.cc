@@ -141,7 +141,7 @@ Result<Schema> ReadSchema(std::istream& in) {
   return Schema(std::move(features), std::move(*class_attribute));
 }
 
-void WriteInstances(std::ostream& out, const std::vector<Instance>& instances) {
+void WriteInstances(std::ostream& out, std::span<const Instance> instances) {
   out << "instances " << instances.size() << ' ';
   for (const Instance& instance : instances) {
     out << instance.label << ' ';

@@ -9,7 +9,9 @@
 #define OFC_ML_SERIALIZATION_H_
 
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/ml/dataset.h"
@@ -30,7 +32,7 @@ Result<Schema> ReadSchema(std::istream& in);
 
 // ---- Instances (training-set persistence) ------------------------------------------
 
-void WriteInstances(std::ostream& out, const std::vector<Instance>& instances);
+void WriteInstances(std::ostream& out, std::span<const Instance> instances);
 Result<std::vector<Instance>> ReadInstances(std::istream& in, const Schema& schema);
 
 // ---- J48 --------------------------------------------------------------------------

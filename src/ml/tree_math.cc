@@ -5,15 +5,20 @@
 
 namespace ofc::ml {
 
-namespace {
 double Log2(double x) { return std::log(x) * 1.4426950408889634; }
-}  // namespace
 
-double Entropy(const std::vector<double>& class_weights) {
+double WeightSum(std::span<const double> weights) {
   double total = 0.0;
-  for (double w : class_weights) {
+  for (double w : weights) {
     total += w;
   }
+  return total;
+}
+
+namespace {
+
+// Entropy of `class_weights` given their WeightSum().
+double EntropyOfSum(std::span<const double> class_weights, double total) {
   if (total <= 0.0) {
     return 0.0;
   }
@@ -27,48 +32,45 @@ double Entropy(const std::vector<double>& class_weights) {
   return h;
 }
 
-double PartitionEntropy(const std::vector<std::vector<double>>& branch_class_weights) {
-  double total = 0.0;
-  for (const auto& branch : branch_class_weights) {
-    for (double w : branch) {
-      total += w;
-    }
-  }
+}  // namespace
+
+double Entropy(std::span<const double> class_weights) {
+  return EntropyOfSum(class_weights, WeightSum(class_weights));
+}
+
+double PartitionEntropy(std::span<const double> branch_class_weights, std::size_t num_classes) {
+  assert(num_classes > 0 && branch_class_weights.size() % num_classes == 0);
+  const double total = WeightSum(branch_class_weights);
   if (total <= 0.0) {
     return 0.0;
   }
   double h = 0.0;
-  for (const auto& branch : branch_class_weights) {
-    double branch_total = 0.0;
-    for (double w : branch) {
-      branch_total += w;
-    }
+  for (std::size_t at = 0; at < branch_class_weights.size(); at += num_classes) {
+    const std::span<const double> branch = branch_class_weights.subspan(at, num_classes);
+    const double branch_total = WeightSum(branch);
     if (branch_total > 0.0) {
-      h += branch_total / total * Entropy(branch);
+      h += branch_total / total * EntropyOfSum(branch, branch_total);
     }
   }
   return h;
 }
 
-double SplitInformation(const std::vector<std::vector<double>>& branch_class_weights) {
+double SplitInformation(std::span<const double> branch_class_weights, std::size_t num_classes) {
+  assert(num_classes > 0 && branch_class_weights.size() % num_classes == 0);
+  // The total adds branch totals (not single weights); each branch total is
+  // recomputed in the second pass rather than stored, and comes out the same.
   double total = 0.0;
-  std::vector<double> branch_totals;
-  branch_totals.reserve(branch_class_weights.size());
-  for (const auto& branch : branch_class_weights) {
-    double branch_total = 0.0;
-    for (double w : branch) {
-      branch_total += w;
-    }
-    branch_totals.push_back(branch_total);
-    total += branch_total;
+  for (std::size_t at = 0; at < branch_class_weights.size(); at += num_classes) {
+    total += WeightSum(branch_class_weights.subspan(at, num_classes));
   }
   if (total <= 0.0) {
     return 0.0;
   }
   double si = 0.0;
-  for (double bt : branch_totals) {
-    if (bt > 0.0) {
-      const double p = bt / total;
+  for (std::size_t at = 0; at < branch_class_weights.size(); at += num_classes) {
+    const double branch_total = WeightSum(branch_class_weights.subspan(at, num_classes));
+    if (branch_total > 0.0) {
+      const double p = branch_total / total;
       si -= p * Log2(p);
     }
   }

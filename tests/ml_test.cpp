@@ -11,7 +11,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/ml_service.h"
@@ -124,18 +126,29 @@ TEST(SchemaTest, FeatureIndexLookup) {
 // ---- Tree math -------------------------------------------------------------
 
 TEST(TreeMathTest, EntropyKnownValues) {
-  EXPECT_DOUBLE_EQ(Entropy({1.0, 1.0}), 1.0);
-  EXPECT_DOUBLE_EQ(Entropy({4.0, 0.0}), 0.0);
-  EXPECT_NEAR(Entropy({2.0, 2.0, 2.0, 2.0}), 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(Entropy(std::vector<double>{1.0, 1.0}), 1.0);
+  EXPECT_DOUBLE_EQ(Entropy(std::vector<double>{4.0, 0.0}), 0.0);
+  EXPECT_NEAR(Entropy(std::vector<double>{2.0, 2.0, 2.0, 2.0}), 2.0, 1e-12);
   EXPECT_DOUBLE_EQ(Entropy({}), 0.0);
 }
 
 TEST(TreeMathTest, PartitionEntropyPerfectSplitIsZero) {
-  EXPECT_DOUBLE_EQ(PartitionEntropy({{5.0, 0.0}, {0.0, 5.0}}), 0.0);
+  EXPECT_DOUBLE_EQ(PartitionEntropy(std::vector<double>{5.0, 0.0, 0.0, 5.0}, 2), 0.0);
 }
 
 TEST(TreeMathTest, SplitInformationBalancedBinary) {
-  EXPECT_NEAR(SplitInformation({{2.0, 3.0}, {1.0, 4.0}}), 1.0, 1e-12);
+  EXPECT_NEAR(SplitInformation(std::vector<double>{2.0, 3.0, 1.0, 4.0}, 2), 1.0, 1e-12);
+}
+
+TEST(TreeMathTest, AbsentClassColumnsChangeNoBit) {
+  // Dropping all-zero class columns leaves every partition result bit-equal:
+  // the J48 split search relies on this to skip absent memory intervals.
+  const std::vector<double> wide = {0.0, 1.5, 0.0, 2.25, 0.0, 0.0, 3.0, 0.0, 0.75, 0.0};
+  const std::vector<double> narrow = {1.5, 2.25, 3.0, 0.75};
+  EXPECT_EQ(Entropy(std::span<const double>(wide).first(5)),
+            Entropy(std::span<const double>(narrow).first(2)));
+  EXPECT_EQ(PartitionEntropy(wide, 5), PartitionEntropy(narrow, 2));
+  EXPECT_EQ(SplitInformation(wide, 5), SplitInformation(narrow, 2));
 }
 
 TEST(TreeMathTest, NormalInverseKnownQuantiles) {
