@@ -57,6 +57,41 @@ void BM_J48Train(benchmark::State& state) {
 }
 BENCHMARK(BM_J48Train);
 
+// Retraining at the size the simulator retrains at (§5.3.3): a full curated
+// set of 1,500 instances, labelled with the 128 memory intervals and with the
+// two benefit classes.
+const ml::Dataset& CuratedMemorySet() {
+  static const ml::Dataset data = bench::BuildMemoryDataset(
+      *workloads::FindFunction("video_grayscale"), core::MemoryIntervals(), 1500, 12345);
+  return data;
+}
+
+const ml::Dataset& CuratedBenefitSet() {
+  static const ml::Dataset data =
+      bench::BuildBenefitDataset(*workloads::FindFunction("video_grayscale"),
+                                 store::StoreProfile::Swift(), 1500, 12345);
+  return data;
+}
+
+void Retrain(benchmark::State& state, const ml::Dataset& data) {
+  ml::J48 model;  // Reused across retrains, as FunctionModel does.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Train(data).ok());
+  }
+  std::size_t present = 0;
+  for (double weight : data.ClassDistribution()) {
+    present += weight > 0.0;
+  }
+  state.counters["classes_present"] = static_cast<double>(present);
+  state.counters["nodes"] = static_cast<double>(model.NumNodes());
+}
+
+void BM_J48RetrainMemory1500(benchmark::State& state) { Retrain(state, CuratedMemorySet()); }
+BENCHMARK(BM_J48RetrainMemory1500)->Unit(benchmark::kMicrosecond);
+
+void BM_J48RetrainBenefit1500(benchmark::State& state) { Retrain(state, CuratedBenefitSet()); }
+BENCHMARK(BM_J48RetrainBenefit1500)->Unit(benchmark::kMicrosecond);
+
 void BM_RandomForestPredict(benchmark::State& state) {
   ml::RandomForest model(ml::RandomForestOptions{.num_trees = 20, .seed = 3});
   if (!model.Train(BenchDataset()).ok()) {
