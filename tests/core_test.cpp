@@ -135,6 +135,17 @@ TEST(FunctionModelTest, CuratesTrainingSetAfterMaturity) {
   EXPECT_LT(model.training_set_size(), before + 30);
 }
 
+TEST(FunctionModelTest, RejectsInvalidSamples) {
+  FunctionModel model("f", SimpleFeatures(), FastConfig());
+  // Wrong arity: neither curated set keeps the sample, so nothing trains.
+  for (int i = 0; i < 20; ++i) {
+    model.Learn({1.0}, MiB(64), true);
+  }
+  EXPECT_EQ(model.training_set_size(), 0u);
+  EXPECT_FALSE(model.trained());
+  EXPECT_EQ(model.observations(), 20);
+}
+
 TEST(FunctionModelTest, BenefitModelLearnsSeparably) {
   FunctionModel model("f", SimpleFeatures(), FastConfig());
   Rng rng(9);

@@ -106,6 +106,25 @@ TEST(DatasetTest, ClassDistributionWeighted) {
   EXPECT_DOUBLE_EQ(data.TotalWeight(), 5.0);
 }
 
+TEST(DatasetTest, PopFrontDropsOldestInOrder) {
+  Dataset data(TwoFeatureSchema());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(data.Add({{static_cast<double>(i), 0.0}, i % 2, 1.0}).ok());
+  }
+  for (int i = 0; i < 25; ++i) {
+    data.PopFront();
+  }
+  ASSERT_EQ(data.size(), 15u);
+  ASSERT_EQ(data.instances().size(), 15u);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(data.instance(i).features[0], 25.0 + static_cast<double>(i));
+    EXPECT_EQ(data.instances()[i].features[0], 25.0 + static_cast<double>(i));
+  }
+  EXPECT_DOUBLE_EQ(data.TotalWeight(), 15.0);
+  ASSERT_TRUE(data.Add({{40.0, 0.0}, 0, 1.0}).ok());
+  EXPECT_EQ(data.instance(15).features[0], 40.0);
+}
+
 TEST(DatasetTest, FilterKeepsMatching) {
   Dataset data = RuleDataset(100, 1);
   Dataset ones = data.Filter([](const Instance& i) { return i.label == 1; });
