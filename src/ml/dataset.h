@@ -72,7 +72,7 @@ class Dataset {
 
   const Schema& schema() const { return schema_; }
   std::size_t size() const { return instances_.size() - head_; }
-  bool empty() const { return size() == 0; }
+  bool empty() const { return head_ == instances_.size(); }
   const Instance& instance(std::size_t i) const { return instances_[head_ + i]; }
   std::span<const Instance> instances() const {
     return std::span<const Instance>(instances_).subspan(head_);
