@@ -79,12 +79,12 @@ VariantResult RunVariant(const Variant& variant) {
     }
   }
   result.mean_load_ms = invocations == 0 ? 0 : load_ms_sum / static_cast<double>(invocations);
-  result.hit_ratio = env.ofc()->proxy().stats().HitRatio();
-  const auto& cluster_stats = env.cluster()->stats();
-  const double hits = static_cast<double>(cluster_stats.read_hits_local +
-                                          cluster_stats.read_hits_remote);
-  result.local_hit_share =
-      hits <= 0 ? 0 : static_cast<double>(cluster_stats.read_hits_local) / hits;
+  const obs::MetricsRegistry& metrics = env.metrics();
+  result.hit_ratio = core::CacheHitRatio(metrics);
+  const std::uint64_t local = metrics.CounterValue("ofc.ramcloud.read_hits_local");
+  const double hits =
+      static_cast<double>(local + metrics.CounterValue("ofc.ramcloud.read_hits_remote"));
+  result.local_hit_share = hits <= 0 ? 0 : static_cast<double>(local) / hits;
   return result;
 }
 

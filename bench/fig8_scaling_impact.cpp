@@ -125,12 +125,15 @@ ScalingResult RunScenario(ShrinkScenario scenario, Bytes input_size) {
     limit_before = invoke("bench/target", target).memory_limit;
   }
 
-  const auto stats_before = env.ofc()->cache_agent().stats();
+  auto scale_down_time = [&env] {
+    return static_cast<SimDuration>(
+        env.metrics().GaugeValue("ofc.cache_agent.scale_down_time_us"));
+  };
+  const SimDuration scale_down_before = scale_down_time();
   const faas::InvocationRecord measured = invoke("bench/target", target);
-  const auto stats_after = env.ofc()->cache_agent().stats();
 
   ScalingResult out;
-  out.scaling_ms = ToMillis(stats_after.scale_down_time - stats_before.scale_down_time);
+  out.scaling_ms = ToMillis(scale_down_time() - scale_down_before);
   // The docker-update cost applies only when the invocation actually resized
   // the container.
   out.cgroup_ms = measured.memory_limit == limit_before

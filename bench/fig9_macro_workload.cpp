@@ -69,7 +69,7 @@ void Run(int tenants_per_function) {
     std::printf("Average improvement: %.1f %% | hit ratio: %.1f %% | failures: "
                 "swift=%zu ofc=%zu\n",
                 rows == 0 ? 0.0 : improvement_sum / rows,
-                100.0 * ofc_run.proxy_stats.HitRatio(), TotalFailures(swift),
+                100.0 * core::CacheHitRatio(*ofc_run.metrics), TotalFailures(swift),
                 TotalFailures(ofc_run));
   }
   std::printf(

@@ -42,15 +42,10 @@ struct CacheSample {
 struct MacroResult {
   MacroConfig config;
   std::vector<faasload::TenantResult> tenants;
-  faas::PlatformStats platform_stats;
-  // OFC-only internals (zeroed for baselines).
-  core::CacheScalingStats cache_stats;
-  core::OfcPredictionStats prediction_stats;
-  core::ProxyStats proxy_stats;
   std::vector<CacheSample> cache_series;
-  Bytes ephemeral_bytes = 0;  // Data produced by all invocations.
   // The registry every component of the run reported into (shared_ptr: the
   // environment dies inside RunMacro, the metrics outlive it with the result).
+  // Baseline runs register no OFC families, so their OFC counters read 0.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   SimTime end_time = 0;  // Simulated clock when the run finished.
 };
@@ -119,17 +114,6 @@ inline MacroResult RunMacro(const MacroConfig& config) {
   result.tenants = injector.results();
   result.metrics = std::move(metrics);
   result.end_time = env.loop().now();
-  result.platform_stats = env.platform().stats();
-  if (env.ofc() != nullptr) {
-    result.cache_stats = env.ofc()->cache_agent().stats();
-    result.prediction_stats = env.ofc()->prediction_stats();
-    result.proxy_stats = env.ofc()->proxy().stats();
-  }
-  for (const faasload::TenantResult& tenant : result.tenants) {
-    for (const auto& record : tenant.invocations) {
-      result.ephemeral_bytes += record.output_bytes;
-    }
-  }
   return result;
 }
 

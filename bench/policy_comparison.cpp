@@ -38,7 +38,7 @@ struct Flags {
 };
 
 // One (workload, policy) run reduced to the comparison quantities.
-struct RunStats {
+struct PolicyRun {
   std::string workload;
   std::string policy;  // "owk-swift" for the baseline row.
   std::uint64_t invocations = 0;
@@ -78,22 +78,20 @@ double P95Ms(const std::vector<faasload::TenantResult>& tenants) {
   return latencies.Percentile(0.95);
 }
 
-// Reads the engine's eviction accounting out of the run's metrics registry.
-// The cells exist for every OFC run (registered eagerly at engine creation);
-// baseline modes leave them absent and the getter returns fresh zeros.
-void ReadPolicyCells(obs::MetricsRegistry* metrics, RunStats* stats) {
-  const char* kReasons[] = {"capacity", "sweep", "persisted_discard"};
-  for (const char* reason : kReasons) {
-    stats->evictions += metrics->GetCounter("ofc.policy.evictions", reason)->value();
-    stats->bytes_churned +=
-        metrics->GetCounter("ofc.policy.bytes_evicted", reason)->value();
-  }
-  stats->sweep_evictions = metrics->GetCounter("ofc.policy.evictions", "sweep")->value();
+// Reads the run's hit ratio and the engine's eviction accounting out of its
+// metrics registry. The policy cells exist for every OFC run (registered
+// eagerly at engine creation); baseline modes leave every OFC family absent,
+// so each read returns 0.
+void ReadRegistry(const obs::MetricsRegistry& metrics, PolicyRun* stats) {
+  stats->hit_ratio = core::CacheHitRatio(metrics);
+  stats->evictions = metrics.CounterTotal("ofc.policy.evictions");
+  stats->bytes_churned = metrics.CounterTotal("ofc.policy.bytes_evicted");
+  stats->sweep_evictions = metrics.CounterValue("ofc.policy.evictions", "sweep");
 }
 
 // ---- fig7-steady: six wand_* tenants, steady Poisson arrivals -------------------
 
-RunStats RunSteady(faasload::Mode mode, const std::string& policy, const Flags& flags) {
+PolicyRun RunSteady(faasload::Mode mode, const std::string& policy, const Flags& flags) {
   auto metrics = std::make_unique<obs::MetricsRegistry>();
   faasload::EnvironmentOptions env_options;
   env_options.metrics = metrics.get();
@@ -122,22 +120,19 @@ RunStats RunSteady(faasload::Mode mode, const std::string& policy, const Flags& 
   injector.PretrainModels(400);
   injector.Run(Minutes(flags.duration_min));
 
-  RunStats stats;
+  PolicyRun stats;
   stats.workload = "fig7-steady";
   stats.policy = mode == faasload::Mode::kOwkSwift ? "owk-swift" : policy;
   stats.invocations = injector.invocations_completed();
   stats.el_ms_total = SumElMs(injector.results());
   stats.p95_ms = P95Ms(injector.results());
-  if (env.ofc() != nullptr) {
-    stats.hit_ratio = env.ofc()->proxy().stats().HitRatio();
-  }
-  ReadPolicyCells(metrics.get(), &stats);
+  ReadRegistry(*metrics, &stats);
   return stats;
 }
 
 // ---- fig9-macro: the §7.2.2 FAASLOAD mix via macro_common.h ---------------------
 
-RunStats RunMacroWorkload(faasload::Mode mode, const std::string& policy,
+PolicyRun RunMacroWorkload(faasload::Mode mode, const std::string& policy,
                           const Flags& flags) {
   bench::MacroConfig config;
   config.mode = mode;
@@ -149,18 +144,17 @@ RunStats RunMacroWorkload(faasload::Mode mode, const std::string& policy,
   config.worker_memory = GiB(24);
   const bench::MacroResult result = bench::RunMacro(config);
 
-  RunStats stats;
+  PolicyRun stats;
   stats.workload = "fig9-macro";
   stats.policy = mode == faasload::Mode::kOwkSwift ? "owk-swift" : policy;
-  stats.invocations = result.platform_stats.invocations;
+  stats.invocations = result.metrics->CounterValue("ofc.platform.invocations");
   stats.el_ms_total = SumElMs(result.tenants);
   stats.p95_ms = P95Ms(result.tenants);
-  stats.hit_ratio = result.proxy_stats.HitRatio();
-  ReadPolicyCells(result.metrics.get(), &stats);
+  ReadRegistry(*result.metrics, &stats);
   return stats;
 }
 
-std::string ToJson(const std::vector<RunStats>& rows, const Flags& flags) {
+std::string ToJson(const std::vector<PolicyRun>& rows, const Flags& flags) {
   std::string json = "{\n";
   json += "  \"duration_min\": " + std::to_string(flags.duration_min) + ",\n";
   json += "  \"seed\": " + std::to_string(flags.seed) + ",\n";
@@ -173,7 +167,7 @@ std::string ToJson(const std::vector<RunStats>& rows, const Flags& flags) {
   json += "],\n";
   json += "  \"runs\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RunStats& row = rows[i];
+    const PolicyRun& row = rows[i];
     json += "    {\"workload\": \"" + row.workload + "\", \"policy\": \"" + row.policy +
             "\", \"invocations\": " + std::to_string(row.invocations) +
             ", \"hit_ratio\": " + obs::JsonNumber(row.hit_ratio) +
@@ -190,12 +184,12 @@ std::string ToJson(const std::vector<RunStats>& rows, const Flags& flags) {
 }
 
 int Run(const Flags& flags) {
-  std::vector<RunStats> rows;
+  std::vector<PolicyRun> rows;
   const std::vector<std::string> policies = core::KnownCachePolicies();
 
   struct Workload {
     const char* name;
-    RunStats (*run)(faasload::Mode, const std::string&, const Flags&);
+    PolicyRun (*run)(faasload::Mode, const std::string&, const Flags&);
   };
   const Workload kWorkloads[] = {
       {"fig7-steady", &RunSteady},
@@ -204,7 +198,7 @@ int Run(const Flags& flags) {
 
   for (const Workload& workload : kWorkloads) {
     std::printf("\n--- workload: %s ---\n", workload.name);
-    const RunStats baseline =
+    const PolicyRun baseline =
         workload.run(faasload::Mode::kOwkSwift, "lru", flags);
     bench::Table table({"Policy", "Invocations", "Hit ratio (%)", "E+L saved (s)",
                         "Evictions", "Swept", "Bytes churned", "p95 (ms)"});
@@ -212,7 +206,7 @@ int Run(const Flags& flags) {
                   "-", "-", "-", bench::Fmt("%.1f", baseline.p95_ms)});
     rows.push_back(baseline);
     for (const std::string& policy : policies) {
-      RunStats stats = workload.run(faasload::Mode::kOfc, policy, flags);
+      PolicyRun stats = workload.run(faasload::Mode::kOfc, policy, flags);
       stats.el_ms_saved = baseline.el_ms_total - stats.el_ms_total;
       table.AddRow({stats.policy, std::to_string(stats.invocations),
                     bench::Fmt("%.1f", 100.0 * stats.hit_ratio),

@@ -4,15 +4,10 @@
 // events/sec, invocations/sec, peak RSS, and per-phase time shares — as
 // BENCH_scale.json.
 //
-// It also microbenchmarks the optimized sim::EventLoop against the checked-in
-// pre-overhaul snapshot (bench/legacy_event_loop.h) on an identical synthetic
-// event pattern, so the JSON carries both sides of the hot-path comparison
-// (the README perf table's before/after column).
-//
 // Usage:
 //   scale_stress [--invocations=N] [--tenants=N] [--duration-s=S] [--seed=N]
 //                [--mode=ofc|owk-swift|owk-redis] [--out=BENCH_scale.json]
-//                [--loop-events=N] [--skip-loop-compare] [--progress]
+//                [--progress]
 //
 // The default 1M-invocation run finishes in minutes; CI's perf-smoke tier runs
 // a downscaled --invocations=50000 pass and gates on
@@ -23,16 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/legacy_event_loop.h"
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
 #include "src/obs/export_util.h"
-#include "src/sim/event_loop.h"
 #include "src/workloads/scale_trace.h"
 
 namespace ofc {
@@ -60,59 +51,8 @@ struct Flags {
   std::uint64_t seed = 42;
   std::string mode = "ofc";
   std::string out = "BENCH_scale.json";
-  std::uint64_t loop_events = 2'000'000;  // Per side of the loop comparison.
-  bool skip_loop_compare = false;
   bool progress = false;
 };
-
-// The synthetic scenario both event loops run for the before/after comparison:
-// `actors` self-re-arming chains (the dominant simulator pattern — a completion
-// schedules the next step), each hop also cancelling and re-arming a long-dated
-// keep-alive timer (the churn pattern sandbox keep-alives produce). Callbacks
-// capture a shared_ptr plus a couple of words, matching the platform's typical
-// capture size. Returns dispatched events per wall-clock second.
-template <typename Loop>
-double MeasureLoopEps(std::uint64_t total_events, std::size_t actors) {
-  Loop loop;
-  struct Shared {
-    std::uint64_t dispatched = 0;
-    std::uint64_t budget = 0;
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->budget = total_events;
-  std::vector<typename Loop::EventId> keepalive(actors, 0);
-
-  // Recursive hop as a self-contained callable: value-captures keep it safe to
-  // move between slots.
-  struct Hop {
-    Loop* loop;
-    std::shared_ptr<Shared> shared;
-    std::vector<typename Loop::EventId>* keepalive;
-    std::size_t actor;
-    void operator()() const {
-      Shared& s = *shared;
-      ++s.dispatched;
-      if (s.dispatched + (*keepalive).size() >= s.budget) {
-        return;  // Leave only the keep-alives outstanding.
-      }
-      // Keep-alive churn: cancel the previous timer, arm a fresh one.
-      if ((*keepalive)[actor] != 0) {
-        loop->Cancel((*keepalive)[actor]);
-      }
-      (*keepalive)[actor] = loop->ScheduleAfter(Seconds(600), [] {});
-      loop->ScheduleAfter(Millis(1) + static_cast<SimDuration>(actor),
-                          Hop{loop, shared, keepalive, actor});
-    }
-  };
-
-  const auto start = WallClock::now();  // simlint: allow(wall-clock) -- measuring loop throughput
-  for (std::size_t a = 0; a < actors; ++a) {
-    loop.ScheduleAfter(static_cast<SimDuration>(a), Hop{&loop, shared, &keepalive, a});
-  }
-  loop.Run();
-  const double wall = SecondsSince(start);
-  return wall > 0 ? static_cast<double>(shared->dispatched) / wall : 0.0;
-}
 
 faasload::Mode ParseMode(const std::string& mode) {
   if (mode == "owk-swift") {
@@ -147,10 +87,6 @@ int Main(int argc, char** argv) {
       flags.mode = v;
     } else if (const char* v = value("--out")) {
       flags.out = v;
-    } else if (const char* v = value("--loop-events")) {
-      flags.loop_events = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--skip-loop-compare") == 0) {
-      flags.skip_loop_compare = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
       flags.progress = true;
     } else {
@@ -162,18 +98,6 @@ int Main(int argc, char** argv) {
   bench::Banner("Scale stress: " + std::to_string(flags.invocations) +
                     " invocations, " + std::to_string(flags.tenants) + " tenants",
                 "simulator scalability harness (not a paper figure)");
-
-  // ---- Event-loop before/after microbenchmark ------------------------------
-  double legacy_eps = 0.0;
-  double optimized_eps = 0.0;
-  if (!flags.skip_loop_compare) {
-    constexpr std::size_t kActors = 256;
-    legacy_eps = MeasureLoopEps<bench::LegacyEventLoop>(flags.loop_events, kActors);
-    optimized_eps = MeasureLoopEps<sim::EventLoop>(flags.loop_events, kActors);
-    std::printf("event loop: legacy %.0f ev/s, optimized %.0f ev/s (%.2fx)\n",
-                legacy_eps, optimized_eps,
-                legacy_eps > 0 ? optimized_eps / legacy_eps : 0.0);
-  }
 
   // ---- Full-stack scale run ------------------------------------------------
   const auto setup_start = WallClock::now();  // simlint: allow(wall-clock) -- phase timing
@@ -263,13 +187,7 @@ int Main(int argc, char** argv) {
             ", \"transform\": " + obs::JsonNumber(transform_ms / etl_total) +
             ", \"load\": " + obs::JsonNumber(load_ms / etl_total);
   }
-  json += "},\n";
-  json += "  \"event_loop_compare\": {\"legacy_events_per_sec\": " +
-          obs::JsonNumber(legacy_eps) +
-          ", \"optimized_events_per_sec\": " + obs::JsonNumber(optimized_eps) +
-          ", \"speedup\": " +
-          obs::JsonNumber(legacy_eps > 0 ? optimized_eps / legacy_eps : 0.0) + "}\n";
-  json += "}\n";
+  json += "}\n}\n";
 
   std::FILE* f = std::fopen(flags.out.c_str(), "w");
   if (f == nullptr) {

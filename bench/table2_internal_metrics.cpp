@@ -7,10 +7,10 @@
 // total scaling time; almost all predictions good; zero failed invocations;
 // high cache hit ratio (90+ %) with naive the highest.
 //
-// Every row is read from the unified MetricsRegistry the run reported into
-// (the same cells behind the legacy stats structs), so the table is exactly
-// what --metrics-json would export. Accepts --metrics-json/--metrics-csv to
-// dump the final (Advanced-profile) run's full snapshot.
+// Every row is read by family name from the MetricsRegistry the run reported
+// into, so the table is exactly what --metrics-json would export. Accepts
+// --metrics-json/--metrics-csv to dump the final (Advanced-profile) run's full
+// snapshot.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -33,46 +33,44 @@ void Run(const bench::ObsFlags& obs_flags) {
     results.push_back(bench::RunMacro(config));
   }
 
+  // Getters return a count or a double; every cell prints through Fmt.
   auto row = [&](const std::string& name, auto getter, const char* format) {
     std::vector<std::string> cells = {name};
     for (const bench::MacroResult& result : results) {
-      cells.push_back(bench::Fmt(format, getter(*result.metrics)));
+      cells.push_back(bench::Fmt(format, static_cast<double>(getter(*result.metrics))));
     }
     table.AddRow(std::move(cells));
   };
-  auto count = [](const obs::MetricsRegistry& m, const char* name) {
-    return static_cast<double>(m.CounterValue(name));
-  };
 
-  row("# Scale up",
-      [&](const auto& m) { return count(m, "ofc.cache_agent.scale_ups"); }, "%.0f");
+  row("# Scale up", [](const auto& m) { return m.CounterValue("ofc.cache_agent.scale_ups"); },
+      "%.0f");
   row("Total scale up time (s)",
       [](const auto& m) { return m.GaugeValue("ofc.cache_agent.scale_up_time_us") / 1e6; },
       "%.3f");
   row("# Scale down (no eviction)",
-      [&](const auto& m) { return count(m, "ofc.cache_agent.scale_downs_plain"); }, "%.0f");
+      [](const auto& m) { return m.CounterValue("ofc.cache_agent.scale_downs_plain"); }, "%.0f");
   row("# Scale down (migration)",
-      [&](const auto& m) { return count(m, "ofc.cache_agent.scale_downs_migration"); }, "%.0f");
+      [](const auto& m) { return m.CounterValue("ofc.cache_agent.scale_downs_migration"); },
+      "%.0f");
   row("# Scale down (eviction)",
-      [&](const auto& m) { return count(m, "ofc.cache_agent.scale_downs_eviction"); }, "%.0f");
+      [](const auto& m) { return m.CounterValue("ofc.cache_agent.scale_downs_eviction"); },
+      "%.0f");
   row("Total scale down time (s)",
       [](const auto& m) { return m.GaugeValue("ofc.cache_agent.scale_down_time_us") / 1e6; },
       "%.3f");
   row("# Bad predictions",
-      [&](const auto& m) { return count(m, "ofc.predictor.bad_predictions"); }, "%.0f");
+      [](const auto& m) { return m.CounterValue("ofc.predictor.bad_predictions"); }, "%.0f");
   row("# Good predictions",
-      [&](const auto& m) { return count(m, "ofc.predictor.good_predictions"); }, "%.0f");
+      [](const auto& m) { return m.CounterValue("ofc.predictor.good_predictions"); }, "%.0f");
   row("# Failed invocations",
-      [&](const auto& m) { return count(m, "ofc.platform.failed_invocations"); }, "%.0f");
+      [](const auto& m) { return m.CounterValue("ofc.platform.failed_invocations"); }, "%.0f");
   row("Cache hit ratio (%)",
-      [&](const auto& m) {
-        const double hits = count(m, "ofc.proxy.cache_hits");
-        const double total = hits + count(m, "ofc.proxy.cache_misses");
-        return total == 0 ? 0.0 : 100.0 * hits / total;
+      [](const auto& m) { return 100.0 * core::CacheHitRatio(m); }, "%.2f");
+  row("Ephemeral data generated (GB)",
+      [](const auto& m) {
+        return static_cast<double>(m.CounterValue("ofc.platform.output_bytes")) / 1e9;
       },
       "%.2f");
-  row("Ephemeral data generated (GB)",
-      [&](const auto& m) { return count(m, "ofc.platform.output_bytes") / 1e9; }, "%.2f");
   // Overload-protection health: with defaults (no queue bound, breaker off)
   // every row below must read zero — a nonzero cell flags config drift.
   auto wait_stat = [](const obs::MetricsRegistry& m, auto pick) {
@@ -89,15 +87,14 @@ void Run(const bench::ObsFlags& obs_flags) {
         return wait_stat(m, [](const auto& s) { return s.max(); });
       },
       "%.3f");
-  row("# Shed (overload)",
-      [](const auto& m) { return static_cast<double>(m.CounterTotal("ofc.overload.shed")); },
+  row("# Shed (overload)", [](const auto& m) { return m.CounterTotal("ofc.overload.shed"); },
       "%.0f");
-  row("# Breaker opens",
-      [&](const auto& m) { return count(m, "ofc.breaker.opens"); }, "%.0f");
+  row("# Breaker opens", [](const auto& m) { return m.CounterValue("ofc.breaker.opens"); },
+      "%.0f");
   row("# Breaker bypassed ops",
-      [&](const auto& m) {
-        return count(m, "ofc.breaker.bypassed_reads") +
-               count(m, "ofc.breaker.bypassed_writes");
+      [](const auto& m) {
+        return m.CounterValue("ofc.breaker.bypassed_reads") +
+               m.CounterValue("ofc.breaker.bypassed_writes");
       },
       "%.0f");
   table.Print();

@@ -76,9 +76,10 @@ int main() {
   }
   std::printf("cached input after external write:  %s (invalidated)\n",
               env.cluster()->Contains("bucket/in.jpg") ? "yes" : "no");
+  const obs::MetricsRegistry& m = env.metrics();
   std::printf("external-read persistor boosts: %llu, invalidations: %llu\n",
-              static_cast<unsigned long long>(env.ofc()->proxy().stats().external_read_boosts),
+              static_cast<unsigned long long>(m.CounterValue("ofc.proxy.external_read_boosts")),
               static_cast<unsigned long long>(
-                  env.ofc()->proxy().stats().external_write_invalidations));
+                  m.CounterValue("ofc.proxy.external_write_invalidations")));
   return 0;
 }

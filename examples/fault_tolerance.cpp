@@ -79,7 +79,8 @@ void BreakerDemo() {
   std::printf("breaker tripped after %d consecutive cache failures; %llu read(s)\n"
               "bypassed the sick cache entirely while open.\n",
               proxy_options.breaker_failure_threshold,
-              static_cast<unsigned long long>(proxy.stats().breaker_bypassed_reads));
+              static_cast<unsigned long long>(
+                  proxy.metrics().CounterValue("ofc.breaker.bypassed_reads")));
 
   // Past the open window the fault has healed: probes succeed and it closes.
   loop.RunUntil(loop.now() + Seconds(6));
@@ -90,9 +91,9 @@ void BreakerDemo() {
   }
   std::printf("breaker closed after %llu healthy probe(s); cache path restored\n"
               "(opens=%llu closes=%llu).\n",
-              static_cast<unsigned long long>(proxy.stats().breaker_probes),
-              static_cast<unsigned long long>(proxy.stats().breaker_opens),
-              static_cast<unsigned long long>(proxy.stats().breaker_closes));
+              static_cast<unsigned long long>(proxy.metrics().CounterValue("ofc.breaker.probes")),
+              static_cast<unsigned long long>(proxy.metrics().CounterValue("ofc.breaker.opens")),
+              static_cast<unsigned long long>(proxy.metrics().CounterValue("ofc.breaker.closes")));
 }
 
 }  // namespace

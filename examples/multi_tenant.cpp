@@ -47,20 +47,20 @@ int main() {
                 tenant.FailureCount());
   }
 
-  const auto& proxy = env.ofc()->proxy().stats();
-  const auto& cache = env.ofc()->cache_agent().stats();
-  const auto& predictions = env.ofc()->prediction_stats();
+  // Every OFC component reported into the environment's metrics registry.
+  const obs::MetricsRegistry& m = env.metrics();
+  auto ull = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
   std::printf("\nOFC internals over the run:\n");
-  std::printf("  cache hit ratio        %.1f %%\n", 100.0 * proxy.HitRatio());
+  std::printf("  cache hit ratio        %.1f %%\n", 100.0 * core::CacheHitRatio(m));
   std::printf("  cache scale ups/downs  %llu / %llu\n",
-              static_cast<unsigned long long>(cache.scale_ups),
-              static_cast<unsigned long long>(cache.scale_downs_plain +
-                                              cache.scale_downs_migration +
-                                              cache.scale_downs_eviction));
+              ull(m.CounterValue("ofc.cache_agent.scale_ups")),
+              ull(m.CounterValue("ofc.cache_agent.scale_downs_plain") +
+                  m.CounterValue("ofc.cache_agent.scale_downs_migration") +
+                  m.CounterValue("ofc.cache_agent.scale_downs_eviction")));
   std::printf("  model predictions      %llu (bad: %llu)\n",
-              static_cast<unsigned long long>(predictions.model_predictions),
-              static_cast<unsigned long long>(predictions.bad_predictions));
+              ull(m.CounterValue("ofc.predictor.model_predictions")),
+              ull(m.CounterValue("ofc.predictor.bad_predictions")));
   std::printf("  persistor runs         %llu\n",
-              static_cast<unsigned long long>(proxy.persistor_runs));
+              ull(m.CounterValue("ofc.proxy.persistor_runs")));
   return 0;
 }

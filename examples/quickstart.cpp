@@ -72,12 +72,13 @@ int main() {
   invoke("cold + cache miss");
   invoke("warm + cache hit");
 
-  const auto& proxy = env.ofc()->proxy().stats();
+  // Every component counts into the environment's metrics registry.
+  const obs::MetricsRegistry& m = env.metrics();
   std::printf("\nCache: %llu hit(s), %llu miss(es), %llu admission(s)\n",
-              static_cast<unsigned long long>(proxy.cache_hits),
-              static_cast<unsigned long long>(proxy.cache_misses),
-              static_cast<unsigned long long>(proxy.admissions));
+              static_cast<unsigned long long>(m.CounterValue("ofc.proxy.cache_hits")),
+              static_cast<unsigned long long>(m.CounterValue("ofc.proxy.cache_misses")),
+              static_cast<unsigned long long>(m.CounterValue("ofc.proxy.admissions")));
   std::printf("Predicted sandbox size came from the ML model: %s\n",
-              env.ofc()->prediction_stats().model_predictions > 0 ? "yes" : "no");
+              m.CounterValue("ofc.predictor.model_predictions") > 0 ? "yes" : "no");
   return 0;
 }

@@ -63,37 +63,6 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
   }
 }
 
-CacheScalingStats CacheAgent::stats() const {
-  CacheScalingStats stats;
-  stats.scale_ups = m_.scale_ups->value();
-  stats.scale_up_time = static_cast<SimDuration>(m_.scale_up_time_us->value());
-  stats.scale_downs_plain = m_.scale_downs_plain->value();
-  stats.scale_downs_migration = m_.scale_downs_migration->value();
-  stats.scale_downs_eviction = m_.scale_downs_eviction->value();
-  stats.scale_down_time = static_cast<SimDuration>(m_.scale_down_time_us->value());
-  stats.objects_migrated = m_.objects_migrated->value();
-  stats.objects_evicted = m_.objects_evicted->value();
-  stats.objects_swept = m_.objects_swept->value();
-  stats.writebacks_triggered = m_.writebacks_triggered->value();
-  stats.writebacks_throttled = m_.writebacks_throttled->value();
-  return stats;
-}
-
-void CacheAgent::ResetStats() {
-  m_.scale_ups->Reset();
-  m_.scale_downs_plain->Reset();
-  m_.scale_downs_migration->Reset();
-  m_.scale_downs_eviction->Reset();
-  m_.objects_migrated->Reset();
-  m_.objects_evicted->Reset();
-  m_.objects_swept->Reset();
-  m_.writebacks_triggered->Reset();
-  m_.writebacks_throttled->Reset();
-  m_.scale_up_time_us->Reset();
-  m_.scale_down_time_us->Reset();
-  m_.migration_ms->Reset();
-}
-
 Bytes CacheAgent::CapacityTarget(int worker) const {
   const std::size_t w = static_cast<std::size_t>(worker);
   // The hoardable amount, bounded by the physically free memory on the node.

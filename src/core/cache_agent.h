@@ -85,21 +85,6 @@ struct CacheAgentOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// Snapshot view over the agent's `ofc.cache_agent.*` registry cells.
-struct CacheScalingStats {
-  std::uint64_t scale_ups = 0;
-  SimDuration scale_up_time = 0;
-  std::uint64_t scale_downs_plain = 0;      // No eviction, no migration.
-  std::uint64_t scale_downs_migration = 0;  // Required master migration.
-  std::uint64_t scale_downs_eviction = 0;   // Required object eviction.
-  SimDuration scale_down_time = 0;
-  std::uint64_t objects_migrated = 0;
-  std::uint64_t objects_evicted = 0;
-  std::uint64_t objects_swept = 0;
-  std::uint64_t writebacks_triggered = 0;
-  std::uint64_t writebacks_throttled = 0;  // Queued behind the in-flight budget.
-};
-
 class CacheAgent {
  public:
   // Write-back trigger: asks the Proxy's persistor machinery to push a dirty
@@ -140,25 +125,22 @@ class CacheAgent {
   // Sum of (booked - limit) across the worker's live sandboxes.
   Bytes hoard(int worker) const { return hoard_[static_cast<std::size_t>(worker)]; }
   Bytes CapacityTarget(int worker) const;
-  // Assembled on demand from the metrics registry.
-  CacheScalingStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
  private:
-  // Registry cells behind CacheScalingStats. The cumulative scaling times live
-  // in gauges (micros, Add()ed) so the snapshot reconstructs SimDuration
-  // exactly; migration latencies additionally feed a percentile series.
+  // Registry cells. The cumulative scaling times live in gauges (micros,
+  // Add()ed) so a reader recovers the SimDuration exactly; migration latencies
+  // additionally feed a percentile series.
   struct Metrics {
     obs::Counter* scale_ups = nullptr;
-    obs::Counter* scale_downs_plain = nullptr;
-    obs::Counter* scale_downs_migration = nullptr;
-    obs::Counter* scale_downs_eviction = nullptr;
+    obs::Counter* scale_downs_plain = nullptr;      // No eviction, no migration.
+    obs::Counter* scale_downs_migration = nullptr;  // Required master migration.
+    obs::Counter* scale_downs_eviction = nullptr;   // Required object eviction.
     obs::Counter* objects_migrated = nullptr;
     obs::Counter* objects_evicted = nullptr;
     obs::Counter* objects_swept = nullptr;
     obs::Counter* writebacks_triggered = nullptr;
-    obs::Counter* writebacks_throttled = nullptr;
+    obs::Counter* writebacks_throttled = nullptr;  // Queued behind the in-flight budget.
     obs::Gauge* scale_up_time_us = nullptr;
     obs::Gauge* scale_down_time_us = nullptr;
     obs::Series* migration_ms = nullptr;

@@ -80,8 +80,6 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
       proxy_(loop, cluster, rsds,
              WithPolicy(WithObs(options.proxy, metrics_, options.trace, options.flight),
                         policy_engine_.get())) {
-  m_.model_predictions = metrics_->GetCounter("ofc.predictor.model_predictions");
-  m_.booked_fallbacks = metrics_->GetCounter("ofc.predictor.booked_fallbacks");
   m_.good_predictions = metrics_->GetCounter("ofc.predictor.good_predictions");
   m_.bad_predictions = metrics_->GetCounter("ofc.predictor.bad_predictions");
   cache_agent_.set_writeback([this](const std::string& key, std::function<void(Status)> done) {
@@ -97,24 +95,6 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
 void OfcSystem::Start() {
   cache_agent_.Start();
   proxy_.InstallWebhooks();
-}
-
-OfcPredictionStats OfcSystem::prediction_stats() const {
-  OfcPredictionStats stats;
-  stats.model_predictions = m_.model_predictions->value();
-  stats.booked_fallbacks = m_.booked_fallbacks->value();
-  stats.good_predictions = m_.good_predictions->value();
-  stats.bad_predictions = m_.bad_predictions->value();
-  return stats;
-}
-
-void OfcSystem::ResetStats() {
-  m_.model_predictions->Reset();
-  m_.booked_fallbacks->Reset();
-  m_.good_predictions->Reset();
-  m_.bad_predictions->Reset();
-  proxy_.ResetStats();
-  cache_agent_.ResetStats();
 }
 
 faas::PlatformHooks::Sizing OfcSystem::SizeInvocation(

@@ -52,14 +52,6 @@ struct OfcOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// Snapshot view over the `ofc.predictor.*` registry counters.
-struct OfcPredictionStats {
-  std::uint64_t model_predictions = 0;  // Sized from a mature model.
-  std::uint64_t booked_fallbacks = 0;   // Immature model: tenant booking used.
-  std::uint64_t good_predictions = 0;   // Completed within the predicted size.
-  std::uint64_t bad_predictions = 0;    // Needed a rescue or an OOM retry.
-};
-
 class OfcSystem : public faas::PlatformHooks {
  public:
   OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsds,
@@ -90,9 +82,6 @@ class OfcSystem : public faas::PlatformHooks {
   // The shared eviction-policy engine (fed by the Proxy's data-plane
   // notifications, consulted by the CacheAgent's shrink/sweep paths).
   CachePolicyEngine& policy_engine() { return *policy_engine_; }
-  // Assembled on demand from the metrics registry.
-  OfcPredictionStats prediction_stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // ---- faas::PlatformHooks -------------------------------------------------------
@@ -115,13 +104,11 @@ class OfcSystem : public faas::PlatformHooks {
                             const faas::InvocationRecord& record) override;
 
  private:
-  // Registry cells behind OfcPredictionStats. The Predictor bumps the first two
-  // itself (shared registry); the system judges good/bad on completion.
+  // Prediction-quality cells, judged on completion. The Predictor counts
+  // model predictions and booked fallbacks itself, into the same registry.
   struct Metrics {
-    obs::Counter* model_predictions = nullptr;
-    obs::Counter* booked_fallbacks = nullptr;
-    obs::Counter* good_predictions = nullptr;
-    obs::Counter* bad_predictions = nullptr;
+    obs::Counter* good_predictions = nullptr;  // Completed within the predicted size.
+    obs::Counter* bad_predictions = nullptr;   // Needed a rescue or an OOM retry.
   };
 
   rc::Cluster* cluster_;

@@ -7,6 +7,13 @@
 
 namespace ofc::core {
 
+double CacheHitRatio(const obs::MetricsRegistry& metrics) {
+  const std::uint64_t hits = metrics.CounterValue("ofc.proxy.cache_hits");
+  const double total =
+      static_cast<double>(hits + metrics.CounterValue("ofc.proxy.cache_misses"));
+  return total <= 0 ? 0.0 : static_cast<double>(hits) / total;
+}
+
 Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsds,
              ProxyOptions options)
     : loop_(loop), cluster_(cluster), rsds_(rsds), options_(options) {
@@ -100,81 +107,6 @@ Proxy::FnMetrics& Proxy::FnMetricsForCtx(const faas::InvocationContext& ctx) {
   }
   fn_metrics_by_index_[idx] = IndexedFnCells{ctx.function, &cells};
   return cells;
-}
-
-ProxyStats Proxy::stats() const {
-  ProxyStats stats;
-  stats.cache_hits = m_.cache_hits->value();
-  stats.cache_misses = m_.cache_misses->value();
-  stats.admissions = m_.admissions->value();
-  stats.admission_failures = m_.admission_failures->value();
-  stats.shadow_writes = m_.shadow_writes->value();
-  stats.cached_writes = m_.cached_writes->value();
-  stats.direct_writes = m_.direct_writes->value();
-  stats.persistor_runs = m_.persistor_runs->value();
-  stats.persistor_conflicts = m_.persistor_conflicts->value();
-  stats.intermediates_cached = m_.intermediates_cached->value();
-  stats.intermediates_dropped = m_.intermediates_dropped->value();
-  stats.external_read_boosts = m_.external_read_boosts->value();
-  stats.external_write_invalidations = m_.external_write_invalidations->value();
-  stats.fallback_writes = m_.fallback_writes->value();
-  stats.rsds_retries = m_.rsds_retries->value();
-  stats.read_deadlines = m_.read_deadlines->value();
-  stats.persistor_retries = m_.persistor_retries->value();
-  stats.persistor_drops = m_.persistor_drops->value();
-  stats.persistor_abandons = m_.persistor_abandons->value();
-  stats.breaker_opens = m_.breaker_opens->value();
-  stats.breaker_closes = m_.breaker_closes->value();
-  stats.breaker_probes = m_.breaker_probes->value();
-  stats.breaker_probe_failures = m_.breaker_probe_failures->value();
-  stats.breaker_bypassed_reads = m_.breaker_bypassed_reads->value();
-  stats.breaker_bypassed_writes = m_.breaker_bypassed_writes->value();
-  stats.admission_deferred = m_.admission_deferred->value();
-  stats.corrupt_acked = m_.corrupt_acked->value();
-  stats.reread_from_rsds = m_.reread_from_rsds->value();
-  return stats;
-}
-
-void Proxy::ResetStats() {
-  m_.cache_hits->Reset();
-  m_.cache_misses->Reset();
-  m_.admissions->Reset();
-  m_.admission_failures->Reset();
-  m_.shadow_writes->Reset();
-  m_.cached_writes->Reset();
-  m_.direct_writes->Reset();
-  m_.persistor_runs->Reset();
-  m_.persistor_conflicts->Reset();
-  m_.intermediates_cached->Reset();
-  m_.intermediates_dropped->Reset();
-  m_.external_read_boosts->Reset();
-  m_.external_write_invalidations->Reset();
-  m_.fallback_writes->Reset();
-  m_.rsds_retries->Reset();
-  m_.read_deadlines->Reset();
-  m_.persistor_retries->Reset();
-  m_.persistor_drops->Reset();
-  m_.persistor_abandons->Reset();
-  m_.breaker_opens->Reset();
-  m_.breaker_closes->Reset();
-  m_.breaker_probes->Reset();
-  m_.breaker_probe_failures->Reset();
-  m_.breaker_bypassed_reads->Reset();
-  m_.breaker_bypassed_writes->Reset();
-  m_.admission_deferred->Reset();
-  m_.corrupt_acked->Reset();
-  m_.reread_from_rsds->Reset();
-  m_.breaker_open_time_us->Reset();
-  // The state gauge reflects live state, not a window: re-assert it.
-  m_.breaker_state->Reset();
-  m_.breaker_state->Set(breaker_ == BreakerState::kClosed ? 0.0
-                        : breaker_ == BreakerState::kOpen ? 1.0
-                                                          : 2.0);
-  m_.persistor_ms->Reset();
-  for (auto& [function, cells] : fn_metrics_) {
-    cells.hits->Reset();
-    cells.misses->Reset();
-  }
 }
 
 void Proxy::InstallWebhooks() {

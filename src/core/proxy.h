@@ -98,42 +98,9 @@ struct ProxyOptions {
   CachePolicyEngine* policy = nullptr;
 };
 
-// Snapshot view over the proxy's `ofc.proxy.*` registry counters.
-struct ProxyStats {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t admissions = 0;
-  std::uint64_t admission_failures = 0;
-  std::uint64_t shadow_writes = 0;
-  std::uint64_t cached_writes = 0;
-  std::uint64_t direct_writes = 0;
-  std::uint64_t persistor_runs = 0;
-  std::uint64_t persistor_conflicts = 0;  // Out-of-order pushes skipped.
-  std::uint64_t intermediates_cached = 0;
-  std::uint64_t intermediates_dropped = 0;
-  std::uint64_t external_read_boosts = 0;
-  std::uint64_t external_write_invalidations = 0;
-  std::uint64_t fallback_writes = 0;       // Acked from the cache during an outage.
-  std::uint64_t rsds_retries = 0;          // Read-path retries after kUnavailable.
-  std::uint64_t read_deadlines = 0;        // Reads that exhausted the retry budget.
-  std::uint64_t persistor_retries = 0;     // Re-dispatched persistor pushes.
-  std::uint64_t persistor_drops = 0;       // Dispatches lost to fault injection.
-  std::uint64_t persistor_abandons = 0;    // Retry budget exhausted (stays dirty).
-  std::uint64_t breaker_opens = 0;           // Closed/half-open -> open trips.
-  std::uint64_t breaker_closes = 0;          // Half-open -> closed recoveries.
-  std::uint64_t breaker_probes = 0;          // Operations admitted half-open.
-  std::uint64_t breaker_probe_failures = 0;  // Probes that re-opened the breaker.
-  std::uint64_t breaker_bypassed_reads = 0;  // Reads served RSDS-direct while open.
-  std::uint64_t breaker_bypassed_writes = 0; // Writes sent RSDS-direct while open.
-  std::uint64_t admission_deferred = 0;      // Admissions skipped under memory pressure.
-  std::uint64_t corrupt_acked = 0;           // I6 tripwire: must stay 0 forever.
-  std::uint64_t reread_from_rsds = 0;        // Cache data loss healed via RSDS re-read.
-
-  double HitRatio() const {
-    const double total = static_cast<double>(cache_hits + cache_misses);
-    return total <= 0 ? 0.0 : static_cast<double>(cache_hits) / total;
-  }
-};
+// Fraction of proxy reads served from the cache: `ofc.proxy.cache_hits` over
+// hits plus `ofc.proxy.cache_misses` in `metrics`; 0 before the first read.
+double CacheHitRatio(const obs::MetricsRegistry& metrics);
 
 class Proxy : public faas::DataService {
  public:
@@ -194,13 +161,10 @@ class Proxy : public faas::DataService {
   using AdmissionGate = std::function<bool(int worker)>;
   void set_admission_gate(AdmissionGate gate) { admission_gate_ = std::move(gate); }
 
-  // Assembled on demand from the metrics registry.
-  ProxyStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
  private:
-  // Registry cells behind ProxyStats; bumped through cached pointers.
+  // Registry cells, bumped through cached pointers.
   struct Metrics {
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
@@ -210,29 +174,29 @@ class Proxy : public faas::DataService {
     obs::Counter* cached_writes = nullptr;
     obs::Counter* direct_writes = nullptr;
     obs::Counter* persistor_runs = nullptr;
-    obs::Counter* persistor_conflicts = nullptr;
+    obs::Counter* persistor_conflicts = nullptr;  // Out-of-order pushes skipped.
     obs::Counter* intermediates_cached = nullptr;
     obs::Counter* intermediates_dropped = nullptr;
     obs::Counter* external_read_boosts = nullptr;
     obs::Counter* external_write_invalidations = nullptr;
-    obs::Counter* fallback_writes = nullptr;
-    obs::Counter* rsds_retries = nullptr;
-    obs::Counter* read_deadlines = nullptr;
-    obs::Counter* persistor_retries = nullptr;
-    obs::Counter* persistor_drops = nullptr;
-    obs::Counter* persistor_abandons = nullptr;
-    obs::Counter* breaker_opens = nullptr;
-    obs::Counter* breaker_closes = nullptr;
-    obs::Counter* breaker_probes = nullptr;
-    obs::Counter* breaker_probe_failures = nullptr;
-    obs::Counter* breaker_bypassed_reads = nullptr;
-    obs::Counter* breaker_bypassed_writes = nullptr;
-    obs::Counter* admission_deferred = nullptr;
-    obs::Counter* corrupt_acked = nullptr;
-    obs::Counter* reread_from_rsds = nullptr;
-    obs::Gauge* breaker_state = nullptr;        // 0 closed / 1 open / 2 half-open.
-    obs::Gauge* breaker_open_time_us = nullptr; // Cumulative open time (on exit).
-    obs::Series* persistor_ms = nullptr;  // Dispatch to RSDS-converged latency.
+    obs::Counter* fallback_writes = nullptr;          // Acked from the cache during an outage.
+    obs::Counter* rsds_retries = nullptr;             // Read-path retries after kUnavailable.
+    obs::Counter* read_deadlines = nullptr;           // Reads that exhausted the retry budget.
+    obs::Counter* persistor_retries = nullptr;        // Re-dispatched persistor pushes.
+    obs::Counter* persistor_drops = nullptr;          // Dispatches lost to fault injection.
+    obs::Counter* persistor_abandons = nullptr;       // Retry budget exhausted (stays dirty).
+    obs::Counter* breaker_opens = nullptr;            // Closed/half-open -> open trips.
+    obs::Counter* breaker_closes = nullptr;           // Half-open -> closed recoveries.
+    obs::Counter* breaker_probes = nullptr;           // Operations admitted half-open.
+    obs::Counter* breaker_probe_failures = nullptr;   // Probes that re-opened the breaker.
+    obs::Counter* breaker_bypassed_reads = nullptr;   // Reads served RSDS-direct while open.
+    obs::Counter* breaker_bypassed_writes = nullptr;  // Writes sent RSDS-direct while open.
+    obs::Counter* admission_deferred = nullptr;       // Admissions skipped under memory pressure.
+    obs::Counter* corrupt_acked = nullptr;            // I6 tripwire: must stay 0 forever.
+    obs::Counter* reread_from_rsds = nullptr;         // Cache data loss healed via RSDS re-read.
+    obs::Gauge* breaker_state = nullptr;              // 0 closed / 1 open / 2 half-open.
+    obs::Gauge* breaker_open_time_us = nullptr;       // Cumulative open time (on exit).
+    obs::Series* persistor_ms = nullptr;              // Dispatch to RSDS-converged latency.
   };
   // Per-function hit/miss label cells, cached for the hot read path.
   struct FnMetrics {
@@ -340,8 +304,8 @@ class Proxy : public faas::DataService {
   SimTime breaker_opened_at_ = 0;
   AdmissionGate admission_gate_;
   Metrics m_;
-  // Ordered: ResetStats() and future per-function exports iterate this map, so
-  // its order must not depend on hashing.
+  // Node-based: fn_metrics_by_index_ holds pointers into it, so cell addresses
+  // must stay stable as functions are added.
   std::map<std::string, FnMetrics> fn_metrics_;
   std::vector<IndexedFnCells> fn_metrics_by_index_;  // ctx.fn_index fast path.
   // Intermediate objects written per in-flight pipeline (§6.3 cleanup). Looked

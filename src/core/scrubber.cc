@@ -26,16 +26,6 @@ void Scrubber::Start() { task_->Start(); }
 
 void Scrubber::Stop() { task_->Stop(); }
 
-ScrubberStats Scrubber::stats() const {
-  ScrubberStats stats;
-  stats.cycles = cycles_->value();
-  stats.objects_scanned = objects_scanned_->value();
-  stats.corruptions_found = corruptions_found_->value();
-  stats.repairs = repairs_->value();
-  stats.quarantines = quarantines_->value();
-  return stats;
-}
-
 void Scrubber::Tick() {
   ScrubClusterSlice();
   if (options_.scrub_store && rsds_ != nullptr) {

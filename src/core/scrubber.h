@@ -46,15 +46,6 @@ struct ScrubberOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Snapshot view over the scrubber's `ofc.scrub.*` registry counters.
-struct ScrubberStats {
-  std::uint64_t cycles = 0;             // Full passes completed over the cluster.
-  std::uint64_t objects_scanned = 0;    // Objects verified (cluster + store).
-  std::uint64_t corruptions_found = 0;  // Corrupt copies detected.
-  std::uint64_t repairs = 0;            // Corrupt copies repaired.
-  std::uint64_t quarantines = 0;        // Nodes drained for crossing the threshold.
-};
-
 class Scrubber {
  public:
   // `rsds` may be null (cluster-only scrubbing regardless of scrub_store).
@@ -64,7 +55,6 @@ class Scrubber {
   void Start();
   void Stop();
 
-  ScrubberStats stats() const;
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
  private:
@@ -88,11 +78,11 @@ class Scrubber {
   // Corrupt copies found per node since its last quarantine. Ordered so the
   // threshold check never depends on hash iteration order.
   std::map<int, int> node_corruption_;
-  obs::Counter* cycles_ = nullptr;
-  obs::Counter* objects_scanned_ = nullptr;
-  obs::Counter* corruptions_found_ = nullptr;
-  obs::Counter* repairs_ = nullptr;
-  obs::Counter* quarantines_ = nullptr;
+  obs::Counter* cycles_ = nullptr;             // Full passes completed over the cluster.
+  obs::Counter* objects_scanned_ = nullptr;    // Objects verified (cluster + store).
+  obs::Counter* corruptions_found_ = nullptr;  // Corrupt copies detected.
+  obs::Counter* repairs_ = nullptr;            // Corrupt copies repaired.
+  obs::Counter* quarantines_ = nullptr;        // Nodes drained for crossing the threshold.
 };
 
 }  // namespace ofc::core

@@ -118,54 +118,6 @@ Platform::FnMetrics& Platform::FnMetricsAt(std::uint32_t fn_index, const std::st
   return cells;
 }
 
-PlatformStats Platform::stats() const {
-  PlatformStats stats;
-  stats.invocations = m_.invocations->value();
-  stats.cold_starts = m_.cold_starts->value();
-  stats.warm_starts = m_.warm_starts->value();
-  stats.oom_kills = m_.oom_kills->value();
-  stats.oom_rescues = m_.oom_rescues->value();
-  stats.failed_invocations = m_.failed_invocations->value();
-  stats.retries = m_.retries->value();
-  stats.sandbox_reclaims = m_.sandbox_reclaims->value();
-  stats.queued_requests = m_.queued_requests->value();
-  stats.worker_crashes = m_.worker_crashes->value();
-  stats.worker_restores = m_.worker_restores->value();
-  stats.crash_retries = m_.crash_retries->value();
-  stats.shed_requests = m_.shed_queue_full->value() + m_.shed_deadline->value();
-  return stats;
-}
-
-void Platform::ResetStats() {
-  m_.invocations->Reset();
-  m_.cold_starts->Reset();
-  m_.warm_starts->Reset();
-  m_.oom_kills->Reset();
-  m_.oom_rescues->Reset();
-  m_.failed_invocations->Reset();
-  m_.retries->Reset();
-  m_.sandbox_reclaims->Reset();
-  m_.queued_requests->Reset();
-  m_.worker_crashes->Reset();
-  m_.worker_restores->Reset();
-  m_.crash_retries->Reset();
-  m_.input_bytes->Reset();
-  m_.output_bytes->Reset();
-  m_.shed_queue_full->Reset();
-  m_.shed_deadline->Reset();
-  m_.queue_wait_ms->Reset();
-  m_.startup_ms->Reset();
-  m_.extract_ms->Reset();
-  m_.transform_ms->Reset();
-  m_.load_ms->Reset();
-  m_.total_ms->Reset();
-  for (auto& [function, cells] : fn_metrics_) {
-    cells.invocations->Reset();
-    cells.cold_starts->Reset();
-    cells.total_ms->Reset();
-  }
-}
-
 // Phase latencies and per-function breakdowns, recorded for every terminal
 // completion (success or failure) exactly once.
 void Platform::RecordCompletion(const InvocationRecord& record) {

@@ -233,25 +233,6 @@ class PlatformHooks {
                                     const InvocationRecord& record);
 };
 
-// Snapshot view over the platform's `ofc.platform.*` registry counters (the
-// registry is the source of truth; this struct exists for test/bench
-// compatibility and human-readable summaries).
-struct PlatformStats {
-  std::uint64_t invocations = 0;
-  std::uint64_t cold_starts = 0;
-  std::uint64_t warm_starts = 0;
-  std::uint64_t oom_kills = 0;
-  std::uint64_t oom_rescues = 0;
-  std::uint64_t failed_invocations = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t sandbox_reclaims = 0;  // Idle sandboxes evicted for capacity.
-  std::uint64_t queued_requests = 0;
-  std::uint64_t worker_crashes = 0;
-  std::uint64_t worker_restores = 0;
-  std::uint64_t crash_retries = 0;  // Invocations re-dispatched after a crash.
-  std::uint64_t shed_requests = 0;  // Rejected by overload protection.
-};
-
 class Platform {
  public:
   using InvokeCallback = std::function<void(const InvocationRecord&)>;
@@ -296,9 +277,6 @@ class Platform {
   Bytes WorkerFree(int worker) const;
   std::size_t NumSandboxes(int worker) const;
   std::size_t NumIdleSandboxes(const std::string& function) const;
-  // Assembled on demand from the metrics registry.
-  PlatformStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // Aggregate media descriptor for demand evaluation over multiple inputs; also
@@ -344,8 +322,8 @@ class Platform {
     bool queue_wait_recorded = false;  // Observe queue_wait_ms at most once.
   };
 
-  // Registry cells behind PlatformStats plus the phase-latency series; bumped
-  // on the hot path through cached pointers.
+  // Registry cells (counters and the phase-latency series); bumped on the hot
+  // path through cached pointers.
   struct Metrics {
     obs::Counter* invocations = nullptr;
     obs::Counter* cold_starts = nullptr;
@@ -354,11 +332,11 @@ class Platform {
     obs::Counter* oom_rescues = nullptr;
     obs::Counter* failed_invocations = nullptr;
     obs::Counter* retries = nullptr;
-    obs::Counter* sandbox_reclaims = nullptr;
+    obs::Counter* sandbox_reclaims = nullptr;  // Idle sandboxes evicted for capacity.
     obs::Counter* queued_requests = nullptr;
     obs::Counter* worker_crashes = nullptr;
     obs::Counter* worker_restores = nullptr;
-    obs::Counter* crash_retries = nullptr;
+    obs::Counter* crash_retries = nullptr;  // Invocations re-dispatched after a crash.
     obs::Counter* input_bytes = nullptr;
     obs::Counter* output_bytes = nullptr;
     obs::Counter* shed_queue_full = nullptr;  // ofc.overload.shed{queue_full}
@@ -450,10 +428,10 @@ class Platform {
   obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   Metrics m_;
-  // Ordered: ResetStats() and future per-function exports iterate this map, so
-  // its order must not depend on hashing.
+  // Node-based: fn_metrics_by_index_ holds pointers into it, so cell addresses
+  // must stay stable as functions are added.
   std::map<std::string, FnMetrics> fn_metrics_;
-  // fn_index → cell pointers (stable: fn_metrics_ is a node-based map).
+  // fn_index → cell pointers into fn_metrics_.
   std::vector<FnMetrics*> fn_metrics_by_index_;
   std::uint32_t next_fn_index_ = 1;
   // Request blocks are recycled: completion frees into the pool, the next

@@ -24,13 +24,6 @@ FaultInjector::FaultInjector(sim::EventLoop* loop, FaultInjectorTargets targets,
   }
 }
 
-FaultStats FaultInjector::stats() const {
-  FaultStats stats;
-  stats.injected = injected_->value();
-  stats.healed = healed_->value();
-  return stats;
-}
-
 Status FaultInjector::Schedule(const FaultPlan& plan) {
   const int num_workers = targets_.platform != nullptr ? targets_.platform->num_workers() : 0;
   const int num_nodes = targets_.cluster != nullptr ? targets_.cluster->num_nodes() : 0;

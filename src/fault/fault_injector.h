@@ -49,12 +49,6 @@ struct FaultInjectorOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// Snapshot view over the injector's `ofc.fault.*` registry counters.
-struct FaultStats {
-  std::uint64_t injected = 0;  // Faults fired.
-  std::uint64_t healed = 0;    // Heal events fired.
-};
-
 class FaultInjector {
  public:
   FaultInjector(sim::EventLoop* loop, FaultInjectorTargets targets,
@@ -68,7 +62,6 @@ class FaultInjector {
   // Fires one event immediately (tests drive precise interleavings with this).
   void Fire(const FaultEvent& event);
 
-  FaultStats stats() const;
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
  private:
@@ -94,8 +87,8 @@ class FaultInjector {
   // depends on hash iteration order.
   std::map<int, int> worker_crash_depth_;
   std::map<int, int> node_crash_depth_;
-  obs::Counter* injected_ = nullptr;
-  obs::Counter* healed_ = nullptr;
+  obs::Counter* injected_ = nullptr;  // Faults fired.
+  obs::Counter* healed_ = nullptr;    // Heal events fired.
   obs::Gauge* active_ = nullptr;
 };
 

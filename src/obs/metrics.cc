@@ -21,14 +21,6 @@ const char* KindName(int kind) {
 
 }  // namespace
 
-Histogram Series::ToHistogram(double lo, double hi, std::size_t buckets) const {
-  Histogram histogram(lo, hi, buckets);
-  for (double v : samples_.values()) {
-    histogram.Add(v);
-  }
-  return histogram;
-}
-
 MetricsRegistry::Family& MetricsRegistry::GetFamily(const std::string& name, Kind kind) {
   auto [it, inserted] = families_.try_emplace(name);
   if (inserted) {

@@ -3,11 +3,10 @@
 // Components obtain named cells (counters, gauges, distribution series) from a
 // shared registry at construction and bump them on the hot path with a plain
 // pointer dereference — no locking (the simulator is single-threaded) and no
-// string lookups after the first access. The legacy per-component stats structs
-// (ProxyStats, CacheScalingStats, PlatformStats, OfcPredictionStats, ...) are
-// retained as *views* assembled from the registry cells, so existing tests and
-// benches keep their accessor APIs while the registry stays the single source
-// of truth — Table 2 output and the machine-readable exports can never drift.
+// string lookups after the first access. The registry is the only record of
+// those counts: tests, benches and reports read a cell by family name through
+// the read-side queries below, which create nothing, so reading never changes
+// an export and Table 2 output cannot drift from the machine-readable exports.
 //
 // Naming scheme: `ofc.<component>.<name>` (e.g. `ofc.proxy.cache_hits`), with
 // an optional label for per-function / per-worker breakdowns (rendered as
@@ -73,8 +72,6 @@ class Series {
   double sum() const { return running_.sum(); }
   const RunningStat& running() const { return running_; }
   const Samples& samples() const { return samples_; }
-  // Bucketed rendering over [lo, hi) for ASCII output (reuses common Histogram).
-  Histogram ToHistogram(double lo, double hi, std::size_t buckets) const;
   void Reset() {
     running_ = RunningStat();
     samples_ = Samples();
@@ -99,7 +96,9 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name, const std::string& label = "");
   Series* GetSeries(const std::string& name, const std::string& label = "");
 
-  // ---- Read-side queries (benches, tests, views) -------------------------------
+  // ---- Read-side queries (benches, tests, reports) -----------------------------
+  //
+  // None of these creates a family or a cell.
 
   // Value of one cell; 0 when the cell does not exist.
   std::uint64_t CounterValue(const std::string& name, const std::string& label = "") const;
@@ -107,7 +106,6 @@ class MetricsRegistry {
   const Series* FindSeries(const std::string& name, const std::string& label = "") const;
   // Sum across all labels of a counter family.
   std::uint64_t CounterTotal(const std::string& name) const;
-  std::size_t NumFamilies() const { return families_.size(); }
 
   // ---- Visitation (timeline scrapes) ---------------------------------------------
   //
@@ -129,8 +127,7 @@ class MetricsRegistry {
   //   name,type,label,value,count,mean,min,max,p50,p95,p99
   std::string SnapshotCsv(SimTime now = 0) const;
 
-  // Zeroes every cell (global reset; components reset their own cells via the
-  // pointers they hold).
+  // Zeroes every cell; families and cells stay registered.
   void Reset();
 
  private:

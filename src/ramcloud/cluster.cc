@@ -42,51 +42,6 @@ Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rn
   m_.recovery_ms = metrics_->GetSeries("ofc.ramcloud.recovery_ms");
 }
 
-ClusterStats Cluster::stats() const {
-  ClusterStats stats;
-  stats.reads = m_.reads->value();
-  stats.read_hits_local = m_.read_hits_local->value();
-  stats.read_hits_remote = m_.read_hits_remote->value();
-  stats.read_misses = m_.read_misses->value();
-  stats.writes = m_.writes->value();
-  stats.write_rejects = m_.write_rejects->value();
-  stats.version_conflicts = m_.version_conflicts->value();
-  stats.transactions_committed = m_.transactions_committed->value();
-  stats.migrations = m_.migrations->value();
-  stats.evictions = m_.evictions->value();
-  stats.node_crashes = m_.node_crashes->value();
-  stats.node_restarts = m_.node_restarts->value();
-  stats.objects_recovered = m_.objects_recovered->value();
-  stats.objects_lost = m_.objects_lost->value();
-  stats.checksum_failures = m_.checksum_failures->value();
-  stats.integrity_repairs = m_.integrity_repairs->value();
-  stats.read_data_loss = m_.read_data_loss->value();
-  stats.nodes_quarantined = m_.nodes_quarantined->value();
-  return stats;
-}
-
-void Cluster::ResetStats() {
-  m_.reads->Reset();
-  m_.read_hits_local->Reset();
-  m_.read_hits_remote->Reset();
-  m_.read_misses->Reset();
-  m_.writes->Reset();
-  m_.write_rejects->Reset();
-  m_.version_conflicts->Reset();
-  m_.transactions_committed->Reset();
-  m_.migrations->Reset();
-  m_.evictions->Reset();
-  m_.node_crashes->Reset();
-  m_.node_restarts->Reset();
-  m_.objects_recovered->Reset();
-  m_.objects_lost->Reset();
-  m_.checksum_failures->Reset();
-  m_.integrity_repairs->Reset();
-  m_.read_data_loss->Reset();
-  m_.nodes_quarantined->Reset();
-  m_.recovery_ms->Reset();
-}
-
 void Cluster::NoteCorruption(const std::string& key, int node, const char* where) {
   ++*m_.checksum_failures;
   if (FlightOn()) {

@@ -111,28 +111,6 @@ struct RecoveryResult {
   SimDuration duration = 0;      // Parallel partitioned recovery makespan.
 };
 
-// Snapshot view over the cluster's `ofc.ramcloud.*` registry counters.
-struct ClusterStats {
-  std::uint64_t reads = 0;
-  std::uint64_t read_hits_local = 0;
-  std::uint64_t read_hits_remote = 0;
-  std::uint64_t read_misses = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t write_rejects = 0;
-  std::uint64_t version_conflicts = 0;  // Conditional writes / commits aborted.
-  std::uint64_t transactions_committed = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t node_crashes = 0;
-  std::uint64_t node_restarts = 0;
-  std::uint64_t objects_recovered = 0;  // Backup promotions after crashes.
-  std::uint64_t objects_lost = 0;       // No surviving replica at crash time.
-  std::uint64_t checksum_failures = 0;  // Corrupt copies detected (read/scrub/recovery).
-  std::uint64_t integrity_repairs = 0;  // Copies restored from replica or RSDS.
-  std::uint64_t read_data_loss = 0;     // Reads failed: every copy corrupt.
-  std::uint64_t nodes_quarantined = 0;  // Graceful drains triggered by scrub.
-};
-
 class Cluster {
  public:
   using Callback = std::function<void(Status)>;
@@ -285,9 +263,6 @@ class Cluster {
   // !Alive until RestartNode. No-op on a dead node or the last alive node.
   RecoveryResult QuarantineNode(int node);
 
-  // Assembled on demand from the metrics registry.
-  ClusterStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // Total memory in use across alive nodes (Figure 10 series).
@@ -322,7 +297,7 @@ class Cluster {
   void NoteCorruption(const std::string& key, int node, const char* where);
   void NoteRepair(const std::string& key, int node, const char* source);
 
-  // Registry cells behind ClusterStats; bumped through cached pointers.
+  // Registry cells, bumped through cached pointers.
   struct Metrics {
     obs::Counter* reads = nullptr;
     obs::Counter* read_hits_local = nullptr;
@@ -330,19 +305,19 @@ class Cluster {
     obs::Counter* read_misses = nullptr;
     obs::Counter* writes = nullptr;
     obs::Counter* write_rejects = nullptr;
-    obs::Counter* version_conflicts = nullptr;
+    obs::Counter* version_conflicts = nullptr;  // Conditional writes / commits aborted.
     obs::Counter* transactions_committed = nullptr;
     obs::Counter* migrations = nullptr;
     obs::Counter* evictions = nullptr;
     obs::Counter* node_crashes = nullptr;
     obs::Counter* node_restarts = nullptr;
-    obs::Counter* objects_recovered = nullptr;
-    obs::Counter* objects_lost = nullptr;
-    obs::Counter* checksum_failures = nullptr;
-    obs::Counter* integrity_repairs = nullptr;
-    obs::Counter* read_data_loss = nullptr;
-    obs::Counter* nodes_quarantined = nullptr;
-    obs::Series* recovery_ms = nullptr;  // Per-crash recovery makespan.
+    obs::Counter* objects_recovered = nullptr;  // Backup promotions after crashes.
+    obs::Counter* objects_lost = nullptr;       // No surviving replica at crash time.
+    obs::Counter* checksum_failures = nullptr;  // Corrupt copies found (read/scrub/recovery).
+    obs::Counter* integrity_repairs = nullptr;  // Copies restored from replica or RSDS.
+    obs::Counter* read_data_loss = nullptr;     // Reads failed: every copy corrupt.
+    obs::Counter* nodes_quarantined = nullptr;  // Graceful drains triggered by scrub.
+    obs::Series* recovery_ms = nullptr;         // Per-crash recovery makespan.
   };
 
   sim::EventLoop* loop_;

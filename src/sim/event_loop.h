@@ -5,8 +5,7 @@
 // equal timestamps run in scheduling order (a monotonically increasing sequence
 // number breaks ties), so a (seed, workload) pair fully determines a run.
 //
-// Hot-path design (the million-invocation overhaul; the pre-overhaul
-// implementation survives as bench/legacy_event_loop.h for comparison):
+// Hot-path design (perfbench's sim.bare_ns_per_event measures the bare loop):
 //   * Callbacks live in a slab of recycled slots holding InlineCallback values
 //     (small-buffer storage, src/sim/inline_callback.h) — no per-event heap
 //     allocation and no hash-map lookup on schedule/cancel/dispatch. An

@@ -47,36 +47,6 @@ void ObjectStore::InitMetrics(obs::MetricsRegistry* metrics) {
   m_.bytes_written = metrics_->GetCounter("ofc.store.bytes_written", name_);
 }
 
-StoreStats ObjectStore::stats() const {
-  StoreStats stats;
-  stats.reads = m_.reads->value();
-  stats.writes = m_.writes->value();
-  stats.shadow_writes = m_.shadow_writes->value();
-  stats.payload_finalizes = m_.payload_finalizes->value();
-  stats.deletes = m_.deletes->value();
-  stats.unavailable_errors = m_.unavailable_errors->value();
-  stats.webhook_bypasses = m_.webhook_bypasses->value();
-  stats.checksum_failures = m_.checksum_failures->value();
-  stats.integrity_repairs = m_.integrity_repairs->value();
-  stats.bytes_read = static_cast<Bytes>(m_.bytes_read->value());
-  stats.bytes_written = static_cast<Bytes>(m_.bytes_written->value());
-  return stats;
-}
-
-void ObjectStore::ResetStats() {
-  m_.reads->Reset();
-  m_.writes->Reset();
-  m_.shadow_writes->Reset();
-  m_.payload_finalizes->Reset();
-  m_.deletes->Reset();
-  m_.unavailable_errors->Reset();
-  m_.webhook_bypasses->Reset();
-  m_.checksum_failures->Reset();
-  m_.integrity_repairs->Reset();
-  m_.bytes_read->Reset();
-  m_.bytes_written->Reset();
-}
-
 void ObjectStore::After(SimDuration delay, std::function<void()> fn) {
   loop_->ScheduleAfter(delay, std::move(fn));
 }

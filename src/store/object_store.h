@@ -61,22 +61,6 @@ struct ObjectMetadata {
   bool IsShadow() const { return rsds_version < latest_version; }
 };
 
-// Snapshot view over the store's `ofc.store.*` registry counters (cells are
-// labeled with the store's name, so several stores share one registry).
-struct StoreStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t shadow_writes = 0;
-  std::uint64_t payload_finalizes = 0;
-  std::uint64_t deletes = 0;
-  std::uint64_t unavailable_errors = 0;  // Ops rejected during an outage.
-  std::uint64_t webhook_bypasses = 0;    // External ops while webhooks dropped.
-  std::uint64_t checksum_failures = 0;   // Corrupt payloads detected (get/scrub/land).
-  std::uint64_t integrity_repairs = 0;   // Repaired from the store's own redundancy.
-  Bytes bytes_read = 0;
-  Bytes bytes_written = 0;
-};
-
 // Latency profile of a store deployment. Reads and writes are priced
 // separately (object stores replicate synchronously on write: Swift/S3 writes
 // are several times slower than reads); control operations (HEAD/DELETE/shadow
@@ -225,25 +209,23 @@ class ObjectStore {
   // All object keys in sorted order (chaos-harness consistency sweeps).
   std::vector<std::string> Keys() const;
   Bytes TotalBytes() const;
-  // Assembled on demand from the metrics registry.
-  StoreStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
   // Seeds an object instantly (dataset preparation in FaaSLoad).
   void Seed(const std::string& key, Bytes size, Tags tags);
 
  private:
-  // Registry cells behind StoreStats, labeled with the store's name.
+  // Registry cells, labeled with the store's name so several stores can share
+  // one registry.
   struct Metrics {
     obs::Counter* reads = nullptr;
     obs::Counter* writes = nullptr;
     obs::Counter* shadow_writes = nullptr;
     obs::Counter* payload_finalizes = nullptr;
     obs::Counter* deletes = nullptr;
-    obs::Counter* unavailable_errors = nullptr;
-    obs::Counter* webhook_bypasses = nullptr;
-    obs::Counter* checksum_failures = nullptr;
-    obs::Counter* integrity_repairs = nullptr;
+    obs::Counter* unavailable_errors = nullptr;  // Ops rejected during an outage.
+    obs::Counter* webhook_bypasses = nullptr;    // External ops while webhooks dropped.
+    obs::Counter* checksum_failures = nullptr;   // Corrupt payloads found (get/scrub/land).
+    obs::Counter* integrity_repairs = nullptr;   // Repaired from the store's own redundancy.
     obs::Counter* bytes_read = nullptr;
     obs::Counter* bytes_written = nullptr;
   };

@@ -298,13 +298,16 @@ TEST_F(CacheAgentTest, SandboxGrowthShrinksCache) {
   CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
   agent.Start();
   agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));
-  agent.ResetStats();  // Ignore the initial-hoard scale-up.
+  // Baselines exclude the initial-hoard scale-up.
+  const obs::MetricsRegistry& m = agent.metrics();
+  const std::uint64_t ups_before = m.CounterValue("ofc.cache_agent.scale_ups");
+  const std::uint64_t downs_before = m.CounterValue("ofc.cache_agent.scale_downs_plain");
   agent.OnSandboxMemoryChange(Ev(0, MiB(64), MiB(512)));
   EXPECT_EQ(cluster_.Capacity(0), GiB(1) - MiB(512) - MiB(100));
   agent.OnSandboxMemoryChange(Ev(0, MiB(512), MiB(128)));  // Sandbox shrinks back.
   EXPECT_EQ(cluster_.Capacity(0), GiB(1) - MiB(128) - MiB(100));
-  EXPECT_EQ(agent.stats().scale_ups, 1u);
-  EXPECT_GE(agent.stats().scale_downs_plain, 1u);
+  EXPECT_EQ(m.CounterValue("ofc.cache_agent.scale_ups") - ups_before, 1u);
+  EXPECT_GE(m.CounterValue("ofc.cache_agent.scale_downs_plain") - downs_before, 1u);
 }
 
 TEST_F(CacheAgentTest, ShrinkEvictsPersistedOutputsFirst) {
@@ -334,8 +337,8 @@ TEST_F(CacheAgentTest, ShrinkMigratesInputsToOtherNode) {
   EXPECT_TRUE(cluster_.Contains("in1"));
   EXPECT_TRUE(cluster_.Contains("in2"));
   EXPECT_EQ(*cluster_.MasterOf("in1"), 1);
-  EXPECT_GE(agent.stats().objects_migrated, 2u);
-  EXPECT_GE(agent.stats().scale_downs_migration, 1u);
+  EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.objects_migrated"), 2u);
+  EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.scale_downs_migration"), 1u);
 }
 
 TEST_F(CacheAgentTest, SweepEvictsColdObjects) {
@@ -354,7 +357,7 @@ TEST_F(CacheAgentTest, SweepEvictsColdObjects) {
   agent.SweepOnce();
   EXPECT_FALSE(cluster_.Contains("cold"));  // n_access < 5.
   EXPECT_TRUE(cluster_.Contains("hot"));
-  EXPECT_GE(agent.stats().objects_swept, 1u);
+  EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.objects_swept"), 1u);
 }
 
 TEST_F(CacheAgentTest, SweepEvictsIdleObjectsEvenIfOnceHot) {
@@ -449,13 +452,13 @@ TEST_F(ProxyTest, MissReadsRsdsAndAdmits) {
   const auto size = ReadSync(Ctx(), "obj");
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(*size, MiB(1));
-  EXPECT_EQ(proxy_.stats().cache_misses, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.cache_misses"), 1u);
   EXPECT_TRUE(cluster_.Contains("obj"));  // Admitted off the critical path.
-  EXPECT_EQ(proxy_.stats().admissions, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.admissions"), 1u);
   // Second read hits.
   const auto again = ReadSync(Ctx(), "obj");
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(proxy_.stats().cache_hits, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.cache_hits"), 1u);
 }
 
 TEST_F(ProxyTest, NoAdmissionWhenNotBeneficial) {
@@ -502,13 +505,13 @@ TEST_F(ProxyTest, CachedWriteCreatesShadowThenPersists) {
   const auto meta = rsds_.Stat("out");
   ASSERT_TRUE(meta.ok());
   EXPECT_TRUE(meta->IsShadow());
-  EXPECT_EQ(proxy_.stats().shadow_writes, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.shadow_writes"), 1u);
   // Run the persistor: payload lands in the RSDS, final output leaves cache.
   loop_.Run();
   EXPECT_FALSE(rsds_.Stat("out")->IsShadow());
   EXPECT_EQ(rsds_.Stat("out")->size, MiB(1));
   EXPECT_FALSE(cluster_.Contains("out"));  // §6.3: dropped after write-back.
-  EXPECT_EQ(proxy_.stats().persistor_runs, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_runs"), 1u);
 }
 
 TEST_F(ProxyTest, CachedWriteAckFasterThanDirectWrite) {
@@ -539,11 +542,11 @@ TEST_F(ProxyTest, PipelineIntermediatesNeverTouchRsds) {
   ASSERT_TRUE(WriteSync(Ctx(true, /*pipeline=*/7, /*final_stage=*/false), "mid", MiB(1)).ok());
   EXPECT_TRUE(cluster_.Contains("mid"));
   EXPECT_FALSE(rsds_.Exists("mid"));
-  EXPECT_EQ(proxy_.stats().intermediates_cached, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.intermediates_cached"), 1u);
   // End of pipeline: intermediates dropped (§6.3).
   proxy_.OnPipelineComplete(7);
   EXPECT_FALSE(cluster_.Contains("mid"));
-  EXPECT_EQ(proxy_.stats().intermediates_dropped, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.intermediates_dropped"), 1u);
 }
 
 TEST_F(ProxyTest, WritebackPushesDirtyObject) {
@@ -593,7 +596,7 @@ TEST_F(ProxyTest, ExternalReadBlocksUntilPersisted) {
   ASSERT_TRUE(external.ok());
   EXPECT_FALSE(external->IsShadow());  // The webhook boosted the persistor.
   EXPECT_EQ(external->size, MiB(1));
-  EXPECT_GE(proxy_.stats().external_read_boosts, 1u);
+  EXPECT_GE(proxy_.metrics().CounterValue("ofc.proxy.external_read_boosts"), 1u);
 }
 
 // ---- CacheAgent: write-back budget & memory pressure --------------------------
@@ -621,13 +624,14 @@ TEST_F(CacheAgentTest, WritebackBudgetThrottlesAndDrainsBacklog) {
   RunFor(Seconds(301));  // Age past the sweep coldness bound; the periodic
                          // sweep at t=300 already started one write-back.
   agent.SweepOnce();     // The rest are dirty: write-back, not eviction.
-  EXPECT_GE(agent.stats().writebacks_throttled, 2u);  // Budget is 1.
+  // The in-flight budget is 1, so later write-backs queue.
+  EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.writebacks_throttled"), 2u);
   RunFor(Seconds(40));  // Backlog drains serially, 10 s per write-back.
   EXPECT_EQ(peak_inflight, 1);
   EXPECT_FALSE(cluster_.Contains("d0"));
   EXPECT_FALSE(cluster_.Contains("d1"));
   EXPECT_FALSE(cluster_.Contains("d2"));
-  EXPECT_GE(agent.stats().writebacks_triggered, 3u);
+  EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.writebacks_triggered"), 3u);
 }
 
 TEST_F(CacheAgentTest, WritebackBudgetDeduplicatesPendingKeys) {
@@ -743,9 +747,9 @@ TEST_F(BreakerTest, TripsAfterConsecutiveCacheFailuresAndBypasses) {
   EXPECT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kClosed);
   ASSERT_TRUE(ReadSync("k2").ok());  // Third consecutive failure: trip.
   EXPECT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kOpen);
-  EXPECT_EQ(proxy_->stats().breaker_opens, 1u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.opens"), 1u);
   ASSERT_TRUE(ReadSync("k3").ok());  // Open: served via bypass, not the cache.
-  EXPECT_EQ(proxy_->stats().breaker_bypassed_reads, 1u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.bypassed_reads"), 1u);
 }
 
 TEST_F(BreakerTest, HalfOpenProbesCloseAfterSuccesses) {
@@ -762,9 +766,9 @@ TEST_F(BreakerTest, HalfOpenProbesCloseAfterSuccesses) {
   EXPECT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kHalfOpen);
   ASSERT_TRUE(ReadSync("k3").ok());  // Second probe success: close.
   EXPECT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kClosed);
-  EXPECT_EQ(proxy_->stats().breaker_closes, 1u);
-  EXPECT_EQ(proxy_->stats().breaker_probes, 2u);
-  EXPECT_EQ(proxy_->stats().breaker_probe_failures, 0u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.closes"), 1u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.probes"), 2u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.probe_failures"), 0u);
 }
 
 TEST_F(BreakerTest, FailedProbeReopensImmediately) {
@@ -779,9 +783,9 @@ TEST_F(BreakerTest, FailedProbeReopensImmediately) {
   loop_.RunUntil(loop_.now() + Seconds(6));
   ASSERT_TRUE(ReadSync("k2").ok());  // Probe hits the still-sick cache path.
   EXPECT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kOpen);
-  EXPECT_EQ(proxy_->stats().breaker_opens, 2u);
-  EXPECT_EQ(proxy_->stats().breaker_probe_failures, 1u);
-  EXPECT_EQ(proxy_->stats().breaker_closes, 0u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.opens"), 2u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.probe_failures"), 1u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.closes"), 0u);
 }
 
 TEST_F(BreakerTest, LatencySloBreachCountsAsFailure) {
@@ -795,7 +799,7 @@ TEST_F(BreakerTest, LatencySloBreachCountsAsFailure) {
   EXPECT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kClosed);
   ASSERT_TRUE(ReadSync("obj").ok());  // Strike two: trip.
   EXPECT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kOpen);
-  EXPECT_EQ(proxy_->stats().breaker_opens, 1u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.opens"), 1u);
 }
 
 TEST_F(BreakerTest, OpenBreakerWritesGoDirectToRsds) {
@@ -805,7 +809,7 @@ TEST_F(BreakerTest, OpenBreakerWritesGoDirectToRsds) {
   ASSERT_TRUE(ReadSync("k0").ok());  // One failure trips a threshold of 1.
   ASSERT_EQ(proxy_->breaker_state(), Proxy::BreakerState::kOpen);
   ASSERT_TRUE(WriteSync("out", MiB(1)).ok());
-  EXPECT_EQ(proxy_->stats().breaker_bypassed_writes, 1u);
+  EXPECT_EQ(proxy_->metrics().CounterValue("ofc.breaker.bypassed_writes"), 1u);
   EXPECT_TRUE(rsds_.Exists("out"));
   EXPECT_FALSE(cluster_.Contains("out"));  // Nothing touched the sick cache.
 }
@@ -834,7 +838,7 @@ TEST_F(BreakerTest, CapacityRejectionIsNotACacheFailure) {
     ASSERT_TRUE(status.ok());  // Falls back to the RSDS transparently.
   }
   EXPECT_EQ(proxy2.breaker_state(), Proxy::BreakerState::kClosed);
-  EXPECT_EQ(proxy2.stats().breaker_opens, 0u);
+  EXPECT_EQ(proxy2.metrics().CounterValue("ofc.breaker.opens"), 0u);
 }
 
 TEST_F(ProxyTest, ExternalWriteInvalidatesCache) {
@@ -847,7 +851,7 @@ TEST_F(ProxyTest, ExternalWriteInvalidatesCache) {
   loop_.Run();
   EXPECT_TRUE(status.ok());
   EXPECT_FALSE(cluster_.Contains("obj"));
-  EXPECT_EQ(proxy_.stats().external_write_invalidations, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.external_write_invalidations"), 1u);
 }
 
 }  // namespace

@@ -94,8 +94,8 @@ TEST_F(PlatformTest, FirstInvocationIsColdSecondIsWarm) {
   const InvocationRecord second = InvokeSync("f");
   EXPECT_FALSE(second.cold_start);
   EXPECT_LT(second.startup_time, first.startup_time);
-  EXPECT_EQ(platform_->stats().cold_starts, 1u);
-  EXPECT_EQ(platform_->stats().warm_starts, 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.cold_starts"), 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.warm_starts"), 1u);
 }
 
 TEST_F(PlatformTest, PhasesAreMeasured) {
@@ -162,8 +162,8 @@ TEST_F(PlatformTest, OomKillTriggersRetryWithBookedMemory) {
   EXPECT_TRUE(record.oom_killed);
   EXPECT_EQ(record.retries, 1);
   EXPECT_EQ(record.memory_limit, GiB(1));  // Retried with the booked amount.
-  EXPECT_EQ(platform_->stats().oom_kills, 1u);
-  EXPECT_EQ(platform_->stats().retries, 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.oom_kills"), 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.retries"), 1u);
 }
 
 TEST_F(PlatformTest, MonitorRescueAvoidsOomKill) {
@@ -194,7 +194,7 @@ TEST_F(PlatformTest, MonitorRescueAvoidsOomKill) {
   EXPECT_TRUE(record.oom_rescued);
   EXPECT_EQ(record.retries, 0);
   EXPECT_GE(record.memory_limit, record.memory_used);
-  EXPECT_EQ(platform_->stats().oom_rescues, 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.oom_rescues"), 1u);
 }
 
 TEST_F(PlatformTest, CapacityPressureReclaimsIdleSandboxes) {
@@ -211,7 +211,7 @@ TEST_F(PlatformTest, CapacityPressureReclaimsIdleSandboxes) {
   (void)InvokeSync("a");  // Leaves one idle 512 MiB sandbox.
   const InvocationRecord record = InvokeSync("b");  // Needs 768 MiB: must reclaim.
   EXPECT_FALSE(record.failed);
-  EXPECT_EQ(platform_->stats().sandbox_reclaims, 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 1u);
   EXPECT_EQ(platform_->NumIdleSandboxes("a"), 0u);
 }
 
@@ -323,11 +323,11 @@ TEST_F(PlatformTest, WorkerCrashRetriesInFlightInvocations) {
   EXPECT_FALSE(record.failed);  // Retried on the surviving worker.
   EXPECT_NE(record.worker, victim);
   EXPECT_GE(record.retries, 1);
-  EXPECT_EQ(platform_->stats().worker_crashes, 1u);
-  EXPECT_EQ(platform_->stats().crash_retries, 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.worker_crashes"), 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.crash_retries"), 1u);
   // Exactly one completion (no stale double-fire from the dead execution).
   loop_.RunUntil(loop_.now() + Seconds(30));
-  EXPECT_EQ(platform_->stats().failed_invocations, 0u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.failed_invocations"), 0u);
 }
 
 TEST_F(PlatformTest, CrashedWorkerReceivesNoPlacements) {
@@ -401,7 +401,7 @@ TEST_F(PlatformTest, QueueDepthLimitShedsWithResourceExhausted) {
   }
   EXPECT_EQ(shed_count, 1);
   EXPECT_EQ(succeeded, 2);  // The queued request still ran to completion.
-  EXPECT_EQ(platform_->stats().shed_requests, 1u);
+  EXPECT_EQ(platform_->metrics().CounterTotal("ofc.overload.shed"), 1u);
   EXPECT_EQ(platform_->metrics().CounterValue("ofc.overload.shed", "queue_full"), 1u);
 }
 
@@ -456,8 +456,8 @@ TEST_F(PlatformTest, ConcurrencyLimitQueuesWithoutShedding) {
     EXPECT_FALSE(r.failed);
     EXPECT_FALSE(r.shed);
   }
-  EXPECT_EQ(platform_->stats().shed_requests, 0u);
-  EXPECT_GE(platform_->stats().queued_requests, 2u);
+  EXPECT_EQ(platform_->metrics().CounterTotal("ofc.overload.shed"), 0u);
+  EXPECT_GE(platform_->metrics().CounterValue("ofc.platform.queued_requests"), 2u);
 }
 
 TEST_F(PlatformTest, TenantConcurrencyLimitSpansFunctions) {
@@ -479,7 +479,7 @@ TEST_F(PlatformTest, TenantConcurrencyLimitSpansFunctions) {
   EXPECT_FALSE(records[0].failed);
   EXPECT_FALSE(records[1].failed);
   // The second function queued behind the tenant cap despite free capacity.
-  EXPECT_GE(platform_->stats().queued_requests, 1u);
+  EXPECT_GE(platform_->metrics().CounterValue("ofc.platform.queued_requests"), 1u);
 }
 
 TEST_F(PlatformTest, OomReleaseReprobesWaitQueue) {

@@ -253,7 +253,7 @@ TEST_F(StoreFaultTest, OutageFailsEveryOperationWithUnavailable) {
   for (StatusCode code : codes) {
     EXPECT_EQ(code, StatusCode::kUnavailable);
   }
-  EXPECT_EQ(rsds_.stats().unavailable_errors, 6u);
+  EXPECT_EQ(rsds_.metrics().CounterTotal("ofc.store.unavailable_errors"), 6u);
   EXPECT_TRUE(rsds_.Exists("obj"));  // Data survives the outage.
 
   rsds_.SetAvailable(true);
@@ -315,7 +315,7 @@ TEST_F(StoreFaultTest, WebhookDropBypassesInterposition) {
   loop_.Run();
   EXPECT_TRUE(ok);
   EXPECT_EQ(hook_calls, 1);  // Bypassed.
-  EXPECT_EQ(rsds_.stats().webhook_bypasses, 1u);
+  EXPECT_EQ(rsds_.metrics().CounterTotal("ofc.store.webhook_bypasses"), 1u);
 
   rsds_.SetWebhooksEnabled(true);
   rsds_.ExternalRead("obj", [&](Result<store::ObjectMetadata>) {});
@@ -413,8 +413,8 @@ TEST_F(ProxyFaultTest, ReadRetriesThroughShortOutage) {
   loop_.Run();
   ASSERT_TRUE(out.ok()) << out.status().message();
   EXPECT_EQ(*out, KiB(64));
-  EXPECT_GT(proxy_.stats().rsds_retries, 0u);
-  EXPECT_EQ(proxy_.stats().read_deadlines, 0u);
+  EXPECT_GT(proxy_.metrics().CounterValue("ofc.proxy.rsds_retries"), 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.read_deadlines"), 0u);
 }
 
 TEST_F(ProxyFaultTest, ReadFailsDeadlineWhenOutagePersists) {
@@ -425,8 +425,9 @@ TEST_F(ProxyFaultTest, ReadFailsDeadlineWhenOutagePersists) {
   loop_.Run();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(proxy_.stats().read_deadlines, 1u);
-  EXPECT_EQ(proxy_.stats().rsds_retries, 4u);  // Full retry budget spent.
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.read_deadlines"), 1u);
+  // Full retry budget spent.
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.rsds_retries"), 4u);
 }
 
 TEST_F(ProxyFaultTest, CacheHitServesReadsDuringOutage) {
@@ -442,8 +443,8 @@ TEST_F(ProxyFaultTest, CacheHitServesReadsDuringOutage) {
   proxy_.Read(Ctx(), "obj", [&](Result<Bytes> r) { hit = std::move(r); });
   loop_.Run();
   ASSERT_TRUE(hit.ok());  // The cache masks the outage entirely.
-  EXPECT_EQ(proxy_.stats().cache_hits, 1u);
-  EXPECT_EQ(proxy_.stats().rsds_retries, 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.cache_hits"), 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.rsds_retries"), 0u);
 }
 
 TEST_F(ProxyFaultTest, WriteFallsBackToDurableCacheDuringOutage) {
@@ -453,13 +454,13 @@ TEST_F(ProxyFaultTest, WriteFallsBackToDurableCacheDuringOutage) {
   proxy_.Write(Ctx(), "out", MiB(1), Media(MiB(1)), [&](Status s) { ack = s; });
   loop_.Run();
   ASSERT_TRUE(ack.ok());  // Acknowledged from the replicated cache copy.
-  EXPECT_EQ(proxy_.stats().fallback_writes, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.fallback_writes"), 1u);
   // Once the store heals, the degraded persistor pushes the full payload.
   const auto meta = rsds_.Stat("out");
   ASSERT_TRUE(meta.ok());
   EXPECT_FALSE(meta->IsShadow());
   EXPECT_EQ(meta->size, MiB(1));
-  EXPECT_GT(proxy_.stats().persistor_retries, 0u);
+  EXPECT_GT(proxy_.metrics().CounterValue("ofc.proxy.persistor_retries"), 0u);
   EXPECT_FALSE(cluster_.Contains("out"));  // Final output dropped after persist.
 }
 
@@ -472,7 +473,7 @@ TEST_F(ProxyFaultTest, WriteFailsWhenFallbackImpossible) {
   loop_.Run();
   ASSERT_FALSE(ack.ok());
   EXPECT_EQ(ack.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(proxy_.stats().fallback_writes, 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.fallback_writes"), 0u);
 }
 
 // Regression: a write acknowledged *after* the store healed must not be
@@ -485,7 +486,7 @@ TEST_F(ProxyFaultTest, StaleFallbackDoesNotClobberNewerWrite) {
   proxy_.Write(Ctx(), "out", MiB(1), Media(MiB(1)), [&](Status s) { first = s; });
   loop_.RunUntil(Millis(500));
   ASSERT_TRUE(first.ok());  // Acked from the cache; fallback push still pending.
-  EXPECT_EQ(proxy_.stats().fallback_writes, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.fallback_writes"), 1u);
 
   // A second write to the same key lands after heal, before the retried
   // fallback push fires.
@@ -499,7 +500,8 @@ TEST_F(ProxyFaultTest, StaleFallbackDoesNotClobberNewerWrite) {
   ASSERT_TRUE(meta.ok());
   EXPECT_FALSE(meta->IsShadow());
   EXPECT_EQ(meta->size, MiB(2));  // The newer write won.
-  EXPECT_GE(proxy_.stats().persistor_conflicts, 1u);  // Fallback stood down.
+  // Fallback stood down.
+  EXPECT_GE(proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts"), 1u);
   EXPECT_FALSE(cluster_.Contains("out"));  // Dropped by the *newer* persistor.
 }
 
@@ -523,8 +525,8 @@ TEST_F(ProxyFaultTest, FallbackWritesCarryChecksumsEndToEnd) {
   ASSERT_TRUE(meta.ok());
   EXPECT_FALSE(meta->IsShadow());
   EXPECT_EQ(meta->checksum, ExpectedChecksum("out", meta->size, meta->rsds_version));
-  EXPECT_EQ(rsds_.stats().checksum_failures, 0u);
-  EXPECT_EQ(proxy_.stats().corrupt_acked, 0u);
+  EXPECT_EQ(rsds_.metrics().CounterTotal("ofc.integrity.store_checksum_failures"), 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.integrity.corrupt_acked"), 0u);
 }
 
 // And when a newer write beats the stale fallback, the winner's checksum is
@@ -546,7 +548,8 @@ TEST_F(ProxyFaultTest, NewerWriteBeatingStaleFallbackKeepsVerifiableChecksum) {
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->size, MiB(2));
   EXPECT_EQ(meta->checksum, ExpectedChecksum("out", meta->size, meta->rsds_version));
-  EXPECT_EQ(rsds_.stats().checksum_failures, 0u);  // No corrupt push was attempted.
+  // No corrupt push was attempted.
+  EXPECT_EQ(rsds_.metrics().CounterTotal("ofc.integrity.store_checksum_failures"), 0u);
 }
 
 // Regression: an external client's write after heal beats the stale fallback
@@ -567,8 +570,9 @@ TEST_F(ProxyFaultTest, ExternalWriteAfterHealBeatsStaleFallback) {
   const auto meta = rsds_.Stat("out");
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->size, KiB(512));  // The external overwrite is preserved.
-  EXPECT_GE(proxy_.stats().persistor_conflicts, 1u);  // CAS aborted the push.
-  EXPECT_EQ(proxy_.stats().external_write_invalidations, 1u);
+  // CAS aborted the push.
+  EXPECT_GE(proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts"), 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.external_write_invalidations"), 1u);
 }
 
 // Regression: two fallback writes to one key during the same outage converge
@@ -585,11 +589,11 @@ TEST_F(ProxyFaultTest, ConcurrentFallbacksConvergeToNewestWrite) {
   loop_.Run();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(proxy_.stats().fallback_writes, 2u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.fallback_writes"), 2u);
   const auto meta = rsds_.Stat("out");
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->size, MiB(3));  // Newest ack wins.
-  EXPECT_GE(proxy_.stats().persistor_conflicts, 1u);
+  EXPECT_GE(proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts"), 1u);
   EXPECT_FALSE(cluster_.Contains("out"));
 }
 
@@ -606,8 +610,8 @@ TEST_F(ProxyFaultTest, DisabledRetriesSurfaceUnavailable) {
   loop_.Run();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(proxy.stats().read_deadlines, 0u);
-  EXPECT_EQ(proxy.stats().rsds_retries, 0u);
+  EXPECT_EQ(proxy.metrics().CounterValue("ofc.proxy.read_deadlines"), 0u);
+  EXPECT_EQ(proxy.metrics().CounterValue("ofc.proxy.rsds_retries"), 0u);
 }
 
 // Regression: an overlapping drop window that ends earlier must not shorten a
@@ -627,7 +631,7 @@ TEST_F(ProxyFaultTest, ShorterDropWindowDoesNotShortenLongerOne) {
   const auto meta = rsds_.Stat("out");
   ASSERT_TRUE(meta.ok());
   EXPECT_FALSE(meta->IsShadow());  // Converged once the *longer* window closed.
-  EXPECT_EQ(proxy_.stats().persistor_abandons, 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_abandons"), 0u);
 }
 
 TEST_F(ProxyFaultTest, PersistorDropWindowRetriesAfterExpiry) {
@@ -636,12 +640,12 @@ TEST_F(ProxyFaultTest, PersistorDropWindowRetriesAfterExpiry) {
   proxy_.Write(Ctx(), "out", MiB(1), Media(MiB(1)), [&](Status s) { ack = s; });
   loop_.Run();
   ASSERT_TRUE(ack.ok());
-  EXPECT_GT(proxy_.stats().persistor_drops, 0u);
-  EXPECT_GT(proxy_.stats().persistor_retries, 0u);
+  EXPECT_GT(proxy_.metrics().CounterValue("ofc.proxy.persistor_drops"), 0u);
+  EXPECT_GT(proxy_.metrics().CounterValue("ofc.proxy.persistor_retries"), 0u);
   const auto meta = rsds_.Stat("out");
   ASSERT_TRUE(meta.ok());
   EXPECT_FALSE(meta->IsShadow());  // Converged after the window closed.
-  EXPECT_EQ(proxy_.stats().persistor_abandons, 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_abandons"), 0u);
 }
 
 TEST_F(ProxyFaultTest, PersistorAbandonsAfterRetryBudgetButStaysDirty) {
@@ -650,7 +654,7 @@ TEST_F(ProxyFaultTest, PersistorAbandonsAfterRetryBudgetButStaysDirty) {
   proxy_.Write(Ctx(), "out", MiB(1), Media(MiB(1)), [&](Status s) { ack = s; });
   loop_.Run();  // Terminates: the retry budget is bounded.
   ASSERT_TRUE(ack.ok());
-  EXPECT_EQ(proxy_.stats().persistor_abandons, 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_abandons"), 1u);
   // The payload is not lost — it stays dirty in the cache for the CacheAgent's
   // write-back sweep to retry later.
   const auto cached = cluster_.Inspect("out");
@@ -711,8 +715,8 @@ TEST(FaultInjectorTest, OverlappingOutagesHealWhenLastWindowCloses) {
   EXPECT_FALSE(rsds.available());  // The first heal must not end the second window.
   loop.RunUntil(Seconds(5) + Millis(500));
   EXPECT_TRUE(rsds.available());
-  EXPECT_EQ(injector.stats().injected, 2u);
-  EXPECT_EQ(injector.stats().healed, 2u);
+  EXPECT_EQ(injector.metrics().CounterValue("ofc.fault.injected"), 2u);
+  EXPECT_EQ(injector.metrics().CounterValue("ofc.fault.healed"), 2u);
 }
 
 TEST(FaultInjectorTest, OverlappingBrownoutsRestoreHealthyFactor) {
@@ -749,8 +753,8 @@ TEST(FaultInjectorTest, WorkerCrashHealsIntoRestore) {
   EXPECT_FALSE(env.platform().WorkerAlive(1));
   env.loop().RunUntil(Seconds(4));
   EXPECT_TRUE(env.platform().WorkerAlive(1));
-  EXPECT_EQ(env.platform().stats().worker_crashes, 1u);
-  EXPECT_EQ(env.platform().stats().worker_restores, 1u);
+  EXPECT_EQ(env.platform().metrics().CounterValue("ofc.platform.worker_crashes"), 1u);
+  EXPECT_EQ(env.platform().metrics().CounterValue("ofc.platform.worker_restores"), 1u);
 }
 
 // Regression: overlapping crash windows on the same target nest by depth — the
@@ -779,12 +783,12 @@ TEST(FaultInjectorTest, OverlappingCrashWindowsRestoreAtLastClose) {
   EXPECT_TRUE(env.platform().WorkerAlive(1));
   EXPECT_TRUE(env.cluster()->Alive(0));
   // The overlapped crash is injected/restored once: no double-counting.
-  EXPECT_EQ(env.platform().stats().worker_crashes, 1u);
-  EXPECT_EQ(env.platform().stats().worker_restores, 1u);
-  EXPECT_EQ(env.cluster()->stats().node_crashes, 1u);
-  EXPECT_EQ(env.cluster()->stats().node_restarts, 1u);
-  EXPECT_EQ(injector.stats().injected, 4u);
-  EXPECT_EQ(injector.stats().healed, 4u);
+  EXPECT_EQ(env.platform().metrics().CounterValue("ofc.platform.worker_crashes"), 1u);
+  EXPECT_EQ(env.platform().metrics().CounterValue("ofc.platform.worker_restores"), 1u);
+  EXPECT_EQ(env.cluster()->metrics().CounterValue("ofc.ramcloud.node_crashes"), 1u);
+  EXPECT_EQ(env.cluster()->metrics().CounterValue("ofc.ramcloud.node_restarts"), 1u);
+  EXPECT_EQ(injector.metrics().CounterValue("ofc.fault.injected"), 4u);
+  EXPECT_EQ(injector.metrics().CounterValue("ofc.fault.healed"), 4u);
 }
 
 TEST(FaultInjectorTest, MachineCrashTakesDownWorkerAndNode) {
@@ -842,10 +846,10 @@ TEST(FaultInjectorTest, CorruptionFiresInstantlyAndCountsDamagedObjects) {
   // Each event flipped the one healthy object in its blast radius; severity
   // above the population does not inflate the count.
   EXPECT_EQ(env.metrics().CounterTotal("ofc.fault.objects_corrupted"), 2u);
-  EXPECT_EQ(injector.stats().injected, 2u);
+  EXPECT_EQ(injector.metrics().CounterValue("ofc.fault.injected"), 2u);
   // Instantaneous faults never open a heal window: the active gauge is flat
   // and no heal is pending at any future time.
-  EXPECT_EQ(injector.stats().healed, 0u);
+  EXPECT_EQ(injector.metrics().CounterValue("ofc.fault.healed"), 0u);
   EXPECT_EQ(env.metrics().GetGauge("ofc.fault.active")->value(), 0.0);
 
   // The damage itself outlives the event until scrubbed or read.
@@ -868,7 +872,8 @@ TEST(ClusterFaultTest, CrashingDeadNodeIsNoOp) {
   const auto second = cluster.CrashNode(1);
   EXPECT_EQ(second.objects_recovered, 0u);
   EXPECT_EQ(second.objects_lost, 0u);
-  EXPECT_EQ(cluster.stats().node_crashes, 1u);  // The no-op is not counted.
+  // The no-op is not counted.
+  EXPECT_EQ(cluster.metrics().CounterValue("ofc.ramcloud.node_crashes"), 1u);
 }
 
 TEST(ClusterFaultTest, RestartReplicatesUnderReplicatedObjects) {
@@ -891,7 +896,7 @@ TEST(ClusterFaultTest, RestartReplicatesUnderReplicatedObjects) {
   }
   cluster.RestartNode(2);
   EXPECT_TRUE(cluster.Alive(2));
-  EXPECT_EQ(cluster.stats().node_restarts, 1u);
+  EXPECT_EQ(cluster.metrics().CounterValue("ofc.ramcloud.node_restarts"), 1u);
   for (int i = 0; i < 10; ++i) {
     const auto obj = cluster.Inspect("k" + std::to_string(i));
     ASSERT_TRUE(obj.ok());
@@ -899,7 +904,7 @@ TEST(ClusterFaultTest, RestartReplicatesUnderReplicatedObjects) {
     EXPECT_NE(obj->master, 2);                       // DRAM was lost; backup only.
   }
   cluster.RestartNode(2);  // Restarting an alive node is a no-op.
-  EXPECT_EQ(cluster.stats().node_restarts, 1u);
+  EXPECT_EQ(cluster.metrics().CounterValue("ofc.ramcloud.node_restarts"), 1u);
 }
 
 // Regression: a crash racing a vertical-scaling master migration. The migration

@@ -76,7 +76,7 @@ TEST(OfcEndToEndTest, SecondInvocationHitsCache) {
   const auto second = InvokeSync(env, "wand_sepia", "img", media, {0.5});
   EXPECT_FALSE(first.failed);
   EXPECT_FALSE(second.failed);
-  EXPECT_EQ(env.ofc()->proxy().stats().cache_hits, 1u);
+  EXPECT_EQ(env.metrics().CounterValue("ofc.proxy.cache_hits"), 1u);
   EXPECT_LT(second.extract_time, first.extract_time / 5);
   EXPECT_LT(second.total, first.total);  // No cold start, cache hit.
 }
@@ -91,7 +91,7 @@ TEST(OfcEndToEndTest, PredictionShrinksSandboxBelowBooked) {
   EXPECT_FALSE(record.failed);
   EXPECT_LT(record.memory_limit, GiB(2) / 4);  // Far below the booking.
   EXPECT_GE(record.memory_limit, record.memory_used);
-  EXPECT_GE(env.ofc()->prediction_stats().model_predictions, 1u);
+  EXPECT_GE(env.metrics().CounterValue("ofc.predictor.model_predictions"), 1u);
 }
 
 TEST(OfcEndToEndTest, HoardedCacheTracksSandboxes) {
@@ -151,9 +151,9 @@ TEST(OfcEndToEndTest, PipelineIntermediatesStayOutOfRsds) {
   EXPECT_EQ(record.num_tasks, 7u);  // 6 map + 1 reduce.
   // Map outputs (stage-0 intermediates) were cached, never persisted, and
   // dropped at pipeline completion.
-  EXPECT_GE(env.ofc()->proxy().stats().intermediates_cached, 1u);
-  EXPECT_EQ(env.ofc()->proxy().stats().intermediates_cached,
-            env.ofc()->proxy().stats().intermediates_dropped);
+  EXPECT_GE(env.metrics().CounterValue("ofc.proxy.intermediates_cached"), 1u);
+  EXPECT_EQ(env.metrics().CounterValue("ofc.proxy.intermediates_cached"),
+            env.metrics().CounterValue("ofc.proxy.intermediates_dropped"));
   for (std::size_t t = 0; t < 6; ++t) {
     const std::string key = "pipe/1/s0/t" + std::to_string(t);
     EXPECT_FALSE(env.rsds().Exists(key)) << key;

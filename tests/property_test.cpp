@@ -337,12 +337,12 @@ TEST_P(ShadowPropertyTest, ShadowsResolveOnlyThroughPersistorRuns) {
       last_rsds_version[key] = meta->rsds_version;
       if (meta->IsShadow()) {
         if (!finalizes_at_shadow.contains(key)) {
-          finalizes_at_shadow[key] = rsds.stats().payload_finalizes;
+          finalizes_at_shadow[key] = rsds.metrics().CounterTotal("ofc.store.payload_finalizes");
         }
       } else if (auto it = finalizes_at_shadow.find(key);
                  it != finalizes_at_shadow.end()) {
         // Shadow -> persisted: only a completed persistor push explains it.
-        ASSERT_GT(rsds.stats().payload_finalizes, it->second)
+        ASSERT_GT(rsds.metrics().CounterTotal("ofc.store.payload_finalizes"), it->second)
             << key << " resolved without a persistor run";
         finalizes_at_shadow.erase(it);
         ++transitions;
@@ -354,7 +354,7 @@ TEST_P(ShadowPropertyTest, ShadowsResolveOnlyThroughPersistorRuns) {
   // once the fault windows closed — nothing abandoned, nothing left dirty.
   EXPECT_EQ(acked, kWrites);
   EXPECT_EQ(transitions, kWrites);
-  EXPECT_EQ(proxy.stats().persistor_abandons, 0u);
+  EXPECT_EQ(proxy.metrics().CounterValue("ofc.proxy.persistor_abandons"), 0u);
   for (const std::string& key : keys) {
     const auto meta = rsds.Stat(key);
     ASSERT_TRUE(meta.ok()) << key;
@@ -370,7 +370,7 @@ TEST_P(ShadowPropertyTest, ShadowsResolveOnlyThroughPersistorRuns) {
   // The schedule actually exercised the fault path in at least one seed; keep
   // the assertion per-seed weak (a window may land before any dispatch) but
   // require the injector to have fired the whole plan.
-  EXPECT_EQ(injector.stats().injected, plan.size());
+  EXPECT_EQ(injector.metrics().CounterValue("ofc.fault.injected"), plan.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShadowPropertyTest, ::testing::Values(61, 62, 63, 64));

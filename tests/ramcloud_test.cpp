@@ -60,7 +60,7 @@ TEST_F(ClusterTest, WriteReplicatesToBackups) {
 TEST_F(ClusterTest, RejectsOversizedObjects) {
   const Status status = WriteSync(0, "big", MiB(11));
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(cluster_.stats().write_rejects, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.write_rejects"), 1u);
 }
 
 TEST_F(ClusterTest, SpillsToOtherNodeWhenClientFull) {
@@ -89,8 +89,8 @@ TEST_F(ClusterTest, ReadTracksAccessStats) {
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(obj->access_count, 2u);
   EXPECT_GE(obj->last_access, Seconds(5));  // Stamped when the read started.
-  EXPECT_EQ(cluster_.stats().read_hits_local, 1u);
-  EXPECT_EQ(cluster_.stats().read_hits_remote, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.read_hits_local"), 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.read_hits_remote"), 1u);
 }
 
 TEST_F(ClusterTest, LocalReadFasterThanRemote) {
@@ -107,7 +107,7 @@ TEST_F(ClusterTest, LocalReadFasterThanRemote) {
 TEST_F(ClusterTest, MissReturnsNotFound) {
   const auto result = ReadSync(0, "nothing");
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(cluster_.stats().read_misses, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.read_misses"), 1u);
 }
 
 TEST_F(ClusterTest, UpdateReusesPlacement) {
@@ -248,7 +248,7 @@ TEST_F(ClusterTest, ConditionalWriteEnforcesVersions) {
   loop_.Run();
   EXPECT_EQ(stale.code(), StatusCode::kAborted);
   EXPECT_EQ(cluster_.Inspect("a")->size, MiB(2));  // Unchanged.
-  EXPECT_EQ(cluster_.stats().version_conflicts, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.version_conflicts"), 1u);
 }
 
 TEST_F(ClusterTest, CommitAppliesAllOrNothing) {
@@ -263,7 +263,7 @@ TEST_F(ClusterTest, CommitAppliesAllOrNothing) {
   ASSERT_TRUE(committed.ok());
   EXPECT_EQ(cluster_.Inspect("x")->version, 2u);
   EXPECT_TRUE(cluster_.Contains("y"));
-  EXPECT_EQ(cluster_.stats().transactions_committed, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.transactions_committed"), 1u);
 
   // A conflicting transaction aborts without any side effects.
   Status aborted = OkStatus();
@@ -347,9 +347,9 @@ TEST_F(ClusterTest, SelfHealingReadRepairsCorruptMaster) {
   const auto obj = cluster_.Inspect("a");
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(obj->checksum, ExpectedChecksum("a", obj->size, obj->version));
-  EXPECT_EQ(cluster_.stats().checksum_failures, 1u);
-  EXPECT_EQ(cluster_.stats().integrity_repairs, 1u);
-  EXPECT_EQ(cluster_.stats().read_data_loss, 0u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.integrity.checksum_failures"), 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.integrity.repairs"), 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.integrity.read_data_loss"), 0u);
 }
 
 TEST_F(ClusterTest, ReadWithEveryCopyCorruptReportsDataLoss) {
@@ -365,7 +365,7 @@ TEST_F(ClusterTest, ReadWithEveryCopyCorruptReportsDataLoss) {
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
   // The unrecoverable entry is dropped so the next read misses to the RSDS.
   EXPECT_FALSE(cluster_.Contains("a"));
-  EXPECT_EQ(cluster_.stats().read_data_loss, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.integrity.read_data_loss"), 1u);
 }
 
 TEST_F(ClusterTest, ScrubObjectRepairsDivergentBackup) {
@@ -383,7 +383,7 @@ TEST_F(ClusterTest, ScrubObjectRepairsDivergentBackup) {
   // Second pass is clean, and unknown keys are an empty no-op.
   EXPECT_EQ(cluster_.ScrubObject("a").corrupt_copies, 0);
   EXPECT_EQ(cluster_.ScrubObject("missing").corrupt_copies, 0);
-  EXPECT_EQ(cluster_.stats().integrity_repairs, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.integrity.repairs"), 1u);
 }
 
 TEST_F(ClusterTest, KeysAfterWalksCursorInKeyOrder) {
@@ -412,7 +412,7 @@ TEST_F(ClusterTest, QuarantineNodeDrainsWithoutDataLoss) {
   const auto result = cluster_.QuarantineNode(1);
   EXPECT_EQ(result.objects_lost, 0u);
   EXPECT_FALSE(cluster_.Alive(1));
-  EXPECT_EQ(cluster_.stats().nodes_quarantined, 1u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.nodes_quarantined"), 1u);
   for (const char* key : {"a", "b", "c"}) {
     const auto obj = cluster_.Inspect(key);
     ASSERT_TRUE(obj.ok()) << key;
@@ -439,7 +439,7 @@ TEST_F(ClusterTest, QuarantineRefusesDeadAndLastAliveNodes) {
   const auto last = cluster_.QuarantineNode(0);
   EXPECT_EQ(last.objects_lost, 0u);
   EXPECT_TRUE(cluster_.Alive(0));  // Last alive node is never drained.
-  EXPECT_EQ(cluster_.stats().nodes_quarantined, 0u);
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.nodes_quarantined"), 0u);
 }
 
 TEST_F(ClusterTest, CrashRecoveryPrefersHealthyReplicaOverCorruptOne) {

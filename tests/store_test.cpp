@@ -154,10 +154,11 @@ TEST_F(StoreTest, StatsTrackOperations) {
   loop_.Run();
   store_.Get("c/1", [](Result<ObjectMetadata>) {});
   loop_.Run();
-  EXPECT_EQ(store_.stats().writes, 1u);
-  EXPECT_EQ(store_.stats().reads, 1u);
-  EXPECT_EQ(store_.stats().bytes_written, KiB(4));
-  EXPECT_EQ(store_.stats().bytes_read, KiB(4));
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.store.writes"), 1u);
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.store.reads"), 1u);
+  const auto bytes = static_cast<std::uint64_t>(KiB(4));
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.store.bytes_written"), bytes);
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.store.bytes_read"), bytes);
 }
 
 TEST_F(StoreTest, SeedBypassesLatency) {
@@ -217,8 +218,8 @@ TEST_F(StoreTest, GetSelfRepairsRottedObjectWithExtraLatency) {
   ASSERT_TRUE(rotted.ok());
   // The caller never sees the corrupt copy: the returned metadata verifies.
   EXPECT_EQ(rotted->checksum, ExpectedChecksum("c/a", rotted->size, rotted->rsds_version));
-  EXPECT_EQ(store_.stats().checksum_failures, 1u);
-  EXPECT_EQ(store_.stats().integrity_repairs, 1u);
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.integrity.store_checksum_failures"), 1u);
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.integrity.store_repairs"), 1u);
 
   // A healthy read of the (now repaired) object is strictly cheaper than the
   // detect-and-repair read, which pays one extra payload read.
@@ -227,7 +228,8 @@ TEST_F(StoreTest, GetSelfRepairsRottedObjectWithExtraLatency) {
   store_.Get("c/a", [&](Result<ObjectMetadata>) { clean_done = loop_.now(); });
   loop_.Run();
   EXPECT_LT(clean_done - clean_start, rotted_cost);
-  EXPECT_EQ(store_.stats().checksum_failures, 1u);  // No new failures.
+  // No new failures.
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.integrity.store_checksum_failures"), 1u);
 }
 
 TEST_F(StoreTest, ScrubKeyRepairsOnceAndIgnoresUnknownKeys) {
@@ -239,7 +241,7 @@ TEST_F(StoreTest, ScrubKeyRepairsOnceAndIgnoresUnknownKeys) {
   const auto meta = store_.Stat("c/a");
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->checksum, ExpectedChecksum("c/a", meta->size, meta->rsds_version));
-  EXPECT_EQ(store_.stats().integrity_repairs, 1u);
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.integrity.store_repairs"), 1u);
 }
 
 TEST_F(StoreTest, PutIfVersionRejectsCorruptFingerprint) {
@@ -255,7 +257,7 @@ TEST_F(StoreTest, PutIfVersionRejectsCorruptFingerprint) {
   loop_.Run();
   EXPECT_EQ(bad.code(), StatusCode::kDataLoss);
   EXPECT_EQ(store_.Stat("c/a")->latest_version, v1);
-  EXPECT_EQ(store_.stats().checksum_failures, 1u);
+  EXPECT_EQ(store_.metrics().CounterTotal("ofc.integrity.store_checksum_failures"), 1u);
 
   // The healthy retry lands and stamps a verifiable checksum.
   Status good = InternalError("unset");

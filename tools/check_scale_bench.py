@@ -8,8 +8,6 @@ Usage:
 Fails (exit 1) when:
   * events_per_sec regresses more than `tolerance` below the floor's
     min_events_per_sec;
-  * the optimized event loop's speedup over the legacy snapshot falls below
-    the floor's min_loop_speedup (when the bench ran the comparison);
   * exactly-once accounting is violated (fired != completed);
   * peak RSS exceeds the floor's max_peak_rss_mb (scaled runs must stay
     memory-bounded).
@@ -47,15 +45,6 @@ def main() -> int:
             f"events_per_sec {eps:.0f} is below the floor {min_eps:.0f} "
             f"(-{args.tolerance:.0%} tolerance => {allowed:.0f})")
 
-    compare = bench.get("event_loop_compare", {})
-    speedup = compare.get("speedup", 0.0)
-    legacy = compare.get("legacy_events_per_sec", 0.0)
-    min_speedup = floor.get("min_loop_speedup", 0.0)
-    if legacy > 0 and speedup < min_speedup:
-        failures.append(
-            f"event-loop speedup {speedup:.2f}x is below the required "
-            f"{min_speedup:.2f}x over the legacy snapshot")
-
     fired = bench.get("invocations_fired", 0)
     completed = bench.get("invocations_completed", 0)
     if fired != completed:
@@ -67,7 +56,6 @@ def main() -> int:
         failures.append(f"peak RSS {rss:.1f} MiB exceeds the {max_rss:.1f} MiB bound")
 
     print(f"scale bench: {eps:.0f} events/sec (floor {min_eps:.0f}), "
-          f"loop speedup {speedup:.2f}x (min {min_speedup:.2f}x), "
           f"{completed} invocations, peak RSS {rss:.1f} MiB")
     if failures:
         for failure in failures:

@@ -525,47 +525,45 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
                   ToSeconds(tenant.TotalExecutionTime()), tenant.FailureCount());
     }
 
+    const obs::MetricsRegistry& m = env.metrics();
+    auto ull = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
     if (env.ofc() != nullptr) {
-      const auto& proxy = env.ofc()->proxy().stats();
-      const auto& cache = env.ofc()->cache_agent().stats();
-      const auto& predictions = env.ofc()->prediction_stats();
       std::printf("\nOFC internals:\n");
-      std::printf("  hit ratio            %.1f %%\n", 100.0 * proxy.HitRatio());
+      std::printf("  hit ratio            %.1f %%\n", 100.0 * core::CacheHitRatio(m));
       std::printf("  admissions           %llu (failed %llu)\n",
-                  static_cast<unsigned long long>(proxy.admissions),
-                  static_cast<unsigned long long>(proxy.admission_failures));
+                  ull(m.CounterValue("ofc.proxy.admissions")),
+                  ull(m.CounterValue("ofc.proxy.admission_failures")));
       std::printf("  persistor runs       %llu\n",
-                  static_cast<unsigned long long>(proxy.persistor_runs));
+                  ull(m.CounterValue("ofc.proxy.persistor_runs")));
       std::printf("  scale up/down        %llu / %llu\n",
-                  static_cast<unsigned long long>(cache.scale_ups),
-                  static_cast<unsigned long long>(cache.scale_downs_plain +
-                                                  cache.scale_downs_migration +
-                                                  cache.scale_downs_eviction));
+                  ull(m.CounterValue("ofc.cache_agent.scale_ups")),
+                  ull(m.CounterValue("ofc.cache_agent.scale_downs_plain") +
+                      m.CounterValue("ofc.cache_agent.scale_downs_migration") +
+                      m.CounterValue("ofc.cache_agent.scale_downs_eviction")));
       std::printf("  predictions          %llu model, %llu fallback, %llu bad\n",
-                  static_cast<unsigned long long>(predictions.model_predictions),
-                  static_cast<unsigned long long>(predictions.booked_fallbacks),
-                  static_cast<unsigned long long>(predictions.bad_predictions));
+                  ull(m.CounterValue("ofc.predictor.model_predictions")),
+                  ull(m.CounterValue("ofc.predictor.booked_fallbacks")),
+                  ull(m.CounterValue("ofc.predictor.bad_predictions")));
       std::printf("  cache used/capacity  %s / %s\n",
                   FormatBytes(env.cluster()->TotalUsed()).c_str(),
                   FormatBytes(env.cluster()->TotalCapacity()).c_str());
       if (flags.breaker_threshold > 0) {
         std::printf("  breaker              %llu opens, %llu closes, "
                     "%llu bypassed reads, %llu bypassed writes\n",
-                    static_cast<unsigned long long>(proxy.breaker_opens),
-                    static_cast<unsigned long long>(proxy.breaker_closes),
-                    static_cast<unsigned long long>(proxy.breaker_bypassed_reads),
-                    static_cast<unsigned long long>(proxy.breaker_bypassed_writes));
+                    ull(m.CounterValue("ofc.breaker.opens")),
+                    ull(m.CounterValue("ofc.breaker.closes")),
+                    ull(m.CounterValue("ofc.breaker.bypassed_reads")),
+                    ull(m.CounterValue("ofc.breaker.bypassed_writes")));
       }
     }
-    const auto& platform = env.platform().stats();
     std::printf("\nplatform: %llu invocations, %llu cold starts, %llu OOM kills, "
                 "%llu rescues, %llu failures, %llu shed\n",
-                static_cast<unsigned long long>(platform.invocations),
-                static_cast<unsigned long long>(platform.cold_starts),
-                static_cast<unsigned long long>(platform.oom_kills),
-                static_cast<unsigned long long>(platform.oom_rescues),
-                static_cast<unsigned long long>(platform.failed_invocations),
-                static_cast<unsigned long long>(platform.shed_requests));
+                ull(m.CounterValue("ofc.platform.invocations")),
+                ull(m.CounterValue("ofc.platform.cold_starts")),
+                ull(m.CounterValue("ofc.platform.oom_kills")),
+                ull(m.CounterValue("ofc.platform.oom_rescues")),
+                ull(m.CounterValue("ofc.platform.failed_invocations")),
+                ull(m.CounterTotal("ofc.overload.shed")));
   }
 
   if (!quiet && slo != nullptr && !slo->specs().empty()) {
@@ -596,7 +594,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   }
   out->final_time = env.loop().now();
   out->events_scheduled = env.loop().total_scheduled();
-  out->invocations = env.platform().stats().invocations;
+  out->invocations = env.metrics().CounterValue("ofc.platform.invocations");
 
   bool ok = true;
   if (!flags.metrics_json.empty()) {

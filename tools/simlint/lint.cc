@@ -738,11 +738,14 @@ class Analyzer {
     }
   }
 
-  // ---- Includes, metric registrations, metric grammar ------------------------
+  // ---- Includes, metric registrations and reads, metric grammar --------------
 
   void IncludesAndMetrics() {
     static const std::map<std::string, std::string> kRegs = {
         {"GetCounter", "counter"}, {"GetGauge", "gauge"}, {"GetSeries", "series"}};
+    static const std::map<std::string, std::string> kReads = {
+        {"CounterValue", "counter"}, {"CounterTotal", "counter"}, {"GaugeValue", "gauge"},
+        {"FindSeries", "series"}};
     static const std::regex kNameRe(R"(^ofc\.[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$)");
     for (std::size_t i = 0; i < Size(); ++i) {
       if (IsPunct(i, "#") && IsId(i + 1, "include") && i + 2 < Size() &&
@@ -750,8 +753,14 @@ class Analyzer {
         out_.includes.push_back({Tok(i + 2).text, Tok(i + 2).line});
         continue;
       }
-      if (Tok(i).kind == TokKind::kIdentifier && kRegs.contains(Tok(i).text) &&
-          IsPunct(i + 1, "(") && (IsPunct(i - 1, ".") || IsPunct(i - 1, "->"))) {
+      const bool member_call = Tok(i).kind == TokKind::kIdentifier && IsPunct(i + 1, "(") &&
+                               (IsPunct(i - 1, ".") || IsPunct(i - 1, "->"));
+      if (member_call && kReads.contains(Tok(i).text) && i + 2 < Size() &&
+          Tok(i + 2).kind == TokKind::kString && Tok(i + 2).text.rfind("ofc.", 0) == 0) {
+        out_.metric_reads.push_back({Tok(i + 2).text, kReads.at(Tok(i).text), Tok(i + 2).line});
+        continue;
+      }
+      if (member_call && kRegs.contains(Tok(i).text)) {
         const std::string& kind = kRegs.at(Tok(i).text);
         if (i + 2 < Size() && Tok(i + 2).kind == TokKind::kString) {
           const std::string& name = Tok(i + 2).text;

@@ -38,7 +38,8 @@
 //                       GetCounter/GetGauge/GetSeries in src/ must be string
 //                       literals matching `ofc.<component>.<name>` with
 //                       lower_snake segments. The cross-file half (kind
-//                       conflicts, DESIGN.md table) lives in project.h.
+//                       conflicts, DESIGN.md table, reads of unregistered
+//                       names) lives in project.h.
 //   suppression         a `simlint: allow(...)` comment without a
 //                       justification.
 //
@@ -83,7 +84,7 @@ struct IncludeDecl {
   int line = 0;
 };
 
-// A metric family registration with a literal name.
+// A metric family registration or read with a literal name.
 struct MetricReg {
   std::string name;
   std::string kind;  // "counter" | "gauge" | "series"
@@ -116,6 +117,9 @@ struct FileAnalysis {
   std::vector<Finding> findings;
   std::vector<IncludeDecl> includes;
   std::vector<MetricReg> metrics;
+  // Literal `ofc.*` names read through CounterValue/CounterTotal (counter),
+  // GaugeValue (gauge) or FindSeries (series).
+  std::vector<MetricReg> metric_reads;
   // Unordered-container member/namespace-scope names declared in this file
   // (exported for the cross-file unordered-iter pass).
   std::vector<std::string> unordered_members;

@@ -395,6 +395,47 @@ ProjectResult AnalyzeProject(const std::vector<SourceFile>& files,
       }
     }
 
+    // ---- metric-name-audit: reads by literal name -----------------------------
+    // A read of a name nothing registers, or of the wrong kind, silently
+    // returns 0 (or no series). Tests may read their scratch `ofc.test.*`
+    // families when the same file registers them.
+    for (const SourceFile* f : sorted) {
+      const FileAnalysis& analysis = analyses[f->path];
+      for (const MetricReg& read : analysis.metric_reads) {
+        if (analysis.suppressions.IsSuppressed(read.line, "metric-name-audit")) {
+          continue;
+        }
+        std::set<std::string> kinds;
+        auto it = registry.find(read.name);
+        if (it != registry.end()) {
+          for (const RegSite& site : it->second) {
+            kinds.insert(site.kind);
+          }
+        } else if (read.name.rfind("ofc.test.", 0) == 0) {
+          for (const MetricReg& reg : analysis.metrics) {
+            if (reg.name == read.name) {
+              kinds.insert(reg.kind);
+            }
+          }
+        }
+        if (kinds.empty()) {
+          result.findings.push_back(
+              {f->path, read.line, "metric-name-audit",
+               "metric family '" + read.name +
+                   "' is read but nothing in src/ registers it; the read always finds "
+                   "nothing",
+               "", false});
+        } else if (!kinds.contains(read.kind)) {
+          result.findings.push_back(
+              {f->path, read.line, "metric-name-audit",
+               "metric family '" + read.name + "' is read as a " + read.kind +
+                   " but registered as a " + *kinds.begin() +
+                   "; the read always finds nothing",
+               "", false});
+        }
+      }
+    }
+
     // ---- unordered-iter: cross-file members ----------------------------------
     for (const SourceFile* f : sorted) {
       const FileAnalysis& analysis = analyses[f->path];

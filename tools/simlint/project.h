@@ -16,7 +16,12 @@
 //                      a name missing from the DESIGN.md metrics table is an
 //                      error; a table row whose name is no longer registered
 //                      (or whose kind disagrees) is an error anchored at
-//                      DESIGN.md.
+//                      DESIGN.md. Every literal `ofc.*` name read through
+//                      CounterValue/CounterTotal/GaugeValue/FindSeries in any
+//                      scanned file must be registered in src/ with the kind
+//                      the read expects (a scratch `ofc.test.*` family may
+//                      instead be registered in the reading file); non-literal
+//                      reads are not audited.
 //   unordered-iter     (cross-file half) an iteration whose loop body reaches
 //                      event-visible state, over a name declared as a
 //                      std::unordered_* member in this file or a directly

@@ -156,6 +156,61 @@ TEST(ProjectTest, MetricInventoryIsSortedAndMarkdownRendered) {
             "| `ofc.core.zeta` | gauge | src/core/z.cc |\n");
 }
 
+TEST(ProjectTest, ReadOfUnregisteredMetricIsFlagged) {
+  const std::vector<SourceFile> files = {
+      {"src/core/a.cc", "void A(R* r) { r->GetCounter(\"ofc.core.hits\"); }\n"},
+      {"tests/a_test.cc",
+       "void T(R& r) {\n"
+       "  r.CounterValue(\"ofc.core.hits\");\n"
+       "  r.CounterTotal(\"ofc.core.hitz\");\n"
+       "  r.CounterValue(name);\n"
+       "}\n"},
+  };
+  const auto result = AnalyzeProject(files, NoDesign());
+  const auto findings = FindingsFor(result, "metric-name-audit");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "tests/a_test.cc");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("'ofc.core.hitz' is read but nothing in src/ registers it"),
+            std::string::npos);
+}
+
+TEST(ProjectTest, ReadOfTheWrongKindIsFlagged) {
+  const std::vector<SourceFile> files = {
+      {"src/core/cache_agent.cc",
+       "void A(R* r) { r->GetGauge(\"ofc.cache_agent.scale_up_time_us\"); }\n"},
+      {"bench/b.cc",
+       "void B(const R& m) {\n"
+       "  m.GaugeValue(\"ofc.cache_agent.scale_up_time_us\");\n"
+       "  m.CounterValue(\"ofc.cache_agent.scale_up_time_us\");\n"
+       "}\n"},
+  };
+  const auto result = AnalyzeProject(files, NoDesign());
+  const auto findings = FindingsFor(result, "metric-name-audit");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "bench/b.cc");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("read as a counter but registered as a gauge"),
+            std::string::npos);
+}
+
+TEST(ProjectTest, ScratchTestFamilyMayBeRegisteredInTheReadingFile) {
+  const std::vector<SourceFile> files = {
+      {"tests/registry_test.cc",
+       "void T(R& r) {\n"
+       "  r.GetCounter(\"ofc.test.events\");\n"
+       "  r.CounterValue(\"ofc.test.events\");\n"
+       "  r.CounterValue(\"ofc.test.events\", \"absent-label\");\n"
+       "}\n"},
+      {"tests/other_test.cc", "void U(R& r) { r.CounterValue(\"ofc.test.events\"); }\n"},
+  };
+  const auto result = AnalyzeProject(files, NoDesign());
+  const auto findings = FindingsFor(result, "metric-name-audit");
+  // Only the file that reads the family without registering it is flagged.
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "tests/other_test.cc");
+}
+
 // ---- unordered-iter (cross-file) ---------------------------------------------
 
 TEST(ProjectTest, IterationOverMemberDeclaredInIncludedHeaderIsFlagged) {
