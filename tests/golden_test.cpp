@@ -1,6 +1,6 @@
 // Golden-file regression tests for every exporter artifact: the end-of-run
 // metrics snapshot (JSON and CSV), the windowed timeline, the SLO health
-// summary, and the flight-recorder dump.
+// summary, the flight-recorder dump, and the Chrome trace.
 //
 // A fixed scenario (seed 42, three tenants, five simulated minutes) runs
 // in-process and each artifact is compared byte-for-byte against
@@ -42,6 +42,7 @@ struct Artifacts {
   std::string timeline_json;
   std::string health_json;
   std::string flight_json;
+  std::string trace_json;
 };
 
 // The fixed scenario. Anything touched here invalidates the goldens, which is
@@ -52,6 +53,7 @@ Artifacts RunGoldenScenario() {
   faasload::Environment env(faasload::Mode::kOfc, options);
   env.flight().set_capacity(128);
   env.flight().set_enabled(true);
+  env.trace().set_enabled(true);
 
   std::vector<obs::SloSpec> slo_specs;
   std::string error;
@@ -90,6 +92,7 @@ Artifacts RunGoldenScenario() {
   artifacts.timeline_json = timeline.ToJson();
   artifacts.health_json = slo.HealthJson(env.loop().now());
   artifacts.flight_json = env.flight().ToJson("golden scenario end-of-run dump");
+  artifacts.trace_json = env.trace().ToJson();
   return artifacts;
 }
 
@@ -149,6 +152,8 @@ TEST(GoldenTest, TimelineJson) {
 TEST(GoldenTest, HealthJson) { CompareOrUpdate("health.json", GoldenArtifacts().health_json); }
 
 TEST(GoldenTest, FlightJson) { CompareOrUpdate("flight.json", GoldenArtifacts().flight_json); }
+
+TEST(GoldenTest, TraceJson) { CompareOrUpdate("trace.json", GoldenArtifacts().trace_json); }
 
 }  // namespace
 }  // namespace ofc

@@ -15,6 +15,7 @@
 
 #include "src/faas/direct_data_service.h"
 #include "src/faas/platform.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
@@ -399,9 +400,13 @@ TEST(TracedPlatformTest, SamplingSkipsUnsampledInvocations) {
   trace_options.enabled = true;
   trace_options.sample_period = 1000;  // Only invocation ids divisible by 1000.
   TraceRecorder trace(trace_options);
+  FlightRecorderOptions flight_options;
+  flight_options.enabled = true;
+  FlightRecorder flight(flight_options);
 
   faas::PlatformOptions options;
   options.trace = &trace;
+  options.flight = &flight;
   faas::Platform platform(&loop, options, &data, /*hooks=*/nullptr, Rng(2));
   faas::FunctionConfig config;
   config.spec = TinySpec();
@@ -415,15 +420,29 @@ TEST(TracedPlatformTest, SamplingSkipsUnsampledInvocations) {
   media.height = 800;
   media.byte_size = KiB(64);
   bool done = false;
+  std::uint64_t id = 0;
   platform.Invoke("tiny", {faas::InputObject{"in/obj", media}}, {},
-                  [&](const faas::InvocationRecord&) { done = true; });
+                  [&](const faas::InvocationRecord& r) {
+                    id = r.id;
+                    done = true;
+                  });
   while (!done && loop.Step()) {
   }
   ASSERT_TRUE(done);
+  ASSERT_NE(id % trace_options.sample_period, 0u);
   // Only metadata events (process names) — the invocation itself was unsampled.
   const std::string json = trace.ToJson();
   EXPECT_EQ(json.find("\"extract\""), std::string::npos);
   EXPECT_EQ(json.find("\"ph\": \"X\""), std::string::npos);
+  // The flight ring does not sample: the same invocation leaves its full chain.
+  std::vector<FlightEventKind> chain;
+  for (const FlightEvent* ev : flight.ChainFor(id)) {
+    chain.push_back(ev->kind);
+  }
+  EXPECT_EQ(chain, (std::vector<FlightEventKind>{
+                       FlightEventKind::kSubmit, FlightEventKind::kColdStart,
+                       FlightEventKind::kExtract, FlightEventKind::kTransform,
+                       FlightEventKind::kLoad, FlightEventKind::kComplete}));
 }
 
 }  // namespace
