@@ -120,6 +120,7 @@ struct RunOutcome {
   std::string timeline_json;  // Empty when no telemetry scraping was on.
   std::string health_json;    // Empty when no scraping/SLOs were on.
   std::string flight_json;    // Empty when the flight recorder was off.
+  std::string trace_json;     // Empty without --trace-json.
   SimTime final_time = 0;
   std::uint64_t events_scheduled = 0;
   std::uint64_t invocations = 0;
@@ -592,6 +593,9 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   if (flight_on) {
     out->flight_json = env.flight().ToJson("end_of_run");
   }
+  if (!flags.trace_json.empty()) {
+    out->trace_json = env.trace().ToJson();
+  }
   out->final_time = env.loop().now();
   out->events_scheduled = env.loop().total_scheduled();
   out->invocations = env.metrics().CounterValue("ofc.platform.invocations");
@@ -613,8 +617,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     ok = WriteFile(flags.flight_json, out->flight_json) && ok;
   }
   if (!flags.trace_json.empty()) {
-    if (!env.trace().WriteJson(flags.trace_json)) {
-      std::fprintf(stderr, "cannot write %s\n", flags.trace_json.c_str());
+    if (!WriteFile(flags.trace_json, out->trace_json)) {
       ok = false;
     } else if (!quiet) {
       std::printf("\ntrace: %zu events (%zu dropped) -> %s\n", env.trace().num_events(),
@@ -669,7 +672,7 @@ int SelfcheckPair(const Flags& flags, const char* label) {
   }
   // Every artifact a replay can leave behind must be byte-identical: the
   // end-of-run metrics snapshot plus (when enabled) the windowed timeline, the
-  // SLO health summary, and the flight-recorder ring.
+  // SLO health summary, the flight-recorder ring, and the Chrome trace.
   const struct {
     const char* what;
     const std::string& a;
@@ -679,6 +682,7 @@ int SelfcheckPair(const Flags& flags, const char* label) {
       {"timeline JSON", first.timeline_json, second.timeline_json},
       {"health JSON", first.health_json, second.health_json},
       {"flight JSON", first.flight_json, second.flight_json},
+      {"trace JSON", first.trace_json, second.trace_json},
   };
   for (const auto& artifact : artifacts) {
     if (artifact.a == artifact.b) {
