@@ -7,7 +7,9 @@ Drives the built CLI binary through the telemetry paths CI cares about:
      JSON that parses and passes tools/check_timeline.py's structural checks;
   2. unwritable output paths fail loudly — nonzero exit and a stderr line
      naming the path — for every artifact flag (never a silent exit 0);
-  3. the negative post-mortem path: --inject-breach-at trips a SIM_ASSERT and
+  3. an injected fault leaves its window in the flight ring: a fault_inject
+     and a fault_heal record sharing the fault's parent id;
+  4. the negative post-mortem path: --inject-breach-at trips a SIM_ASSERT and
      --dump-on-assert captures a flight dump naming the breach, with the
      process exiting nonzero. Skipped with --sim-asserts=OFF: a binary built
      without OFC_SIM_ASSERTS (a plain Release build) compiles SIM_ASSERT to a
@@ -78,6 +80,22 @@ def check_unwritable_outputs(binary):
                  f"{proc.stderr.strip()!r}")
 
 
+def check_fault_window(binary, outdir):
+    flight = os.path.join(outdir, "fault_flight.json")
+    proc = run(binary, ["--mode=ofc", "--duration-min=3",
+                        "--crash-node-at=1:60:30", "--flight-recorder=100000",
+                        f"--flight-json={flight}"])
+    if proc.returncode != 0:
+        fail(f"fault run exited {proc.returncode}: {proc.stderr.strip()}")
+        return
+    with open(flight, "r", encoding="utf-8") as f:
+        events = json.load(f)["events"]
+    parents = {kind: {e.get("parent") for e in events if e["kind"] == kind}
+               for kind in ("fault_inject", "fault_heal")}
+    if not parents["fault_inject"] or parents["fault_inject"] != parents["fault_heal"]:
+        fail(f"flight dump lacks a matching fault_inject/fault_heal pair: {parents}")
+
+
 def check_breach_dump(binary, outdir):
     dump = os.path.join(outdir, "breach_dump.json")
     proc = run(binary, ["--mode=ofc", "--duration-min=2",
@@ -114,6 +132,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="ofc-obs-smoke-") as outdir:
         check_scraped_run(binary, outdir)
         check_unwritable_outputs(binary)
+        check_fault_window(binary, outdir)
         if args.sim_asserts == "ON":
             check_breach_dump(binary, outdir)
         else:

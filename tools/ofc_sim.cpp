@@ -405,7 +405,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     targets.proxy = env.ofc() != nullptr ? &env.ofc()->proxy() : nullptr;
     faults = std::make_unique<fault::FaultInjector>(
         &env.loop(), targets,
-        fault::FaultInjectorOptions{&env.metrics(), &env.trace()});
+        fault::FaultInjectorOptions{&env.metrics(), &env.trace(), &env.flight()});
     if (Status scheduled = faults->Schedule(flags.fault_plan); !scheduled.ok()) {
       std::fprintf(stderr, "fault plan: %s\n", scheduled.message().c_str());
       return 1;
