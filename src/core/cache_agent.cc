@@ -7,6 +7,8 @@
 
 namespace ofc::core {
 
+using obs::FlightEventKind;
+
 CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOptions options)
     : loop_(loop), cluster_(cluster), options_(options) {
   const std::size_t n = static_cast<std::size_t>(cluster_->num_nodes());
@@ -25,8 +27,7 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options_.trace;
-  flight_ = options_.flight;
+  emit_ = obs::Emitter(options_.trace, options_.flight, {obs::kPidCache});
   policy_ = options_.policy;
   if (policy_ == nullptr) {
     // Standalone agent (tests, benches without an OfcSystem): own a default
@@ -36,7 +37,7 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
     peo.config.sweep_max_idle = options_.sweep_max_idle;
     peo.config.sweep_period = options_.sweep_period;
     peo.metrics = metrics_;
-    peo.flight = flight_;
+    peo.flight = options_.flight;
     auto engine = CachePolicyEngine::Create("lru", std::move(peo));
     owned_policy_ = std::move(*engine);  // "lru" always parses.
     policy_ = owned_policy_.get();
@@ -58,9 +59,6 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
   m_.scale_up_time_us = metrics_->GetGauge("ofc.cache_agent.scale_up_time_us");
   m_.scale_down_time_us = metrics_->GetGauge("ofc.cache_agent.scale_down_time_us");
   m_.migration_ms = metrics_->GetSeries("ofc.cache_agent.migration_ms");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidCache, "cache-agent");
-  }
 }
 
 Bytes CacheAgent::CapacityTarget(int worker) const {
@@ -170,15 +168,8 @@ void CacheAgent::ApplyTarget(int worker) {
     if (cluster_->SetCapacity(worker, target, &duration).ok()) {
       ++*m_.scale_ups;
       m_.scale_up_time_us->Add(static_cast<double>(duration));
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->Span("scale-up", "cache", loop_->now(), duration, obs::kPidCache,
-                     static_cast<std::uint64_t>(worker),
-                     {{"target_bytes", std::to_string(target)}});
-      }
-      if (FlightOn()) {
-        flight_->Record(loop_->now(), obs::FlightEventKind::kScaleUp, 0, 0, worker, "",
-                        std::to_string(target) + "B");
-      }
+      emit_.Emit({.kind = FlightEventKind::kScaleUp, .time = loop_->now(), .worker = worker,
+                  .duration = duration, .n = target});
     }
     return;
   }
@@ -210,16 +201,9 @@ void CacheAgent::ApplyTarget(int worker) {
     } else {
       ++*m_.scale_downs_plain;
     }
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Span("scale-down", "cache", loop_->now(), duration, obs::kPidCache,
-                   static_cast<std::uint64_t>(worker),
-                   {{"target_bytes", std::to_string(target)},
-                    {"mode", migrated ? "migration" : (evicted ? "eviction" : "plain")}});
-    }
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kScaleDown, 0, 0, worker, "",
-                      migrated ? "migration" : (evicted ? "eviction" : "plain"));
-    }
+    emit_.Emit({.kind = FlightEventKind::kScaleDown, .time = loop_->now(), .worker = worker,
+                .detail = migrated ? "migration" : (evicted ? "eviction" : "plain"),
+                .duration = duration, .n = target});
   }
 }
 
@@ -281,15 +265,8 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
       *migrated = true;
       AddScaleDownTime(migration->duration);
       m_.migration_ms->Observe(ToMillis(migration->duration));
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->Span("migrate-master", "cache", loop_->now(), migration->duration,
-                     obs::kPidCache, static_cast<std::uint64_t>(worker),
-                     {{"key", obj.key}});
-      }
-      if (FlightOn()) {
-        flight_->Record(loop_->now(), obs::FlightEventKind::kMigration, 0, 0, worker,
-                        obj.key, "to_" + std::to_string(migration->new_master));
-      }
+      emit_.Emit({.kind = FlightEventKind::kMigration, .time = loop_->now(), .worker = worker,
+                  .subject = obj.key, .duration = migration->duration, .n = migration->new_master});
       continue;
     }
     freed += obj.size;
@@ -398,24 +375,12 @@ bool CacheAgent::UnderPressure(int worker) {
     if (ratio < options_.pressure_low_watermark) {
       under_pressure_[w] = false;
       pressure_gauges_[w]->Set(0.0);
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->Instant("pressure-exit", "overload", loop_->now(), obs::kPidCache,
-                        static_cast<std::uint64_t>(worker));
-      }
-      if (FlightOn()) {
-        flight_->Record(loop_->now(), obs::FlightEventKind::kPressureExit, 0, 0, worker);
-      }
+      emit_.Emit({.kind = FlightEventKind::kPressureExit, .time = loop_->now(), .worker = worker});
     }
   } else if (ratio >= options_.pressure_high_watermark) {
     under_pressure_[w] = true;
     pressure_gauges_[w]->Set(1.0);
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Instant("pressure-enter", "overload", loop_->now(), obs::kPidCache,
-                      static_cast<std::uint64_t>(worker));
-    }
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kPressureEnter, 0, 0, worker);
-    }
+    emit_.Emit({.kind = FlightEventKind::kPressureEnter, .time = loop_->now(), .worker = worker});
   }
   return under_pressure_[w];
 }

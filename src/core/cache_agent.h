@@ -42,9 +42,8 @@
 #include "src/common/units.h"
 #include "src/core/cache_policy.h"
 #include "src/faas/platform.h"
-#include "src/obs/flight_recorder.h"
+#include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 
@@ -189,9 +188,7 @@ class CacheAgent {
   CachePolicyEngine* policy_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  obs::Emitter emit_;
   Metrics m_;
   bool started_ = false;
 };

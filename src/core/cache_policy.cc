@@ -362,7 +362,7 @@ CachePolicyEngine::CachePolicyEngine(CachePolicySpec spec, std::string spec_text
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  flight_ = options_.flight;
+  emit_ = obs::Emitter(/*trace=*/nullptr, options_.flight);
 
   auto ensure = [this](const std::string& name) -> CachePolicy* {
     auto it = policies_.find(name);
@@ -473,10 +473,8 @@ void CachePolicyEngine::NoteEviction(const rc::CachedObject& obj, EvictionReason
       m_.bytes_evicted_sweep->Add(bytes);
       break;
   }
-  if (FlightOn()) {
-    flight_->Record(now, obs::FlightEventKind::kEvict, 0, 0, worker, obj.key,
-                    EvictionReasonName(reason));
-  }
+  emit_.Emit({.kind = obs::FlightEventKind::kEvict, .time = now, .worker = worker,
+              .subject = obj.key, .detail = EvictionReasonName(reason)});
   OnRemove(obj.key);
 }
 

@@ -45,7 +45,7 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/obs/flight_recorder.h"
+#include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
 #include "src/ramcloud/cluster.h"
 #include "src/store/object_store.h"
@@ -198,8 +198,7 @@ class CachePolicyEngine {
   CachePolicyEngineOptions options_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  obs::Emitter emit_;
 
   // Owned policy instances: the default plus one per distinct override name.
   // Ordered by name; iterated only along deterministic paths (Prune).

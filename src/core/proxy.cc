@@ -7,6 +7,8 @@
 
 namespace ofc::core {
 
+using obs::FlightEventKind;
+
 double CacheHitRatio(const obs::MetricsRegistry& metrics) {
   const std::uint64_t hits = metrics.CounterValue("ofc.proxy.cache_hits");
   const double total =
@@ -22,8 +24,7 @@ Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsd
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options_.trace;
-  flight_ = options_.flight;
+  emit_ = obs::Emitter(options_.trace, options_.flight, {obs::kPidStore});
   m_.cache_hits = metrics_->GetCounter("ofc.proxy.cache_hits");
   m_.cache_misses = metrics_->GetCounter("ofc.proxy.cache_misses");
   m_.admissions = metrics_->GetCounter("ofc.proxy.admissions");
@@ -56,9 +57,6 @@ Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsd
   m_.breaker_state = metrics_->GetGauge("ofc.breaker.state");
   m_.breaker_open_time_us = metrics_->GetGauge("ofc.breaker.open_time_us");
   m_.persistor_ms = metrics_->GetSeries("ofc.proxy.persistor_ms");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidStore, "rsds-writeback");
-  }
 }
 
 void Proxy::PolicyAdmit(const std::string& key, Bytes size, const std::string& function) {
@@ -154,10 +152,8 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
         // corrupt payload. Counted (the chaos audit asserts zero), not fatal.
         ++*m_.corrupt_acked;
       }
-      if (FlightOn()) {
-        flight_->Record(loop_->now(), obs::FlightEventKind::kCacheHit,
-                        ctx.invocation_id, 0, ctx.worker, key);
-      }
+      emit_.Emit({.kind = FlightEventKind::kCacheHit, .time = loop_->now(),
+                  .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
       done(hit->size);
       return;
     }
@@ -174,10 +170,8 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
     BreakerReport(data_loss || hit.status().code() == StatusCode::kNotFound);
     ++*m_.cache_misses;
     ++*fn.misses;
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kCacheMiss,
-                      ctx.invocation_id, 0, ctx.worker, key);
-    }
+    emit_.Emit({.kind = FlightEventKind::kCacheMiss, .time = loop_->now(),
+                .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
     // Miss: fetch from the RSDS (with bounded kUnavailable retries), then admit
     // off the critical path.
     const SimTime read_deadline = loop_->now() + options_.rsds_deadline;
@@ -206,11 +200,9 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
                        if (status.ok()) {
                          ++*m_.admissions;
                          PolicyAdmit(key, size, ctx.function);
-                         if (FlightOn()) {
-                           flight_->Record(loop_->now(),
-                                           obs::FlightEventKind::kCacheAdmit,
-                                           ctx.invocation_id, 0, ctx.worker, key);
-                         }
+                         emit_.Emit({.kind = FlightEventKind::kCacheAdmit, .time = loop_->now(),
+                                     .invocation = ctx.invocation_id, .worker = ctx.worker,
+                                     .subject = key});
                        } else {
                          ++*m_.admission_failures;
                        }
@@ -253,10 +245,7 @@ void Proxy::GetWithRetry(const std::string& key, SimTime deadline, int attempt,
       return;
     }
     ++*m_.rsds_retries;
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Instant("rsds-read-retry", "degradation", loop_->now(), obs::kPidStore,
-                      /*tid=*/0, {{"key", key}});
-    }
+    emit_.Emit({.kind = FlightEventKind::kRsdsReadRetry, .time = loop_->now(), .subject = key});
     loop_->ScheduleAfter(backoff,
                          [this, key, deadline, attempt, done = std::move(done)]() mutable {
                            GetWithRetry(key, deadline, attempt + 1, std::move(done));
@@ -346,10 +335,9 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
                  }
                  ++*m_.cached_writes;
                  PolicyAdmit(key, size, ctx.function);
-                 if (FlightOn()) {
-                   flight_->Record(loop_->now(), obs::FlightEventKind::kCacheWrite,
-                                   ctx.invocation_id, 0, ctx.worker, key);
-                 }
+                 emit_.Emit({.kind = FlightEventKind::kCacheWrite, .time = loop_->now(),
+                             .invocation = ctx.invocation_id, .worker = ctx.worker,
+                             .subject = key});
                  done(OkStatus());
                });
     return;
@@ -377,14 +365,8 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
         ++*m_.fallback_writes;
         ++*m_.cached_writes;
         PolicyAdmit(key, size, ctx.function);
-        if (trace_ != nullptr && trace_->enabled()) {
-          trace_->Instant("write-fallback", "degradation", loop_->now(), obs::kPidStore,
-                          /*tid=*/0, {{"key", key}});
-        }
-        if (FlightOn()) {
-          flight_->Record(loop_->now(), obs::FlightEventKind::kWriteFallback,
-                          ctx.invocation_id, 0, ctx.worker, key);
-        }
+        emit_.Emit({.kind = FlightEventKind::kWriteFallback, .time = loop_->now(),
+                    .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
         PersistorJob job;
         job.key = key;
         job.size = size;
@@ -414,10 +396,8 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
     }
     ++*m_.cached_writes;
     PolicyAdmit(key, size, ctx.function);
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kCacheWrite,
-                      ctx.invocation_id, 0, ctx.worker, key);
-    }
+    emit_.Emit({.kind = FlightEventKind::kCacheWrite, .time = loop_->now(),
+                .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
     PersistorJob job;
     job.key = key;
     job.version = join->version;
@@ -487,7 +467,7 @@ bool Proxy::BreakerBypasses() {
     breaker_successes_ = 0;
     m_.breaker_state->Set(2.0);
     m_.breaker_open_time_us->Add(static_cast<double>(loop_->now() - breaker_opened_at_));
-    TraceBreaker("breaker-half-open");
+    emit_.Emit({.kind = FlightEventKind::kBreakerHalfOpen, .time = loop_->now()});
   }
   if (breaker_ == BreakerState::kHalfOpen) {
     ++*m_.breaker_probes;
@@ -528,10 +508,7 @@ void Proxy::BreakerTrip() {
   breaker_open_until_ = loop_->now() + options_.breaker_open_duration;
   ++*m_.breaker_opens;
   m_.breaker_state->Set(1.0);
-  TraceBreaker("breaker-open");
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kBreakerOpen, 0, 0, -1, "breaker");
-  }
+  emit_.Emit({.kind = FlightEventKind::kBreakerOpen, .time = loop_->now(), .subject = "breaker"});
 }
 
 void Proxy::BreakerClose() {
@@ -540,25 +517,17 @@ void Proxy::BreakerClose() {
   breaker_successes_ = 0;
   ++*m_.breaker_closes;
   m_.breaker_state->Set(0.0);
-  TraceBreaker("breaker-close");
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kBreakerClose, 0, 0, -1, "breaker");
-  }
-}
-
-void Proxy::TraceBreaker(const char* what) {
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->Instant(what, "overload", loop_->now(), obs::kPidCache, /*tid=*/0);
-  }
+  emit_.Emit(
+      {.kind = FlightEventKind::kBreakerClose, .time = loop_->now(), .subject = "breaker"});
 }
 
 void Proxy::SchedulePersistor(PersistorJob job, int attempt) {
   // The persistor runs as a helper FaaS function: one dispatch delay, then the
   // payload push to the RSDS.
   const SimTime scheduled = loop_->now();
-  if (attempt == 0 && FlightOn()) {
-    flight_->Record(scheduled, obs::FlightEventKind::kPersistorDispatch, 0,
-                    job.invocation_id, -1, job.key);
+  if (attempt == 0) {
+    emit_.Emit({.kind = FlightEventKind::kPersistorDispatch, .time = scheduled,
+                .parent = job.invocation_id, .subject = job.key});
   }
   loop_->ScheduleAfter(options_.persistor_dispatch,
                        [this, job = std::move(job), scheduled, attempt]() mutable {
@@ -584,10 +553,8 @@ void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
     // shadow version ordering) converges the store, and pushing the stale
     // fallback payload would clobber it.
     ++*m_.persistor_conflicts;
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kPersistorConflict, 0,
-                      job.invocation_id, -1, job.key, "stale_epoch");
-    }
+    emit_.Emit({.kind = FlightEventKind::kPersistorConflict, .time = loop_->now(),
+                .parent = job.invocation_id, .subject = job.key, .detail = "stale_epoch"});
     return;
   }
   ++*m_.persistor_runs;
@@ -600,21 +567,14 @@ void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
       // kAborted: a newer version already reached the RSDS; propagation
       // order is preserved by dropping the stale push.
       ++*m_.persistor_conflicts;
-      if (FlightOn()) {
-        flight_->Record(loop_->now(), obs::FlightEventKind::kPersistorConflict, 0,
-                        job.invocation_id, -1, job.key, "newer_version");
-      }
+      emit_.Emit({.kind = FlightEventKind::kPersistorConflict, .time = loop_->now(),
+                  .parent = job.invocation_id, .subject = job.key, .detail = "newer_version"});
       return;
     }
     m_.persistor_ms->Observe(ToMillis(loop_->now() - scheduled));
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Span("persistor", "writeback", scheduled, loop_->now() - scheduled,
-                   obs::kPidStore, /*tid=*/0, {{"key", job.key}});
-    }
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kPersistorDone, 0,
-                      job.invocation_id, -1, job.key);
-    }
+    emit_.Emit({.kind = FlightEventKind::kPersistorDone, .time = loop_->now(),
+                .parent = job.invocation_id, .subject = job.key,
+                .duration = loop_->now() - scheduled});
     if (!EpochCurrent(job)) {
       // The push landed, but a newer acknowledged write took over the cached
       // copy while it was in flight — its persistor cleans up; dropping the
@@ -648,10 +608,8 @@ void Proxy::RetryPersistor(PersistorJob job, int attempt) {
     return;
   }
   ++*m_.persistor_retries;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kPersistorRetry, 0,
-                    job.invocation_id, -1, job.key);
-  }
+  emit_.Emit({.kind = FlightEventKind::kPersistorRetry, .time = loop_->now(),
+              .parent = job.invocation_id, .subject = job.key});
   const SimDuration backoff = Backoff(options_.persistor_retry_backoff, attempt);
   const SimTime scheduled = loop_->now();
   loop_->ScheduleAfter(backoff, [this, job = std::move(job), scheduled, attempt]() mutable {
@@ -688,9 +646,7 @@ void Proxy::Writeback(const std::string& key, std::function<void(Status)> done) 
   // otherwise create the object outright (relaxed mode / intermediates).
   const auto meta = rsds_->Stat(key);
   ++*m_.persistor_runs;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kWriteback, 0, 0, -1, key);
-  }
+  emit_.Emit({.kind = FlightEventKind::kWriteback, .time = loop_->now(), .subject = key});
   if (meta.ok() && meta->IsShadow()) {
     rsds_->FinalizePayload(key, meta->latest_version, size, PayloadFingerprint(key, size),
                            [this, key, done = std::move(done)](Status status) {
@@ -718,10 +674,7 @@ void Proxy::HandleExternalRead(const std::string& key, std::function<void()> res
   // Boost the persistor: the external read completes only once the latest
   // payload is in the RSDS (§6.2).
   ++*m_.external_read_boosts;
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->Instant("external-read-boost", "webhook", loop_->now(), obs::kPidStore,
-                    /*tid=*/0, {{"key", key}});
-  }
+  emit_.Emit({.kind = FlightEventKind::kExternalReadBoost, .time = loop_->now(), .subject = key});
   Writeback(key, [resume = std::move(resume)](Status) { resume(); });
 }
 

@@ -35,9 +35,8 @@
 #include "src/common/hash.h"
 #include "src/core/cache_policy.h"
 #include "src/faas/platform.h"
-#include "src/obs/flight_recorder.h"
+#include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/store/object_store.h"
@@ -265,7 +264,6 @@ class Proxy : public faas::DataService {
   void BreakerReport(bool success);
   void BreakerTrip();
   void BreakerClose();
-  void TraceBreaker(const char* what);
   // A capacity rejection is a healthy cache saying "full" (backpressure owns
   // that), not a sick cache path; only other errors feed the breaker.
   static bool WriteHealthy(const Status& status) {
@@ -290,9 +288,7 @@ class Proxy : public faas::DataService {
   ProxyOptions options_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  obs::Emitter emit_;
   SimTime persistor_drop_until_ = 0;  // Fault injection: dispatches before this are lost.
   SimTime cache_fault_until_ = 0;     // Fault injection: cluster ops before this fail.
   // Circuit-breaker state (all transitions are clock/counter-driven, so

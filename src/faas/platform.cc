@@ -9,6 +9,8 @@
 
 namespace ofc::faas {
 
+using obs::FlightEventKind;
+
 // ---- Default hooks: vanilla OpenWhisk behaviour ---------------------------------
 
 PlatformHooks::Sizing PlatformHooks::SizeInvocation(const FunctionConfig& fn,
@@ -61,8 +63,8 @@ Platform::Platform(sim::EventLoop* loop, PlatformOptions options, DataService* d
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options_.trace;
-  flight_ = options_.flight;
+  emit_ = obs::Emitter(options_.trace, options_.flight,
+                       {obs::kPidInvocations, obs::kPidPipelines});
   m_.invocations = metrics_->GetCounter("ofc.platform.invocations");
   m_.cold_starts = metrics_->GetCounter("ofc.platform.cold_starts");
   m_.warm_starts = metrics_->GetCounter("ofc.platform.warm_starts");
@@ -85,10 +87,6 @@ Platform::Platform(sim::EventLoop* loop, PlatformOptions options, DataService* d
   m_.transform_ms = metrics_->GetSeries("ofc.platform.transform_ms");
   m_.load_ms = metrics_->GetSeries("ofc.platform.load_ms");
   m_.total_ms = metrics_->GetSeries("ofc.platform.total_ms");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidInvocations, "invocations");
-    trace_->SetProcessName(obs::kPidPipelines, "pipelines");
-  }
 }
 
 Platform::FnMetrics& Platform::FnMetricsFor(const std::string& function) {
@@ -205,10 +203,8 @@ void Platform::Invoke(const std::string& function, std::vector<InputObject> inpu
 
 void Platform::InvokeInternal(std::shared_ptr<Request> request) {
   ++*m_.invocations;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kSubmit, request->id,
-                    request->pipeline_id, -1, request->function);
-  }
+  emit_.Emit({.kind = FlightEventKind::kSubmit, .time = loop_->now(), .invocation = request->id,
+              .parent = request->pipeline_id, .subject = request->function});
   Dispatch(std::move(request));
 }
 
@@ -413,22 +409,14 @@ void Platform::RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
     m_.queue_wait_ms->Observe(ToMillis(loop_->now() - request->first_queued));
   }
 
-  if (Traced(request->id)) {
-    const SimTime now = loop_->now();
-    if (now > request->arrival) {
-      trace_->Span("queued", "dispatch", request->arrival, now - request->arrival,
-                   obs::kPidInvocations, request->id);
-    }
-    trace_->Span(cold ? "cold-start" : "warm-start", "sandbox", now, startup,
-                 obs::kPidInvocations, request->id,
-                 {{"worker", std::to_string(sandbox->worker)},
-                  {"function", request->function}});
+  const SimTime now = loop_->now();
+  if (now > request->arrival) {
+    emit_.Emit({.kind = FlightEventKind::kQueueWait, .time = now, .invocation = request->id,
+                .duration = now - request->arrival});
   }
-  if (FlightOn()) {
-    flight_->Record(loop_->now(),
-                    cold ? obs::FlightEventKind::kColdStart : obs::FlightEventKind::kWarmStart,
-                    request->id, request->pipeline_id, sandbox->worker, request->function);
-  }
+  emit_.Emit({.kind = cold ? FlightEventKind::kColdStart : FlightEventKind::kWarmStart, .time = now,
+              .invocation = request->id, .parent = request->pipeline_id, .worker = sandbox->worker,
+              .subject = request->function, .duration = startup});
 
   const std::uint64_t sandbox_id = sandbox->id;
   const std::uint64_t epoch = request->crash_epoch;
@@ -474,15 +462,10 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
     }
     if (*next_input >= request->inputs.size()) {
       rec->extract_time = loop_->now() - extract_start;
-      if (Traced(request->id)) {
-        trace_->Span("extract", "phase", extract_start, rec->extract_time,
-                     obs::kPidInvocations, request->id);
-      }
-      if (FlightOn()) {
-        flight_->Record(loop_->now(), obs::FlightEventKind::kExtract, request->id,
-                        request->pipeline_id, rec->worker, request->function,
-                        std::to_string(rec->input_bytes) + "B");
-      }
+      emit_.Emit({.kind = FlightEventKind::kExtract, .time = loop_->now(),
+                  .invocation = request->id, .parent = request->pipeline_id, .worker = rec->worker,
+                  .subject = request->function, .duration = rec->extract_time,
+                  .n = rec->input_bytes});
 
       // ---- Memory-limit check (OOM semantics, §5.3.1). ----
       SimDuration compute = demand.compute;
@@ -495,14 +478,9 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
           rec->memory_limit = sandbox->limit;
           rec->oom_rescued = true;
           ++*m_.oom_rescues;
-          if (Traced(request->id)) {
-            trace_->Instant("oom-rescue", "oom", loop_->now(), obs::kPidInvocations,
-                            request->id);
-          }
-          if (FlightOn()) {
-            flight_->Record(loop_->now(), obs::FlightEventKind::kOomRescue, request->id,
-                            request->pipeline_id, rec->worker, request->function);
-          }
+          emit_.Emit({.kind = FlightEventKind::kOomRescue, .time = loop_->now(),
+                      .invocation = request->id, .parent = request->pipeline_id,
+                      .worker = rec->worker, .subject = request->function});
           compute += options_.cgroup_resize;  // Monitor raises the cap mid-run.
         } else {
           // OOM kill partway through the transform phase.
@@ -513,16 +491,10 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
                                  if (request->crash_epoch != epoch) {
                                    return;
                                  }
-                                 if (Traced(request->id)) {
-                                   trace_->Instant("oom-kill", "oom", loop_->now(),
-                                                   obs::kPidInvocations, request->id);
-                                 }
-                                 if (FlightOn()) {
-                                   flight_->Record(loop_->now(),
-                                                   obs::FlightEventKind::kOomKill,
-                                                   request->id, request->pipeline_id,
-                                                   rec->worker, request->function);
-                                 }
+                                 emit_.Emit({.kind = FlightEventKind::kOomKill,
+                                             .time = loop_->now(), .invocation = request->id,
+                                             .parent = request->pipeline_id, .worker = rec->worker,
+                                             .subject = request->function});
                                  FailAndMaybeRetry(std::move(request), sandbox_id, *rec);
                                });
           return;
@@ -536,14 +508,10 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
         if (request->crash_epoch != epoch) {
           return;
         }
-        if (Traced(request->id)) {
-          trace_->Span("transform", "phase", loop_->now() - rec->compute_time,
-                       rec->compute_time, obs::kPidInvocations, request->id);
-        }
-        if (FlightOn()) {
-          flight_->Record(loop_->now(), obs::FlightEventKind::kTransform, request->id,
-                          request->pipeline_id, rec->worker, request->function);
-        }
+        emit_.Emit({.kind = FlightEventKind::kTransform, .time = loop_->now(),
+                    .invocation = request->id, .parent = request->pipeline_id,
+                    .worker = rec->worker, .subject = request->function,
+                    .duration = rec->compute_time});
         // ---- Load phase: write the output object. ----
         const SimTime load_start = loop_->now();
         const FunctionConfig* fn = GetFunction(request->function);
@@ -560,16 +528,10 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
                          return;
                        }
                        rec->load_time = loop_->now() - load_start;
-                       if (Traced(request->id)) {
-                         trace_->Span("load", "phase", load_start, rec->load_time,
-                                      obs::kPidInvocations, request->id);
-                       }
-                       if (FlightOn()) {
-                         flight_->Record(loop_->now(), obs::FlightEventKind::kLoad,
-                                         request->id, request->pipeline_id, rec->worker,
-                                         request->output_key,
-                                         std::to_string(rec->output_bytes) + "B");
-                       }
+                       emit_.Emit({.kind = FlightEventKind::kLoad, .time = loop_->now(),
+                                   .invocation = request->id, .parent = request->pipeline_id,
+                                   .worker = rec->worker, .subject = request->output_key,
+                                   .duration = rec->load_time, .n = rec->output_bytes});
                        if (!status.ok()) {
                          FailAndMaybeRetry(std::move(request), sandbox_id, *rec);
                          return;
@@ -603,9 +565,7 @@ void Platform::CrashWorker(int worker) {
   }
   worker_alive_[static_cast<std::size_t>(worker)] = false;
   ++*m_.worker_crashes;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kWorkerCrash, 0, 0, worker);
-  }
+  emit_.Emit({.kind = FlightEventKind::kWorkerCrash, .time = loop_->now(), .worker = worker});
 
   // The worker's sandboxes are gone (busy ones included).
   for (auto it = sandboxes_.begin(); it != sandboxes_.end();) {
@@ -639,10 +599,9 @@ void Platform::CrashWorker(int worker) {
     ++request->retries;
     ++*m_.crash_retries;
     ++*m_.retries;
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kRetry, request->id,
-                      request->pipeline_id, worker, request->function, "worker_crash");
-    }
+    emit_.Emit({.kind = FlightEventKind::kRetry, .time = loop_->now(), .invocation = request->id,
+                .parent = request->pipeline_id, .worker = worker, .subject = request->function,
+                .detail = "worker_crash"});
     loop_->ScheduleAfter(options_.retry_delay, [this, request]() mutable {
       Dispatch(std::move(request));
     });
@@ -656,9 +615,7 @@ void Platform::RestoreWorker(int worker) {
   }
   worker_alive_[static_cast<std::size_t>(worker)] = true;
   ++*m_.worker_restores;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kWorkerRestore, 0, 0, worker);
-  }
+  emit_.Emit({.kind = FlightEventKind::kWorkerRestore, .time = loop_->now(), .worker = worker});
   DrainWaitQueue();
 }
 
@@ -674,10 +631,9 @@ void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request, std::uint64_t
     request->retries = 1;
     request->oom_killed = true;
     request->forced_limit = fn->booked_memory;
-    if (FlightOn()) {
-      flight_->Record(loop_->now(), obs::FlightEventKind::kRetry, request->id,
-                      request->pipeline_id, record.worker, request->function, "oom");
-    }
+    emit_.Emit({.kind = FlightEventKind::kRetry, .time = loop_->now(), .invocation = request->id,
+                .parent = request->pipeline_id, .worker = record.worker,
+                .subject = request->function, .detail = "oom"});
     loop_->ScheduleAfter(options_.retry_delay,
                          [this, request = std::move(request)]() mutable {
                            Dispatch(std::move(request));
@@ -689,15 +645,9 @@ void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request, std::uint64_t
   record.total = loop_->now() - request->arrival;
   ++*m_.failed_invocations;
   RecordCompletion(record);
-  if (Traced(request->id)) {
-    trace_->Span(record.function, "invocation", request->arrival, record.total,
-                 obs::kPidInvocations, request->id, {{"failed", "true"}});
-  }
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kFail, request->id,
-                    request->pipeline_id, record.worker, request->function,
-                    record.oom_killed ? "oom" : "error");
-  }
+  emit_.Emit({.kind = FlightEventKind::kFail, .time = loop_->now(), .invocation = request->id,
+              .parent = request->pipeline_id, .worker = record.worker, .subject = request->function,
+              .detail = record.oom_killed ? "oom" : "error", .duration = record.total});
   if (fn != nullptr) {
     hooks_->OnInvocationComplete(*fn, request->inputs, request->args, record);
   }
@@ -712,16 +662,9 @@ void Platform::FinishInvocation(std::shared_ptr<Request> request, std::uint64_t 
   TrackRunning(*request, -1);
   ReleaseSandbox(sandbox_id);
   RecordCompletion(record);
-  if (Traced(request->id)) {
-    trace_->Span(record.function, "invocation", request->arrival, record.total,
-                 obs::kPidInvocations, request->id,
-                 {{"worker", std::to_string(record.worker)},
-                  {"cold_start", record.cold_start ? "true" : "false"}});
-  }
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kComplete, request->id,
-                    request->pipeline_id, record.worker, request->function);
-  }
+  emit_.Emit({.kind = FlightEventKind::kComplete, .time = loop_->now(), .invocation = request->id,
+              .parent = request->pipeline_id, .worker = record.worker, .subject = request->function,
+              .detail = record.cold_start ? "true" : "false", .duration = record.total});
   const FunctionConfig* fn = GetFunction(request->function);
   if (fn != nullptr) {
     hooks_->OnInvocationComplete(*fn, request->inputs, request->args, record);
@@ -825,10 +768,8 @@ void Platform::EnqueueOrShed(std::shared_ptr<Request> request) {
     loop_->ScheduleAt(request->queue_deadline_at, [this, id] { ShedExpired(id); });
   }
   ++*m_.queued_requests;
-  if (FlightOn()) {
-    flight_->Record(now, obs::FlightEventKind::kQueue, request->id, request->pipeline_id, -1,
-                    request->function);
-  }
+  emit_.Emit({.kind = FlightEventKind::kQueue, .time = now, .invocation = request->id,
+              .parent = request->pipeline_id, .subject = request->function});
   wait_queue_.push_back(std::move(request));
 }
 
@@ -866,15 +807,8 @@ void Platform::Shed(std::shared_ptr<Request> request, obs::Counter* cell,
   record.oom_killed = request->oom_killed;
   record.total = loop_->now() - request->arrival;
   record.output_key = request->output_key;
-  if (Traced(request->id)) {
-    trace_->Instant(std::string("shed-") + reason, "overload", loop_->now(),
-                    obs::kPidInvocations, request->id,
-                    {{"function", request->function}});
-  }
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kShed, request->id,
-                    request->pipeline_id, -1, request->function, reason);
-  }
+  emit_.Emit({.kind = FlightEventKind::kShed, .time = loop_->now(), .invocation = request->id,
+              .parent = request->pipeline_id, .subject = request->function, .detail = reason});
   // Asynchronous completion, matching every other terminal path: Shed can fire
   // synchronously inside Invoke(), and callers must not observe completion
   // before Invoke() returns.
@@ -930,10 +864,9 @@ void Platform::InvokePipeline(const workloads::PipelineSpec& spec,
   state->objects = std::move(chunks);
   state->start = loop_->now();
   state->done = std::move(done);
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kPipelineStart, 0, state->record.id,
-                    -1, spec.name, std::to_string(spec.stages.size()) + " stages");
-  }
+  emit_.Emit({.kind = FlightEventKind::kPipelineStart, .time = loop_->now(),
+              .parent = state->record.id, .subject = spec.name,
+              .n = static_cast<std::int64_t>(spec.stages.size())});
 
   // Declared shared so stage completion can recursively launch the next stage.
   // Weak self-capture: the task-completion callbacks hold the strong
@@ -944,16 +877,10 @@ void Platform::InvokePipeline(const workloads::PipelineSpec& spec,
   *run_stage = [this, state, weak_run_stage]() {
     if (state->stage >= state->spec.stages.size()) {
       state->record.total = loop_->now() - state->start;
-      if (trace_ != nullptr && trace_->Sampled(state->record.id)) {
-        trace_->Span(state->record.pipeline, "pipeline", state->start, state->record.total,
-                     obs::kPidPipelines, state->record.id,
-                     {{"tasks", std::to_string(state->record.num_tasks)}});
-      }
-      if (FlightOn()) {
-        flight_->Record(loop_->now(), obs::FlightEventKind::kPipelineEnd, 0,
-                        state->record.id, -1, state->record.pipeline,
-                        state->record.failed ? "failed" : "ok");
-      }
+      emit_.Emit({.kind = FlightEventKind::kPipelineEnd, .time = loop_->now(),
+                  .parent = state->record.id, .subject = state->record.pipeline,
+                  .detail = state->record.failed ? "failed" : "ok", .duration = state->record.total,
+                  .n = static_cast<std::int64_t>(state->record.num_tasks)});
       data_->OnPipelineComplete(state->record.id);
       state->done(state->record);
       return;

@@ -37,9 +37,8 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/obs/flight_recorder.h"
+#include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
 #include "src/workloads/functions.h"
 #include "src/workloads/pipelines.h"
@@ -360,10 +359,6 @@ class Platform {
   // `function`; 0 (unregistered function) falls back to the name lookup.
   FnMetrics& FnMetricsAt(std::uint32_t fn_index, const std::string& function);
   void RecordCompletion(const InvocationRecord& record);
-  bool Traced(std::uint64_t invocation_id) const {
-    return trace_ != nullptr && trace_->Sampled(invocation_id);
-  }
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
 
   void InvokeInternal(std::shared_ptr<Request> request);
 
@@ -425,8 +420,7 @@ class Platform {
   std::map<std::string, int> running_per_tenant_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Emitter emit_;
   Metrics m_;
   // Node-based: fn_metrics_by_index_ holds pointers into it, so cell addresses
   // must stay stable as functions are added.

@@ -14,14 +14,10 @@ FaultInjector::FaultInjector(sim::EventLoop* loop, FaultInjectorTargets targets,
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options.trace;
-  flight_ = options.flight;
+  emit_ = obs::Emitter(options.trace, options.flight, {obs::kPidFaults});
   injected_ = metrics_->GetCounter("ofc.fault.injected");
   healed_ = metrics_->GetCounter("ofc.fault.healed");
   active_ = metrics_->GetGauge("ofc.fault.active");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidFaults, "fault-injector");
-  }
 }
 
 Status FaultInjector::Schedule(const FaultPlan& plan) {
@@ -83,15 +79,6 @@ Status FaultInjector::Schedule(const FaultPlan& plan) {
   return OkStatus();
 }
 
-void FaultInjector::TraceFault(const FaultEvent& event, const char* phase) {
-  if (trace_ == nullptr || !trace_->enabled()) {
-    return;
-  }
-  trace_->Instant(std::string(FaultKindName(event.kind)) + ":" + phase, "fault",
-                  loop_->now(), obs::kPidFaults, /*tid=*/0,
-                  {{"target", std::to_string(event.target)}});
-}
-
 void FaultInjector::Fire(const FaultEvent& event) {
   const std::uint64_t fault_id = next_fault_id_++;
   ++*injected_;
@@ -99,11 +86,8 @@ void FaultInjector::Fire(const FaultEvent& event) {
                        std::string(FaultKindName(event.kind)))
       ->Add(1);
   active_->Add(1.0);
-  TraceFault(event, "inject");
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kFaultInject, 0, fault_id,
-                    event.target, std::string(FaultKindName(event.kind)));
-  }
+  emit_.Emit({.kind = obs::FlightEventKind::kFaultInject, .time = loop_->now(), .parent = fault_id,
+              .worker = event.target, .subject = FaultKindName(event.kind)});
   switch (event.kind) {
     case FaultKind::kWorkerCrash:
       if (++worker_crash_depth_[event.target] == 1) {
@@ -172,11 +156,8 @@ void FaultInjector::Fire(const FaultEvent& event) {
 void FaultInjector::Heal(const FaultEvent& event, std::uint64_t fault_id) {
   ++*healed_;
   active_->Add(-1.0);
-  TraceFault(event, "heal");
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kFaultHeal, 0, fault_id,
-                    event.target, std::string(FaultKindName(event.kind)));
-  }
+  emit_.Emit({.kind = obs::FlightEventKind::kFaultHeal, .time = loop_->now(), .parent = fault_id,
+              .worker = event.target, .subject = FaultKindName(event.kind)});
   switch (event.kind) {
     case FaultKind::kWorkerCrash:
       if (--worker_crash_depth_[event.target] == 0) {

@@ -22,9 +22,8 @@
 #include "src/core/proxy.h"
 #include "src/faas/platform.h"
 #include "src/fault/fault_plan.h"
-#include "src/obs/flight_recorder.h"
+#include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/store/object_store.h"
@@ -66,15 +65,12 @@ class FaultInjector {
 
  private:
   void Heal(const FaultEvent& event, std::uint64_t fault_id);
-  void TraceFault(const FaultEvent& event, const char* phase);
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
 
   sim::EventLoop* loop_;
   FaultInjectorTargets targets_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Emitter emit_;
   // Monotonic id shared by an inject record and its heal record, so the flight
   // recorder's ChainFor() groups the pair as one causal fault window.
   std::uint64_t next_fault_id_ = 1;

@@ -7,98 +7,6 @@
 
 namespace ofc::obs {
 
-const char* FlightEventKindName(FlightEventKind kind) {
-  switch (kind) {
-    case FlightEventKind::kSubmit:
-      return "submit";
-    case FlightEventKind::kQueue:
-      return "queue";
-    case FlightEventKind::kShed:
-      return "shed";
-    case FlightEventKind::kColdStart:
-      return "cold_start";
-    case FlightEventKind::kWarmStart:
-      return "warm_start";
-    case FlightEventKind::kExtract:
-      return "extract";
-    case FlightEventKind::kTransform:
-      return "transform";
-    case FlightEventKind::kLoad:
-      return "load";
-    case FlightEventKind::kOomRescue:
-      return "oom_rescue";
-    case FlightEventKind::kOomKill:
-      return "oom_kill";
-    case FlightEventKind::kRetry:
-      return "retry";
-    case FlightEventKind::kComplete:
-      return "complete";
-    case FlightEventKind::kFail:
-      return "fail";
-    case FlightEventKind::kWorkerCrash:
-      return "worker_crash";
-    case FlightEventKind::kWorkerRestore:
-      return "worker_restore";
-    case FlightEventKind::kPipelineStart:
-      return "pipeline_start";
-    case FlightEventKind::kPipelineEnd:
-      return "pipeline_end";
-    case FlightEventKind::kCacheHit:
-      return "cache_hit";
-    case FlightEventKind::kCacheMiss:
-      return "cache_miss";
-    case FlightEventKind::kCacheAdmit:
-      return "cache_admit";
-    case FlightEventKind::kCacheWrite:
-      return "cache_write";
-    case FlightEventKind::kWriteFallback:
-      return "write_fallback";
-    case FlightEventKind::kPersistorDispatch:
-      return "persistor_dispatch";
-    case FlightEventKind::kPersistorDone:
-      return "persistor_done";
-    case FlightEventKind::kPersistorRetry:
-      return "persistor_retry";
-    case FlightEventKind::kPersistorConflict:
-      return "persistor_conflict";
-    case FlightEventKind::kWriteback:
-      return "writeback";
-    case FlightEventKind::kBreakerOpen:
-      return "breaker_open";
-    case FlightEventKind::kBreakerClose:
-      return "breaker_close";
-    case FlightEventKind::kScaleUp:
-      return "scale_up";
-    case FlightEventKind::kScaleDown:
-      return "scale_down";
-    case FlightEventKind::kMigration:
-      return "migration";
-    case FlightEventKind::kEvict:
-      return "evict";
-    case FlightEventKind::kPressureEnter:
-      return "pressure_enter";
-    case FlightEventKind::kPressureExit:
-      return "pressure_exit";
-    case FlightEventKind::kFaultInject:
-      return "fault_inject";
-    case FlightEventKind::kFaultHeal:
-      return "fault_heal";
-    case FlightEventKind::kNodeCrash:
-      return "node_crash";
-    case FlightEventKind::kNodeRestart:
-      return "node_restart";
-    case FlightEventKind::kNodeRecovered:
-      return "node_recovered";
-    case FlightEventKind::kCorruptionDetected:
-      return "corruption_detected";
-    case FlightEventKind::kCorruptionRepaired:
-      return "corruption_repaired";
-    case FlightEventKind::kNodeQuarantined:
-      return "node_quarantined";
-  }
-  return "unknown";
-}
-
 void FlightRecorder::set_capacity(std::size_t n) {
   options_.capacity = n == 0 ? 1 : n;
   if (ring_.size() <= options_.capacity && start_ == 0) {
@@ -205,12 +113,6 @@ bool FlightRecorder::WriteJson(const std::string& path, const std::string& reaso
   const std::string json = ToJson(reason);
   const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
   return std::fclose(f) == 0 && written == json.size();
-}
-
-void FlightRecorder::Clear() {
-  ring_.clear();  // Keeps the buffer: a cleared recorder is about to refill.
-  start_ = 0;
-  next_seq_ = 0;
 }
 
 }  // namespace ofc::obs

@@ -10,13 +10,13 @@
 // Unlike the TraceRecorder (off by default, sampled, unbounded categories),
 // the flight recorder is designed to be cheap enough to leave ON for long
 // runs: fixed-capacity ring (old records evicted), plain struct appends, no
-// string formatting until dump time. Its payoff is post-mortem triage — on a
+// JSON formatting until dump time. Its payoff is post-mortem triage — on a
 // SIM_ASSERT failure or a chaos-invariant breach the ring is dumped as JSON,
 // preserving the last N events that led up to the failure.
 //
-// Emit sites guard on `enabled()` exactly like trace emits (simlint enforces
-// this for src/ outside the obs layer), so tier-1 runtimes pay one untaken
-// branch when the recorder is off.
+// Components do not call Record() themselves: they emit through an
+// obs::Emitter (emitter.h), which records every event whose kind has a
+// flight wire name and, when the ring is off, costs the caller one branch.
 #ifndef OFC_OBS_FLIGHT_RECORDER_H_
 #define OFC_OBS_FLIGHT_RECORDER_H_
 
@@ -77,9 +77,15 @@ enum class FlightEventKind : std::uint8_t {
   kCorruptionDetected,
   kCorruptionRepaired,
   kNodeQuarantined,
+  // Trace only: the emitter never records these in the ring.
+  kQueueWait,
+  kRsdsReadRetry,
+  kExternalReadBoost,
+  kBreakerHalfOpen,
 };
 
-// Stable wire name for dumps ("submit", "cache_hit", ...).
+// Stable wire name for dumps ("submit", "cache_hit", ...), from the event
+// table in emitter.cc.
 const char* FlightEventKindName(FlightEventKind kind);
 
 struct FlightEvent {
@@ -113,9 +119,8 @@ class FlightRecorder {
   void set_capacity(std::size_t n);
   const FlightRecorderOptions& options() const { return options_; }
 
-  // Appends a record; evicts the oldest when the ring is full. Callers guard
-  // on enabled() — Record() re-checks, so an unguarded call is safe, just
-  // slower than the branch the guard idiom buys.
+  // Appends a record (a no-op while disabled); evicts the oldest when the
+  // ring is full.
   void Record(SimTime time, FlightEventKind kind, std::uint64_t invocation_id,
               std::uint64_t parent_id = 0, std::int32_t worker = -1, std::string subject = "",
               std::string detail = "");
@@ -138,9 +143,9 @@ class FlightRecorder {
   // Writes ToJson() to `path`; returns false on I/O failure.
   bool WriteJson(const std::string& path, const std::string& reason = "") const;
 
-  void Clear();
-
  private:
+  friend class Emitter;  // Reads options_.enabled at emit time.
+
   // Circular buffer: grows by push_back until `capacity` records are retained,
   // then overwrites in place starting at start_ (the oldest record). The old
   // deque paid a node allocation per eviction cycle and never returned memory;

@@ -67,26 +67,6 @@ void TraceRecorder::Instant(const std::string& name, const std::string& category
   events_.push_back(std::move(ev));
 }
 
-void TraceRecorder::CounterSample(const std::string& name, SimTime ts, int pid, double value) {
-  if (!options_.enabled || !Admit()) {
-    return;
-  }
-  Event ev;
-  ev.phase = 'C';
-  ev.name = name;
-  ev.category = "counter";
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.value = value;
-  events_.push_back(std::move(ev));
-}
-
-void TraceRecorder::Clear() {
-  events_.clear();
-  metadata_.clear();
-  dropped_ = 0;
-}
-
 std::string TraceRecorder::ToJson() const {
   // Sort by start time; at equal timestamps the longer span first, so an
   // enclosing span always precedes the spans nested inside it.
@@ -127,13 +107,7 @@ std::string TraceRecorder::ToJson() const {
     }
     out += ", \"pid\": " + std::to_string(ev.pid);
     out += ", \"tid\": " + std::to_string(ev.tid);
-    if (ev.phase == 'C') {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", ev.value);
-      out += ", \"args\": {\"value\": ";
-      out += buf;
-      out += "}";
-    } else if (!ev.args.empty()) {
+    if (!ev.args.empty()) {
       out += ", \"args\": {";
       bool first_arg = true;
       for (const auto& [key, value] : ev.args) {

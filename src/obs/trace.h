@@ -5,10 +5,11 @@
 // as Chrome trace-event JSON, so a run opens directly in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing.
 //
-// Recording is OFF by default — every emit site guards on `enabled()` (one
-// branch), so tier-1 runtimes are unaffected. When on, per-invocation spans can
-// be sampled (`sample_period = N` records every Nth invocation id) and the
-// total event count is hard-capped so a runaway run cannot exhaust memory.
+// Recording is OFF by default. Components emit through an obs::Emitter
+// (emitter.h), which costs them one branch while both sinks are off and picks
+// each event's track, name and category. When on, per-invocation spans can be
+// sampled (`sample_period = N` records every Nth invocation id) and the total
+// event count is hard-capped so a runaway run cannot exhaust memory.
 //
 // Track layout convention (pid/tid pairs shared by the instrumented layers):
 //   * kPidInvocations — tid = invocation id; submit/queue/startup/E/T/L spans;
@@ -79,12 +80,8 @@ class TraceRecorder {
   void Instant(const std::string& name, const std::string& category, SimTime ts, int pid,
                std::uint64_t tid, Args args = {});
 
-  // Counter event ("C"): a time series rendered as a stacked chart.
-  void CounterSample(const std::string& name, SimTime ts, int pid, double value);
-
   std::size_t num_events() const { return events_.size(); }
   std::size_t num_dropped() const { return dropped_; }
-  void Clear();
 
   // Chrome trace-event JSON: {"displayTimeUnit": "ms", "traceEvents": [...]},
   // events sorted by (ts, duration descending) so enclosing spans precede their
@@ -94,6 +91,8 @@ class TraceRecorder {
   bool WriteJson(const std::string& path) const;
 
  private:
+  friend class Emitter;  // Reads options_.enabled at emit time.
+
   struct Event {
     char phase = 'X';
     std::string name;
@@ -102,7 +101,6 @@ class TraceRecorder {
     SimDuration duration = 0;
     int pid = 0;
     std::uint64_t tid = 0;
-    double value = 0.0;  // "C" events only.
     Args args;
   };
 

@@ -6,6 +6,8 @@
 
 namespace ofc::rc {
 
+using obs::FlightEventKind;
+
 Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rng rng)
     : loop_(loop), options_(options), rng_(rng) {
   assert(num_nodes > 0);
@@ -20,7 +22,7 @@ Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rn
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  flight_ = options_.flight;
+  emit_ = obs::Emitter(/*trace=*/nullptr, options_.flight);
   m_.reads = metrics_->GetCounter("ofc.ramcloud.reads");
   m_.read_hits_local = metrics_->GetCounter("ofc.ramcloud.read_hits_local");
   m_.read_hits_remote = metrics_->GetCounter("ofc.ramcloud.read_hits_remote");
@@ -44,18 +46,14 @@ Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rn
 
 void Cluster::NoteCorruption(const std::string& key, int node, const char* where) {
   ++*m_.checksum_failures;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kCorruptionDetected, 0, 0, node,
-                    key, where);
-  }
+  emit_.Emit({.kind = FlightEventKind::kCorruptionDetected, .time = loop_->now(), .worker = node,
+              .subject = key, .detail = where});
 }
 
 void Cluster::NoteRepair(const std::string& key, int node, const char* source) {
   ++*m_.integrity_repairs;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kCorruptionRepaired, 0, 0, node,
-                    key, source);
-  }
+  emit_.Emit({.kind = FlightEventKind::kCorruptionRepaired, .time = loop_->now(), .worker = node,
+              .subject = key, .detail = source});
 }
 
 int Cluster::CheckNode(int node) const {
@@ -491,9 +489,7 @@ RecoveryResult Cluster::CrashNode(int node) {
   }
   crashed.alive = false;
   ++*m_.node_crashes;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kNodeCrash, 0, 0, node);
-  }
+  emit_.Emit({.kind = FlightEventKind::kNodeCrash, .time = loop_->now(), .worker = node});
   // The crashed node's DRAM contents are gone.
   logs_[node] = SegmentedLog(options_.log);
   crashed.memory_used = 0;
@@ -619,11 +615,9 @@ RecoveryResult Cluster::CrashNode(int node) {
   m_.objects_recovered->Add(result.objects_recovered);
   m_.objects_lost->Add(result.objects_lost);
   m_.recovery_ms->Observe(ToMillis(result.duration));
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kNodeRecovered, 0, 0, node, "",
-                    std::to_string(result.objects_recovered) + "_recovered_" +
-                        std::to_string(result.objects_lost) + "_lost");
-  }
+  emit_.Emit({.kind = FlightEventKind::kNodeRecovered, .time = loop_->now(), .worker = node,
+              .n = static_cast<std::int64_t>(result.objects_recovered),
+              .m = static_cast<std::int64_t>(result.objects_lost)});
   return result;
 }
 
@@ -634,9 +628,7 @@ void Cluster::RestartNode(int node) {
   }
   stats.alive = true;
   ++*m_.node_restarts;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kNodeRestart, 0, 0, node);
-  }
+  emit_.Emit({.kind = FlightEventKind::kNodeRestart, .time = loop_->now(), .worker = node});
   // Objects written while the node was down picked backups among the survivors;
   // with fewer than rf alive peers they stayed under-replicated. The restarted
   // node's disk is empty but writable, so the coordinator re-replicates onto it.
@@ -743,9 +735,7 @@ RecoveryResult Cluster::QuarantineNode(int node) {
   // a crash its copies remain readable for the drain below.
   stats.alive = false;
   ++*m_.nodes_quarantined;
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kNodeQuarantined, 0, 0, node);
-  }
+  emit_.Emit({.kind = FlightEventKind::kNodeQuarantined, .time = loop_->now(), .worker = node});
 
   RecoveryResult result;
   std::vector<SimDuration> per_node_load(nodes_.size(), 0);

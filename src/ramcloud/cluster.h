@@ -33,7 +33,7 @@
 #include "src/common/sim_assert.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/obs/flight_recorder.h"
+#include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
 #include "src/ramcloud/segmented_log.h"
 #include "src/sim/event_loop.h"
@@ -331,8 +331,7 @@ class Cluster {
   std::map<std::string, CachedObject> objects_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  obs::Emitter emit_;
   Metrics m_;
 };
 

@@ -55,7 +55,6 @@ class Analyzer {
            const LintOptions& options)
       : file_(file_label), options_(options), lexed_(Lex(content)) {
     in_src_ = StartsWith(file_, "src/");
-    in_obs_ = StartsWith(file_, "src/obs/");
     rng_exempt_ = std::any_of(
         options_.rng_exempt_suffixes.begin(), options_.rng_exempt_suffixes.end(),
         [&](const std::string& suffix) { return EndsWith(file_, suffix); });
@@ -67,7 +66,6 @@ class Analyzer {
   FileAnalysis Run() {
     ParseSuppressions();
     TokenRules();
-    UnguardedTrace();
     UnorderedPass();
     DanglingCapture();
     DcheckSideEffect();
@@ -250,60 +248,6 @@ class Analyzer {
                  "naked delete; ownership must live in smart pointers/containers");
         }
         continue;
-      }
-    }
-  }
-
-  // ---- unguarded-trace -------------------------------------------------------
-
-  void UnguardedTrace() {
-    if (!in_src_ || in_obs_) {
-      return;
-    }
-    static const std::set<std::string> kEmits = {"Span", "Instant", "CounterSample",
-                                                 "Record"};
-    static const std::set<std::string> kGuards = {"enabled", "Enabled", "Sampled",
-                                                  "Traced", "FlightOn"};
-    // Lines containing a guard call.
-    std::set<int> guard_lines;
-    for (std::size_t i = 0; i + 1 < Size(); ++i) {
-      if (Tok(i).kind == TokKind::kIdentifier && kGuards.contains(Tok(i).text) &&
-          IsPunct(i + 1, "(")) {
-        guard_lines.insert(Tok(i).line);
-      }
-    }
-    constexpr int kGuardWindow = 10;
-    for (std::size_t i = 0; i + 1 < Size(); ++i) {
-      if (Tok(i).kind != TokKind::kIdentifier || !kEmits.contains(Tok(i).text) ||
-          !IsPunct(i + 1, "(")) {
-        continue;
-      }
-      if (!(IsPunct(i - 1, ".") || IsPunct(i - 1, "->"))) {
-        continue;
-      }
-      // Receiver: walk back over an optional `()` call and take the
-      // identifier (e.g. `trace_->`, `flight()->`, `recorder.trace().`).
-      std::size_t r = i - 2;
-      if (r < Size() && IsPunct(r, ")") && r >= 1 && IsPunct(r - 1, "(")) {
-        r -= 2;
-      }
-      if (r >= Size() || Tok(r).kind != TokKind::kIdentifier) {
-        continue;
-      }
-      const std::string receiver = Lower(Tok(r).text);
-      if (receiver.find("trace") == std::string::npos &&
-          receiver.find("flight") == std::string::npos) {
-        continue;
-      }
-      bool guarded = false;
-      for (int back = 0; back <= kGuardWindow && !guarded; ++back) {
-        guarded = guard_lines.contains(Tok(i).line - back);
-      }
-      if (!guarded) {
-        Report(Tok(i).line, "unguarded-trace",
-               "trace/flight emit via '" + Tok(r).text +
-                   "' without a nearby enabled()/Sampled()/FlightOn() guard; "
-                   "disabled observability must cost one branch, not formatting");
       }
     }
   }
@@ -786,7 +730,6 @@ class Analyzer {
   LexResult lexed_;
   FileAnalysis out_;
   bool in_src_ = false;
-  bool in_obs_ = false;
   bool rng_exempt_ = false;
 };
 

@@ -13,8 +13,6 @@
 //                       (sim_time/when/deadline) — SimTime is integral.
 //   naked-new           naked new/delete — ownership goes through containers
 //                       and smart pointers.
-//   unguarded-trace     trace/flight emits in src/ without a nearby
-//                       enabled()-style guard (src/obs/ exempt).
 //   unordered-iter      flow-aware: iterating a std::unordered_* container
 //                       only fires when the loop body (or enclosing
 //                       statement, for begin()/end()) reaches event-visible

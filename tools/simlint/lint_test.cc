@@ -169,34 +169,6 @@ TEST(SimlintTest, FlagsNakedNewAndDelete) {
   EXPECT_TRUE(HasFinding(findings, "naked-new", 11));
 }
 
-TEST(SimlintTest, FlagsUnguardedTraceEmitsInComponentCode) {
-  const auto findings = LintSource("src/core/violation_unguarded_trace.cc",
-                                   ReadFixture("violation_unguarded_trace.cc"));
-  EXPECT_EQ(findings.size(), 2u);
-  EXPECT_TRUE(AllRule(findings, "unguarded-trace"));
-  EXPECT_TRUE(HasFinding(findings, "unguarded-trace", 17));  // bare trace_->Instant
-  EXPECT_TRUE(HasFinding(findings, "unguarded-trace", 29));  // guard out of window
-}
-
-TEST(SimlintTest, UnguardedTraceRuleOnlyAppliesUnderSrc) {
-  // Same content outside src/ (tests, tools, bench drive recorders directly)
-  // and inside the obs layer (which implements them) produces no findings.
-  const std::string content = ReadFixture("violation_unguarded_trace.cc");
-  EXPECT_TRUE(LintSource("tests/chaos_test.cc", content).empty());
-  EXPECT_TRUE(LintSource("src/obs/trace.cc", content).empty());
-}
-
-TEST(SimlintTest, GuardedEmitAndNonRecorderReceiverAreClean) {
-  const std::string src =
-      "void Component::Tick() {\n"
-      "  if (FlightOn()) {\n"
-      "    flight_->Record(now, kind, id);\n"
-      "  }\n"
-      "  scheduler_.Record(now);\n"
-      "}\n";
-  EXPECT_TRUE(LintSource("src/core/component.cc", src).empty());
-}
-
 TEST(SimlintTest, UnjustifiedSuppressionIsAFindingAndNotHonored) {
   const auto findings = LintFixture("violation_unjustified_suppression.cc");
   // The bare allow() is flagged, and the wall-clock finding still surfaces.
