@@ -255,11 +255,12 @@ class Analyzer {
   // ---- unordered-iter (flow-aware, scope-tracked) ----------------------------
 
   // True when the token range [begin, end) reaches event-visible state:
-  // scheduling, metrics, RNG draws, or trace/flight emits.
+  // scheduling, metrics, RNG draws, or trace/flight emits (components emit
+  // through obs::Emitter::Emit; src/obs/ and tests call the recorders).
   bool HasEventVisibleSink(std::size_t begin, std::size_t end) const {
     static const std::set<std::string> kSinks = {
-        "ScheduleAt", "ScheduleAfter", "Observe",    "CounterSample", "Span",
-        "Instant",    "GetCounter",    "GetGauge",   "GetSeries"};
+        "ScheduleAt", "ScheduleAfter", "Observe",  "Emit",     "Span",
+        "Instant",    "GetCounter",    "GetGauge", "GetSeries"};
     for (std::size_t i = begin; i < end && i < Size(); ++i) {
       if (Tok(i).kind != TokKind::kIdentifier) {
         continue;

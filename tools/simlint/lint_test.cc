@@ -68,6 +68,26 @@ TEST(SimlintTest, FlagsUnorderedIterationOnlyWhenSinkReached) {
   // The accumulate-only loop and the copy-then-sort idiom stay clean.
 }
 
+TEST(SimlintTest, UnorderedLoopThatEmitsIsFlagged) {
+  // Components reach the trace and the flight ring through one Emit() call on
+  // an emitter whose name says nothing about either sink.
+  const std::string src =
+      "#include <unordered_map>\n"
+      "struct Agent {\n"
+      "  std::unordered_map<std::string, int> owners_;\n"
+      "  Emitter emit_;\n"
+      "  void Report() {\n"
+      "    for (const auto& [key, node] : owners_) {\n"
+      "      emit_.Emit({.kind = Kind::kMigration, .worker = node});\n"
+      "    }\n"
+      "  }\n"
+      "};\n";
+  const auto findings = LintSource("src/core/agent.cc", src);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "unordered-iter");
+  EXPECT_EQ(findings[0].line, 6);
+}
+
 TEST(SimlintTest, FindEndMembershipCheckIsClean) {
   const std::string src =
       "#include <string>\n"
