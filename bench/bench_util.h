@@ -15,21 +15,16 @@
 
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace ofc::bench {
 
-// Observability export flags shared by the bench binaries. Any bench that
-// threads a MetricsRegistry/TraceRecorder through its runs can accept
-//   --metrics-json=PATH --metrics-csv=PATH --trace-json=PATH --trace-sample=N
-// and dump machine-readable snapshots next to its textual table.
+// Observability export flags for a bench that threads a MetricsRegistry
+// through its runs: it accepts --metrics-json=PATH --metrics-csv=PATH and
+// dumps machine-readable snapshots next to its textual table. Any other
+// argument prints a usage line and exits 2.
 struct ObsFlags {
   std::string metrics_json;
   std::string metrics_csv;
-  std::string trace_json;
-  std::uint64_t trace_sample = 1;
-
-  bool TraceRequested() const { return !trace_json.empty(); }
 };
 
 inline ObsFlags ParseObsFlags(int argc, char** argv) {
@@ -43,14 +38,11 @@ inline ObsFlags ParseObsFlags(int argc, char** argv) {
     return false;
   };
   for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (match(argv[i], "--metrics-json", &flags.metrics_json) ||
-        match(argv[i], "--metrics-csv", &flags.metrics_csv) ||
-        match(argv[i], "--trace-json", &flags.trace_json)) {
-      continue;
-    }
-    if (match(argv[i], "--trace-sample", &value)) {
-      flags.trace_sample = std::strtoull(value.c_str(), nullptr, 10);
+    if (!match(argv[i], "--metrics-json", &flags.metrics_json) &&
+        !match(argv[i], "--metrics-csv", &flags.metrics_csv)) {
+      std::fprintf(stderr, "unknown argument %s\nusage: %s [--metrics-json=PATH] "
+                   "[--metrics-csv=PATH]\n", argv[i], argv[0]);
+      std::exit(2);
     }
   }
   return flags;
@@ -58,7 +50,7 @@ inline ObsFlags ParseObsFlags(int argc, char** argv) {
 
 // Writes the requested snapshots; unset paths are skipped.
 inline void ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics,
-                      const obs::TraceRecorder* trace, SimTime now) {
+                      SimTime now) {
   auto write = [](const std::string& path, const std::string& body) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -73,11 +65,6 @@ inline void ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics
   }
   if (!flags.metrics_csv.empty()) {
     write(flags.metrics_csv, metrics.SnapshotCsv(now));
-  }
-  if (!flags.trace_json.empty() && trace != nullptr) {
-    trace->WriteJson(flags.trace_json);
-    std::printf("trace: %zu events (%zu dropped) -> %s\n", trace->num_events(),
-                trace->num_dropped(), flags.trace_json.c_str());
   }
 }
 

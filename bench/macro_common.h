@@ -29,8 +29,6 @@ struct MacroConfig {
   // Memory per worker. The paper's machines are 512 GB; the policy-comparison
   // bench shrinks this to put the cache under real eviction pressure.
   Bytes worker_memory = GiB(160);
-  // Optional lifecycle tracing for this run (null = off, zero overhead).
-  obs::TraceRecorder* trace = nullptr;
 };
 
 struct CacheSample {
@@ -54,7 +52,6 @@ inline MacroResult RunMacro(const MacroConfig& config) {
   auto metrics = std::make_shared<obs::MetricsRegistry>();
   faasload::EnvironmentOptions env_options;
   env_options.metrics = metrics.get();
-  env_options.trace = config.trace;
   env_options.platform.num_workers = 4;
   // Default 160 GiB: the paper's workers are 512 GB machines; the invoker
   // pools must absorb the pipeline fan-outs' concurrent 2 GB-booked sandboxes

@@ -105,7 +105,7 @@ void Run(const bench::ObsFlags& obs_flags) {
       "failed invocations, hit ratio 93-99%% (naive highest).\n");
 
   const bench::MacroResult& last = results.back();
-  bench::ExportObs(obs_flags, *last.metrics, /*trace=*/nullptr, last.end_time);
+  bench::ExportObs(obs_flags, *last.metrics, last.end_time);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/obs/export_util.h"
 
@@ -129,17 +128,6 @@ std::string TraceRecorder::ToJson() const {
   }
   out += "\n]}\n";
   return out;
-}
-
-bool TraceRecorder::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == json.size();
-  return ok;
 }
 
 }  // namespace ofc::obs

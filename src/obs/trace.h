@@ -87,8 +87,6 @@ class TraceRecorder {
   // events sorted by (ts, duration descending) so enclosing spans precede their
   // children and timestamps are monotonically non-decreasing.
   std::string ToJson() const;
-  // Writes ToJson() to `path`; returns false on I/O failure.
-  bool WriteJson(const std::string& path) const;
 
  private:
   friend class Emitter;  // Reads options_.enabled at emit time.
