@@ -215,6 +215,131 @@ TEST_F(PlatformTest, CapacityPressureReclaimsIdleSandboxes) {
   EXPECT_EQ(platform_->NumIdleSandboxes("a"), 0u);
 }
 
+TEST_F(PlatformTest, CapacityPressureReclaimsOldestIdleSandboxFirst) {
+  PlatformOptions options;
+  options.num_workers = 1;
+  options.worker_memory = MiB(1536);  // Room for three 512 MiB sandboxes.
+  MakePlatform(options);
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    RegisterTiny(name, MiB(512));
+  }
+  // Idle sandboxes of a, b and c, released one second apart.
+  for (const char* name : {"a", "b", "c"}) {
+    (void)InvokeSync(name);
+    loop_.RunUntil(loop_.now() + Seconds(1));
+  }
+  ASSERT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 0u);
+
+  // Each later cold start must reclaim the least recently used idle sandbox;
+  // the newcomer itself is released last, so it outlives the older ones.
+  (void)InvokeSync("d");
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("a"), 0u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("b"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("c"), 1u);
+
+  (void)InvokeSync("e");
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 2u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("b"), 0u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("c"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("d"), 1u);
+
+  (void)InvokeSync("f");
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 3u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("c"), 0u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("d"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("e"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("f"), 1u);
+}
+
+TEST_F(PlatformTest, PickSandboxSeesIdleSandboxesInIdOrderWithLiveState) {
+  // Sizes every invocation differently so each sandbox's limit identifies the
+  // invocation that last ran on it, and records what routing is offered.
+  struct RecordingHooks : PlatformHooks {
+    Sizing SizeInvocation(const FunctionConfig&, const std::vector<InputObject>&,
+                          const std::vector<double>&) override {
+      return Sizing{MiB(128) + MiB(64) * calls++, false};
+    }
+    std::size_t PickSandbox(const std::vector<SandboxInfo>& candidates, Bytes,
+                            const std::vector<InputObject>&) override {
+      seen.push_back(candidates);
+      return std::min<std::size_t>(1, candidates.size() - 1);
+    }
+    int calls = 0;
+    std::vector<std::vector<SandboxInfo>> seen;
+  } hooks;
+  MakePlatform({}, &hooks);
+  RegisterTiny("f");
+  RegisterTiny("g");
+  rsds_.Seed("in/obj", MiB(1), {});
+
+  // Interleaved cold starts: f gets sandboxes 1, 3 and 5, g gets 2 and 4. The
+  // inputs differ in size, so the three f invocations finish at distinct times.
+  std::vector<SimTime> finished(3, 0);
+  std::vector<Bytes> limit(3, 0);
+  for (int i = 0; i < 3; ++i) {
+    const Bytes size = KiB(64) << i;
+    platform_->Invoke("f", {InputObject{"in/obj", TinyImage(size, 800 + 400 * i)}}, {},
+                      [&, i](const InvocationRecord& r) {
+                        finished[static_cast<std::size_t>(i)] = loop_.now();
+                        limit[static_cast<std::size_t>(i)] = r.memory_limit;
+                      });
+    if (i < 2) {
+      platform_->Invoke("g", {InputObject{"in/obj", TinyImage()}}, {},
+                        [](const InvocationRecord&) {});
+    }
+  }
+  while (std::find(finished.begin(), finished.end(), 0) != finished.end() && loop_.Step()) {
+  }
+  loop_.RunUntil(loop_.now() + Seconds(1));
+  ASSERT_TRUE(hooks.seen.empty());  // Every start so far was cold.
+  ASSERT_NE(finished[0], finished[1]);
+  ASSERT_NE(finished[1], finished[2]);
+
+  // A warm f invocation sees exactly f's idle sandboxes, ascending, each with
+  // the limit and release time its last invocation left behind.
+  int warm_done = 0;
+  SimTime warm_finished = 0;
+  Bytes warm_limit = 0;
+  platform_->Invoke("f", {InputObject{"in/obj", TinyImage()}}, {},
+                    [&](const InvocationRecord& r) {
+                      ++warm_done;
+                      warm_finished = loop_.now();
+                      warm_limit = r.memory_limit;
+                      EXPECT_FALSE(r.cold_start);
+                    });
+  ASSERT_EQ(hooks.seen.size(), 1u);
+  const std::vector<std::uint64_t> f_ids = {1, 3, 5};
+  ASSERT_EQ(hooks.seen[0].size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const SandboxInfo& info = hooks.seen[0][i];
+    EXPECT_EQ(info.sandbox_id, f_ids[i]);
+    EXPECT_EQ(info.current_limit, limit[i]);
+    EXPECT_EQ(info.last_used, finished[i]);
+  }
+
+  // The picked sandbox (3) is busy, so the next call sees only 1 and 5.
+  platform_->Invoke("f", {InputObject{"in/obj", TinyImage()}}, {},
+                    [&](const InvocationRecord&) { ++warm_done; });
+  ASSERT_EQ(hooks.seen.size(), 2u);
+  ASSERT_EQ(hooks.seen[1].size(), 2u);
+  EXPECT_EQ(hooks.seen[1][0].sandbox_id, 1u);
+  EXPECT_EQ(hooks.seen[1][1].sandbox_id, 5u);
+  while (warm_done < 2 && loop_.Step()) {
+  }
+  ASSERT_EQ(warm_done, 2);
+
+  // Once released, sandbox 3 is offered again with its new limit and time.
+  platform_->Invoke("f", {InputObject{"in/obj", TinyImage()}}, {},
+                    [](const InvocationRecord&) {});
+  ASSERT_EQ(hooks.seen.size(), 3u);
+  ASSERT_EQ(hooks.seen[2].size(), 3u);
+  EXPECT_EQ(hooks.seen[2][1].sandbox_id, 3u);
+  EXPECT_EQ(hooks.seen[2][1].current_limit, warm_limit);
+  EXPECT_EQ(hooks.seen[2][1].last_used, warm_finished);
+  EXPECT_NE(warm_limit, limit[1]);
+}
+
 TEST_F(PlatformTest, HooksObserveSandboxMemoryChanges) {
   struct TrackingHooks : PlatformHooks {
     void OnSandboxMemoryChange(const SandboxMemoryEvent& event) override {
