@@ -455,6 +455,42 @@ TEST_F(PlatformTest, WorkerCrashRetriesInFlightInvocations) {
   EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.failed_invocations"), 0u);
 }
 
+TEST_F(PlatformTest, CrashMidExtractLeavesRetryRecordClean) {
+  PlatformOptions options;
+  options.num_workers = 2;
+  MakePlatform(options);
+  RegisterTiny("f");
+  // 20 MiB at 200 MB/s: each read takes ~110 ms.
+  rsds_.Seed("in/a", MiB(20), {});
+  rsds_.Seed("in/b", MiB(20), {});
+
+  std::vector<InvocationRecord> records;
+  platform_->Invoke("f",
+                    {InputObject{"in/a", TinyImage(MiB(20))},
+                     InputObject{"in/b", TinyImage(MiB(20))}},
+                    {}, [&](const InvocationRecord& r) { records.push_back(r); });
+  // The cold start ends at 188 ms and the first read is then in flight; crash
+  // the worker under it, so that read completes after the crash.
+  loop_.RunUntil(loop_.now() + Millis(240));
+  int victim = -1;
+  for (int w = 0; w < 2; ++w) {
+    if (platform_->NumSandboxes(w) > 0) {
+      victim = w;
+    }
+  }
+  ASSERT_GE(victim, 0);
+  platform_->CrashWorker(victim);
+  loop_.Run();
+
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_FALSE(records[0].failed);
+  EXPECT_NE(records[0].worker, victim);
+  EXPECT_EQ(records[0].retries, 1);
+  EXPECT_EQ(records[0].input_bytes, MiB(40));
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.input_bytes"),
+            static_cast<std::uint64_t>(MiB(40)));
+}
+
 TEST_F(PlatformTest, CrashedWorkerReceivesNoPlacements) {
   PlatformOptions options;
   options.num_workers = 2;
