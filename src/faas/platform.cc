@@ -625,10 +625,11 @@ void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request, std::uint64_t
   TrackRunning(*request, -1);
   ReleaseSandbox(sandbox_id);
   const FunctionConfig* fn = GetFunction(request->function);
-  if (record.oom_killed && request->retries == 0 && fn != nullptr) {
-    // §5.3.1: immediate retry with the tenant-booked limit.
+  if (record.oom_killed && request->forced_limit == 0 && fn != nullptr) {
+    // §5.3.1: immediate retry with the tenant-booked limit, once per
+    // invocation — a crash retry before it does not use it up.
     ++*m_.retries;
-    request->retries = 1;
+    ++request->retries;
     request->oom_killed = true;
     request->forced_limit = fn->booked_memory;
     emit_.Emit({.kind = FlightEventKind::kRetry, .time = loop_->now(), .invocation = request->id,

@@ -166,6 +166,52 @@ TEST_F(PlatformTest, OomKillTriggersRetryWithBookedMemory) {
   EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.retries"), 1u);
 }
 
+TEST_F(PlatformTest, CrashRetryKeepsOomRetryWithBookedMemory) {
+  // Regression: the OOM retry used to require retries == 0, so an invocation
+  // re-dispatched after a worker crash failed on its first OOM kill instead of
+  // running once at the booked memory.
+  struct UnderpredictHooks : PlatformHooks {
+    Sizing SizeInvocation(const FunctionConfig&, const std::vector<InputObject>&,
+                          const std::vector<double>&) override {
+      return Sizing{MiB(64), false};  // Always below the ~113 MiB demand.
+    }
+  } hooks;
+  PlatformOptions options;
+  options.num_workers = 2;
+  MakePlatform(options, &hooks);
+  FunctionConfig config;
+  config.spec = TinySpec("f");
+  config.booked_memory = GiB(1);
+  ASSERT_TRUE(platform_->RegisterFunction(config).ok());
+
+  rsds_.Seed("in/obj", MiB(1), {});
+  InvocationRecord record;
+  bool done = false;
+  platform_->Invoke("f", {InputObject{"in/obj", TinyImage(MiB(1))}}, {},
+                    [&](const InvocationRecord& r) {
+                      record = r;
+                      done = true;
+                    });
+  loop_.RunUntil(loop_.now() + Millis(50));  // Mid cold start.
+  int victim = -1;
+  for (int w = 0; w < 2; ++w) {
+    if (platform_->NumSandboxes(w) > 0) {
+      victim = w;
+    }
+  }
+  ASSERT_GE(victim, 0);
+  platform_->CrashWorker(victim);
+  while (!done && loop_.Step()) {
+  }
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(record.failed);
+  EXPECT_TRUE(record.oom_killed);
+  EXPECT_EQ(record.retries, 2);  // One crash retry, one OOM retry.
+  EXPECT_EQ(record.memory_limit, GiB(1));
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.oom_kills"), 1u);
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.retries"), 2u);
+}
+
 TEST_F(PlatformTest, MonitorRescueAvoidsOomKill) {
   struct RescueHooks : PlatformHooks {
     Sizing SizeInvocation(const FunctionConfig&, const std::vector<InputObject>&,
