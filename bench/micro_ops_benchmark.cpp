@@ -1,10 +1,11 @@
 // google-benchmark microbenchmarks for the hot paths: critical-path ML
-// prediction (the §5.1.1 1 ms budget), event-loop throughput, cache cluster
-// read/write, and the log allocator — for performance-regression tracking
-// rather than paper reproduction.
+// prediction (the §5.1.1 1 ms budget), event-loop throughput, the platform's
+// warm-invocation round trip, cache cluster read/write, and the log allocator
+// — for performance-regression tracking rather than paper reproduction.
 #include <benchmark/benchmark.h>
 
 #include "bench/trace_util.h"
+#include "src/faas/platform.h"
 #include "src/ml/j48.h"
 #include "src/ml/random_forest.h"
 #include "src/ramcloud/cluster.h"
@@ -120,6 +121,90 @@ void BM_EventLoopScheduleAndRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopScheduleAndRun);
+
+// Completes every read and write at the current instant, so the platform's own
+// dispatch and phase bookkeeping is all that is timed.
+class ZeroLatencyDataService : public faas::DataService {
+ public:
+  explicit ZeroLatencyDataService(sim::EventLoop* loop) : loop_(loop) {}
+  void Read(const faas::InvocationContext&, const std::string&,
+            std::function<void(Result<Bytes>)> done) override {
+    loop_->ScheduleAfter(0, [done = std::move(done)] { done(KiB(64)); });
+  }
+  void Write(const faas::InvocationContext&, const std::string&, Bytes,
+             const workloads::MediaDescriptor&, std::function<void(Status)> done) override {
+    loop_->ScheduleAfter(0, [done = std::move(done)] { done(OkStatus()); });
+  }
+
+ private:
+  sim::EventLoop* loop_;
+};
+
+// One warm invocation round trip, at the shape of perfbench's azure-owk
+// workload: 64 functions and ~200 warm sandboxes, with 13 idle candidates for
+// the invoked function.
+void BM_PlatformWarmInvoke(benchmark::State& state) {
+  constexpr int kFunctions = 64;
+  constexpr int kHotSandboxes = 13;
+  constexpr int kColdSandboxes = 3;  // For each of the other 63 functions.
+  sim::EventLoop loop;
+  ZeroLatencyDataService data(&loop);
+  faas::PlatformOptions options;
+  options.worker_memory = GiB(16);
+  options.keep_alive = Seconds(1000L * 1000 * 1000);  // Nothing expires.
+  faas::Platform platform(&loop, options, &data, nullptr, Rng(5));
+
+  workloads::MediaDescriptor media;
+  media.kind = workloads::InputKind::kImage;
+  media.width = 800;
+  media.height = 800;
+  media.byte_size = KiB(64);
+  std::vector<std::string> names;
+  for (int f = 0; f < kFunctions; ++f) {
+    faas::FunctionConfig config;
+    config.spec.name = "fn" + std::to_string(f);
+    config.spec.kind = workloads::InputKind::kImage;
+    config.spec.base_mem_mb = 100;
+    config.spec.mem_copies = 5;
+    config.spec.compute_us_per_mb = 50;
+    config.booked_memory = MiB(256);
+    if (!platform.RegisterFunction(config).ok()) {
+      state.SkipWithError("registration failed");
+      return;
+    }
+    names.push_back(config.spec.name);
+  }
+  auto invoke = [&](const std::string& name, int* done) {
+    platform.Invoke(name, {faas::InputObject{"in/obj", media}}, {},
+                    [done](const faas::InvocationRecord&) { ++*done; });
+  };
+  // Concurrent cold starts leave that many idle sandboxes per function.
+  int started = 0;
+  int finished = 0;
+  for (int f = 0; f < kFunctions; ++f) {
+    const int copies = f == 0 ? kHotSandboxes : kColdSandboxes;
+    for (int c = 0; c < copies; ++c, ++started) {
+      invoke(names[static_cast<std::size_t>(f)], &finished);
+    }
+  }
+  while (finished < started && loop.Step()) {
+  }
+  if (platform.NumIdleSandboxes(names[0]) != kHotSandboxes) {
+    state.SkipWithError("unexpected warm pool");
+    return;
+  }
+
+  for (auto _ : state) {
+    const int target = finished + 1;
+    invoke(names[0], &finished);
+    while (finished < target && loop.Step()) {
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["sandboxes"] = started;
+  state.counters["idle_candidates"] = kHotSandboxes;
+}
+BENCHMARK(BM_PlatformWarmInvoke);
 
 void BM_ClusterWriteRead(benchmark::State& state) {
   sim::EventLoop loop;
