@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "src/common/logging.h"
+#include "src/common/sim_assert.h"
 
 namespace ofc::faas {
 
@@ -146,6 +147,7 @@ Status Platform::RegisterFunction(FunctionConfig config) {
     return AlreadyExistsError("function already registered: " + it->first);
   }
   ++next_fn_index_;
+  idle_by_function_.resize(next_fn_index_);
   return OkStatus();
 }
 
@@ -176,11 +178,8 @@ std::size_t Platform::NumSandboxes(int worker) const {
 }
 
 std::size_t Platform::NumIdleSandboxes(const std::string& function) const {
-  std::size_t count = 0;
-  for (const auto& [id, sandbox] : sandboxes_) {
-    count += sandbox.function == function && !sandbox.busy;
-  }
-  return count;
+  const FunctionConfig* fn = GetFunction(function);
+  return fn == nullptr ? 0 : idle_by_function_[fn->fn_index].size();
 }
 
 int Platform::HomeWorker(const FunctionConfig& fn) const {
@@ -242,10 +241,10 @@ workloads::MediaDescriptor Platform::AggregateMedia(const std::vector<InputObjec
 }
 
 void Platform::Dispatch(std::shared_ptr<Request> request) {
-  const FunctionConfig* fn = GetFunction(request->function);
-  if (fn != nullptr) {
-    request->fn_index = fn->fn_index;
+  if (request->fn == nullptr) {
+    request->fn = GetFunction(request->function);
   }
+  const FunctionConfig* fn = request->fn;
   if (fn == nullptr) {
     InvocationRecord record;
     record.id = request->id;
@@ -282,18 +281,18 @@ void Platform::Dispatch(std::shared_ptr<Request> request) {
       std::clamp(sizing.memory_limit, options_.min_sandbox_memory, options_.max_sandbox_memory);
 
   // 1. Prefer an idle warm sandbox of this function (avoids cold start).
-  std::vector<SandboxInfo> idle;
-  for (const auto& [id, sandbox] : sandboxes_) {
-    if (!sandbox.busy && sandbox.function == request->function) {
-      idle.push_back(SandboxInfo{sandbox.id, sandbox.worker, sandbox.limit, sandbox.last_used});
-    }
-  }
+  const std::vector<Sandbox*>& idle = idle_by_function_[fn->fn_index];
   if (!idle.empty()) {
+    candidates_.clear();
+    for (const Sandbox* sandbox : idle) {
+      candidates_.push_back(
+          SandboxInfo{sandbox->id, sandbox->worker, sandbox->limit, sandbox->last_used});
+    }
     const std::size_t pick =
-        std::min(hooks_->PickSandbox(idle, sizing.memory_limit, request->inputs),
-                 idle.size() - 1);
-    Sandbox* sandbox = FindSandbox(idle[pick].sandbox_id);
-    assert(sandbox != nullptr);
+        std::min(hooks_->PickSandbox(candidates_, sizing.memory_limit, request->inputs),
+                 candidates_.size() - 1);
+    Sandbox* sandbox = idle[pick];
+    UnindexIdle(*sandbox);
     if (sandbox->keepalive_event != 0) {
       loop_->Cancel(sandbox->keepalive_event);
       sandbox->keepalive_event = 0;
@@ -317,7 +316,7 @@ void Platform::Dispatch(std::shared_ptr<Request> request) {
   }
   Sandbox sandbox;
   sandbox.id = next_sandbox_id_++;
-  sandbox.function = request->function;
+  sandbox.fn_index = fn->fn_index;
   sandbox.worker = worker;
   sandbox.busy = true;
   sandbox.booked = fn->booked_memory;
@@ -350,19 +349,11 @@ int Platform::PlaceNewSandbox(const FunctionConfig& fn, const std::vector<InputO
   // Reclaim idle sandboxes (globally LRU) until some worker has capacity, as
   // the invoker does under memory pressure.
   while (fits.empty()) {
-    std::uint64_t victim = 0;
-    SimTime oldest = 0;
-    for (const auto& [id, sandbox] : sandboxes_) {
-      if (!sandbox.busy && (victim == 0 || sandbox.last_used < oldest)) {
-        victim = id;
-        oldest = sandbox.last_used;
-      }
-    }
-    if (victim == 0) {
+    if (idle_lru_.empty()) {
       return -1;
     }
     ++*m_.sandbox_reclaims;
-    DestroySandbox(victim);
+    DestroySandbox(idle_lru_.begin()->second);
     fits = candidates();
   }
   const int choice = hooks_->PickWorkerForNewSandbox(fn, inputs, fits);
@@ -387,10 +378,11 @@ void Platform::SetSandboxLimit(Sandbox* sandbox, Bytes new_limit) {
 
 void Platform::RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
                             PlatformHooks::Sizing sizing, bool cold, SimDuration startup) {
-  InvocationRecord record;
+  InvocationRecord& record = request->record;
+  record = InvocationRecord{};
   record.id = request->id;
   record.function = request->function;
-  record.fn_index = request->fn_index;
+  record.fn_index = request->fn->fn_index;
   record.worker = sandbox->worker;
   record.cold_start = cold;
   record.retries = request->retries;
@@ -400,6 +392,7 @@ void Platform::RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
   record.should_cache = sizing.should_cache;
   record.startup_time = startup;
   record.output_key = request->output_key;
+  request->sandbox_id = sandbox->id;
 
   request->running_worker = sandbox->worker;
   in_flight_[request->id] = request;
@@ -418,145 +411,138 @@ void Platform::RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
               .invocation = request->id, .parent = request->pipeline_id, .worker = sandbox->worker,
               .subject = request->function, .duration = startup});
 
-  const std::uint64_t sandbox_id = sandbox->id;
   const std::uint64_t epoch = request->crash_epoch;
-  loop_->ScheduleAfter(startup, [this, request = std::move(request), sandbox_id, epoch,
-                                 record]() mutable {
+  loop_->ScheduleAfter(startup, [this, request = std::move(request), epoch]() mutable {
     if (request->crash_epoch != epoch) {
       return;  // The worker crashed during startup; the retry owns the request.
     }
-    const workloads::InvocationDemand demand = request->demand;
-    ExecutePhases(std::move(request), sandbox_id, record, demand);
+    request->next_input = 0;
+    request->extract_start = loop_->now();
+    Extract(std::move(request));
   });
 }
 
-void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t sandbox_id,
-                             InvocationRecord record, workloads::InvocationDemand demand) {
-  // ---- Extract phase: read inputs sequentially through the data service. ----
+InvocationContext Platform::ContextFor(const Request& request) const {
   InvocationContext ctx;
-  ctx.invocation_id = request->id;
-  ctx.function = request->function;
-  ctx.fn_index = request->fn_index;
-  ctx.worker = record.worker;
-  ctx.pipeline_id = request->pipeline_id;
-  ctx.final_stage = request->final_stage;
-  ctx.should_cache = record.should_cache;
+  ctx.invocation_id = request.id;
+  ctx.function = request.function;
+  ctx.fn_index = request.fn->fn_index;
+  ctx.worker = request.record.worker;
+  ctx.pipeline_id = request.pipeline_id;
+  ctx.final_stage = request.final_stage;
+  ctx.should_cache = request.record.should_cache;
+  return ctx;
+}
 
-  // The record accumulates across asynchronous phases; share it rather than
-  // copying it into each continuation.
-  auto rec = std::make_shared<InvocationRecord>(record);
-  auto next_input = std::make_shared<std::size_t>(0);
-  const SimTime extract_start = loop_->now();
+void Platform::Extract(std::shared_ptr<Request> request) {
+  if (request->next_input < request->inputs.size()) {
+    // Read inputs sequentially through the data service.
+    const std::size_t input = request->next_input++;
+    const std::uint64_t epoch = request->crash_epoch;
+    // The callback gets a copy of `request`, so this frame keeps the request,
+    // and `key` with it, alive even if the read completes synchronously.
+    data_->Read(ContextFor(*request), request->inputs[input].key,
+                [this, request, epoch, input](Result<Bytes> size) mutable {
+                  if (!size.ok()) {
+                    OFC_LOG(Warning) << "read failed for " << request->inputs[input].key << ": "
+                                     << size.status().ToString();
+                  }
+                  if (request->crash_epoch != epoch) {
+                    return;  // Worker crashed mid-read; a retry owns the request now.
+                  }
+                  if (size.ok()) {
+                    request->record.input_bytes += *size;
+                  }
+                  Extract(std::move(request));
+                });
+    return;
+  }
+  InvocationRecord& record = request->record;
+  record.extract_time = loop_->now() - request->extract_start;
+  emit_.Emit({.kind = FlightEventKind::kExtract, .time = loop_->now(), .invocation = request->id,
+              .parent = request->pipeline_id, .worker = record.worker,
+              .subject = request->function, .duration = record.extract_time,
+              .n = record.input_bytes});
+  Transform(std::move(request));
+}
+
+void Platform::Transform(std::shared_ptr<Request> request) {
+  InvocationRecord& record = request->record;
+  const workloads::InvocationDemand& demand = request->demand;
   const std::uint64_t epoch = request->crash_epoch;
 
-  // Declared as a shared recursive lambda so the chain can continue across
-  // asynchronous reads. The lambda holds only a weak self-reference — a strong
-  // capture would form a shared_ptr cycle and leak the closure (plus the
-  // request it captures) for every invocation.
-  auto read_next = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_read_next = read_next;
-  *read_next = [this, request, sandbox_id, rec, demand, ctx, next_input, extract_start,
-                epoch, weak_read_next]() {
-    if (request->crash_epoch != epoch) {
-      return;  // Worker crashed mid-flight; a retry owns the request now.
-    }
-    if (*next_input >= request->inputs.size()) {
-      rec->extract_time = loop_->now() - extract_start;
-      emit_.Emit({.kind = FlightEventKind::kExtract, .time = loop_->now(),
-                  .invocation = request->id, .parent = request->pipeline_id, .worker = rec->worker,
-                  .subject = request->function, .duration = rec->extract_time,
-                  .n = rec->input_bytes});
-
-      // ---- Memory-limit check (OOM semantics, §5.3.1). ----
-      SimDuration compute = demand.compute;
-      if (demand.memory > rec->memory_limit) {
-        Sandbox* sandbox = FindSandbox(sandbox_id);
-        if (sandbox != nullptr &&
-            hooks_->TryRaiseMemory(sandbox->worker, sandbox->limit, demand.memory,
-                                   demand.compute)) {
-          SetSandboxLimit(sandbox, demand.memory);
-          rec->memory_limit = sandbox->limit;
-          rec->oom_rescued = true;
-          ++*m_.oom_rescues;
-          emit_.Emit({.kind = FlightEventKind::kOomRescue, .time = loop_->now(),
-                      .invocation = request->id, .parent = request->pipeline_id,
-                      .worker = rec->worker, .subject = request->function});
-          compute += options_.cgroup_resize;  // Monitor raises the cap mid-run.
-        } else {
-          // OOM kill partway through the transform phase.
-          ++*m_.oom_kills;
-          rec->oom_killed = true;
-          loop_->ScheduleAfter(compute / 2,
-                               [this, request, sandbox_id, rec, epoch]() mutable {
-                                 if (request->crash_epoch != epoch) {
-                                   return;
-                                 }
-                                 emit_.Emit({.kind = FlightEventKind::kOomKill,
-                                             .time = loop_->now(), .invocation = request->id,
-                                             .parent = request->pipeline_id, .worker = rec->worker,
-                                             .subject = request->function});
-                                 FailAndMaybeRetry(std::move(request), sandbox_id, *rec);
-                               });
-          return;
-        }
-      }
-
-      // ---- Transform phase. ----
-      rec->compute_time = compute;
-      loop_->ScheduleAfter(compute, [this, request, sandbox_id, rec, demand, ctx,
-                                     epoch]() mutable {
+  // ---- Memory-limit check (OOM semantics, §5.3.1). ----
+  SimDuration compute = demand.compute;
+  if (demand.memory > record.memory_limit) {
+    Sandbox* sandbox = FindSandbox(request->sandbox_id);
+    if (sandbox != nullptr &&
+        hooks_->TryRaiseMemory(sandbox->worker, sandbox->limit, demand.memory, demand.compute)) {
+      SetSandboxLimit(sandbox, demand.memory);
+      record.memory_limit = sandbox->limit;
+      record.oom_rescued = true;
+      ++*m_.oom_rescues;
+      emit_.Emit({.kind = FlightEventKind::kOomRescue, .time = loop_->now(),
+                  .invocation = request->id, .parent = request->pipeline_id,
+                  .worker = record.worker, .subject = request->function});
+      compute += options_.cgroup_resize;  // Monitor raises the cap mid-run.
+    } else {
+      // OOM kill partway through the transform phase.
+      ++*m_.oom_kills;
+      record.oom_killed = true;
+      loop_->ScheduleAfter(compute / 2, [this, request = std::move(request), epoch]() mutable {
         if (request->crash_epoch != epoch) {
           return;
         }
-        emit_.Emit({.kind = FlightEventKind::kTransform, .time = loop_->now(),
+        emit_.Emit({.kind = FlightEventKind::kOomKill, .time = loop_->now(),
                     .invocation = request->id, .parent = request->pipeline_id,
-                    .worker = rec->worker, .subject = request->function,
-                    .duration = rec->compute_time});
-        // ---- Load phase: write the output object. ----
-        const SimTime load_start = loop_->now();
-        const FunctionConfig* fn = GetFunction(request->function);
-        workloads::MediaDescriptor out_media =
-            fn != nullptr ? workloads::OutputMedia(fn->spec, AggregateMedia(request->inputs),
-                                                   demand.output_size)
-                          : workloads::MediaDescriptor{};
-        rec->output_media = out_media;
-        rec->output_bytes = demand.output_size;
-        data_->Write(ctx, request->output_key, demand.output_size, out_media,
-                     [this, request, sandbox_id, rec, load_start,
-                      epoch](Status status) mutable {
-                       if (request->crash_epoch != epoch) {
-                         return;
-                       }
-                       rec->load_time = loop_->now() - load_start;
-                       emit_.Emit({.kind = FlightEventKind::kLoad, .time = loop_->now(),
-                                   .invocation = request->id, .parent = request->pipeline_id,
-                                   .worker = rec->worker, .subject = request->output_key,
-                                   .duration = rec->load_time, .n = rec->output_bytes});
-                       if (!status.ok()) {
-                         FailAndMaybeRetry(std::move(request), sandbox_id, *rec);
-                         return;
-                       }
-                       FinishInvocation(std::move(request), sandbox_id, *rec);
-                     });
+                    .worker = request->record.worker, .subject = request->function});
+        FailAndMaybeRetry(std::move(request));
       });
       return;
     }
-    const std::string& key = request->inputs[*next_input].key;
-    ++*next_input;
-    // The read callback holds the strong reference that keeps the chain alive
-    // across the asynchronous hop.
-    auto self = weak_read_next.lock();
-    assert(self != nullptr);
-    data_->Read(ctx, key, [this, rec, self, key](Result<Bytes> size) {
-      if (!size.ok()) {
-        OFC_LOG(Warning) << "read failed for " << key << ": " << size.status().ToString();
-      } else {
-        rec->input_bytes += *size;
-      }
-      (*self)();  // The epoch guard at its head covers crashes.
-    });
-  };
-  (*read_next)();
+  }
+
+  record.compute_time = compute;
+  loop_->ScheduleAfter(compute, [this, request = std::move(request), epoch]() mutable {
+    if (request->crash_epoch != epoch) {
+      return;
+    }
+    emit_.Emit({.kind = FlightEventKind::kTransform, .time = loop_->now(),
+                .invocation = request->id, .parent = request->pipeline_id,
+                .worker = request->record.worker, .subject = request->function,
+                .duration = request->record.compute_time});
+    Load(std::move(request));
+  });
+}
+
+void Platform::Load(std::shared_ptr<Request> request) {
+  InvocationRecord& record = request->record;
+  const workloads::InvocationDemand& demand = request->demand;
+  const SimTime load_start = loop_->now();
+  const std::uint64_t epoch = request->crash_epoch;
+  record.output_media = workloads::OutputMedia(request->fn->spec, AggregateMedia(request->inputs),
+                                               demand.output_size);
+  record.output_bytes = demand.output_size;
+  // As in Extract, the callback's copy of `request` leaves this frame's
+  // reference keeping the key and media arguments alive.
+  data_->Write(ContextFor(*request), request->output_key, demand.output_size,
+               record.output_media,
+               [this, request, epoch, load_start](Status status) mutable {
+                 if (request->crash_epoch != epoch) {
+                   return;
+                 }
+                 InvocationRecord& record = request->record;
+                 record.load_time = loop_->now() - load_start;
+                 emit_.Emit({.kind = FlightEventKind::kLoad, .time = loop_->now(),
+                             .invocation = request->id, .parent = request->pipeline_id,
+                             .worker = record.worker, .subject = request->output_key,
+                             .duration = record.load_time, .n = record.output_bytes});
+                 if (!status.ok()) {
+                   FailAndMaybeRetry(std::move(request));
+                   return;
+                 }
+                 FinishInvocation(std::move(request));
+               });
 }
 
 void Platform::CrashWorker(int worker) {
@@ -574,6 +560,9 @@ void Platform::CrashWorker(int worker) {
       continue;
     }
     Sandbox& sandbox = it->second;
+    if (!sandbox.busy) {
+      UnindexIdle(sandbox);
+    }
     if (sandbox.keepalive_event != 0) {
       loop_->Cancel(sandbox.keepalive_event);
     }
@@ -619,19 +608,18 @@ void Platform::RestoreWorker(int worker) {
   DrainWaitQueue();
 }
 
-void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request, std::uint64_t sandbox_id,
-                                 InvocationRecord record) {
+void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request) {
   in_flight_.erase(request->id);
   TrackRunning(*request, -1);
-  ReleaseSandbox(sandbox_id);
-  const FunctionConfig* fn = GetFunction(request->function);
-  if (record.oom_killed && request->forced_limit == 0 && fn != nullptr) {
+  ReleaseSandbox(request->sandbox_id);
+  InvocationRecord& record = request->record;
+  if (record.oom_killed && request->forced_limit == 0) {
     // §5.3.1: immediate retry with the tenant-booked limit, once per
     // invocation — a crash retry before it does not use it up.
     ++*m_.retries;
     ++request->retries;
     request->oom_killed = true;
-    request->forced_limit = fn->booked_memory;
+    request->forced_limit = request->fn->booked_memory;
     emit_.Emit({.kind = FlightEventKind::kRetry, .time = loop_->now(), .invocation = request->id,
                 .parent = request->pipeline_id, .worker = record.worker,
                 .subject = request->function, .detail = "oom"});
@@ -649,27 +637,22 @@ void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request, std::uint64_t
   emit_.Emit({.kind = FlightEventKind::kFail, .time = loop_->now(), .invocation = request->id,
               .parent = request->pipeline_id, .worker = record.worker, .subject = request->function,
               .detail = record.oom_killed ? "oom" : "error", .duration = record.total});
-  if (fn != nullptr) {
-    hooks_->OnInvocationComplete(*fn, request->inputs, request->args, record);
-  }
+  hooks_->OnInvocationComplete(*request->fn, request->inputs, request->args, record);
   request->done(record);
   DrainWaitQueue();
 }
 
-void Platform::FinishInvocation(std::shared_ptr<Request> request, std::uint64_t sandbox_id,
-                                InvocationRecord record) {
+void Platform::FinishInvocation(std::shared_ptr<Request> request) {
+  InvocationRecord& record = request->record;
   record.total = loop_->now() - request->arrival;
   in_flight_.erase(request->id);
   TrackRunning(*request, -1);
-  ReleaseSandbox(sandbox_id);
+  ReleaseSandbox(request->sandbox_id);
   RecordCompletion(record);
   emit_.Emit({.kind = FlightEventKind::kComplete, .time = loop_->now(), .invocation = request->id,
               .parent = request->pipeline_id, .worker = record.worker, .subject = request->function,
               .detail = record.cold_start ? "true" : "false", .duration = record.total});
-  const FunctionConfig* fn = GetFunction(request->function);
-  if (fn != nullptr) {
-    hooks_->OnInvocationComplete(*fn, request->inputs, request->args, record);
-  }
+  hooks_->OnInvocationComplete(*request->fn, request->inputs, request->args, record);
   request->done(record);
   DrainWaitQueue();
 }
@@ -681,6 +664,7 @@ void Platform::ReleaseSandbox(std::uint64_t sandbox_id) {
   }
   sandbox->busy = false;
   sandbox->last_used = loop_->now();
+  IndexIdle(sandbox);
   ArmKeepAlive(sandbox);
   // A newly idle sandbox is reclaimable capacity: re-probe the wait queue here,
   // not only on completion. The OOM-retry path releases its sandbox and returns
@@ -706,6 +690,7 @@ void Platform::DestroySandbox(std::uint64_t sandbox_id) {
   }
   Sandbox& sandbox = it->second;
   assert(!sandbox.busy);
+  UnindexIdle(sandbox);
   if (sandbox.keepalive_event != 0) {
     loop_->Cancel(sandbox.keepalive_event);
   }
@@ -718,6 +703,31 @@ void Platform::DestroySandbox(std::uint64_t sandbox_id) {
 Platform::Sandbox* Platform::FindSandbox(std::uint64_t id) {
   auto it = sandboxes_.find(id);
   return it == sandboxes_.end() ? nullptr : &it->second;
+}
+
+namespace {
+// lower_bound comparator for the per-function idle lists, sorted by id.
+constexpr auto kIdLess = [](const auto* sandbox, std::uint64_t id) { return sandbox->id < id; };
+}  // namespace
+
+void Platform::IndexIdle(Sandbox* sandbox) {
+  std::vector<Sandbox*>& idle = idle_by_function_[sandbox->fn_index];
+  const auto at = std::lower_bound(idle.begin(), idle.end(), sandbox->id, kIdLess);
+  const bool fresh = at == idle.end() || (*at)->id != sandbox->id;
+  SIM_ASSERT(fresh) << "sandbox " << sandbox->id << " indexed idle twice";
+  idle.insert(at, sandbox);
+  const bool inserted = idle_lru_.emplace(sandbox->last_used, sandbox->id).second;
+  SIM_ASSERT(inserted) << "sandbox " << sandbox->id << " already in the LRU index";
+}
+
+void Platform::UnindexIdle(const Sandbox& sandbox) {
+  std::vector<Sandbox*>& idle = idle_by_function_[sandbox.fn_index];
+  const auto at = std::lower_bound(idle.begin(), idle.end(), sandbox.id, kIdLess);
+  const bool found = at != idle.end() && *at == &sandbox;
+  SIM_ASSERT(found) << "sandbox " << sandbox.id << " missing from its idle index";
+  idle.erase(at);
+  const std::size_t erased = idle_lru_.erase({sandbox.last_used, sandbox.id});
+  SIM_ASSERT(erased == 1) << "sandbox " << sandbox.id << " missing from the LRU index";
 }
 
 void Platform::DrainWaitQueue() {
@@ -840,10 +850,7 @@ void Platform::TrackRunning(const Request& request, int delta) {
     return;  // No limits configured; skip the bookkeeping entirely.
   }
   running_per_function_[request.function] += delta;
-  const FunctionConfig* fn = GetFunction(request.function);
-  if (fn != nullptr) {
-    running_per_tenant_[fn->tenant] += delta;
-  }
+  running_per_tenant_[request.fn->tenant] += delta;
 }
 
 // ---- Pipelines ---------------------------------------------------------------------

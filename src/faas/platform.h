@@ -30,7 +30,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/recycling_pool.h"
@@ -285,7 +287,7 @@ class Platform {
  private:
   struct Sandbox {
     std::uint64_t id = 0;
-    std::string function;
+    std::uint32_t fn_index = 0;  // FunctionConfig::fn_index of its function.
     int worker = -1;
     bool busy = false;
     Bytes booked = 0;  // Scheduler reservation (tenant-configured).
@@ -297,7 +299,9 @@ class Platform {
   struct Request {
     std::uint64_t id = 0;
     std::string function;
-    std::uint32_t fn_index = 0;  // Resolved at first dispatch (0 until then).
+    // Resolved at first dispatch (null until then); functions_ never erases,
+    // so the pointer stays valid for the request's lifetime.
+    const FunctionConfig* fn = nullptr;
     std::vector<InputObject> inputs;
     std::vector<double> args;
     InvokeCallback done;
@@ -314,6 +318,12 @@ class Platform {
     // continuations are discarded while the request is re-dispatched.
     std::uint64_t crash_epoch = 0;
     int running_worker = -1;
+    // The running attempt, reset by RunOnSandbox. Its continuations capture
+    // only (this, request, crash_epoch) and find everything else here.
+    InvocationRecord record;
+    std::uint64_t sandbox_id = 0;
+    std::size_t next_input = 0;  // Extract cursor: the next input to read.
+    SimTime extract_start = 0;
     // Admission bookkeeping: first wait-queue entry time (0 = never queued)
     // and the absolute shed-if-still-queued instant (0 = no deadline armed).
     SimTime first_queued = 0;
@@ -365,14 +375,20 @@ class Platform {
   void Dispatch(std::shared_ptr<Request> request);
   void RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
                     PlatformHooks::Sizing sizing, bool cold, SimDuration startup);
-  void ExecutePhases(std::shared_ptr<Request> request, std::uint64_t sandbox_id,
-                     InvocationRecord record, workloads::InvocationDemand demand);
-  void FinishInvocation(std::shared_ptr<Request> request, std::uint64_t sandbox_id,
-                        InvocationRecord record);
-  void FailAndMaybeRetry(std::shared_ptr<Request> request, std::uint64_t sandbox_id,
-                         InvocationRecord record);
+  // ETL phases of the running attempt. Extract issues the next input read, or
+  // ends the phase once every input has arrived; Transform applies the memory
+  // check and computes; Load writes the output.
+  void Extract(std::shared_ptr<Request> request);
+  void Transform(std::shared_ptr<Request> request);
+  void Load(std::shared_ptr<Request> request);
+  InvocationContext ContextFor(const Request& request) const;
+  void FinishInvocation(std::shared_ptr<Request> request);
+  void FailAndMaybeRetry(std::shared_ptr<Request> request);
   void ReleaseSandbox(std::uint64_t sandbox_id);
   void DestroySandbox(std::uint64_t sandbox_id);
+  // Add an idle sandbox to, or remove it from, both idle indexes.
+  void IndexIdle(Sandbox* sandbox);
+  void UnindexIdle(const Sandbox& sandbox);
   void ArmKeepAlive(Sandbox* sandbox);
   Sandbox* FindSandbox(std::uint64_t id);
   // Reserves capacity for a new sandbox on some worker; may reclaim idle
@@ -405,8 +421,24 @@ class Platform {
 
   std::map<std::string, FunctionConfig> functions_;
   // std::map: Sandbox addresses must stay stable across insertions because
-  // async completions re-resolve by id while other sandboxes are created.
+  // async completions re-resolve by id while other sandboxes are created, and
+  // the idle indexes below point at its nodes.
   std::map<std::uint64_t, Sandbox> sandboxes_;
+  // Idle-sandbox indexes, so that dispatch and reclaim scan no sandboxes_.
+  // They change only when a sandbox turns idle (ReleaseSandbox) or busy (the
+  // warm pick), or goes away (DestroySandbox, CrashWorker). A sandbox's
+  // last_used changes only while it is busy, so no key goes stale. Both are
+  // ordered: their order is the routing candidates' order and the reclaim
+  // order.
+  //   * idle_by_function_[fn_index]: that function's idle sandboxes in
+  //     ascending id — the candidates Dispatch hands PickSandbox. limit and
+  //     last_used are read live through the pointer.
+  //   * idle_lru_: (last_used, id) of every idle sandbox; begin() is the
+  //     global-LRU reclaim victim, the lowest id breaking ties.
+  std::vector<std::vector<Sandbox*>> idle_by_function_;
+  std::set<std::pair<SimTime, std::uint64_t>> idle_lru_;
+  // Dispatch's PickSandbox input, reused across dispatches.
+  std::vector<SandboxInfo> candidates_;
   std::vector<Bytes> worker_reserved_;
   std::vector<bool> worker_alive_;
   std::uint64_t crash_epoch_ = 0;

@@ -5,11 +5,10 @@
 // small-object buffer — and simulator callbacks routinely capture a
 // shared_ptr<Request> plus a couple of values, so at million-invocation scale
 // the old event loop paid one malloc/free pair per scheduled event.
-// InlineCallback widens the inline buffer to `kInlineBytes` (sized to fit every
-// callback the simulator schedules today) and only falls back to the heap for
-// oversized or alignment-exotic callables. Combined with the event loop's slot
-// slab (which recycles InlineCallback storage in place), steady-state
-// scheduling allocates nothing.
+// InlineCallback widens the inline buffer to `kInlineBytes` and only falls back
+// to the heap for larger or alignment-exotic callables. Combined with the event
+// loop's slot slab (which recycles InlineCallback storage in place), scheduling
+// an inline-sized callback allocates nothing.
 //
 // Semantics:
 //   * move-only (the event loop never copies callbacks; dropping copyability
@@ -31,10 +30,10 @@ namespace ofc::sim {
 
 class InlineCallback {
  public:
-  // Sized for the fattest hot-path capture in the tree (shared_ptr + record
-  // ids + a Sizing struct) with headroom; callables beyond this go to the heap
-  // transparently, so growing a capture is a perf regression, not a build
-  // break.
+  // Fits the platform's invocation-phase continuations, which capture
+  // (this, shared_ptr<Request>, crash epoch) in 32 bytes, with headroom;
+  // callables beyond this go to the heap transparently, so growing a capture
+  // is a perf regression, not a build break.
   static constexpr std::size_t kInlineBytes = 56;
 
   InlineCallback() = default;
