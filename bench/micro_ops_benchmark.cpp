@@ -199,6 +199,7 @@ void BM_PlatformWarmInvoke(benchmark::State& state) {
     invoke(names[0], &finished);
     while (finished < target && loop.Step()) {
     }
+    benchmark::DoNotOptimize(finished);
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["sandboxes"] = started;
