@@ -439,8 +439,9 @@ void Platform::Extract(std::shared_ptr<Request> request) {
     // Read inputs sequentially through the data service.
     const std::size_t input = request->next_input++;
     const std::uint64_t epoch = request->crash_epoch;
-    // The callback gets a copy of `request`, so this frame keeps the request,
-    // and `key` with it, alive even if the read completes synchronously.
+    // The callback copies `request` rather than taking it: this frame's
+    // reference keeps the key argument alive even if the read completes
+    // synchronously and the chain finishes the invocation.
     data_->Read(ContextFor(*request), request->inputs[input].key,
                 [this, request, epoch, input](Result<Bytes> size) mutable {
                   if (!size.ok()) {
@@ -523,8 +524,8 @@ void Platform::Load(std::shared_ptr<Request> request) {
   record.output_media = workloads::OutputMedia(request->fn->spec, AggregateMedia(request->inputs),
                                                demand.output_size);
   record.output_bytes = demand.output_size;
-  // As in Extract, the callback's copy of `request` leaves this frame's
-  // reference keeping the key and media arguments alive.
+  // As in Extract, this frame's reference keeps the key and media arguments
+  // alive if the write completes synchronously.
   data_->Write(ContextFor(*request), request->output_key, demand.output_size,
                record.output_media,
                [this, request, epoch, load_start](Status status) mutable {

@@ -318,8 +318,9 @@ class Platform {
     // continuations are discarded while the request is re-dispatched.
     std::uint64_t crash_epoch = 0;
     int running_worker = -1;
-    // The running attempt, reset by RunOnSandbox. Its continuations capture
-    // only (this, request, crash_epoch) and find everything else here.
+    // The running attempt, reset by RunOnSandbox. Its event-loop
+    // continuations capture only (this, request, crash_epoch) and find
+    // everything else here.
     InvocationRecord record;
     std::uint64_t sandbox_id = 0;
     std::size_t next_input = 0;  // Extract cursor: the next input to read.
