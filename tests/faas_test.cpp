@@ -269,30 +269,34 @@ TEST_F(PlatformTest, CapacityPressureReclaimsOldestIdleSandboxFirst) {
   for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
     RegisterTiny(name, MiB(512));
   }
-  // Idle sandboxes of a, b and c, released one second apart.
+  // Idle sandboxes of a, b and c (ids 1, 2 and 3), released one second apart.
   for (const char* name : {"a", "b", "c"}) {
     (void)InvokeSync(name);
     loop_.RunUntil(loop_.now() + Seconds(1));
   }
+  // A warm run makes a's sandbox the most recently used while it keeps the
+  // lowest id, so least-recently-used order differs from id order.
+  ASSERT_FALSE(InvokeSync("a").cold_start);
+  loop_.RunUntil(loop_.now() + Seconds(1));
   ASSERT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 0u);
 
   // Each later cold start must reclaim the least recently used idle sandbox;
   // the newcomer itself is released last, so it outlives the older ones.
   (void)InvokeSync("d");
   EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 1u);
-  EXPECT_EQ(platform_->NumIdleSandboxes("a"), 0u);
-  EXPECT_EQ(platform_->NumIdleSandboxes("b"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("a"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("b"), 0u);
   EXPECT_EQ(platform_->NumIdleSandboxes("c"), 1u);
 
   (void)InvokeSync("e");
   EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 2u);
-  EXPECT_EQ(platform_->NumIdleSandboxes("b"), 0u);
-  EXPECT_EQ(platform_->NumIdleSandboxes("c"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("a"), 1u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("c"), 0u);
   EXPECT_EQ(platform_->NumIdleSandboxes("d"), 1u);
 
   (void)InvokeSync("f");
   EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.sandbox_reclaims"), 3u);
-  EXPECT_EQ(platform_->NumIdleSandboxes("c"), 0u);
+  EXPECT_EQ(platform_->NumIdleSandboxes("a"), 0u);
   EXPECT_EQ(platform_->NumIdleSandboxes("d"), 1u);
   EXPECT_EQ(platform_->NumIdleSandboxes("e"), 1u);
   EXPECT_EQ(platform_->NumIdleSandboxes("f"), 1u);
