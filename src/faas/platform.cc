@@ -283,14 +283,15 @@ void Platform::Dispatch(std::shared_ptr<Request> request) {
   // 1. Prefer an idle warm sandbox of this function (avoids cold start).
   const std::vector<Sandbox*>& idle = idle_by_function_[fn->fn_index];
   if (!idle.empty()) {
-    candidates_.clear();
+    std::vector<SandboxInfo> candidates;
+    candidates.reserve(idle.size());
     for (const Sandbox* sandbox : idle) {
-      candidates_.push_back(
+      candidates.push_back(
           SandboxInfo{sandbox->id, sandbox->worker, sandbox->limit, sandbox->last_used});
     }
     const std::size_t pick =
-        std::min(hooks_->PickSandbox(candidates_, sizing.memory_limit, request->inputs),
-                 candidates_.size() - 1);
+        std::min(hooks_->PickSandbox(candidates, sizing.memory_limit, request->inputs),
+                 candidates.size() - 1);
     Sandbox* sandbox = idle[pick];
     UnindexIdle(*sandbox);
     if (sandbox->keepalive_event != 0) {
@@ -349,11 +350,19 @@ int Platform::PlaceNewSandbox(const FunctionConfig& fn, const std::vector<InputO
   // Reclaim idle sandboxes (globally LRU) until some worker has capacity, as
   // the invoker does under memory pressure.
   while (fits.empty()) {
-    if (idle_lru_.empty()) {
+    std::uint64_t victim = 0;
+    SimTime oldest = 0;
+    for (const auto& [id, sandbox] : sandboxes_) {
+      if (!sandbox.busy && (victim == 0 || sandbox.last_used < oldest)) {
+        victim = id;
+        oldest = sandbox.last_used;
+      }
+    }
+    if (victim == 0) {
       return -1;
     }
     ++*m_.sandbox_reclaims;
-    DestroySandbox(idle_lru_.begin()->second);
+    DestroySandbox(victim);
     fits = candidates();
   }
   const int choice = hooks_->PickWorkerForNewSandbox(fn, inputs, fits);
@@ -717,8 +726,6 @@ void Platform::IndexIdle(Sandbox* sandbox) {
   const bool fresh = at == idle.end() || (*at)->id != sandbox->id;
   SIM_ASSERT(fresh) << "sandbox " << sandbox->id << " indexed idle twice";
   idle.insert(at, sandbox);
-  const bool inserted = idle_lru_.emplace(sandbox->last_used, sandbox->id).second;
-  SIM_ASSERT(inserted) << "sandbox " << sandbox->id << " already in the LRU index";
 }
 
 void Platform::UnindexIdle(const Sandbox& sandbox) {
@@ -727,8 +734,6 @@ void Platform::UnindexIdle(const Sandbox& sandbox) {
   const bool found = at != idle.end() && *at == &sandbox;
   SIM_ASSERT(found) << "sandbox " << sandbox.id << " missing from its idle index";
   idle.erase(at);
-  const std::size_t erased = idle_lru_.erase({sandbox.last_used, sandbox.id});
-  SIM_ASSERT(erased == 1) << "sandbox " << sandbox.id << " missing from the LRU index";
 }
 
 void Platform::DrainWaitQueue() {

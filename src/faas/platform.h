@@ -30,9 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/recycling_pool.h"
@@ -387,7 +385,7 @@ class Platform {
   void FailAndMaybeRetry(std::shared_ptr<Request> request);
   void ReleaseSandbox(std::uint64_t sandbox_id);
   void DestroySandbox(std::uint64_t sandbox_id);
-  // Add an idle sandbox to, or remove it from, both idle indexes.
+  // Add an idle sandbox to, or remove it from, its function's idle index.
   void IndexIdle(Sandbox* sandbox);
   void UnindexIdle(const Sandbox& sandbox);
   void ArmKeepAlive(Sandbox* sandbox);
@@ -423,23 +421,16 @@ class Platform {
   std::map<std::string, FunctionConfig> functions_;
   // std::map: Sandbox addresses must stay stable across insertions because
   // async completions re-resolve by id while other sandboxes are created, and
-  // the idle indexes below point at its nodes.
+  // idle_by_function_ points at its nodes.
   std::map<std::uint64_t, Sandbox> sandboxes_;
-  // Idle-sandbox indexes, so that dispatch and reclaim scan no sandboxes_.
-  // They change only when a sandbox turns idle (ReleaseSandbox) or busy (the
-  // warm pick), or goes away (DestroySandbox, CrashWorker). A sandbox's
-  // last_used changes only while it is busy, so no key goes stale. Both are
-  // ordered: their order is the routing candidates' order and the reclaim
-  // order.
-  //   * idle_by_function_[fn_index]: that function's idle sandboxes in
-  //     ascending id — the candidates Dispatch hands PickSandbox. limit and
-  //     last_used are read live through the pointer.
-  //   * idle_lru_: (last_used, id) of every idle sandbox; begin() is the
-  //     global-LRU reclaim victim, the lowest id breaking ties.
+  // idle_by_function_[fn_index]: that function's idle sandboxes in ascending
+  // id, so that dispatch scans no sandboxes_. Its order is the order of the
+  // candidates Dispatch hands PickSandbox; limit and last_used are read live
+  // through the pointer. It changes only when a sandbox turns idle
+  // (ReleaseSandbox) or busy (the warm pick), or goes away (DestroySandbox,
+  // CrashWorker). Reclaim still scans sandboxes_: it runs only under memory
+  // pressure.
   std::vector<std::vector<Sandbox*>> idle_by_function_;
-  std::set<std::pair<SimTime, std::uint64_t>> idle_lru_;
-  // Dispatch's PickSandbox input, reused across dispatches.
-  std::vector<SandboxInfo> candidates_;
   std::vector<Bytes> worker_reserved_;
   std::vector<bool> worker_alive_;
   std::uint64_t crash_epoch_ = 0;
