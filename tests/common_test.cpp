@@ -1,8 +1,12 @@
 // Unit tests for src/common: Status/Result, units, RNG, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -202,6 +206,69 @@ TEST(SamplesTest, EmptyIsZero) {
   Samples s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.Median(), 0.0);
+}
+
+// Checks every order statistic of `s` against a fresh full sort of values().
+void ExpectMatchesFullSort(const Samples& s) {
+  std::vector<double> sorted = s.values();
+  std::sort(sorted.begin(), sorted.end());
+  const auto percentile = [&](double q) {
+    if (sorted.empty()) {
+      return 0.0;
+    }
+    const double rank = q * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    return sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - static_cast<double>(lo));
+  };
+  for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_EQ(s.Percentile(q), percentile(q)) << "q=" << q << " n=" << sorted.size();
+  }
+  EXPECT_EQ(s.Median(), percentile(0.5));
+  EXPECT_EQ(s.Min(), sorted.empty() ? 0.0 : sorted.front());
+  EXPECT_EQ(s.Max(), sorted.empty() ? 0.0 : sorted.back());
+}
+
+// Few distinct values, so runs of duplicates straddle burst boundaries; a rare
+// outlier moves the maximum.
+void AddBurst(Samples* s, Rng* rng, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    s->Add(rng->Bernoulli(0.01) ? rng->Uniform(100.0, 1000.0)
+                                : static_cast<double>(rng->UniformInt(0, 24)) * 0.25);
+  }
+}
+
+TEST(SamplesTest, IncrementalSortMatchesFullSort) {
+  Rng rng(20);
+  Samples s;
+  ExpectMatchesFullSort(s);
+  const std::size_t bursts[] = {1, 0, 3, 250, 1, 17, 4096, 2, 0, 999, 5, 1, 6000, 64};
+  std::vector<Samples> copies;
+  for (std::size_t i = 0; i < std::size(bursts); ++i) {
+    AddBurst(&s, &rng, bursts[i]);
+    if (i == 5) {
+      copies.push_back(s);  // Carries values added since the last query.
+    }
+    SCOPED_TRACE("burst " + std::to_string(i));
+    ExpectMatchesFullSort(s);
+    ExpectMatchesFullSort(s);  // A repeated query sees the same view.
+    if (i == 8) {
+      copies.push_back(s);  // Taken right after a query.
+    }
+    for (Samples& copy : copies) {
+      AddBurst(&copy, &rng, bursts[std::size(bursts) - 1 - i]);
+      ExpectMatchesFullSort(copy);
+    }
+  }
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_NE(copies[0].count(), s.count());
+
+  s = Samples();
+  EXPECT_EQ(s.count(), 0u);
+  ExpectMatchesFullSort(s);
+  AddBurst(&s, &rng, 300);
+  EXPECT_EQ(s.count(), 300u);
+  ExpectMatchesFullSort(s);
 }
 
 TEST(HistogramTest, BucketsAndClamping) {

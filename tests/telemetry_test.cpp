@@ -1,12 +1,16 @@
 // Tests for the second-generation observability layer: timeline windowing
 // math, SLO burn-rate alerting, the flight recorder ring, and exporter
 // escaping under hostile metric/label names.
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/obs/export_util.h"
 #include "src/obs/flight_recorder.h"
@@ -113,6 +117,78 @@ TEST(TimelineTest, QuietWindowReportsZeroDeltaAndSilentPercentiles) {
   EXPECT_DOUBLE_EQ(quiet.interval_p50, 0.0);
   EXPECT_DOUBLE_EQ(quiet.interval_p99, 0.0);
   EXPECT_EQ(quiet.count, 1u);  // Cumulative view still carries the total.
+}
+
+// Percentile of `values` by a full sort, with Samples::Percentile's formula.
+double BruteForcePercentile(std::vector<double> values, double q) {
+  if (values.empty()) {
+    return 0.0;
+  }
+  std::sort(values.begin(), values.end());
+  const double rank = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  return values[lo] + (values[hi] - values[lo]) * (rank - static_cast<double>(lo));
+}
+
+TEST(TimelineTest, PercentilesMatchBruteForceAcrossTheSampleCap) {
+  // Pins today's behaviour past a series' stored-sample cap: interval
+  // percentiles go quiet, the interval mean stays exact, and the run
+  // percentiles freeze at the first 65,536 observations.
+  constexpr std::size_t kCap = std::size_t{1} << 16;
+  MetricsRegistry registry;
+  Series* s = registry.GetSeries("t.lat_ms");
+  TimelineRecorder timeline(&registry);
+  Rng rng(20);
+  std::vector<double> stored;
+  std::size_t total = 0;
+  std::size_t windows_past_cap = 0;
+  const TimelineSeries* prev = nullptr;
+  for (int w = 0; w < 30; ++w) {
+    const auto burst = static_cast<std::size_t>(
+        rng.Bernoulli(0.2) ? rng.UniformInt(0, 3) : rng.UniformInt(1500, 7000));
+    const std::size_t stored_before = stored.size();
+    const bool past_cap = total >= kCap;
+    double burst_sum = 0.0;
+    for (std::size_t i = 0; i < burst; ++i) {
+      // Quarter-unit values keep every sum exact; the shift after the cap
+      // would move any percentile that saw it.
+      double v = std::round(rng.Exponential(40.0) * 4.0) / 4.0;
+      if (total >= kCap) {
+        v += 1000.0;
+      }
+      s->Observe(v);
+      burst_sum += v;
+      if (stored.size() < kCap) {
+        stored.push_back(v);
+      }
+      ++total;
+    }
+    timeline.Scrape(Seconds(10 * (w + 1)));
+    const TimelineSeries& out = timeline.windows().back().series[0];
+    SCOPED_TRACE("window " + std::to_string(w));
+    EXPECT_EQ(out.count, total);
+    EXPECT_EQ(out.delta, burst);
+    EXPECT_EQ(out.interval_mean, burst > 0 ? burst_sum / static_cast<double>(burst) : 0.0);
+    const std::vector<double> slice(stored.begin() + static_cast<std::ptrdiff_t>(stored_before),
+                                    stored.end());
+    EXPECT_EQ(out.interval_p50, BruteForcePercentile(slice, 0.50));
+    EXPECT_EQ(out.interval_p95, BruteForcePercentile(slice, 0.95));
+    EXPECT_EQ(out.interval_p99, BruteForcePercentile(slice, 0.99));
+    EXPECT_EQ(out.run_p50, BruteForcePercentile(stored, 0.50));
+    EXPECT_EQ(out.run_p99, BruteForcePercentile(stored, 0.99));
+    if (past_cap) {
+      ++windows_past_cap;
+      EXPECT_EQ(out.interval_p50, 0.0);
+      EXPECT_EQ(out.interval_p95, 0.0);
+      EXPECT_EQ(out.interval_p99, 0.0);
+      EXPECT_EQ(out.run_p50, prev->run_p50);
+      EXPECT_EQ(out.run_p99, prev->run_p99);
+    }
+    prev = &out;
+  }
+  EXPECT_GT(total, 90'000u);
+  EXPECT_GE(windows_past_cap, 5u);
 }
 
 TEST(TimelineTest, RingEvictsOldestWindowsAtCapacity) {
