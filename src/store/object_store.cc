@@ -68,26 +68,26 @@ SimDuration ObjectStore::Inflate(SimDuration cost) const {
   return static_cast<SimDuration>(static_cast<double>(cost) * latency_factor_);
 }
 
-bool ObjectStore::FailIfUnavailable(const std::string& op, const std::string& key,
-                                    Callback done) {
+bool ObjectStore::FailIfUnavailable(const char* op, const std::string& key,
+                                    Callback& done) {
   if (available_) {
     return false;
   }
   ++*m_.unavailable_errors;
   After(ControlCost(), [op, key, done = std::move(done)]() {
-    done(UnavailableError(op + ": store unavailable: " + key));
+    done(UnavailableError(std::string(op) + ": store unavailable: " + key));
   });
   return true;
 }
 
-bool ObjectStore::FailIfUnavailable(const std::string& op, const std::string& key,
-                                    MetaCallback done) {
+bool ObjectStore::FailIfUnavailable(const char* op, const std::string& key,
+                                    MetaCallback& done) {
   if (available_) {
     return false;
   }
   ++*m_.unavailable_errors;
   After(ControlCost(), [op, key, done = std::move(done)]() {
-    done(UnavailableError(op + ": store unavailable: " + key));
+    done(UnavailableError(std::string(op) + ": store unavailable: " + key));
   });
   return true;
 }

@@ -237,10 +237,12 @@ class ObjectStore {
   SimDuration WriteCost(Bytes size);
   // Applies the brownout multiplier to a computed cost.
   SimDuration Inflate(SimDuration cost) const;
-  // Outage guard: when the store is down, schedules `done(kUnavailable)` after
-  // one control round-trip and returns true (the operation must bail out).
-  bool FailIfUnavailable(const std::string& op, const std::string& key, Callback done);
-  bool FailIfUnavailable(const std::string& op, const std::string& key, MetaCallback done);
+  // Outage guard: when the store is down, moves `done` into a
+  // `done(kUnavailable)` scheduled after one control round-trip and returns
+  // true (the operation must bail out). While the store is up it leaves `done`
+  // untouched, so the common path copies nothing.
+  bool FailIfUnavailable(const char* op, const std::string& key, Callback& done);
+  bool FailIfUnavailable(const char* op, const std::string& key, MetaCallback& done);
 
   sim::EventLoop* loop_;
   StoreProfile profile_;
