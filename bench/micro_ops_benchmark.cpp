@@ -1,13 +1,17 @@
 // google-benchmark microbenchmarks for the hot paths: critical-path ML
 // prediction (the §5.1.1 1 ms budget), event-loop throughput, the platform's
-// warm-invocation round trip, cache cluster read/write, and the log allocator
-// — for performance-regression tracking rather than paper reproduction.
+// warm-invocation round trip, cache cluster read/write, the log allocator, and
+// one telemetry scrape — for performance-regression tracking rather than paper
+// reproduction.
 #include <benchmark/benchmark.h>
 
 #include "bench/trace_util.h"
 #include "src/faas/platform.h"
 #include "src/ml/j48.h"
 #include "src/ml/random_forest.h"
+#include "src/obs/metrics.h"
+#include "src/obs/slo.h"
+#include "src/obs/timeline.h"
 #include "src/ramcloud/cluster.h"
 #include "src/ramcloud/segmented_log.h"
 #include "src/sim/event_loop.h"
@@ -245,6 +249,80 @@ void BM_SegmentedLogChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SegmentedLogChurn);
+
+// One telemetry scrape, SloMonitor::Evaluate then TimelineRecorder::Scrape, at
+// the shape of perfbench's azure-ofc-observed workload: six platform series
+// holding up to range(0) stored samples, 20 per-function series holding a
+// twentieth of that, and 840 new observations per series per scrape (42 per
+// per-function series). Observations are added with the timer paused. Every
+// kRounds scrapes the series are reset and refilled untimed, so the timed
+// scrapes see between range(0) - (kRounds - 1) * 840 and range(0) samples.
+void BM_TimelineScrape(benchmark::State& state) {
+  constexpr std::size_t kFunctions = 20;
+  constexpr std::size_t kNew = 840;
+  constexpr std::size_t kRounds = 4;
+  const auto stored = static_cast<std::size_t>(state.range(0));
+  obs::MetricsRegistry registry;
+  std::vector<obs::Series*> platform;
+  for (const char* name : {"ofc.platform.queue_wait_ms", "ofc.platform.startup_ms",
+                           "ofc.platform.extract_ms", "ofc.platform.transform_ms",
+                           "ofc.platform.load_ms", "ofc.platform.total_ms"}) {
+    platform.push_back(registry.GetSeries(name));
+  }
+  std::vector<obs::Series*> by_function;
+  for (std::size_t f = 0; f < kFunctions; ++f) {
+    by_function.push_back(
+        registry.GetSeries("ofc.platform.total_ms_by_function", "fn" + std::to_string(f)));
+  }
+  std::vector<obs::SloSpec> specs;
+  std::string error;
+  if (!obs::ParseSloSpecs("latency=lat:ofc.platform.total_ms:p99:2000", &specs, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  obs::SloMonitor slo(&registry, nullptr, std::move(specs));
+  obs::TimelineRecorder timeline(&registry);
+  Rng rng(13);
+  const auto observe = [&](std::size_t n) {
+    for (obs::Series* series : platform) {
+      for (std::size_t i = 0; i < n; ++i) {
+        series->Observe(rng.Exponential(200.0));
+      }
+    }
+    for (obs::Series* series : by_function) {
+      for (std::size_t i = 0; i < n / kFunctions; ++i) {
+        series->Observe(rng.Exponential(200.0));
+      }
+    }
+  };
+  SimTime now = 0;
+  const auto scrape = [&] {
+    now += Seconds(10);
+    slo.Evaluate(now);
+    timeline.Scrape(now);
+  };
+  std::size_t round = kRounds;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (round == kRounds) {
+      for (obs::Series* series : platform) {
+        series->Reset();
+      }
+      for (obs::Series* series : by_function) {
+        series->Reset();
+      }
+      observe(stored - kRounds * kNew);
+      scrape();  // The scrape before the timed ones, as in a running simulation.
+      round = 0;
+    }
+    observe(kNew);
+    ++round;
+    state.ResumeTiming();
+    scrape();
+  }
+  state.counters["series"] = static_cast<double>(platform.size() + by_function.size());
+}
+BENCHMARK(BM_TimelineScrape)->Arg(8192)->Arg(32768)->Arg(65536)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ofc
