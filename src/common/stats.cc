@@ -27,12 +27,31 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void Samples::EnsureSorted() const {
-  if (dirty_) {
-    sorted_ = values_;
-    std::sort(sorted_.begin(), sorted_.end());
-    dirty_ = false;
+double SortedPercentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) {
+    return 0.0;
   }
+  q = std::clamp(q, 0.0, 1.0);
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
+  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
+
+void Samples::EnsureSorted() const {
+  if (merged_ == values_.size()) {
+    return;
+  }
+  // Finite doubles are totally ordered, so merging the sorted new values into
+  // the sorted prefix yields exactly the sequence a full re-sort would.
+  sorted_.reserve(values_.size());
+  sorted_.insert(sorted_.end(), values_.begin() + static_cast<std::ptrdiff_t>(merged_),
+                 values_.end());
+  const auto mid = sorted_.begin() + static_cast<std::ptrdiff_t>(merged_);
+  std::sort(mid, sorted_.end());
+  std::inplace_merge(sorted_.begin(), mid, sorted_.end());
+  merged_ = values_.size();
 }
 
 double Samples::Mean() const {
@@ -58,15 +77,7 @@ double Samples::Max() const {
 
 double Samples::Percentile(double q) const {
   EnsureSorted();
-  if (sorted_.empty()) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(sorted_.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted_[lo] + (sorted_[hi] - sorted_[lo]) * frac;
+  return SortedPercentile(sorted_, q);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)

@@ -37,13 +37,17 @@ class RunningStat {
   double sum_ = 0.0;
 };
 
-// Stores all samples; exact percentiles. Fine for bench-scale sample counts.
+// q in [0, 1] over an ascending `sorted`; linear interpolation between closest
+// ranks. Empty -> 0.
+double SortedPercentile(const std::vector<double>& sorted, double q);
+
+// Stores all samples; exact percentiles over finite values. The sorted view is
+// kept up to date incrementally: a query sorts only the values added since the
+// previous query and merges them in, so querying after every k new samples
+// costs O(k log k + count()) rather than a full re-sort.
 class Samples {
  public:
-  void Add(double x) {
-    values_.push_back(x);
-    dirty_ = true;
-  }
+  void Add(double x) { values_.push_back(x); }
   std::size_t count() const { return values_.size(); }
   double Mean() const;
   double Min() const;
@@ -55,8 +59,9 @@ class Samples {
 
  private:
   std::vector<double> values_;
+  // values_[0, merged_) in ascending order.
   mutable std::vector<double> sorted_;
-  mutable bool dirty_ = true;
+  mutable std::size_t merged_ = 0;
   void EnsureSorted() const;
 };
 

@@ -1,9 +1,9 @@
 #include "src/obs/timeline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
+#include "src/common/stats.h"
 #include "src/obs/export_util.h"
 
 namespace ofc::obs {
@@ -15,21 +15,6 @@ std::string CellKey(const std::string& name, const std::string& label) {
   key.push_back('\0');
   key += label;
   return key;
-}
-
-// Percentile over an unsorted slice, matching Samples::Percentile semantics
-// (linear interpolation between closest ranks; empty -> 0).
-double SlicePercentile(std::vector<double> values, double q) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::sort(values.begin(), values.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
 }  // namespace
@@ -73,6 +58,7 @@ void TimelineRecorder::Scrape(SimTime now) {
         window.gauges.push_back(std::move(out));
       });
 
+  std::vector<double> slice;  // Reused across series.
   registry_->VisitSeries([&](const std::string& name, const std::string& label,
                              const Series& cell) {
     TimelineSeries out;
@@ -90,11 +76,11 @@ void TimelineRecorder::Scrape(SimTime now) {
     }
     const std::vector<double>& stored = cell.samples().values();
     if (stored.size() > prev_stored) {
-      std::vector<double> slice(stored.begin() + static_cast<std::ptrdiff_t>(prev_stored),
-                                stored.end());
-      out.interval_p50 = SlicePercentile(slice, 0.50);
-      out.interval_p95 = SlicePercentile(slice, 0.95);
-      out.interval_p99 = SlicePercentile(std::move(slice), 0.99);
+      slice.assign(stored.begin() + static_cast<std::ptrdiff_t>(prev_stored), stored.end());
+      std::sort(slice.begin(), slice.end());
+      out.interval_p50 = SortedPercentile(slice, 0.50);
+      out.interval_p95 = SortedPercentile(slice, 0.95);
+      out.interval_p99 = SortedPercentile(slice, 0.99);
     }
     out.run_p50 = cell.samples().Percentile(0.50);
     out.run_p99 = cell.samples().Percentile(0.99);

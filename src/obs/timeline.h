@@ -15,6 +15,12 @@
 //     cap, interval percentiles go quiet (no new stored samples) while the
 //     interval mean stays exact.
 //
+// Per series, a scrape sorts the window's new stored samples once for all
+// three interval percentiles, and the run percentiles merge those same samples
+// into the series' sorted view (Samples keeps it incrementally). A scrape thus
+// costs O(new log new + stored) per series, not a re-sort of every stored
+// sample.
+//
 // Windows evict oldest-first at capacity, so a long run keeps the most recent
 // history at full resolution. Export is a machine-readable JSON document whose
 // byte content is a pure function of the scrape sequence — the determinism
