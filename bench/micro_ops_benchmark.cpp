@@ -319,6 +319,7 @@ void BM_TimelineScrape(benchmark::State& state) {
     ++round;
     state.ResumeTiming();
     scrape();
+    benchmark::DoNotOptimize(timeline.windows().back());
   }
   state.counters["series"] = static_cast<double>(platform.size() + by_function.size());
 }
