@@ -45,7 +45,9 @@ void Samples::EnsureSorted() const {
   }
   // Finite doubles are totally ordered, so merging the sorted new values into
   // the sorted prefix yields exactly the sequence a full re-sort would.
-  sorted_.reserve(values_.size());
+  // Mirroring values_' capacity reallocates only when values_ did, never per
+  // query, and holds no more than values_ does.
+  sorted_.reserve(values_.capacity());
   sorted_.insert(sorted_.end(), values_.begin() + static_cast<std::ptrdiff_t>(merged_),
                  values_.end());
   const auto mid = sorted_.begin() + static_cast<std::ptrdiff_t>(merged_);
