@@ -648,6 +648,45 @@ TEST_F(ProxyFaultTest, PersistorDropWindowRetriesAfterExpiry) {
   EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_abandons"), 0u);
 }
 
+// The shadow (versioned) path: a first write's persistor is held back by a
+// drop window while a second write to the same key is acknowledged and
+// persisted first. The late push must stand down on the store's version order
+// and leave the newer write's state alone: the cached copy goes exactly once,
+// dropped by the second write's persistor.
+TEST_F(ProxyFaultTest, HeldBackShadowPersistorStandsDownBehindNewerWrite) {
+  proxy_.InjectPersistorDropUntil(Seconds(1));
+  Status first = InternalError("unset");
+  proxy_.Write(Ctx(), "out", MiB(1), Media(MiB(1)), [&](Status s) { first = s; });
+  loop_.RunUntil(Millis(900));
+  ASSERT_TRUE(first.ok());
+  ASSERT_GT(proxy_.metrics().CounterValue("ofc.proxy.persistor_drops"), 0u);
+  ASSERT_TRUE(rsds_.Stat("out")->IsShadow());
+
+  // The window closes at 1 s; the second write lands and persists before the
+  // first persistor's next retry (its backoff has grown past 1 s).
+  Status second = InternalError("unset");
+  bool second_persisted_first = false;
+  loop_.ScheduleAt(Seconds(1) + Millis(50), [&, this] {
+    proxy_.Write(Ctx(), "out", MiB(2), Media(MiB(2)), [&](Status s) { second = s; });
+  });
+  loop_.ScheduleAt(Seconds(1) + Millis(600), [&, this] {
+    const auto mid = rsds_.Stat("out");
+    second_persisted_first = mid.ok() && !mid->IsShadow() && mid->size == MiB(2) &&
+                             proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts") == 0;
+  });
+  loop_.Run();
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second_persisted_first);
+  const auto meta = rsds_.Stat("out");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_FALSE(meta->IsShadow());
+  EXPECT_EQ(meta->size, MiB(2));  // The newer write won.
+  EXPECT_GE(proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts"), 1u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_abandons"), 0u);
+  EXPECT_FALSE(cluster_.Contains("out"));
+  EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.evictions"), 1u);
+}
+
 TEST_F(ProxyFaultTest, PersistorAbandonsAfterRetryBudgetButStaysDirty) {
   rsds_.SetAvailable(false);  // Permanent outage.
   Status ack = InternalError("unset");

@@ -386,6 +386,48 @@ TEST_F(ClusterTest, ScrubObjectRepairsDivergentBackup) {
   EXPECT_EQ(cluster_.metrics().CounterValue("ofc.integrity.repairs"), 1u);
 }
 
+// Pins every master and backup choice on a cluster whose nodes tie in free
+// memory and in backup disk use, so ties are broken by std::sort's order over
+// the candidate sequence: spills off a full client node, updates that keep
+// their master, and the re-replication after a crash.
+TEST_F(ClusterTest, PlacementBreaksTiesInCandidateOrder) {
+  Cluster cluster(&loop_, 6, TestOptions(), Rng(7));
+  ASSERT_TRUE(cluster.SetCapacity(0, KiB(1)).ok());  // Node 0 can master nothing.
+  auto write = [&](int client, const std::string& key, Bytes size) {
+    Status out = InternalError("unset");
+    cluster.Write(client, key, size, 1, ObjectClass::kInput, false,
+                  [&](Status s) { out = s; });
+    loop_.Run();
+    return out;
+  };
+  auto placements = [&] {
+    std::string out;
+    for (const std::string& key : cluster.KeysAfter("", 100)) {
+      const auto obj = cluster.Inspect(key);
+      out += key + ":" + std::to_string(obj->master) + "[";
+      for (std::size_t i = 0; i < obj->backups.size(); ++i) {
+        out += (i == 0 ? "" : ",") + std::to_string(obj->backups[i]);
+      }
+      out += "] ";
+    }
+    return out;
+  };
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(write(0, "s" + std::to_string(i), MiB(3)).ok());  // Spill.
+  }
+  ASSERT_TRUE(write(3, "t0", MiB(2)).ok());
+  ASSERT_TRUE(write(5, "t1", MiB(2)).ok());
+  ASSERT_TRUE(write(0, "s2", MiB(1)).ok());  // Update keeps its master.
+  ASSERT_TRUE(write(2, "t2", MiB(2)).ok());
+  EXPECT_EQ(placements(),
+            "s0:1[0,2] s1:2[1,3] s2:3[5,4] s3:4[0,1] s4:5[2,3] s5:1[4,5] s6:1[0,2] s7:2[1,3] "
+            "t0:3[4,5] t1:5[4,0] t2:2[5,4] ");
+  (void)cluster.CrashNode(2);
+  EXPECT_EQ(placements(),
+            "s0:1[0,5] s1:3[1,4] s2:3[5,4] s3:4[0,1] s4:5[3,1] s5:1[4,5] s6:1[0,3] s7:1[3,0] "
+            "t0:3[4,5] t1:5[4,0] t2:5[4,1] ");
+}
+
 TEST_F(ClusterTest, KeysAfterWalksCursorInKeyOrder) {
   for (const char* key : {"b", "d", "a", "c"}) {
     ASSERT_TRUE(WriteSync(0, key, MiB(1)).ok());
