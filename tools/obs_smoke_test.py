@@ -7,9 +7,13 @@ Drives the built CLI binary through the telemetry paths CI cares about:
      JSON that parses and passes tools/check_timeline.py's structural checks;
   2. unwritable output paths fail loudly — nonzero exit and a stderr line
      naming the path — for every artifact flag (never a silent exit 0);
-  3. an injected fault leaves its window in the flight ring: a fault_inject
+  3. scenario sizes that cannot run (no workers, no worker memory, no
+     simulated time, a non-positive arrival interval) are rejected up front —
+     nonzero exit and a stderr line naming the flag — instead of crashing the
+     simulator or leaving its run stranded;
+  4. an injected fault leaves its window in the flight ring: a fault_inject
      and a fault_heal record sharing the fault's parent id;
-  4. the negative post-mortem path: --inject-breach-at trips a SIM_ASSERT and
+  5. the negative post-mortem path: --inject-breach-at trips a SIM_ASSERT and
      --dump-on-assert captures a flight dump naming the breach, with the
      process exiting nonzero. Skipped with --sim-asserts=OFF: a binary built
      without OFC_SIM_ASSERTS (a plain Release build) compiles SIM_ASSERT to a
@@ -80,6 +84,19 @@ def check_unwritable_outputs(binary):
                  f"{proc.stderr.strip()!r}")
 
 
+def check_invalid_scenario_sizes(binary):
+    for arg in ("--workers=0", "--workers=-2", "--worker-gb=0",
+                "--duration-min=0", "--interval-s=0", "--interval-s=-1"):
+        proc = run(binary, ["--mode=ofc", arg])
+        flag = arg.split("=", 1)[0]
+        if proc.returncode == 0:
+            fail(f"{arg} exited 0; expected a rejection")
+        elif proc.returncode < 0:
+            fail(f"{arg} died of signal {-proc.returncode}; expected a rejection")
+        if flag not in proc.stderr:
+            fail(f"{arg}: stderr does not name the flag: {proc.stderr.strip()!r}")
+
+
 def check_fault_window(binary, outdir):
     flight = os.path.join(outdir, "fault_flight.json")
     proc = run(binary, ["--mode=ofc", "--duration-min=3",
@@ -132,6 +149,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="ofc-obs-smoke-") as outdir:
         check_scraped_run(binary, outdir)
         check_unwritable_outputs(binary)
+        check_invalid_scenario_sizes(binary)
         check_fault_window(binary, outdir)
         if args.sim_asserts == "ON":
             check_breach_dump(binary, outdir)

@@ -786,12 +786,28 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--arrivals", &flags.arrivals)) {
     } else if (ParseFlag(argv[i], "--duration-min", &value)) {
       flags.duration_min = std::atoi(value.c_str());
+      if (flags.duration_min < 1) {
+        std::fprintf(stderr, "--duration-min must be >= 1\n");
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--interval-s", &value)) {
       flags.interval_s = std::atof(value.c_str());
+      if (!(flags.interval_s > 0.0)) {  // Also rejects NaN.
+        std::fprintf(stderr, "--interval-s must be > 0\n");
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--workers", &value)) {
       flags.workers = std::atoi(value.c_str());
+      if (flags.workers < 1) {
+        std::fprintf(stderr, "--workers must be >= 1\n");
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--worker-gb", &value)) {
       flags.worker_gb = std::atoi(value.c_str());
+      if (flags.worker_gb < 1) {
+        std::fprintf(stderr, "--worker-gb must be >= 1\n");
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--seed", &value)) {
       flags.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--pretrain", &value)) {
