@@ -51,19 +51,21 @@ void Scrubber::ScrubClusterSlice() {
 }
 
 void Scrubber::ScrubStoreSlice() {
-  // The store exposes no cursor API; slice its sorted key listing the same
-  // way. O(N) per tick, fine at simulation scale.
-  const std::vector<std::string> keys = rsds_->Keys();
-  auto it = std::upper_bound(keys.begin(), keys.end(), store_cursor_);
-  int scanned = 0;
-  for (; it != keys.end() && scanned < options_.objects_per_cycle; ++it, ++scanned) {
+  const std::size_t budget = options_.objects_per_cycle <= 0
+                                 ? 0
+                                 : static_cast<std::size_t>(options_.objects_per_cycle);
+  // One key past the budget tells whether any key is left after the slice:
+  // the pass wraps on the tick that scans the last key, not one tick later.
+  const std::vector<std::string> keys = rsds_->KeysAfter(store_cursor_, budget + 1);
+  const std::size_t slice = std::min(keys.size(), budget);
+  for (std::size_t i = 0; i < slice; ++i) {
     ++*objects_scanned_;
-    const int repaired = rsds_->ScrubKey(*it);
+    const int repaired = rsds_->ScrubKey(keys[i]);
     corruptions_found_->Add(static_cast<std::uint64_t>(repaired));
     repairs_->Add(static_cast<std::uint64_t>(repaired));
-    store_cursor_ = *it;
+    store_cursor_ = keys[i];
   }
-  if (it == keys.end()) {
+  if (keys.size() <= budget) {
     store_cursor_.clear();
   }
 }

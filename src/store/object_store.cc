@@ -359,6 +359,16 @@ std::vector<std::string> ObjectStore::Keys() const {
   return keys;
 }
 
+std::vector<std::string> ObjectStore::KeysAfter(const std::string& after,
+                                                std::size_t limit) const {
+  std::vector<std::string> keys;
+  for (auto it = objects_.upper_bound(after); it != objects_.end() && keys.size() < limit;
+       ++it) {
+    keys.push_back(it->first);
+  }
+  return keys;
+}
+
 Bytes ObjectStore::TotalBytes() const {
   Bytes total = 0;
   for (const auto& [key, obj] : objects_) {

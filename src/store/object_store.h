@@ -208,6 +208,9 @@ class ObjectStore {
   std::size_t NumObjects() const { return objects_.size(); }
   // All object keys in sorted order (chaos-harness consistency sweeps).
   std::vector<std::string> Keys() const;
+  // Keys in lexicographic order strictly after `after`, at most `limit` — the
+  // scrubber's incremental cursor walk, as Cluster::KeysAfter.
+  std::vector<std::string> KeysAfter(const std::string& after, std::size_t limit) const;
   Bytes TotalBytes() const;
   obs::MetricsRegistry& metrics() { return *metrics_; }
   // Seeds an object instantly (dataset preparation in FaaSLoad).
@@ -248,8 +251,8 @@ class ObjectStore {
   StoreProfile profile_;
   Rng rng_;
   std::string name_;
-  // Ordered: TotalBytes() and future listings iterate this map; keeping it
-  // sorted removes hash order from every export path.
+  // Ordered: the scrubber's KeysAfter() slices, Rot()'s replayable flips and
+  // Keys() (chaos sweeps) all walk this map in key order.
   std::map<std::string, ObjectMetadata> objects_;
   Webhook read_webhook_;
   Webhook write_webhook_;

@@ -8,6 +8,7 @@
 #include "src/core/intervals.h"
 #include "src/core/ml_service.h"
 #include "src/core/proxy.h"
+#include "src/core/scrubber.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/store/object_store.h"
@@ -852,6 +853,34 @@ TEST_F(ProxyTest, ExternalWriteInvalidatesCache) {
   EXPECT_TRUE(status.ok());
   EXPECT_FALSE(cluster_.Contains("obj"));
   EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.external_write_invalidations"), 1u);
+}
+
+// The store slice walks the keyspace in budget-sized steps and wraps on the
+// tick that scans the last key: a rot after the second of two slices over
+// four keys is found by the very next tick, from the top of the keyspace.
+TEST(ScrubberTest, StoreSliceWrapsOnTheTickThatScansTheLastKey) {
+  sim::EventLoop loop;
+  rc::Cluster cluster(&loop, 2, rc::ClusterOptions{}, Rng(1));
+  store::ObjectStore rsds(&loop, sim::LatencyModel{Millis(10), 100e6, 0.0}, Rng(1), "s");
+  for (const char* key : {"c/a", "c/b", "c/c", "c/d"}) {
+    rsds.Seed(key, KiB(1), {});
+  }
+  obs::MetricsRegistry metrics;
+  ScrubberOptions options;
+  options.interval = Seconds(10);
+  options.objects_per_cycle = 2;
+  options.metrics = &metrics;
+  Scrubber scrubber(&loop, &cluster, &rsds, options);
+  scrubber.Start();
+  loop.RunUntil(Seconds(25));  // Two ticks: c/a c/b, then c/c c/d.
+  EXPECT_EQ(metrics.CounterValue("ofc.scrub.objects_scanned"), 4u);
+  ASSERT_EQ(rsds.Rot(4), 4);
+  loop.RunUntil(Seconds(35));  // Third tick: back at c/a c/b.
+  EXPECT_EQ(metrics.CounterValue("ofc.scrub.objects_scanned"), 6u);
+  EXPECT_EQ(metrics.CounterValue("ofc.scrub.repairs"), 2u);
+  loop.RunUntil(Seconds(45));
+  EXPECT_EQ(metrics.CounterValue("ofc.scrub.repairs"), 4u);
+  scrubber.Stop();
 }
 
 }  // namespace

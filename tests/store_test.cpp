@@ -244,6 +244,22 @@ TEST_F(StoreTest, ScrubKeyRepairsOnceAndIgnoresUnknownKeys) {
   EXPECT_EQ(store_.metrics().CounterTotal("ofc.integrity.store_repairs"), 1u);
 }
 
+TEST_F(StoreTest, KeysAfterWalksCursorInKeyOrder) {
+  for (const char* key : {"c/b", "c/d", "c/a", "c/c"}) {
+    store_.Seed(key, KiB(1), {});
+  }
+  const auto first = store_.KeysAfter("", 2);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0], "c/a");
+  EXPECT_EQ(first[1], "c/b");
+  const auto rest = store_.KeysAfter(first.back(), 10);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0], "c/c");
+  EXPECT_EQ(rest[1], "c/d");
+  EXPECT_TRUE(store_.KeysAfter("c/d", 10).empty());
+  EXPECT_TRUE(store_.KeysAfter("", 0).empty());
+}
+
 TEST_F(StoreTest, PutIfVersionRejectsCorruptFingerprint) {
   store_.Put("c/a", KiB(4), {}, [](Status) {});
   loop_.Run();
