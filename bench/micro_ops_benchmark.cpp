@@ -221,7 +221,7 @@ void BM_ClusterWriteRead(benchmark::State& state) {
     const std::string key = "k" + std::to_string(i % 512);
     cluster.Write(static_cast<int>(i % 4), key, KiB(64), 1, rc::ObjectClass::kInput,
                   false, [](Status) {});
-    cluster.Read(static_cast<int>((i + 1) % 4), key, [](Result<rc::CachedObject>) {});
+    cluster.Read(static_cast<int>((i + 1) % 4), key, [](Result<rc::ReadHit>) {});
     loop.Run();
     ++i;
   }

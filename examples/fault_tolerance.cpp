@@ -131,7 +131,7 @@ int main() {
   // Every object is still readable from its new master.
   int readable = 0;
   for (int i = 0; i < 40; ++i) {
-    cluster.Read(1, "obj/" + std::to_string(i), [&](Result<rc::CachedObject> obj) {
+    cluster.Read(1, "obj/" + std::to_string(i), [&](Result<rc::ReadHit> obj) {
       readable += obj.ok();
     });
   }

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "src/common/logging.h"
+#include "src/common/sim_assert.h"
 #include "src/faas/direct_data_service.h"
 
 namespace ofc::core {
@@ -136,7 +137,7 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
   }
   const SimTime issued = loop_->now();
   CacheRead(ctx.worker, key,
-            [this, ctx, key, issued, done = std::move(done)](Result<rc::CachedObject> hit) {
+            [this, ctx, key, issued, done = std::move(done)](Result<rc::ReadHit> hit) {
     FnMetrics& fn = FnMetricsForCtx(ctx);
     if (hit.ok()) {
       // A hit slower than the latency SLO counts against the breaker even
@@ -344,87 +345,89 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
   }
 
   // Transparent mode: shadow object in the RSDS + durable cache write run in
-  // parallel; acknowledge when both are done, then schedule the persistor.
-  struct JoinState {
-    int remaining = 2;
-    Status failure;
-    store::ObjectVersion version = 0;
-    bool cache_ok = true;
-  };
-  auto join = std::make_shared<JoinState>();
-  auto finish = [this, ctx, join, key, size, media, done = std::move(done)]() mutable {
-    if (--join->remaining > 0) {
-      return;
-    }
-    if (!join->failure.ok()) {
-      if (join->failure.code() == StatusCode::kUnavailable && join->cache_ok) {
-        // RSDS outage: the replicated cache copy is durable, so the write is
-        // acknowledged from the cache alone (no shadow exists yet — §6.2's
-        // guarantee degrades to cache-durability). A version-0 persistor pushes
-        // the full payload once the store heals.
-        ++*m_.fallback_writes;
-        ++*m_.cached_writes;
-        PolicyAdmit(key, size, ctx.function);
-        emit_.Emit({.kind = FlightEventKind::kWriteFallback, .time = loop_->now(),
-                    .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
-        PersistorJob job;
-        job.key = key;
-        job.size = size;
-        job.drop_after = true;
-        job.invocation_id = ctx.invocation_id;
-        job.checksum = PayloadFingerprint(key, size);
-        // The store version this fallback supersedes, read through the
-        // management plane (the data plane is down): the If-Match ETag for the
-        // eventual compare-and-swap push. Anything newer landing after heal
-        // wins over the fallback.
-        const auto prior = rsds_->Stat(key);
-        job.fallback_base = prior.ok() ? prior->latest_version : 0;
-        job.epoch = write_epoch_[key] = next_write_epoch_++;
-        SchedulePersistor(std::move(job));
-        done(OkStatus());
-        return;
-      }
-      done(join->failure);
-      return;
-    }
-    if (!join->cache_ok) {
-      // Shadow exists but the payload could not be cached: push the payload
-      // directly so the RSDS converges (degenerates to a plain write).
-      ++*m_.direct_writes;
-      rsds_->FinalizePayload(key, join->version, size, std::move(done));
-      return;
-    }
-    ++*m_.cached_writes;
-    PolicyAdmit(key, size, ctx.function);
-    emit_.Emit({.kind = FlightEventKind::kCacheWrite, .time = loop_->now(),
-                .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
-    PersistorJob job;
-    job.key = key;
-    job.version = join->version;
-    job.size = size;
-    job.drop_after = true;
-    job.invocation_id = ctx.invocation_id;
-    job.checksum = PayloadFingerprint(key, size);
-    job.epoch = write_epoch_[key] = next_write_epoch_++;
-    SchedulePersistor(std::move(job));
-    done(OkStatus());
-  };
-
+  // parallel; acknowledge when both are done, then schedule the persistor. The
+  // join owns the write's state once; each completion holds only the join.
+  auto join = std::make_shared<TransparentWrite>();
+  join->ctx = ctx;
+  join->key = key;
+  join->size = size;
+  join->done = std::move(done);
   ++*m_.shadow_writes;
-  rsds_->PutShadow(key, size, [join, finish](Result<store::ObjectMetadata> meta) mutable {
+  rsds_->PutShadow(key, size, [this, join](Result<store::ObjectMetadata> meta) {
     if (!meta.ok()) {
       join->failure = meta.status();
     } else {
       join->version = meta->latest_version;
     }
-    finish();
+    JoinTransparentWrite(*join);
   });
   CacheWrite(ctx.worker, key, size, /*version=*/0, rc::ObjectClass::kFinalOutput,
-             /*dirty=*/true, [this, join, finish](Status status) mutable {
+             /*dirty=*/true, [this, join](Status status) {
                BreakerReport(WriteHealthy(status));
                join->cache_ok = status.ok();
-               finish();
+               JoinTransparentWrite(*join);
              });
+}
+
+void Proxy::JoinTransparentWrite(TransparentWrite& join) {
+  if (--join.remaining > 0) {
+    return;
+  }
+  const faas::InvocationContext& ctx = join.ctx;
+  const std::string& key = join.key;
+  const Bytes size = join.size;
+  if (!join.failure.ok()) {
+    if (join.failure.code() == StatusCode::kUnavailable && join.cache_ok) {
+      // RSDS outage: the replicated cache copy is durable, so the write is
+      // acknowledged from the cache alone (no shadow exists yet — §6.2's
+      // guarantee degrades to cache-durability). A version-0 persistor pushes
+      // the full payload once the store heals.
+      ++*m_.fallback_writes;
+      ++*m_.cached_writes;
+      PolicyAdmit(key, size, ctx.function);
+      emit_.Emit({.kind = FlightEventKind::kWriteFallback, .time = loop_->now(),
+                  .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
+      PersistorJob job;
+      job.key = key;
+      job.size = size;
+      job.drop_after = true;
+      job.invocation_id = ctx.invocation_id;
+      job.checksum = PayloadFingerprint(key, size);
+      // The store version this fallback supersedes, read through the
+      // management plane (the data plane is down): the If-Match ETag for the
+      // eventual compare-and-swap push. Anything newer landing after heal
+      // wins over the fallback.
+      const auto prior = rsds_->Stat(key);
+      job.fallback_base = prior.ok() ? prior->latest_version : 0;
+      job.epoch = NewWriteEpoch(key);
+      SchedulePersistor(std::move(job));
+      join.done(OkStatus());
+      return;
+    }
+    join.done(join.failure);
+    return;
+  }
+  if (!join.cache_ok) {
+    // Shadow exists but the payload could not be cached: push the payload
+    // directly so the RSDS converges (degenerates to a plain write).
+    ++*m_.direct_writes;
+    rsds_->FinalizePayload(key, join.version, size, std::move(join.done));
+    return;
+  }
+  ++*m_.cached_writes;
+  PolicyAdmit(key, size, ctx.function);
+  emit_.Emit({.kind = FlightEventKind::kCacheWrite, .time = loop_->now(),
+              .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
+  PersistorJob job;
+  job.key = key;
+  job.version = join.version;
+  job.size = size;
+  job.drop_after = true;
+  job.invocation_id = ctx.invocation_id;
+  job.checksum = PayloadFingerprint(key, size);
+  job.epoch = NewWriteEpoch(key);
+  SchedulePersistor(std::move(job));
+  join.done(OkStatus());
 }
 
 // ---- Circuit breaker & cache-fault injection ----------------------------------------
@@ -535,9 +538,26 @@ void Proxy::SchedulePersistor(PersistorJob job, int attempt) {
                        });
 }
 
+std::uint64_t Proxy::NewWriteEpoch(const std::string& key) {
+  WriteEpoch& entry = write_epoch_[key];
+  entry.epoch = next_write_epoch_++;
+  ++entry.persistors;
+  return entry.epoch;
+}
+
 bool Proxy::EpochCurrent(const PersistorJob& job) const {
   auto it = write_epoch_.find(job.key);
-  return it == write_epoch_.end() || it->second == job.epoch;
+  SIM_ASSERT(it != write_epoch_.end()) << "; persistor without an epoch entry: " << job.key;
+  return it == write_epoch_.end() || it->second.epoch == job.epoch;
+}
+
+void Proxy::FinishPersistor(const PersistorJob& job) {
+  auto it = write_epoch_.find(job.key);
+  SIM_ASSERT(it != write_epoch_.end() && it->second.persistors > 0)
+      << "; persistor finished twice: " << job.key;
+  if (it != write_epoch_.end() && --it->second.persistors == 0) {
+    write_epoch_.erase(it);
+  }
 }
 
 void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
@@ -555,6 +575,7 @@ void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
     ++*m_.persistor_conflicts;
     emit_.Emit({.kind = FlightEventKind::kPersistorConflict, .time = loop_->now(),
                 .parent = job.invocation_id, .subject = job.key, .detail = "stale_epoch"});
+    FinishPersistor(job);
     return;
   }
   ++*m_.persistor_runs;
@@ -569,24 +590,25 @@ void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
       ++*m_.persistor_conflicts;
       emit_.Emit({.kind = FlightEventKind::kPersistorConflict, .time = loop_->now(),
                   .parent = job.invocation_id, .subject = job.key, .detail = "newer_version"});
+      FinishPersistor(job);
       return;
     }
     m_.persistor_ms->Observe(ToMillis(loop_->now() - scheduled));
     emit_.Emit({.kind = FlightEventKind::kPersistorDone, .time = loop_->now(),
                 .parent = job.invocation_id, .subject = job.key,
                 .duration = loop_->now() - scheduled});
-    if (!EpochCurrent(job)) {
-      // The push landed, but a newer acknowledged write took over the cached
-      // copy while it was in flight — its persistor cleans up; dropping the
-      // copy here would lose a dirty, not-yet-persisted payload.
-      return;
+    // Only the newest acknowledged write may clean up: if a newer one took
+    // over the cached copy while this push was in flight, its persistor
+    // cleans up, and dropping the copy here would lose a dirty payload.
+    if (EpochCurrent(job)) {
+      (void)cluster_->MarkPersisted(job.key);
+      if (job.drop_after) {
+        // §6.3: final outputs leave the cache once written back.
+        (void)cluster_->Remove(job.key);
+        PolicyRemove(job.key);
+      }
     }
-    (void)cluster_->MarkPersisted(job.key);
-    if (job.drop_after) {
-      // §6.3: final outputs leave the cache once written back.
-      (void)cluster_->Remove(job.key);
-      PolicyRemove(job.key);
-    }
+    FinishPersistor(job);
   };
   if (job.version == 0) {
     // Degraded write (no shadow was ever created): push the full payload, but
@@ -605,6 +627,7 @@ void Proxy::RetryPersistor(PersistorJob job, int attempt) {
     // Budget exhausted: the object stays dirty in the cache; the CacheAgent's
     // reclamation write-back is the backstop.
     ++*m_.persistor_abandons;
+    FinishPersistor(job);
     return;
   }
   ++*m_.persistor_retries;

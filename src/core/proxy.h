@@ -162,6 +162,10 @@ class Proxy : public faas::DataService {
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
+  // Keys with a persistor scheduled, retrying or pushing (the size of the
+  // write-epoch table; 0 once every persistor has finished).
+  std::size_t PersistorKeysInFlight() const { return write_epoch_.size(); }
+
  private:
   // Registry cells, bumped through cached pointers.
   struct Metrics {
@@ -238,6 +242,21 @@ class Proxy : public faas::DataService {
     std::uint64_t invocation_id = 0;
   };
 
+  // One transparent-mode write between its two halves: the RSDS shadow and the
+  // durable cache write. Shared by both completions; the second to arrive
+  // acknowledges the write (JoinTransparentWrite).
+  struct TransparentWrite {
+    faas::InvocationContext ctx;
+    std::string key;
+    Bytes size = 0;
+    std::function<void(Status)> done;
+    int remaining = 2;
+    Status failure;
+    store::ObjectVersion version = 0;
+    bool cache_ok = true;
+  };
+  void JoinTransparentWrite(TransparentWrite& join);
+
   // Deterministic exponential backoff: base * 2^attempt, capped at 30 s.
   SimDuration Backoff(SimDuration base, int attempt) const;
   // RSDS Get with bounded kUnavailable retries; `deadline` is absolute.
@@ -247,6 +266,11 @@ class Proxy : public faas::DataService {
   // Persistor body: drop-window check, then the payload push.
   void RunPersistor(PersistorJob job, SimTime scheduled, int attempt);
   void RetryPersistor(PersistorJob job, int attempt);
+  // Hands `key`'s next acknowledged write-back a fresh epoch and counts its
+  // persistor in flight; every persistor ends in exactly one FinishPersistor
+  // (success, conflict, stale-epoch stand-down or abandonment).
+  std::uint64_t NewWriteEpoch(const std::string& key);
+  void FinishPersistor(const PersistorJob& job);
   // True while `job` still represents the newest acknowledged write for its
   // key — only then may its persistor mark the cached copy clean or drop it.
   bool EpochCurrent(const PersistorJob& job) const;
@@ -308,12 +332,19 @@ class Proxy : public faas::DataService {
   // up by id, never iterated; salted hashing keeps that honest under test.
   std::unordered_map<std::uint64_t, std::vector<std::string>, DetHash<std::uint64_t>>
       pipeline_intermediates_;
-  // Monotonic id handed to each acknowledged write-back; the per-key entry
-  // remembers the newest (entries are never erased, so ids never repeat and a
-  // stale persistor can never alias a fresh write). Looked up by key, never
-  // iterated.
+  // Monotonic id handed to each acknowledged write-back (ids never repeat, so a
+  // stale persistor can never alias a fresh write). A key has an entry only
+  // while one of its persistors is in flight: the entry holds the newest epoch
+  // and the count of those persistors, and goes when the last one finishes.
+  // Every in-flight persistor therefore finds its key's entry and reads the
+  // newest epoch, so the table stays a handful of keys. Looked up by key,
+  // never iterated.
+  struct WriteEpoch {
+    std::uint64_t epoch = 0;
+    int persistors = 0;
+  };
   std::uint64_t next_write_epoch_ = 1;
-  std::unordered_map<std::string, std::uint64_t, DetHash<std::string>> write_epoch_;
+  std::unordered_map<std::string, WriteEpoch, DetHash<std::string>> write_epoch_;
 };
 
 }  // namespace ofc::core

@@ -1,6 +1,7 @@
 #include "src/ramcloud/cluster.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/logging.h"
 
@@ -71,12 +72,24 @@ Bytes Cluster::FreeMemory(int node) const {
 
 Result<std::pair<int, SegmentedLog::EntryId>> Cluster::PlaceInLog(
     int prefer, Bytes size, SimDuration* cleaning_cost) {
-  // Candidate order: preferred node first, then by free memory descending.
-  std::vector<int> candidates;
+  // Candidate order: preferred node first, then the rest by free memory
+  // descending. A failed append touches only its own node's log, so the rest
+  // sort the same whether ranked before or after the preferred node's try.
+  auto place = [&](int node) -> std::optional<SegmentedLog::EntryId> {
+    auto entry = logs_[node].Append(size, nodes_[node].memory_capacity, cleaning_cost);
+    if (!entry.ok()) {
+      return std::nullopt;
+    }
+    SyncUsed(node);
+    return *entry;
+  };
   if (prefer >= 0 && prefer < num_nodes() && nodes_[prefer].alive) {
-    candidates.push_back(prefer);
+    if (const auto entry = place(prefer)) {
+      return std::make_pair(prefer, *entry);
+    }
   }
-  std::vector<int> rest;
+  std::vector<int>& rest = place_candidates_;
+  rest.clear();
   for (int n = 0; n < num_nodes(); ++n) {
     if (n != prefer && nodes_[n].alive) {
       rest.push_back(n);
@@ -84,20 +97,17 @@ Result<std::pair<int, SegmentedLog::EntryId>> Cluster::PlaceInLog(
   }
   std::sort(rest.begin(), rest.end(),
             [&](int a, int b) { return FreeMemory(a) > FreeMemory(b); });
-  candidates.insert(candidates.end(), rest.begin(), rest.end());
-
-  for (int node : candidates) {
-    auto entry = logs_[node].Append(size, nodes_[node].memory_capacity, cleaning_cost);
-    if (entry.ok()) {
-      SyncUsed(node);
+  for (int node : rest) {
+    if (const auto entry = place(node)) {
       return std::make_pair(node, *entry);
     }
   }
   return ResourceExhaustedError("no node has cache capacity");
 }
 
-std::vector<int> Cluster::PickBackups(int master, int count) const {
-  std::vector<int> candidates;
+const std::vector<int>& Cluster::PickBackups(int master, int count) {
+  std::vector<int>& candidates = backup_candidates_;
+  candidates.clear();
   for (int n = 0; n < num_nodes(); ++n) {
     if (n != master && nodes_[n].alive) {
       candidates.push_back(n);
@@ -119,7 +129,9 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
     return InvalidArgumentError("object size outside cacheable range");
   }
 
-  // An update replaces the old entry; prefer keeping the existing master.
+  // An update replaces the old entry in place; prefer keeping the existing
+  // master. The old copy's memory and backup disk are released first, so
+  // placement sees the cluster without it.
   int prefer = client_node;
   auto it = objects_.find(key);
   if (it != objects_.end()) {
@@ -131,29 +143,37 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
       nodes_[b].disk_used -= existing.size;
       SIM_ASSERT(nodes_[b].disk_used >= 0) << "; backup disk accounting underflow on node " << b;
     }
-    objects_.erase(it);
   }
 
   SimDuration cleaning_cost = 0;
   const auto placement = PlaceInLog(prefer, size, &cleaning_cost);
   if (!placement.ok()) {
+    if (it != objects_.end()) {
+      objects_.erase(it);  // The old copy is gone; nothing replaces it.
+    }
     ++*m_.write_rejects;
     return placement.status();
   }
   const int master = placement->first;
+  if (it == objects_.end()) {
+    it = objects_.try_emplace(key).first;
+    it->second.key = key;
+  }
 
-  CachedObject obj;
-  obj.key = key;
+  // Every field is (re)set: an update leaves no trace of the old record.
+  CachedObject& obj = it->second;
   obj.size = size;
   obj.version = version;
   obj.object_class = object_class;
   obj.dirty = dirty;
   obj.persisted = !dirty;
+  obj.access_count = 0;
   obj.created_at = loop_->now();
   obj.last_access = loop_->now();
   obj.master = master;
   obj.log_entry = placement->second;
-  obj.backups = PickBackups(master, options_.replication_factor);
+  const std::vector<int>& backups = PickBackups(master, options_.replication_factor);
+  obj.backups.assign(backups.begin(), backups.end());
   for (int b : obj.backups) {
     nodes_[b].disk_used += size;
   }
@@ -164,7 +184,6 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
   }
   obj.checksum = StampChecksum(fingerprint, version);
   obj.backup_checksums.assign(obj.backups.size(), obj.checksum);
-  objects_.emplace(key, obj);
   ++*m_.writes;
   ++nodes_[master].writes_served;
 
@@ -192,7 +211,16 @@ void Cluster::Write(int client_node, const std::string& key, Bytes size,
   SimDuration cost = 0;
   const Status status = ApplyWrite(client_node, key, size, version, object_class, dirty,
                                    fingerprint, &cost);
-  loop_->ScheduleAfter(cost, [done = std::move(done), status] { done(status); });
+  Complete(cost, status, std::move(done));
+}
+
+void Cluster::Complete(SimDuration delay, const Status& status, Callback done) {
+  if (status.ok()) {
+    // Only a failure carries a message; a success event holds just `done`.
+    loop_->ScheduleAfter(delay, [done = std::move(done)] { done(OkStatus()); });
+    return;
+  }
+  loop_->ScheduleAfter(delay, [done = std::move(done), status] { done(status); });
 }
 
 void Cluster::ConditionalWrite(int client_node, const std::string& key, Bytes size,
@@ -211,7 +239,7 @@ void Cluster::ConditionalWrite(int client_node, const std::string& key, Bytes si
   SimDuration cost = 0;
   const Status status = ApplyWrite(client_node, key, size, new_version, object_class,
                                    dirty, /*fingerprint=*/0, &cost);
-  loop_->ScheduleAfter(cost, [done = std::move(done), status] { done(status); });
+  Complete(cost, status, std::move(done));
 }
 
 void Cluster::Commit(int client_node, std::vector<TxWrite> writes, Callback done) {
@@ -314,10 +342,8 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
     cost += options_.disk_read.Cost(obj.size, &rng_);
     NoteRepair(key, obj.master, "replica");
   }
-  CachedObject snapshot = obj;
-  loop_->ScheduleAfter(cost, [done = std::move(done), snapshot = std::move(snapshot)] {
-    done(snapshot);
-  });
+  const ReadHit hit{obj.size, obj.version, obj.checksum};
+  loop_->ScheduleAfter(cost, [done = std::move(done), hit] { done(hit); });
 }
 
 Result<int> Cluster::MasterOf(const std::string& key) const {

@@ -70,6 +70,14 @@ struct CachedObject {
   std::vector<Checksum> backup_checksums;
 };
 
+// What a cache read hands back: the served copy's size, version and checksum
+// (the checksum lets the reader audit the integrity gate end to end).
+struct ReadHit {
+  Bytes size = 0;
+  std::uint64_t version = 0;
+  Checksum checksum = 0;
+};
+
 struct ClusterOptions {
   int replication_factor = 2;       // Number of on-disk backup copies.
   Bytes max_object_size = MiB(10);  // OFC raises RAMCloud's 1 MB cap to 10 MB.
@@ -114,7 +122,7 @@ struct RecoveryResult {
 class Cluster {
  public:
   using Callback = std::function<void(Status)>;
-  using ReadCallback = std::function<void(Result<CachedObject>)>;
+  using ReadCallback = std::function<void(Result<ReadHit>)>;
 
   Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rng rng);
 
@@ -277,7 +285,8 @@ class Cluster {
   Result<std::pair<int, SegmentedLog::EntryId>> PlaceInLog(int prefer, Bytes size,
                                                            SimDuration* cleaning_cost);
   // Picks `count` backup nodes distinct from `master`, least-loaded-disk first.
-  std::vector<int> PickBackups(int master, int count) const;
+  // The result lives in a buffer the next call overwrites.
+  const std::vector<int>& PickBackups(int master, int count);
   void SyncUsed(int node) {
     nodes_[node].memory_used = logs_[node].live_bytes();
     // Capacity accounting: the log's Append/Clean enforce footprint <= capacity,
@@ -292,6 +301,8 @@ class Cluster {
   Status ApplyWrite(int client_node, const std::string& key, Bytes size,
                     std::uint64_t version, ObjectClass object_class, bool dirty,
                     Checksum fingerprint, SimDuration* cost);
+  // Schedules `done(status)` after `delay`.
+  void Complete(SimDuration delay, const Status& status, Callback done);
   // Flight + metric bookkeeping for a detected corrupt copy and (optionally)
   // its repair. `source` names where the good bits came from.
   void NoteCorruption(const std::string& key, int node, const char* where);
@@ -329,6 +340,9 @@ class Cluster {
   // visit order is event-visible (log packing, eviction order), so it must be
   // independent of hashing.
   std::map<std::string, CachedObject> objects_;
+  // Candidate buffers of PlaceInLog and PickBackups, reused across calls.
+  std::vector<int> place_candidates_;
+  std::vector<int> backup_candidates_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Emitter emit_;

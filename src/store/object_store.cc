@@ -98,14 +98,13 @@ void ObjectStore::Put(const std::string& key, Bytes size, Tags tags, Callback do
   }
   const SimDuration cost = WriteCost(size);
   After(cost, [this, key, size, tags = std::move(tags), done = std::move(done)]() mutable {
-    ObjectMetadata& obj = objects_[key];
-    const bool fresh = obj.key.empty();
-    obj.key = key;
+    const auto [it, fresh] = objects_.try_emplace(key);
+    ObjectMetadata& obj = it->second.meta;
     obj.size = size;
     obj.pending_size = 0;
     obj.latest_version = next_version_++;
     obj.rsds_version = obj.latest_version;
-    obj.tags = std::move(tags);
+    it->second.tags = std::move(tags);
     if (fresh) {
       obj.created_at = loop_->now();
     }
@@ -142,8 +141,8 @@ void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_la
       done(DataLossError("put_if_version: corrupt payload push: " + key));
       return;
     }
-    auto it = objects_.find(key);
-    const ObjectVersion current = it == objects_.end() ? 0 : it->second.latest_version;
+    auto found = objects_.find(key);
+    const ObjectVersion current = found == objects_.end() ? 0 : found->second.meta.latest_version;
     // Checked when the write *lands*, not when it starts: an atomic
     // compare-and-swap against whatever arrived while it was in flight.
     if (current != expected_latest) {
@@ -151,14 +150,13 @@ void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_la
                         std::to_string(current)));
       return;
     }
-    ObjectMetadata& obj = objects_[key];
-    const bool fresh = obj.key.empty();
-    obj.key = key;
+    const auto [it, fresh] = objects_.try_emplace(key);
+    ObjectMetadata& obj = it->second.meta;
     obj.size = size;
     obj.pending_size = 0;
     obj.latest_version = next_version_++;
     obj.rsds_version = obj.latest_version;
-    obj.tags = std::move(tags);
+    it->second.tags = std::move(tags);
     if (fresh) {
       obj.created_at = loop_->now();
     }
@@ -176,9 +174,8 @@ void ObjectStore::PutShadow(const std::string& key, Bytes pending_size, MetaCall
     return;
   }
   After(ControlCost(), [this, key, pending_size, done = std::move(done)]() {
-    ObjectMetadata& obj = objects_[key];
-    const bool fresh = obj.key.empty();
-    obj.key = key;
+    const auto [it, fresh] = objects_.try_emplace(key);
+    ObjectMetadata& obj = it->second.meta;
     obj.pending_size = pending_size;
     obj.latest_version = next_version_++;
     if (fresh) {
@@ -217,7 +214,7 @@ void ObjectStore::FinalizePayload(const std::string& key, ObjectVersion version,
       done(NotFoundError("finalize: " + key));
       return;
     }
-    ObjectMetadata& obj = it->second;
+    ObjectMetadata& obj = it->second.meta;
     if (version <= obj.rsds_version) {
       done(AbortedError("finalize out of order: " + key));
       return;
@@ -246,7 +243,8 @@ void ObjectStore::Get(const std::string& key, MetaCallback done) {
   }
   auto it = objects_.find(key);
   // Cost is computed up front from the current size; a miss costs one RTT.
-  const SimDuration cost = it == objects_.end() ? ControlCost() : ReadCost(it->second.size);
+  const SimDuration cost =
+      it == objects_.end() ? ControlCost() : ReadCost(it->second.meta.size);
   After(cost, [this, key, done = std::move(done)]() mutable {
     auto it2 = objects_.find(key);
     if (it2 == objects_.end()) {
@@ -254,8 +252,8 @@ void ObjectStore::Get(const std::string& key, MetaCallback done) {
       return;
     }
     ++*m_.reads;
-    m_.bytes_read->Add(static_cast<std::uint64_t>(it2->second.size));
-    ObjectMetadata& obj = it2->second;
+    ObjectMetadata& obj = it2->second.meta;
+    m_.bytes_read->Add(static_cast<std::uint64_t>(obj.size));
     const Checksum expected = ExpectedChecksum(key, obj.size, obj.rsds_version);
     if (obj.checksum != expected) {
       // Rotted copy: object stores hold their own internal redundancy, so the
@@ -270,8 +268,8 @@ void ObjectStore::Get(const std::string& key, MetaCallback done) {
           done(NotFoundError("get: " + key));
           return;
         }
-        m_.bytes_read->Add(static_cast<std::uint64_t>(it3->second.size));
-        done(it3->second);
+        m_.bytes_read->Add(static_cast<std::uint64_t>(it3->second.meta.size));
+        done(it3->second.meta);
       });
       return;
     }
@@ -289,7 +287,7 @@ void ObjectStore::Head(const std::string& key, MetaCallback done) {
       done(NotFoundError("head: " + key));
       return;
     }
-    done(it->second);
+    done(it->second.meta);
   });
 }
 
@@ -347,7 +345,15 @@ Result<ObjectMetadata> ObjectStore::Stat(const std::string& key) const {
   if (it == objects_.end()) {
     return NotFoundError("stat: " + key);
   }
-  return it->second;
+  return it->second.meta;
+}
+
+Result<Tags> ObjectStore::TagsOf(const std::string& key) const {
+  auto it = objects_.find(key);
+  if (it == objects_.end()) {
+    return NotFoundError("tags: " + key);
+  }
+  return it->second.tags;
 }
 
 std::vector<std::string> ObjectStore::Keys() const {
@@ -371,19 +377,19 @@ std::vector<std::string> ObjectStore::KeysAfter(const std::string& after,
 
 Bytes ObjectStore::TotalBytes() const {
   Bytes total = 0;
-  for (const auto& [key, obj] : objects_) {
-    total += obj.size;
+  for (const auto& [key, entry] : objects_) {
+    total += entry.meta.size;
   }
   return total;
 }
 
 void ObjectStore::Seed(const std::string& key, Bytes size, Tags tags) {
-  ObjectMetadata& obj = objects_[key];
-  obj.key = key;
+  Entry& entry = objects_[key];
+  ObjectMetadata& obj = entry.meta;
   obj.size = size;
   obj.latest_version = next_version_++;
   obj.rsds_version = obj.latest_version;
-  obj.tags = std::move(tags);
+  entry.tags = std::move(tags);
   obj.created_at = loop_->now();
   obj.modified_at = loop_->now();
   obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
@@ -391,10 +397,11 @@ void ObjectStore::Seed(const std::string& key, Bytes size, Tags tags) {
 
 int ObjectStore::Rot(int flips) {
   int flipped = 0;
-  for (auto& [key, obj] : objects_) {
+  for (auto& [key, entry] : objects_) {
     if (flipped >= flips) {
       break;
     }
+    ObjectMetadata& obj = entry.meta;
     const Checksum expected = ExpectedChecksum(key, obj.size, obj.rsds_version);
     // Only damage currently-healthy copies: CorruptChecksum is an involution,
     // so re-corrupting an already-rotted object would silently heal it.
@@ -412,7 +419,7 @@ int ObjectStore::ScrubKey(const std::string& key) {
   if (it == objects_.end()) {
     return 0;
   }
-  ObjectMetadata& obj = it->second;
+  ObjectMetadata& obj = it->second.meta;
   const Checksum expected = ExpectedChecksum(key, obj.size, obj.rsds_version);
   if (obj.checksum == expected) {
     return 0;

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/checksum.h"
@@ -43,13 +44,14 @@ std::string MakeKey(const std::string& container, const std::string& name);
 // background task so it is off the invocation critical path).
 using Tags = std::map<std::string, std::string>;
 
+// What the data path hands back for an object: a fixed-size value, copied
+// into every Get/Head/PutShadow completion and Stat result. The key is the
+// caller's own, and the feature tags stay in the store (TagsOf).
 struct ObjectMetadata {
-  std::string key;
   Bytes size = 0;                 // Size of the payload resident in the RSDS.
   Bytes pending_size = 0;         // Size the shadow version will have once persisted.
   ObjectVersion latest_version = 0;  // Most recent logical version (cache-visible).
   ObjectVersion rsds_version = 0;    // Version whose payload the RSDS holds.
-  Tags tags;
   SimTime created_at = 0;
   SimTime modified_at = 0;
   // Integrity: checksum stored with the RSDS-resident payload. Healthy objects
@@ -60,6 +62,7 @@ struct ObjectMetadata {
   // A shadow object's payload has not yet been persisted by a persistor task.
   bool IsShadow() const { return rsds_version < latest_version; }
 };
+static_assert(std::is_trivially_copyable_v<ObjectMetadata>);
 
 // Latency profile of a store deployment. Reads and writes are priced
 // separately (object stores replicate synchronously on write: Swift/S3 writes
@@ -204,6 +207,8 @@ class ObjectStore {
   // ---- Management / test plane (synchronous, zero simulated cost) ----
 
   Result<ObjectMetadata> Stat(const std::string& key) const;
+  // The feature tags the object was last written or seeded with.
+  Result<Tags> TagsOf(const std::string& key) const;
   bool Exists(const std::string& key) const { return objects_.contains(key); }
   std::size_t NumObjects() const { return objects_.size(); }
   // All object keys in sorted order (chaos-harness consistency sweeps).
@@ -251,9 +256,15 @@ class ObjectStore {
   StoreProfile profile_;
   Rng rng_;
   std::string name_;
+  // One stored object: its metadata, handed out by value, and its tags, read
+  // only through the management plane.
+  struct Entry {
+    ObjectMetadata meta;
+    Tags tags;
+  };
   // Ordered: the scrubber's KeysAfter() slices, Rot()'s replayable flips and
   // Keys() (chaos sweeps) all walk this map in key order.
-  std::map<std::string, ObjectMetadata> objects_;
+  std::map<std::string, Entry> objects_;
   Webhook read_webhook_;
   Webhook write_webhook_;
   bool available_ = true;

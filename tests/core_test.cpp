@@ -351,7 +351,7 @@ TEST_F(CacheAgentTest, SweepEvictsColdObjects) {
   WriteObject(0, "hot", MiB(2));
   // Make "hot" genuinely hot: >= 5 accesses.
   for (int i = 0; i < 6; ++i) {
-    cluster_.Read(0, "hot", [](Result<rc::CachedObject>) {});
+    cluster_.Read(0, "hot", [](Result<rc::ReadHit>) {});
   }
   // Age both past one sweep period, then sweep.
   RunFor(Seconds(301));
@@ -367,7 +367,7 @@ TEST_F(CacheAgentTest, SweepEvictsIdleObjectsEvenIfOnceHot) {
   agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));
   WriteObject(0, "idle", MiB(2));
   for (int i = 0; i < 8; ++i) {
-    cluster_.Read(0, "idle", [](Result<rc::CachedObject>) {});
+    cluster_.Read(0, "idle", [](Result<rc::ReadHit>) {});
   }
   RunFor(Minutes(31));  // Past the 30 min idle bound.
   agent.SweepOnce();

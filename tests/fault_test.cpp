@@ -687,6 +687,54 @@ TEST_F(ProxyFaultTest, HeldBackShadowPersistorStandsDownBehindNewerWrite) {
   EXPECT_EQ(cluster_.metrics().CounterValue("ofc.ramcloud.evictions"), 1u);
 }
 
+// The write-epoch table holds a key only while one of its persistors is in
+// flight: it empties after each way a persistor can finish — success, a
+// conflict with a newer version, a stale-epoch stand-down, and abandonment.
+TEST_F(ProxyFaultTest, EpochTableEmptiesOnceEveryPersistorFinishes) {
+  auto write = [this](const std::string& key, Bytes size) {
+    proxy_.Write(Ctx(), key, size, Media(size), [](Status s) { ASSERT_TRUE(s.ok()); });
+  };
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 0u);
+
+  // Success.
+  write("ok", MiB(1));
+  loop_.RunUntil(Millis(30));
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 1u);
+  loop_.RunUntil(Seconds(2));
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts"), 0u);
+
+  // Conflict: a held-back shadow persistor loses to a newer persisted write.
+  proxy_.InjectPersistorDropUntil(Seconds(3));
+  write("held", MiB(1));
+  loop_.ScheduleAt(Seconds(3) + Millis(50), [&] { write("held", MiB(2)); });
+  loop_.RunUntil(Seconds(3) + Millis(60));
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 1u);  // Two persistors, one key.
+  loop_.RunUntil(Seconds(8));
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts"), 1u);
+
+  // Stale-epoch stand-down: a fallback acked in an outage is superseded by a
+  // write acknowledged after heal, before the fallback's retry fires.
+  loop_.ScheduleAt(Seconds(10), [this] { rsds_.SetAvailable(false); });
+  loop_.ScheduleAt(Seconds(10), [&] { write("stale", MiB(1)); });
+  loop_.ScheduleAt(Seconds(11), [this] { rsds_.SetAvailable(true); });
+  loop_.ScheduleAt(Seconds(11) + Millis(50), [&] { write("stale", MiB(2)); });
+  loop_.RunUntil(Seconds(20));
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 0u);
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_conflicts"), 2u);
+  EXPECT_EQ(rsds_.Stat("stale")->size, MiB(2));
+
+  // Abandonment: the store never comes back.
+  loop_.ScheduleAt(Seconds(20), [this] { rsds_.SetAvailable(false); });
+  loop_.ScheduleAt(Seconds(20), [&] { write("lost", MiB(1)); });
+  loop_.RunUntil(Seconds(21));
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 1u);
+  loop_.Run();
+  EXPECT_EQ(proxy_.metrics().CounterValue("ofc.proxy.persistor_abandons"), 1u);
+  EXPECT_EQ(proxy_.PersistorKeysInFlight(), 0u);
+}
+
 TEST_F(ProxyFaultTest, PersistorAbandonsAfterRetryBudgetButStaysDirty) {
   rsds_.SetAvailable(false);  // Permanent outage.
   Status ack = InternalError("unset");

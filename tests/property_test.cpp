@@ -134,7 +134,7 @@ TEST_P(ClusterPropertyTest, AccountingStaysConsistent) {
       (void)cluster.MigrateMaster(key);
     } else {
       cluster.Read(static_cast<int>(rng.UniformInt(0, 3)), key,
-                   [](Result<rc::CachedObject>) {});
+                   [](Result<rc::ReadHit>) {});
       loop.Run();
     }
 
@@ -185,7 +185,7 @@ TEST_P(ClusterPropertyTest, CrashRecoveryNeverLosesReplicatedObjects) {
   int readable = 0;
   for (int i = 0; i < 60; ++i) {
     cluster.Read((victim + 1) % 5, "obj" + std::to_string(i),
-                 [&](Result<rc::CachedObject> obj) { readable += obj.ok(); });
+                 [&](Result<rc::ReadHit> obj) { readable += obj.ok(); });
   }
   loop.Run();
   EXPECT_EQ(readable, 60);

@@ -27,9 +27,9 @@ class ClusterTest : public ::testing::Test {
     return out;
   }
 
-  Result<CachedObject> ReadSync(int client, const std::string& key) {
-    Result<CachedObject> out = InternalError("unset");
-    cluster_.Read(client, key, [&](Result<CachedObject> r) { out = std::move(r); });
+  Result<ReadHit> ReadSync(int client, const std::string& key) {
+    Result<ReadHit> out = InternalError("unset");
+    cluster_.Read(client, key, [&](Result<ReadHit> r) { out = std::move(r); });
     loop_.Run();
     return out;
   }

@@ -29,7 +29,9 @@ TEST_F(StoreTest, PutThenGet) {
   loop_.Run();
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->size, KiB(100));
-  EXPECT_EQ(meta->tags.at("kind"), "image");
+  const auto tags = store_.TagsOf("c/a");
+  ASSERT_TRUE(tags.ok());
+  EXPECT_EQ(tags->at("kind"), "image");
   EXPECT_FALSE(meta->IsShadow());
 }
 
