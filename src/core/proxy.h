@@ -337,8 +337,8 @@ class Proxy : public faas::DataService {
   // while one of its persistors is in flight: the entry holds the newest epoch
   // and the count of those persistors, and goes when the last one finishes.
   // Every in-flight persistor therefore finds its key's entry and reads the
-  // newest epoch, so the table stays a handful of keys. Looked up by key,
-  // never iterated.
+  // newest epoch, and the table's size follows the persistors in flight, not
+  // the keys ever written. Looked up by key, never iterated.
   struct WriteEpoch {
     std::uint64_t epoch = 0;
     int persistors = 0;
