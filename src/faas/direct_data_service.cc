@@ -1,21 +1,30 @@
 #include "src/faas/direct_data_service.h"
 
+#include <cstdint>
+
 namespace ofc::faas {
 
 store::Tags MediaToTags(const workloads::MediaDescriptor& media) {
   store::Tags tags;
-  tags["kind"] = workloads::InputKindName(media.kind);
-  tags["format"] = std::to_string(media.format);
-  if (media.width > 0) {
-    tags["width"] = std::to_string(media.width);
-    tags["height"] = std::to_string(media.height);
+  switch (media.kind) {
+    case workloads::InputKind::kImage:
+      tags.kind = store::MediaKind::kImage;
+      break;
+    case workloads::InputKind::kAudio:
+      tags.kind = store::MediaKind::kAudio;
+      break;
+    case workloads::InputKind::kVideo:
+      tags.kind = store::MediaKind::kVideo;
+      break;
+    case workloads::InputKind::kText:
+      tags.kind = store::MediaKind::kText;
+      break;
   }
-  if (media.duration_s > 0) {
-    tags["duration_s"] = std::to_string(media.duration_s);
-  }
-  if (media.channels > 0) {
-    tags["channels"] = std::to_string(media.channels);
-  }
+  tags.format = static_cast<std::uint8_t>(media.format);
+  tags.channels = static_cast<std::uint16_t>(media.channels);
+  tags.width = media.width;
+  tags.height = media.height;
+  tags.duration_s = media.duration_s;
   return tags;
 }
 

@@ -12,7 +12,7 @@
 
 namespace ofc::faas {
 
-// Serializes a media descriptor into store metadata tags — the §5.1.2
+// The media descriptor's features as the store's metadata tags — the §5.1.2
 // background feature extraction performed at object-creation time.
 store::Tags MediaToTags(const workloads::MediaDescriptor& media);
 

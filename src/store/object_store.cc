@@ -97,18 +97,14 @@ void ObjectStore::Put(const std::string& key, Bytes size, Tags tags, Callback do
     return;
   }
   const SimDuration cost = WriteCost(size);
-  After(cost, [this, key, size, tags = std::move(tags), done = std::move(done)]() mutable {
-    const auto [it, fresh] = objects_.try_emplace(key);
-    ObjectMetadata& obj = it->second.meta;
+  After(cost, [this, key, size, tags, done = std::move(done)]() {
+    Entry& entry = objects_[key];
+    ObjectMetadata& obj = entry.meta;
     obj.size = size;
     obj.pending_size = 0;
     obj.latest_version = next_version_++;
     obj.rsds_version = obj.latest_version;
-    it->second.tags = std::move(tags);
-    if (fresh) {
-      obj.created_at = loop_->now();
-    }
-    obj.modified_at = loop_->now();
+    entry.tags = tags;
     obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
     // A full-payload write leaves the object in the converged state.
     SIM_ASSERT(!obj.IsShadow()) << "; Put left a shadow: " << key;
@@ -120,8 +116,7 @@ void ObjectStore::Put(const std::string& key, Bytes size, Tags tags, Callback do
 
 void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_latest,
                                Bytes size, Tags tags, Callback done) {
-  PutIfVersion(key, expected_latest, size, std::move(tags), /*fingerprint=*/0,
-               std::move(done));
+  PutIfVersion(key, expected_latest, size, tags, /*fingerprint=*/0, std::move(done));
 }
 
 void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_latest,
@@ -131,8 +126,8 @@ void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_la
     return;
   }
   const SimDuration cost = WriteCost(size);
-  After(cost, [this, key, expected_latest, size, fingerprint, tags = std::move(tags),
-               done = std::move(done)]() mutable {
+  After(cost, [this, key, expected_latest, size, fingerprint, tags,
+               done = std::move(done)]() {
     // The carried fingerprint is verified before anything lands: a payload
     // damaged between the acknowledging write and this push must never be
     // installed as the authoritative copy.
@@ -150,17 +145,13 @@ void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_la
                         std::to_string(current)));
       return;
     }
-    const auto [it, fresh] = objects_.try_emplace(key);
-    ObjectMetadata& obj = it->second.meta;
+    Entry& entry = objects_[key];
+    ObjectMetadata& obj = entry.meta;
     obj.size = size;
     obj.pending_size = 0;
     obj.latest_version = next_version_++;
     obj.rsds_version = obj.latest_version;
-    it->second.tags = std::move(tags);
-    if (fresh) {
-      obj.created_at = loop_->now();
-    }
-    obj.modified_at = loop_->now();
+    entry.tags = tags;
     obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
     SIM_ASSERT(!obj.IsShadow()) << "; PutIfVersion left a shadow: " << key;
     ++*m_.writes;
@@ -174,15 +165,10 @@ void ObjectStore::PutShadow(const std::string& key, Bytes pending_size, MetaCall
     return;
   }
   After(ControlCost(), [this, key, pending_size, done = std::move(done)]() {
-    const auto [it, fresh] = objects_.try_emplace(key);
-    ObjectMetadata& obj = it->second.meta;
+    // A new key starts with no resident payload (rsds_version 0) and no tags.
+    ObjectMetadata& obj = objects_[key].meta;
     obj.pending_size = pending_size;
     obj.latest_version = next_version_++;
-    if (fresh) {
-      obj.created_at = loop_->now();
-      obj.rsds_version = 0;
-    }
-    obj.modified_at = loop_->now();
     // Shadow state machine: the placeholder's cache-visible version is always
     // strictly ahead of the RSDS-resident payload version.
     SIM_ASSERT(obj.rsds_version < obj.latest_version)
@@ -230,7 +216,6 @@ void ObjectStore::FinalizePayload(const std::string& key, ObjectVersion version,
     if (obj.rsds_version == obj.latest_version) {
       obj.pending_size = 0;
     }
-    obj.modified_at = loop_->now();
     ++*m_.payload_finalizes;
     m_.bytes_written->Add(static_cast<std::uint64_t>(size));
     done(OkStatus());
@@ -389,9 +374,7 @@ void ObjectStore::Seed(const std::string& key, Bytes size, Tags tags) {
   obj.size = size;
   obj.latest_version = next_version_++;
   obj.rsds_version = obj.latest_version;
-  entry.tags = std::move(tags);
-  obj.created_at = loop_->now();
-  obj.modified_at = loop_->now();
+  entry.tags = tags;
   obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
 }
 

@@ -40,9 +40,25 @@ using ObjectVersion = std::uint64_t;
 // Key = "container/object"; helpers keep call sites tidy.
 std::string MakeKey(const std::string& container, const std::string& name);
 
+// Media kind a feature tag set describes; kNone marks an object without tags.
+enum class MediaKind : std::uint8_t { kNone, kImage, kAudio, kVideo, kText };
+
 // Feature tags extracted at object-creation time (§5.1.2: extraction runs as a
-// background task so it is off the invocation critical path).
-using Tags = std::map<std::string, std::string>;
+// background task so it is off the invocation critical path), held as numbers
+// in the object's own record rather than as strings beside it. A feature the
+// media does not have reads 0, and `{}` means no tags at all. The store only
+// keeps them; faas::MediaToTags fills them from a media descriptor.
+struct Tags {
+  MediaKind kind = MediaKind::kNone;
+  std::uint8_t format = 0;     // Index into the kind's format table.
+  std::uint16_t channels = 0;  // Audio.
+  std::int32_t width = 0;      // Image / video.
+  std::int32_t height = 0;     // Image / video.
+  double duration_s = 0;       // Audio / video.
+
+  bool operator==(const Tags&) const = default;
+};
+static_assert(std::is_trivially_copyable_v<Tags>);
 
 // What the data path hands back for an object: a fixed-size value, copied
 // into every Get/Head/PutShadow completion and Stat result. The key is the
@@ -52,8 +68,6 @@ struct ObjectMetadata {
   Bytes pending_size = 0;         // Size the shadow version will have once persisted.
   ObjectVersion latest_version = 0;  // Most recent logical version (cache-visible).
   ObjectVersion rsds_version = 0;    // Version whose payload the RSDS holds.
-  SimTime created_at = 0;
-  SimTime modified_at = 0;
   // Integrity: checksum stored with the RSDS-resident payload. Healthy objects
   // hold ExpectedChecksum(key, size, rsds_version); shadow writes leave it
   // untouched (the resident payload has not changed yet).
@@ -257,7 +271,8 @@ class ObjectStore {
   Rng rng_;
   std::string name_;
   // One stored object: its metadata, handed out by value, and its tags, read
-  // only through the management plane.
+  // only through the management plane. Both are fixed-size values, so every
+  // object costs one map node whatever its tags hold.
   struct Entry {
     ObjectMetadata meta;
     Tags tags;

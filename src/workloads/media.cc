@@ -5,20 +5,6 @@
 
 namespace ofc::workloads {
 
-std::string InputKindName(InputKind kind) {
-  switch (kind) {
-    case InputKind::kImage:
-      return "image";
-    case InputKind::kAudio:
-      return "audio";
-    case InputKind::kVideo:
-      return "video";
-    case InputKind::kText:
-      return "text";
-  }
-  return "unknown";
-}
-
 const std::vector<std::string>& ImageFormats() {
   static const std::vector<std::string> kFormats = {"jpeg", "png", "webp", "bmp"};
   return kFormats;

@@ -19,8 +19,6 @@ namespace ofc::workloads {
 
 enum class InputKind { kImage, kAudio, kVideo, kText };
 
-std::string InputKindName(InputKind kind);
-
 // Format tables (nominal ML features). Indexes into these lists are stored in
 // MediaDescriptor::format.
 const std::vector<std::string>& ImageFormats();  // jpeg, png, webp, bmp

@@ -31,6 +31,61 @@ workloads::MediaDescriptor TinyImage(Bytes byte_size = KiB(64), int side = 800) 
   return media;
 }
 
+TEST(MediaToTagsTest, RecordsEachKindsFeatures) {
+  workloads::MediaDescriptor image;
+  image.kind = workloads::InputKind::kImage;
+  image.width = 1920;
+  image.height = 1080;
+  image.format = 1;
+  const store::Tags image_tags = MediaToTags(image);
+  EXPECT_EQ(image_tags.kind, store::MediaKind::kImage);
+  EXPECT_EQ(image_tags.format, 1);
+  EXPECT_EQ(image_tags.width, 1920);
+  EXPECT_EQ(image_tags.height, 1080);
+  EXPECT_EQ(image_tags.duration_s, 0.0);
+  EXPECT_EQ(image_tags.channels, 0);
+
+  workloads::MediaDescriptor audio;
+  audio.kind = workloads::InputKind::kAudio;
+  audio.duration_s = 183.257;
+  audio.channels = 2;
+  audio.format = 3;
+  const store::Tags audio_tags = MediaToTags(audio);
+  EXPECT_EQ(audio_tags.kind, store::MediaKind::kAudio);
+  EXPECT_EQ(audio_tags.format, 3);
+  EXPECT_EQ(audio_tags.duration_s, 183.257);
+  EXPECT_EQ(audio_tags.channels, 2);
+  EXPECT_EQ(audio_tags.width, 0);
+  EXPECT_EQ(audio_tags.height, 0);
+
+  workloads::MediaDescriptor video;
+  video.kind = workloads::InputKind::kVideo;
+  video.width = 1280;
+  video.height = 720;
+  video.duration_s = 42.5;
+  video.fps = 30;
+  video.format = 2;
+  const store::Tags video_tags = MediaToTags(video);
+  EXPECT_EQ(video_tags.kind, store::MediaKind::kVideo);
+  EXPECT_EQ(video_tags.format, 2);
+  EXPECT_EQ(video_tags.width, 1280);
+  EXPECT_EQ(video_tags.height, 720);
+  EXPECT_EQ(video_tags.duration_s, 42.5);
+  EXPECT_EQ(video_tags.channels, 0);
+
+  workloads::MediaDescriptor text;
+  text.kind = workloads::InputKind::kText;
+  EXPECT_EQ(MediaToTags(text), (store::Tags{.kind = store::MediaKind::kText}));
+
+  // The baseline data plane stores them with the object it writes.
+  sim::EventLoop loop;
+  store::ObjectStore rsds(&loop, sim::LatencyModel{Millis(5), 200e6, 0.0}, Rng(1), "rsds");
+  DirectDataService data(&rsds);
+  data.Write(InvocationContext{}, "out/clip", KiB(64), audio, [](Status) {});
+  loop.Run();
+  EXPECT_EQ(*rsds.TagsOf("out/clip"), audio_tags);
+}
+
 class PlatformTest : public ::testing::Test {
  protected:
   PlatformTest()

@@ -20,7 +20,7 @@ class StoreTest : public ::testing::Test {
 
 TEST_F(StoreTest, PutThenGet) {
   Status put_status = InternalError("unset");
-  store_.Put("c/a", KiB(100), {{"kind", "image"}}, [&](Status s) { put_status = s; });
+  store_.Put("c/a", KiB(100), {.kind = MediaKind::kImage}, [&](Status s) { put_status = s; });
   loop_.Run();
   EXPECT_TRUE(put_status.ok());
 
@@ -31,7 +31,7 @@ TEST_F(StoreTest, PutThenGet) {
   EXPECT_EQ(meta->size, KiB(100));
   const auto tags = store_.TagsOf("c/a");
   ASSERT_TRUE(tags.ok());
-  EXPECT_EQ(tags->at("kind"), "image");
+  EXPECT_EQ(tags->kind, MediaKind::kImage);
   EXPECT_FALSE(meta->IsShadow());
 }
 
@@ -164,10 +164,67 @@ TEST_F(StoreTest, StatsTrackOperations) {
 }
 
 TEST_F(StoreTest, SeedBypassesLatency) {
-  store_.Seed("c/seeded", MiB(3), {{"kind", "video"}});
+  store_.Seed("c/seeded", MiB(3), {.kind = MediaKind::kVideo});
   EXPECT_TRUE(store_.Exists("c/seeded"));
   EXPECT_EQ(store_.TotalBytes(), MiB(3));
   EXPECT_EQ(store_.NumObjects(), 1u);
+}
+
+TEST_F(StoreTest, FullWritesReplaceTagsAndPayloadPushesKeepThem) {
+  const Tags image{.kind = MediaKind::kImage, .format = 1, .width = 1920, .height = 1080};
+  const Tags audio{.kind = MediaKind::kAudio, .format = 3, .channels = 2, .duration_s = 183.25};
+  const Tags video{
+      .kind = MediaKind::kVideo, .format = 2, .width = 1280, .height = 720, .duration_s = 42.5};
+
+  store_.Seed("c/seed", KiB(1), image);
+  EXPECT_EQ(*store_.TagsOf("c/seed"), image);
+  store_.Put("c/obj", KiB(4), audio, [](Status) {});
+  loop_.Run();
+  EXPECT_EQ(*store_.TagsOf("c/obj"), audio);
+
+  // A shadow write and the persistor's payload push leave the tags alone; a
+  // key that only has a shadow has none.
+  Result<ObjectMetadata> shadow = InternalError("unset");
+  store_.PutShadow("c/obj", KiB(8), [&](Result<ObjectMetadata> m) { shadow = std::move(m); });
+  store_.PutShadow("c/new", KiB(8), [](Result<ObjectMetadata>) {});
+  loop_.Run();
+  ASSERT_TRUE(shadow.ok());
+  EXPECT_EQ(*store_.TagsOf("c/obj"), audio);
+  EXPECT_EQ(*store_.TagsOf("c/new"), Tags{});
+  Status finalized = InternalError("unset");
+  store_.FinalizePayload("c/obj", shadow->latest_version, KiB(8),
+                         [&](Status s) { finalized = s; });
+  loop_.Run();
+  ASSERT_TRUE(finalized.ok());
+  EXPECT_EQ(*store_.TagsOf("c/obj"), audio);
+
+  // A conditional write replaces them when it lands, and leaves them when it
+  // is refused.
+  const ObjectVersion v1 = shadow->latest_version;
+  Status landed = InternalError("unset");
+  store_.PutIfVersion("c/obj", v1, KiB(8), video, [&](Status s) { landed = s; });
+  loop_.Run();
+  ASSERT_TRUE(landed.ok());
+  EXPECT_EQ(*store_.TagsOf("c/obj"), video);
+  Status refused = InternalError("unset");
+  store_.PutIfVersion("c/obj", v1, KiB(8), image, [&](Status s) { refused = s; });
+  loop_.Run();
+  EXPECT_EQ(refused.code(), StatusCode::kAborted);
+  EXPECT_EQ(*store_.TagsOf("c/obj"), video);
+
+  // The proxy's fallback persistor (a fingerprinted PutIfVersion) and its
+  // write-back (a Put) push no tags, so they leave none.
+  const ObjectVersion v2 = store_.Stat("c/obj")->latest_version;
+  store_.PutIfVersion("c/obj", v2, KiB(8), {}, PayloadFingerprint("c/obj", KiB(8)),
+                      [&](Status s) { landed = s; });
+  loop_.Run();
+  ASSERT_TRUE(landed.ok());
+  EXPECT_EQ(*store_.TagsOf("c/obj"), Tags{});
+  store_.Put("c/seed", KiB(1), {}, [](Status) {});
+  loop_.Run();
+  EXPECT_EQ(*store_.TagsOf("c/seed"), Tags{});
+
+  EXPECT_EQ(store_.TagsOf("c/missing").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(StoreTest, PutReplacesAndBumpsVersion) {
