@@ -388,7 +388,6 @@ void Proxy::JoinTransparentWrite(TransparentWrite& join) {
       emit_.Emit({.kind = FlightEventKind::kWriteFallback, .time = loop_->now(),
                   .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
       PersistorJob job;
-      job.key = key;
       job.size = size;
       job.drop_after = true;
       job.invocation_id = ctx.invocation_id;
@@ -400,7 +399,7 @@ void Proxy::JoinTransparentWrite(TransparentWrite& join) {
       const auto prior = rsds_->Stat(key);
       job.fallback_base = prior.ok() ? prior->latest_version : 0;
       job.epoch = NewWriteEpoch(key);
-      SchedulePersistor(std::move(job));
+      SchedulePersistor(key, job);
       join.done(OkStatus());
       return;
     }
@@ -419,14 +418,13 @@ void Proxy::JoinTransparentWrite(TransparentWrite& join) {
   emit_.Emit({.kind = FlightEventKind::kCacheWrite, .time = loop_->now(),
               .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
   PersistorJob job;
-  job.key = key;
   job.version = join.version;
   job.size = size;
   job.drop_after = true;
   job.invocation_id = ctx.invocation_id;
   job.checksum = PayloadFingerprint(key, size);
   job.epoch = NewWriteEpoch(key);
-  SchedulePersistor(std::move(job));
+  SchedulePersistor(key, job);
   join.done(OkStatus());
 }
 
@@ -524,18 +522,23 @@ void Proxy::BreakerClose() {
       {.kind = FlightEventKind::kBreakerClose, .time = loop_->now(), .subject = "breaker"});
 }
 
-void Proxy::SchedulePersistor(PersistorJob job, int attempt) {
+void Proxy::SchedulePersistor(const std::string& key, const PersistorJob& job) {
+  PersistorRun* run;
+  if (idle_persistor_runs_.empty()) {
+    run = &persistor_runs_.emplace_back();
+  } else {
+    run = idle_persistor_runs_.back();
+    idle_persistor_runs_.pop_back();
+  }
+  run->key = key;
+  run->job = job;
+  run->attempt = 0;
   // The persistor runs as a helper FaaS function: one dispatch delay, then the
   // payload push to the RSDS.
-  const SimTime scheduled = loop_->now();
-  if (attempt == 0) {
-    emit_.Emit({.kind = FlightEventKind::kPersistorDispatch, .time = scheduled,
-                .parent = job.invocation_id, .subject = job.key});
-  }
-  loop_->ScheduleAfter(options_.persistor_dispatch,
-                       [this, job = std::move(job), scheduled, attempt]() mutable {
-                         RunPersistor(std::move(job), scheduled, attempt);
-                       });
+  run->scheduled = loop_->now();
+  emit_.Emit({.kind = FlightEventKind::kPersistorDispatch, .time = run->scheduled,
+              .parent = job.invocation_id, .subject = key});
+  loop_->ScheduleAfter(options_.persistor_dispatch, [this, run] { RunPersistor(*run); });
 }
 
 std::uint64_t Proxy::NewWriteEpoch(const std::string& key) {
@@ -545,99 +548,101 @@ std::uint64_t Proxy::NewWriteEpoch(const std::string& key) {
   return entry.epoch;
 }
 
-bool Proxy::EpochCurrent(const PersistorJob& job) const {
-  auto it = write_epoch_.find(job.key);
-  SIM_ASSERT(it != write_epoch_.end()) << "; persistor without an epoch entry: " << job.key;
-  return it == write_epoch_.end() || it->second.epoch == job.epoch;
+bool Proxy::EpochCurrent(const PersistorRun& run) const {
+  auto it = write_epoch_.find(run.key);
+  SIM_ASSERT(it != write_epoch_.end()) << "; persistor without an epoch entry: " << run.key;
+  return it == write_epoch_.end() || it->second.epoch == run.job.epoch;
 }
 
-void Proxy::FinishPersistor(const PersistorJob& job) {
-  auto it = write_epoch_.find(job.key);
+void Proxy::FinishPersistor(PersistorRun& run) {
+  auto it = write_epoch_.find(run.key);
   SIM_ASSERT(it != write_epoch_.end() && it->second.persistors > 0)
-      << "; persistor finished twice: " << job.key;
+      << "; persistor finished twice: " << run.key;
   if (it != write_epoch_.end() && --it->second.persistors == 0) {
     write_epoch_.erase(it);
   }
+  idle_persistor_runs_.push_back(&run);
 }
 
-void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
+void Proxy::RunPersistor(PersistorRun& run) {
+  const PersistorJob& job = run.job;
   if (loop_->now() < persistor_drop_until_) {
     // Fault injection: the helper function was lost mid-flight. The dispatch is
     // retried with backoff so the acknowledged write still converges.
     ++*m_.persistor_drops;
-    RetryPersistor(std::move(job), attempt);
+    RetryPersistor(run);
     return;
   }
-  if (job.version == 0 && !EpochCurrent(job)) {
+  if (job.version == 0 && !EpochCurrent(run)) {
     // A newer acknowledged write owns this key now; its own persistor (or the
     // shadow version ordering) converges the store, and pushing the stale
     // fallback payload would clobber it.
     ++*m_.persistor_conflicts;
     emit_.Emit({.kind = FlightEventKind::kPersistorConflict, .time = loop_->now(),
-                .parent = job.invocation_id, .subject = job.key, .detail = "stale_epoch"});
-    FinishPersistor(job);
+                .parent = job.invocation_id, .subject = run.key, .detail = "stale_epoch"});
+    FinishPersistor(run);
     return;
   }
   ++*m_.persistor_runs;
-  auto on_pushed = [this, job, scheduled, attempt](Status status) {
-    if (!status.ok()) {
-      if (status.code() == StatusCode::kUnavailable) {
-        RetryPersistor(job, attempt);
-        return;
-      }
-      // kAborted: a newer version already reached the RSDS; propagation
-      // order is preserved by dropping the stale push.
-      ++*m_.persistor_conflicts;
-      emit_.Emit({.kind = FlightEventKind::kPersistorConflict, .time = loop_->now(),
-                  .parent = job.invocation_id, .subject = job.key, .detail = "newer_version"});
-      FinishPersistor(job);
-      return;
-    }
-    m_.persistor_ms->Observe(ToMillis(loop_->now() - scheduled));
-    emit_.Emit({.kind = FlightEventKind::kPersistorDone, .time = loop_->now(),
-                .parent = job.invocation_id, .subject = job.key,
-                .duration = loop_->now() - scheduled});
-    // Only the newest acknowledged write may clean up: if a newer one took
-    // over the cached copy while this push was in flight, its persistor
-    // cleans up, and dropping the copy here would lose a dirty payload.
-    if (EpochCurrent(job)) {
-      (void)cluster_->MarkPersisted(job.key);
-      if (job.drop_after) {
-        // §6.3: final outputs leave the cache once written back.
-        (void)cluster_->Remove(job.key);
-        PolicyRemove(job.key);
-      }
-    }
-    FinishPersistor(job);
-  };
+  auto on_pushed = [this, run = &run](Status status) { OnPersistorPushed(*run, status); };
   if (job.version == 0) {
     // Degraded write (no shadow was ever created): push the full payload, but
     // only if the store still holds what the fallback ack superseded — any
     // write that landed after heal is newer and must win (kAborted here).
-    rsds_->PutIfVersion(job.key, job.fallback_base, job.size, {}, job.checksum,
-                        std::move(on_pushed));
+    rsds_->PutIfVersion(run.key, job.fallback_base, job.size, {}, job.checksum, on_pushed);
     return;
   }
-  rsds_->FinalizePayload(job.key, job.version, job.size, job.checksum,
-                         std::move(on_pushed));
+  rsds_->FinalizePayload(run.key, job.version, job.size, job.checksum, on_pushed);
 }
 
-void Proxy::RetryPersistor(PersistorJob job, int attempt) {
-  if (attempt + 1 > options_.persistor_max_retries) {
+void Proxy::OnPersistorPushed(PersistorRun& run, const Status& status) {
+  const PersistorJob& job = run.job;
+  if (!status.ok()) {
+    if (status.code() == StatusCode::kUnavailable) {
+      RetryPersistor(run);
+      return;
+    }
+    // kAborted: a newer version already reached the RSDS; propagation
+    // order is preserved by dropping the stale push.
+    ++*m_.persistor_conflicts;
+    emit_.Emit({.kind = FlightEventKind::kPersistorConflict, .time = loop_->now(),
+                .parent = job.invocation_id, .subject = run.key, .detail = "newer_version"});
+    FinishPersistor(run);
+    return;
+  }
+  m_.persistor_ms->Observe(ToMillis(loop_->now() - run.scheduled));
+  emit_.Emit({.kind = FlightEventKind::kPersistorDone, .time = loop_->now(),
+              .parent = job.invocation_id, .subject = run.key,
+              .duration = loop_->now() - run.scheduled});
+  // Only the newest acknowledged write may clean up: if a newer one took
+  // over the cached copy while this push was in flight, its persistor
+  // cleans up, and dropping the copy here would lose a dirty payload.
+  if (EpochCurrent(run)) {
+    (void)cluster_->MarkPersisted(run.key);
+    if (job.drop_after) {
+      // §6.3: final outputs leave the cache once written back.
+      (void)cluster_->Remove(run.key);
+      PolicyRemove(run.key);
+    }
+  }
+  FinishPersistor(run);
+}
+
+void Proxy::RetryPersistor(PersistorRun& run) {
+  if (run.attempt + 1 > options_.persistor_max_retries) {
     // Budget exhausted: the object stays dirty in the cache; the CacheAgent's
     // reclamation write-back is the backstop.
     ++*m_.persistor_abandons;
-    FinishPersistor(job);
+    FinishPersistor(run);
     return;
   }
   ++*m_.persistor_retries;
   emit_.Emit({.kind = FlightEventKind::kPersistorRetry, .time = loop_->now(),
-              .parent = job.invocation_id, .subject = job.key});
-  const SimDuration backoff = Backoff(options_.persistor_retry_backoff, attempt);
-  const SimTime scheduled = loop_->now();
-  loop_->ScheduleAfter(backoff, [this, job = std::move(job), scheduled, attempt]() mutable {
-    RunPersistor(std::move(job), scheduled, attempt + 1);
-  });
+              .parent = run.job.invocation_id, .subject = run.key});
+  const SimDuration backoff = Backoff(options_.persistor_retry_backoff, run.attempt);
+  ++run.attempt;
+  run.scheduled = loop_->now();
+  loop_->ScheduleAfter(backoff, [this, run = &run] { RunPersistor(*run); });
 }
 
 void Proxy::OnPipelineComplete(std::uint64_t pipeline_id) {

@@ -24,6 +24,7 @@
 #define OFC_CORE_PROXY_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -227,7 +228,6 @@ class Proxy : public faas::DataService {
   // ack time: a persistor whose epoch went stale must not touch the cached
   // copy (a newer acknowledged write owns it now).
   struct PersistorJob {
-    std::string key;
     store::ObjectVersion version = 0;
     Bytes size = 0;
     bool drop_after = false;
@@ -240,6 +240,17 @@ class Proxy : public faas::DataService {
     // Invocation whose write spawned this job; links the persistor chain back
     // to its causal parent in the flight recorder (0 = cache-agent writeback).
     std::uint64_t invocation_id = 0;
+  };
+  // One persistor from its dispatch to its FinishPersistor. Records are pooled
+  // and never move, so each step of the chain (dispatch, retry, the store
+  // push's completion) captures only `this` and the record's address. That
+  // fits the event loop's and std::function's inline buffers, and the key is
+  // copied once, into a string whose capacity the pool keeps.
+  struct PersistorRun {
+    std::string key;
+    PersistorJob job;
+    SimTime scheduled = 0;  // When the current dispatch was scheduled.
+    int attempt = 0;
   };
 
   // One transparent-mode write between its two halves: the RSDS shadow and the
@@ -262,18 +273,20 @@ class Proxy : public faas::DataService {
   // RSDS Get with bounded kUnavailable retries; `deadline` is absolute.
   void GetWithRetry(const std::string& key, SimTime deadline, int attempt,
                     store::ObjectStore::MetaCallback done);
-  void SchedulePersistor(PersistorJob job, int attempt = 0);
+  void SchedulePersistor(const std::string& key, const PersistorJob& job);
   // Persistor body: drop-window check, then the payload push.
-  void RunPersistor(PersistorJob job, SimTime scheduled, int attempt);
-  void RetryPersistor(PersistorJob job, int attempt);
+  void RunPersistor(PersistorRun& run);
+  void OnPersistorPushed(PersistorRun& run, const Status& status);
+  void RetryPersistor(PersistorRun& run);
   // Hands `key`'s next acknowledged write-back a fresh epoch and counts its
   // persistor in flight; every persistor ends in exactly one FinishPersistor
-  // (success, conflict, stale-epoch stand-down or abandonment).
+  // (success, conflict, stale-epoch stand-down or abandonment), which also
+  // returns its record to the pool.
   std::uint64_t NewWriteEpoch(const std::string& key);
-  void FinishPersistor(const PersistorJob& job);
-  // True while `job` still represents the newest acknowledged write for its
+  void FinishPersistor(PersistorRun& run);
+  // True while `run` still represents the newest acknowledged write for its
   // key — only then may its persistor mark the cached copy clean or drop it.
-  bool EpochCurrent(const PersistorJob& job) const;
+  bool EpochCurrent(const PersistorRun& run) const;
   void HandleExternalRead(const std::string& key, std::function<void()> resume);
   void HandleExternalWrite(const std::string& key, std::function<void()> resume);
 
@@ -345,6 +358,10 @@ class Proxy : public faas::DataService {
   };
   std::uint64_t next_write_epoch_ = 1;
   std::unordered_map<std::string, WriteEpoch, DetHash<std::string>> write_epoch_;
+  // Every persistor record ever needed (as many as were once in flight at the
+  // same time; a deque keeps their addresses stable) and the idle ones.
+  std::deque<PersistorRun> persistor_runs_;
+  std::vector<PersistorRun*> idle_persistor_runs_;
 };
 
 }  // namespace ofc::core
