@@ -1,7 +1,9 @@
 #include "src/obs/emitter.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -109,23 +111,31 @@ std::uint64_t TraceThread(int pid, const Event& event) {
   }
 }
 
-std::string Expand(std::string_view pattern, const Event& event) {
-  std::string out;
+// Appends `pattern` to `out` with each {s} {d} {w} {n} {m} replaced by that
+// field of `event`.
+void ExpandInto(std::string_view pattern, const Event& event, std::string* out) {
   for (std::size_t i = 0; i < pattern.size(); ++i) {
     if (pattern[i] != '{') {
-      out += pattern[i];
+      *out += pattern[i];
       continue;
     }
     const char field = pattern[i + 1];
     i += 2;  // Onto the closing brace.
     if (field == 's') {
-      out += event.subject;
+      *out += event.subject;
     } else if (field == 'd') {
-      out += event.detail;
+      *out += event.detail;
     } else {
-      out += std::to_string(field == 'w' ? event.worker : field == 'n' ? event.n : event.m);
+      char digits[24];
+      const std::int64_t value = field == 'w' ? event.worker : field == 'n' ? event.n : event.m;
+      out->append(digits, std::to_chars(digits, std::end(digits), value).ptr);
     }
   }
+}
+
+std::string Expand(std::string_view pattern, const Event& event) {
+  std::string out;
+  ExpandInto(pattern, event, &out);
   return out;
 }
 
@@ -153,8 +163,11 @@ Emitter::Emitter(TraceRecorder* trace, FlightRecorder* flight,
 void Emitter::Render(const Event& event) const {
   const KindInfo& info = kKinds[static_cast<std::size_t>(event.kind)];
   if (*flight_on_ && info.flight != nullptr) {
-    flight_->Record(event.time, event.kind, event.invocation, event.parent, event.worker,
-                    std::string(event.subject), Expand(info.detail, event));
+    FlightEvent& slot =
+        flight_->NextSlot(event.time, event.kind, event.invocation, event.parent, event.worker);
+    slot.subject.assign(event.subject);
+    slot.detail.clear();
+    ExpandInto(info.detail, event, &slot.detail);
   }
   if (!*trace_on_ || info.trace == nullptr) {
     return;

@@ -29,6 +29,14 @@ void FlightRecorder::Record(SimTime time, FlightEventKind kind, std::uint64_t in
   if (!options_.enabled) {
     return;
   }
+  FlightEvent& ev = NextSlot(time, kind, invocation_id, parent_id, worker);
+  ev.subject = std::move(subject);
+  ev.detail = std::move(detail);
+}
+
+FlightEvent& FlightRecorder::NextSlot(SimTime time, FlightEventKind kind,
+                                      std::uint64_t invocation_id, std::uint64_t parent_id,
+                                      std::int32_t worker) {
   FlightEvent* ev;
   if (ring_.size() < options_.capacity) {
     if (ring_.size() == ring_.capacity()) {
@@ -48,8 +56,7 @@ void FlightRecorder::Record(SimTime time, FlightEventKind kind, std::uint64_t in
   ev->invocation_id = invocation_id;
   ev->parent_id = parent_id;
   ev->worker = worker;
-  ev->subject = std::move(subject);
-  ev->detail = std::move(detail);
+  return *ev;
 }
 
 std::vector<const FlightEvent*> FlightRecorder::ChainFor(std::uint64_t invocation_id) const {

@@ -144,7 +144,14 @@ class FlightRecorder {
   bool WriteJson(const std::string& path, const std::string& reason = "") const;
 
  private:
-  friend class Emitter;  // Reads options_.enabled at emit time.
+  friend class Emitter;  // Reads options_.enabled and fills slots at emit time.
+
+  // The slot the next record goes into, with everything but its subject and
+  // detail set: a fresh one while the ring grows, else the oldest record,
+  // whose strings the caller overwrites in place so that a wrapped ring
+  // reuses their capacity instead of allocating.
+  FlightEvent& NextSlot(SimTime time, FlightEventKind kind, std::uint64_t invocation_id,
+                        std::uint64_t parent_id, std::int32_t worker);
 
   // Circular buffer: grows by push_back until `capacity` records are retained,
   // then overwrites in place starting at start_ (the oldest record). The old
