@@ -29,6 +29,17 @@ namespace {
 
 constexpr std::uint64_t kTargetInvocations = 50'000;
 
+// The throughput floor in events per second. 30k is an order of magnitude
+// below an optimized build's typical ~300k. A build without optimization or
+// with a sanitizer runs far slower (a Debug ASan/UBSan build with libstdc++
+// assertions: 12.9-14.8k on a 4-vCPU VM), so there the floor sits the same
+// way below that build's own speed.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || !defined(__OPTIMIZE__)
+constexpr double kMinEventsPerSec = 3'000.0;
+#else
+constexpr double kMinEventsPerSec = 30'000.0;
+#endif
+
 // Peak resident set size in MiB (ru_maxrss is KiB on Linux).
 double PeakRssMb() {
   struct rusage usage{};
@@ -91,17 +102,19 @@ TEST(ScaleTest, FiftyThousandInvocationsCompleteExactlyOnceWithinBudgets) {
   EXPECT_GT(run.fired, kTargetInvocations / 2);
   EXPECT_LT(run.fired, kTargetInvocations * 2);
 
-  // Throughput floor: an order of magnitude below typical local numbers
-  // (~300k events/s) so only a pathological hot-path regression trips it.
+  // Throughput floor (kMinEventsPerSec): only a pathological hot-path
+  // regression trips it.
   ASSERT_GT(run.run_wall_s, 0.0);
   const double events_per_sec = static_cast<double>(run.dispatched) / run.run_wall_s;
-  EXPECT_GE(events_per_sec, 30'000.0)
+  EXPECT_GE(events_per_sec, kMinEventsPerSec)
       << "simulator throughput regressed: " << events_per_sec << " events/s over "
       << run.dispatched << " events in " << run.run_wall_s << "s";
 
-  // Memory bound: counters-only retention means the run's footprint must not
-  // scale with invocation count. 2 GiB is the same ceiling the perf-smoke
-  // floor (bench/scale_floor.json) enforces for the downscaled bench.
+  // Memory bound: records are kept as counters only, so what grows with the
+  // run is the RSDS's one fixed-size record per stored object (about 0.2 KiB
+  // each). This ceiling is a blow-up guard that also holds under sanitizers;
+  // perf-smoke's tighter bound (bench/scale_floor.json) catches a per-object
+  // regression in the optimized bench.
   EXPECT_LT(PeakRssMb(), 2048.0);
 }
 
