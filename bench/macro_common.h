@@ -10,25 +10,27 @@
 #include <string>
 #include <vector>
 
-#include "src/faasload/environment.h"
-#include "src/faasload/injector.h"
+#include "src/faasload/runner.h"
 
 namespace ofc::bench {
+
+// The macro runs' stack: four workers of 160 GiB (the paper's are 512 GB
+// machines), so the invoker pools absorb the pipeline fan-outs' concurrent
+// 2 GB-booked sandboxes under the naive profile without queueing.
+inline faasload::EnvironmentOptions MacroEnvironment() {
+  faasload::EnvironmentOptions env;
+  env.seed = 2021;
+  env.platform.num_workers = 4;
+  env.platform.worker_memory = GiB(160);
+  return env;
+}
 
 struct MacroConfig {
   faasload::Mode mode = faasload::Mode::kOwkSwift;
   faasload::TenantProfile profile = faasload::TenantProfile::kNormal;
   int tenants_per_function = 1;  // 3 reproduces the 24-tenant variant.
   SimDuration duration = Minutes(30);
-  double mean_interval_s = 60.0;  // Exponential arrivals, lambda = 60 s.
-  std::uint64_t seed = 2021;
-  int pretrain_invocations = 1000;  // Offline ML stage (artifact ships this).
-  SimDuration cache_sample_period = Seconds(30);
-  // Cache eviction/sweep policy spec (OFC mode; see src/core/cache_policy.h).
-  std::string cache_policy = "lru";
-  // Memory per worker. The paper's machines are 512 GB; the policy-comparison
-  // bench shrinks this to put the cache under real eviction pressure.
-  Bytes worker_memory = GiB(160);
+  faasload::EnvironmentOptions env = MacroEnvironment();
 };
 
 struct CacheSample {
@@ -42,7 +44,7 @@ struct MacroResult {
   std::vector<faasload::TenantResult> tenants;
   std::vector<CacheSample> cache_series;
   // The registry every component of the run reported into (shared_ptr: the
-  // environment dies inside RunMacro, the metrics outlive it with the result).
+  // runner dies inside RunMacro, the metrics outlive it with the result).
   // Baseline runs register no OFC families, so their OFC counters read 0.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   SimTime end_time = 0;  // Simulated clock when the run finished.
@@ -50,18 +52,10 @@ struct MacroResult {
 
 inline MacroResult RunMacro(const MacroConfig& config) {
   auto metrics = std::make_shared<obs::MetricsRegistry>();
-  faasload::EnvironmentOptions env_options;
+  faasload::EnvironmentOptions env_options = config.env;
   env_options.metrics = metrics.get();
-  env_options.platform.num_workers = 4;
-  // Default 160 GiB: the paper's workers are 512 GB machines; the invoker
-  // pools must absorb the pipeline fan-outs' concurrent 2 GB-booked sandboxes
-  // under the naive profile without queueing.
-  env_options.platform.worker_memory = config.worker_memory;
-  env_options.ofc.cache_policy = config.cache_policy;
-  env_options.seed = config.seed;
-  faasload::Environment env(config.mode, env_options);
-
-  faasload::LoadInjector injector(&env, config.profile, config.seed);
+  faasload::Runner run(config.mode, env_options, config.profile, env_options.seed);
+  faasload::LoadInjector& injector = run.load();
 
   struct TenantTemplate {
     const char* function;
@@ -79,7 +73,7 @@ inline MacroResult RunMacro(const MacroConfig& config) {
       spec.name = std::string(tmpl.function) + "#" + std::to_string(copy);
       spec.function = tmpl.function;
       spec.is_pipeline = tmpl.pipeline;
-      spec.mean_interval_s = config.mean_interval_s;
+      spec.mean_interval_s = 60.0;  // Exponential arrivals, lambda = 60 s.
       // More tenants -> more distinct inputs per function (FAASLOAD prepares a
       // dataset per tenant), which pressures the cache as in the 24-tenant run.
       spec.dataset_objects = config.tenants_per_function == 1 ? 3 : 12;
@@ -92,12 +86,13 @@ inline MacroResult RunMacro(const MacroConfig& config) {
     }
   }
 
-  injector.PretrainModels(config.pretrain_invocations);
+  injector.PretrainModels(1000);  // Offline ML stage (the artifact ships this).
 
   MacroResult result;
   result.config = config;
-  if (env.ofc() != nullptr) {
-    injector.AddSampler(config.cache_sample_period, [&env, &result] {
+  if (faasload::Environment& env = run.env(); env.ofc() != nullptr) {
+    // Figure 10's cache-size series.
+    injector.AddSampler(Seconds(30), [&env, &result] {
       CacheSample sample;
       sample.minute = ToSeconds(env.loop().now()) / 60.0;
       sample.capacity = env.cluster()->TotalCapacity();
@@ -106,11 +101,11 @@ inline MacroResult RunMacro(const MacroConfig& config) {
     });
   }
 
-  injector.Run(config.duration);
+  (void)run.Run(config.duration);  // No attachments: cannot fail.
 
   result.tenants = injector.results();
   result.metrics = std::move(metrics);
-  result.end_time = env.loop().now();
+  result.end_time = run.artifacts().final_time;
   return result;
 }
 

@@ -17,9 +17,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/faasload/environment.h"
-#include "src/workloads/functions.h"
-#include "src/workloads/media.h"
+#include "src/faasload/runner.h"
+#include "src/fault/fault_plan.h"
 
 namespace ofc {
 namespace {
@@ -62,76 +61,52 @@ LoadPoint RunPoint(SimDuration interarrival, std::uint64_t seed) {
   env_options.ofc.proxy.breaker_failure_threshold = 3;
   env_options.ofc.proxy.breaker_open_duration = Seconds(5);
   env_options.ofc.proxy.breaker_half_open_probes = 2;
-  faasload::Environment env(faasload::Mode::kOfc, env_options);
-
-  faas::FunctionConfig config;
-  config.spec = *workloads::FindFunction("wand_sepia");
-  config.booked_memory = GiB(2);
-  if (!env.platform().RegisterFunction(config).ok()) {
-    std::fprintf(stderr, "RegisterFunction failed\n");
-    return {};
-  }
-  Rng pretrain_rng(seed + 17);
-  env.ofc()->trainer().Pretrain(config.spec, 1000, pretrain_rng);
-
-  Rng rng(seed * 7919 + 1);
-  workloads::MediaGenerator generator(rng.Fork());
-  std::vector<faas::InputObject> inputs;
-  for (int i = 0; i < 4; ++i) {
-    const auto media =
-        generator.GenerateWithByteSize(workloads::InputKind::kImage, KiB(256));
-    const std::string key = "in/" + std::to_string(i);
-    env.rsds().Seed(key, media.byte_size, faas::MediaToTags(media));
-    inputs.push_back(faas::InputObject{key, media});
-  }
-
   // Cache-path brownout mid-sweep: every cache read/write fails until the
   // window closes, so the breaker opens and routes around it.
-  env.loop().ScheduleAt(kFaultStart, [&env] {
-    env.ofc()->proxy().InjectCacheFaultUntil(kFaultEnd);
-  });
+  env_options.faults = fault::FaultPlan{
+      {{kFaultStart, fault::FaultKind::kCacheDegraded, -1, kFaultEnd - kFaultStart}}};
+  faasload::Runner run(faasload::Mode::kOfc, env_options, faasload::TenantProfile::kNormal,
+                       seed * 7919 + 1);
+  faasload::LoadInjector& load = run.load();
+  if (Status added = load.AddProbe("wand_sepia", /*num_objects=*/4, KiB(256)); !added.ok()) {
+    std::fprintf(stderr, "probe setup failed: %s\n", added.ToString().c_str());
+    return {};
+  }
+  (void)run.Arm();  // The plan fits the stack: cannot fail.
 
   LoadPoint point;
   point.offered_rps = 1e6 / static_cast<double>(interarrival);
-  std::vector<double> latencies_ms;
-  int completed = 0;
   for (SimTime at = 0; at < kHorizon; at += interarrival) {
     ++point.scheduled;
-    env.loop().ScheduleAt(at, [&env, &point, &latencies_ms, &completed, &rng,
-                               &inputs] {
-      env.platform().Invoke("wand_sepia", {inputs[rng.Index(inputs.size())]},
-                            {0.5}, [&point, &latencies_ms,
-                                    &completed](const faas::InvocationRecord& r) {
-                              ++completed;
-                              if (r.shed) {
-                                ++point.shed;
-                              } else if (!r.failed) {
-                                ++point.succeeded;
-                                latencies_ms.push_back(ToMillis(r.total));
-                              }
-                            });
-    });
+    load.SubmitProbe(at);
   }
-  const SimTime deadline = kHorizon + kDrain;
-  while (completed < point.scheduled && env.loop().now() < deadline &&
-         env.loop().Step()) {
-  }
+  (void)run.Run(kHorizon, kDrain);
 
+  std::vector<double> latencies_ms;
+  for (const faas::InvocationRecord& r : load.results().front().invocations) {
+    if (r.shed) {
+      ++point.shed;
+    } else if (!r.failed) {
+      ++point.succeeded;
+      latencies_ms.push_back(ToMillis(r.total));
+    }
+  }
   point.goodput_rps = point.succeeded / ToSeconds(kHorizon);
   point.shed_rate =
       point.scheduled == 0 ? 0.0 : static_cast<double>(point.shed) / point.scheduled;
   point.p50_ms = Percentile(latencies_ms, 0.50);
   point.p99_ms = Percentile(latencies_ms, 0.99);
   point.breaker_open_s =
-      env.metrics().GaugeValue("ofc.breaker.open_time_us") / 1e6;
+      run.env().metrics().GaugeValue("ofc.breaker.open_time_us") / 1e6;
   return point;
 }
 
-void WriteJson(const std::string& path, const std::vector<LoadPoint>& points) {
+// Writes the series; false (with a message) when `path` cannot be written.
+bool WriteJson(const std::string& path, const std::vector<LoadPoint>& points) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"overload_degradation\",\n  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -147,9 +122,10 @@ void WriteJson(const std::string& path, const std::vector<LoadPoint>& points) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %zu load points -> %s\n", points.size(), path.c_str());
+  return true;
 }
 
-void Run(const std::string& json_path) {
+bool Run(const std::string& json_path) {
   bench::Banner("Overload protection & graceful degradation",
                 "robustness extension (bounded admission + cache breaker)");
 
@@ -179,7 +155,7 @@ void Run(const std::string& json_path) {
       "rate absorbs the excess; P99 stays bounded by the 2 s queue deadline; the\n"
       "breaker is open for roughly the injected 20 s cache-fault window.\n");
 
-  WriteJson(json_path, points);
+  return WriteJson(json_path, points);
 }
 
 }  // namespace
@@ -190,8 +166,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
+    } else {
+      std::fprintf(stderr, "unknown argument %s\nusage: %s [--json=PATH]\n", argv[i], argv[0]);
+      return 2;
     }
   }
-  ofc::Run(json_path);
-  return 0;
+  return ofc::Run(json_path) ? 0 : 1;
 }

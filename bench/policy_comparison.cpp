@@ -136,12 +136,12 @@ PolicyRun RunMacroWorkload(faasload::Mode mode, const std::string& policy,
                           const Flags& flags) {
   bench::MacroConfig config;
   config.mode = mode;
-  config.cache_policy = policy;
+  config.env.ofc.cache_policy = policy;
   config.duration = Minutes(flags.duration_min);
-  config.seed = flags.seed;
+  config.env.seed = flags.seed;
   // Small enough that the macro mix's pipelines put the cache under shrink
   // pressure, large enough that the 2 GiB-booked sandboxes never queue.
-  config.worker_memory = GiB(24);
+  config.env.platform.worker_memory = GiB(24);
   const bench::MacroResult result = bench::RunMacro(config);
 
   PolicyRun stats;

@@ -21,8 +21,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/faasload/environment.h"
-#include "src/faasload/injector.h"
+#include "src/faasload/runner.h"
 #include "src/obs/export_util.h"
 #include "src/workloads/scale_trace.h"
 
@@ -110,49 +109,47 @@ int Main(int argc, char** argv) {
 
   faasload::EnvironmentOptions env_options;
   env_options.seed = flags.seed;
-  env_options.platform.num_workers = 8;
-  env_options.platform.worker_memory = GiB(32);
-  faasload::Environment env(ParseMode(flags.mode), env_options);
-  faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, flags.seed);
-  injector.set_max_records_per_tenant(0);  // Counters only; no per-record retention.
-  if (Status status = injector.AddScaleTrace(trace); !status.ok()) {
-    std::fprintf(stderr, "trace setup failed: %s\n", status.ToString().c_str());
+  auto made = faasload::MakeScaleTraceRun(ParseMode(flags.mode), env_options, trace);
+  if (!made.ok()) {
+    std::fprintf(stderr, "trace setup failed: %s\n", made.status().ToString().c_str());
     return 1;
   }
-  injector.PretrainModels(40);
+  faasload::Runner& run = **made;
   const double setup_wall = SecondsSince(setup_start);
 
   if (flags.progress) {
     // Progress heartbeat in simulated time (one line per 10% of the horizon).
     const SimDuration step = static_cast<SimDuration>(flags.duration_s * 1e6 / 10.0);
-    injector.AddSampler(step, [&env, &injector] {
+    run.load().AddSampler(step, [&run] {
       std::printf("  t=%.0fs: %llu fired, %llu completed, %llu events\n",
-                  static_cast<double>(env.loop().now()) / 1e6,
-                  static_cast<unsigned long long>(injector.invocations_fired()),
-                  static_cast<unsigned long long>(injector.invocations_completed()),
-                  static_cast<unsigned long long>(env.loop().total_dispatched()));
+                  static_cast<double>(run.env().loop().now()) / 1e6,
+                  static_cast<unsigned long long>(run.load().invocations_fired()),
+                  static_cast<unsigned long long>(run.load().invocations_completed()),
+                  static_cast<unsigned long long>(run.env().loop().total_dispatched()));
       std::fflush(stdout);
     });
   }
 
   const auto run_start = WallClock::now();  // simlint: allow(wall-clock) -- phase timing
-  injector.Run(static_cast<SimDuration>(flags.duration_s * 1e6));
+  (void)run.Run(static_cast<SimDuration>(flags.duration_s * 1e6));  // No attachments.
   const double run_wall = SecondsSince(run_start);
 
   // ---- Report --------------------------------------------------------------
   const auto export_start = WallClock::now();  // simlint: allow(wall-clock) -- phase timing
-  const std::uint64_t dispatched = env.loop().total_dispatched();
-  const std::uint64_t scheduled = env.loop().total_scheduled();
-  const std::uint64_t fired = injector.invocations_fired();
-  const std::uint64_t completed = injector.invocations_completed();
+  // Counters only: collecting the artifacts would raise the peak RSS reported.
+  const std::uint64_t dispatched = run.env().loop().total_dispatched();
+  const std::uint64_t scheduled = run.env().loop().total_scheduled();
+  const std::uint64_t fired = run.load().invocations_fired();
+  const std::uint64_t completed = run.load().invocations_completed();
   const double events_per_sec = run_wall > 0 ? static_cast<double>(dispatched) / run_wall : 0;
   const double inv_per_sec = run_wall > 0 ? static_cast<double>(completed) / run_wall : 0;
 
   // Simulated-time E/T/L shares (where simulated work went; the wall-clock
   // phase split above says where the *simulator's* time went).
-  const double extract_ms = env.metrics().GetSeries("ofc.platform.extract_ms")->sum();
-  const double transform_ms = env.metrics().GetSeries("ofc.platform.transform_ms")->sum();
-  const double load_ms = env.metrics().GetSeries("ofc.platform.load_ms")->sum();
+  obs::MetricsRegistry& metrics = run.env().metrics();
+  const double extract_ms = metrics.GetSeries("ofc.platform.extract_ms")->sum();
+  const double transform_ms = metrics.GetSeries("ofc.platform.transform_ms")->sum();
+  const double load_ms = metrics.GetSeries("ofc.platform.load_ms")->sum();
   const double etl_total = extract_ms + transform_ms + load_ms;
 
   bench::Table table({"metric", "value"});

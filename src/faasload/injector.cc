@@ -211,6 +211,53 @@ Status LoadInjector::AddScaleTrace(const workloads::ScaleTrace& trace) {
   return OkStatus();
 }
 
+Status LoadInjector::AddProbe(const std::string& function, int num_objects,
+                              Bytes input_bytes) {
+  const workloads::FunctionSpec* fn = workloads::FindFunction(function);
+  if (fn == nullptr) {
+    return NotFoundError("no such function: " + function);
+  }
+  faas::FunctionConfig config;
+  config.spec = *fn;
+  config.booked_memory = GiB(2);
+  OFC_RETURN_IF_ERROR(env_->platform().RegisterFunction(config));
+  if (core::OfcSystem* ofc = env_->ofc(); ofc != nullptr) {
+    Rng pretrain_rng(env_->options().seed + 17);
+    ofc->trainer().Pretrain(config.spec, 1000, pretrain_rng);
+  }
+  workloads::MediaGenerator generator(rng_.Fork());
+  for (int i = 0; i < num_objects; ++i) {
+    const workloads::MediaDescriptor media =
+        generator.GenerateWithByteSize(workloads::InputKind::kImage, input_bytes);
+    const std::string key = "in/" + std::to_string(i);
+    env_->rsds().Seed(key, media.byte_size, faas::MediaToTags(media));
+    probe_inputs_.push_back(faas::InputObject{key, media});
+  }
+  probe_function_ = function;
+  results_.push_back(TenantResult{"probe", function, {}, {}});
+  probe_result_ = results_.size() - 1;
+  return OkStatus();
+}
+
+void LoadInjector::SubmitProbe(SimTime at) {
+  const faas::InputObject& input = probe_inputs_[rng_.Index(probe_inputs_.size())];
+  ++in_flight_;
+  env_->loop().ScheduleAt(at, [this, input] {
+    ++fired_;
+    env_->platform().Invoke(probe_function_, {input}, {0.5},
+                            [this](const faas::InvocationRecord& record) {
+                              RecordInvocation(results_[probe_result_], record);
+                              ++completed_;
+                              --in_flight_;
+                            });
+  });
+}
+
+void LoadInjector::Settle(SimTime deadline) {
+  while (in_flight_ > 0 && env_->loop().now() < deadline && env_->loop().Step()) {
+  }
+}
+
 void LoadInjector::PretrainModels(int invocations_per_function) {
   core::OfcSystem* ofc = env_->ofc();
   if (ofc == nullptr) {
@@ -382,15 +429,6 @@ void LoadInjector::Run(SimDuration duration) {
     OFC_LOG(Warning) << in_flight_ << " invocation(s) did not complete within the "
                      << "2 h drain window";
   }
-}
-
-const TenantResult* LoadInjector::ResultFor(const std::string& tenant) const {
-  for (const TenantResult& result : results_) {
-    if (result.name == tenant) {
-      return &result;
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace ofc::faasload

@@ -90,6 +90,16 @@ class LoadInjector {
   // lazily while the run progresses.
   Status AddScaleTrace(const workloads::ScaleTrace& trace);
 
+  // The chaos and overload scenarios' load: one function booked at 2 GiB, its
+  // model pretrained on 1000 invocations drawn from the environment seed + 17,
+  // over `num_objects` image inputs of `input_bytes` each, seeded as in/0, in/1,
+  // ... from this injector's stream. Its invocations are planted one at a time
+  // with SubmitProbe() and driven by Settle(), not by Run().
+  Status AddProbe(const std::string& function, int num_objects, Bytes input_bytes);
+  // Plants one probe invocation at `at`, on an input drawn now, with args {0.5}.
+  void SubmitProbe(SimTime at);
+  bool has_probe() const { return !probe_function_.empty(); }
+
   // Pretrains OFC models offline (no-op in baseline modes) so macro runs start
   // with mature predictors, as the artifact's offline ML stage does.
   void PretrainModels(int invocations_per_function);
@@ -98,11 +108,18 @@ class LoadInjector {
   // until every scheduled invocation completed.
   void Run(SimDuration duration);
 
+  // Steps the event loop until no planted invocation is in flight or the clock
+  // reaches `deadline`, whichever comes first.
+  void Settle(SimTime deadline);
+
   // Periodically samples f(now) during Run (Figure 10's cache-size series).
   void AddSampler(SimDuration period, std::function<void()> sampler);
 
+  // The injector's own stream: the chaos scenario draws its probes' Poisson
+  // gaps from it, interleaved with SubmitProbe()'s input draws.
+  Rng& rng() { return rng_; }
+
   const std::vector<TenantResult>& results() const { return results_; }
-  const TenantResult* ResultFor(const std::string& tenant) const;
 
   // Exactly-once accounting across the whole run: every fired invocation (or
   // pipeline) must produce exactly one completion record.
@@ -143,6 +160,10 @@ class LoadInjector {
   Rng rng_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<TenantResult> results_;
+  // The probe load (AddProbe): its function, inputs and result slot.
+  std::string probe_function_;
+  std::vector<faas::InputObject> probe_inputs_;
+  std::size_t probe_result_ = 0;
   std::size_t in_flight_ = 0;
   struct SamplerSpec {
     SimDuration period;

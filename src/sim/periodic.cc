@@ -1,6 +1,5 @@
 #include "src/sim/periodic.h"
 
-#include <cassert>
 #include <utility>
 
 #include "src/common/sim_assert.h"
@@ -26,7 +25,8 @@ void PeriodicTask::Start() {
   if (event_ != 0) {
     return;
   }
-  assert(interval_ > 0);
+  SIM_ASSERT(interval_ > 0) << "; PeriodicTask::Start needs a positive interval, got "
+                            << interval_ << " us";
   Arm();
 }
 

@@ -140,7 +140,11 @@ std::vector<ml::Attribute> FeatureAttributes(const FunctionSpec& spec) {
 
 std::vector<double> ExtractFeatures(const FunctionSpec& spec, const MediaDescriptor& media,
                                     const std::vector<double>& args) {
+  // One allocation per call (this runs twice per OFC invocation): the byte
+  // size, the kind's media features appended below, then the args.
+  constexpr std::size_t kMediaFeatures[] = {4, 4, 6, 1};  // Image, audio, video, text.
   std::vector<double> features;
+  features.reserve(1 + kMediaFeatures[static_cast<int>(spec.kind)] + args.size());
   features.push_back(static_cast<double>(media.byte_size) / 1024.0);
   switch (spec.kind) {
     case InputKind::kImage:

@@ -254,20 +254,20 @@ TEST(CachePolicyDeterminismTest, ExplicitLruEqualsTheDefault) {
 // (docs/invariants.md) must hold, and the run must replay byte-identically.
 chaos::ChaosScenarioOptions GdsfChaosScenario(std::uint64_t seed) {
   chaos::ChaosScenarioOptions options;
-  options.seed = seed;
-  options.cache_policy = "gdsf";
+  options.env.seed = seed;
+  options.env.ofc.cache_policy = "gdsf";
   options.num_invocations = 40;
   options.mean_interval_s = 4.0;
-  options.scrub_interval = Seconds(5);
-  options.scrub_quarantine_threshold = 0;
-  options.flight_recorder = true;
-  options.plan.events = {
+  options.env.scrub =
+      core::ScrubberOptions{.interval = Seconds(5), .quarantine_threshold = 0};
+  options.env.flight_capacity = 4096;
+  options.env.faults->events = {
       fault::FaultEvent{Seconds(25), fault::FaultKind::kNodeCrash, 1, Seconds(30)},
       fault::FaultEvent{Seconds(40), fault::FaultKind::kCorruptSegment, 0, 0, 3.0},
       fault::FaultEvent{Seconds(70), fault::FaultKind::kStoreRot, -1, 0, 3.0},
       fault::FaultEvent{Seconds(95), fault::FaultKind::kPersistorDrop, -1, Seconds(15)},
   };
-  options.plan.Sort();
+  options.env.faults->Sort();
   return options;
 }
 

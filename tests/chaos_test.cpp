@@ -27,7 +27,7 @@ void ExpectClean(const ChaosReport& report) {
 
 TEST(ChaosTest, FaultFreeBaselineIsClean) {
   ChaosScenarioOptions options;
-  options.seed = 101;
+  options.env.seed = 101;
   const ChaosReport report = RunChaosScenario(options);
   ExpectClean(report);
   EXPECT_EQ(report.failed, 0);
@@ -40,15 +40,15 @@ TEST(ChaosTest, FaultFreeBaselineIsClean) {
 // invariants must hold, deterministically across two replays of the same seed.
 ChaosScenarioOptions AcceptanceScenario(std::uint64_t seed) {
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.num_invocations = 40;
   options.mean_interval_s = 4.0;
-  options.plan.events = {
+  options.env.faults->events = {
       FaultEvent{Seconds(45), FaultKind::kStoreBrownout, -1, Seconds(60), 4.0},
       FaultEvent{Seconds(60), FaultKind::kNodeCrash, 1, Seconds(30)},
       FaultEvent{Seconds(70), FaultKind::kPersistorDrop, -1, Seconds(20)},
   };
-  options.plan.Sort();
+  options.env.faults->Sort();
   return options;
 }
 
@@ -73,13 +73,13 @@ TEST(ChaosTest, MachineCrashUnderStoreOutageRecovers) {
   // while the RSDS is down, so in-flight work re-dispatches into a degraded
   // data path and recovery runs with one fewer node.
   ChaosScenarioOptions options;
-  options.seed = 23;
+  options.env.seed = 23;
   options.num_invocations = 30;
-  options.plan.events = {
+  options.env.faults->events = {
       FaultEvent{Seconds(40), FaultKind::kStoreOutage, -1, Seconds(25)},
       FaultEvent{Seconds(50), FaultKind::kMachineCrash, 0, Seconds(40)},
   };
-  options.plan.Sort();
+  options.env.faults->Sort();
   const ChaosReport report = RunChaosScenario(options);
   ExpectClean(report);
   EXPECT_EQ(report.counter("ofc.platform.worker_crashes"), 1u);
@@ -91,10 +91,10 @@ TEST(ChaosTest, StoreOutageDuringWritesFallsBackTransparently) {
   // A long outage squarely over the busiest arrival window: acknowledged
   // writes must survive via the cache-backed fallback + degraded persistor.
   ChaosScenarioOptions options;
-  options.seed = 31;
+  options.env.seed = 31;
   options.num_invocations = 40;
   options.mean_interval_s = 3.0;
-  options.plan.events = {
+  options.env.faults->events = {
       FaultEvent{Seconds(30), FaultKind::kStoreOutage, -1, Seconds(45)},
   };
   const ChaosReport report = RunChaosScenario(options);
@@ -108,10 +108,10 @@ TEST(ChaosTest, StoreOutageDuringWritesFallsBackTransparently) {
 
 TEST(ChaosTest, PersistorDropDelaysButNeverLosesWrites) {
   ChaosScenarioOptions options;
-  options.seed = 47;
+  options.env.seed = 47;
   options.num_invocations = 35;
   options.mean_interval_s = 3.0;
-  options.plan.events = {
+  options.env.faults->events = {
       FaultEvent{Seconds(20), FaultKind::kPersistorDrop, -1, Seconds(90)},
   };
   const ChaosReport report = RunChaosScenario(options);
@@ -125,9 +125,9 @@ TEST(ChaosTest, OverlappingNodeCrashesReestablishReplication) {
   // Two staggered node crashes (never all nodes at once): recovery promotes
   // backups twice and the restarts must restore the replication factor.
   ChaosScenarioOptions options;
-  options.seed = 53;
+  options.env.seed = 53;
   options.num_invocations = 30;
-  options.plan.events = {
+  options.env.faults->events = {
       FaultEvent{Seconds(40), FaultKind::kNodeCrash, 0, Seconds(30)},
       FaultEvent{Seconds(55), FaultKind::kNodeCrash, 2, Seconds(30)},
   };
@@ -144,22 +144,22 @@ TEST(ChaosTest, OverlappingNodeCrashesReestablishReplication) {
 // the breaker must route survivors around the sick cache.
 ChaosScenarioOptions OverloadScenario(std::uint64_t seed) {
   ChaosScenarioOptions options;
-  options.seed = seed;
-  options.num_workers = 2;
+  options.env.seed = seed;
+  options.env.platform.num_workers = 2;
   options.num_invocations = 15;
   options.mean_interval_s = 6.0;
-  options.queue_limit = 6;
-  options.queue_deadline = Seconds(2);
-  options.breaker_threshold = 3;
-  options.breaker_open = Seconds(10);
-  options.breaker_probes = 2;
+  options.env.platform.max_queue_depth = 6;
+  options.env.platform.queue_deadline = Seconds(2);
+  options.env.ofc.proxy.breaker_failure_threshold = 3;
+  options.env.ofc.proxy.breaker_open_duration = Seconds(10);
+  options.env.ofc.proxy.breaker_half_open_probes = 2;
   options.burst_count = 40;
   options.burst_at = Seconds(60);
-  options.plan.events = {
+  options.env.faults->events = {
       FaultEvent{Seconds(30), FaultKind::kStoreBrownout, -1, Seconds(60), 4.0},
       FaultEvent{Seconds(45), FaultKind::kCacheDegraded, -1, Seconds(40)},
   };
-  options.plan.Sort();
+  options.env.faults->Sort();
   return options;
 }
 
@@ -191,15 +191,14 @@ TEST(ChaosTest, OverloadScenarioReplaysByteIdentical) {
 // the causal story.
 ChaosScenarioOptions ObservedOverloadScenario(std::uint64_t seed) {
   ChaosScenarioOptions options = OverloadScenario(seed);
-  options.flight_recorder = true;
-  options.timeline = true;
-  options.scrape_interval = Seconds(10);
+  options.env.flight_capacity = 4096;
+  options.env.scrape_interval = Seconds(10);
   std::string error;
   EXPECT_TRUE(obs::ParseSloSpecs(
       "warm=lat:ofc.platform.total_ms:p95:400:fast=30:slow=120:fastburn=3:slowburn=1.5;"
       "shed=rate:ofc.overload.shed/ofc.platform.invocations:0.01"
       ":fast=30:slow=120:fastburn=3:slowburn=1.5",
-      &options.slos, &error))
+      &options.env.slos, &error))
       << error;
   return options;
 }
@@ -224,14 +223,14 @@ TEST(ChaosTest, TimelineBracketsFaultWindowAndSloAlertFires) {
   // the health artifact.
   EXPECT_GE(report.slo_alerts_fired, 1u);
   EXPECT_GT(report.worst_burn, 1.5);
-  EXPECT_NE(report.health_json.find("\"slo\": \"shed\""), std::string::npos);
+  EXPECT_NE(report.artifacts.health_json.find("\"slo\": \"shed\""), std::string::npos);
 
   // The flight ring carries the causal story: lifecycle, overload, breaker,
   // and fault-window records all present.
   for (const char* kind : {"\"kind\": \"submit\"", "\"kind\": \"complete\"",
                            "\"kind\": \"shed\"", "\"kind\": \"breaker_open\"",
                            "\"kind\": \"fault_inject\"", "\"kind\": \"fault_heal\""}) {
-    EXPECT_NE(report.flight_json.find(kind), std::string::npos) << kind;
+    EXPECT_NE(report.artifacts.flight_json.find(kind), std::string::npos) << kind;
   }
 }
 
@@ -241,9 +240,9 @@ TEST(ChaosTest, ObservedOverloadReplaysAllArtifactsByteIdentical) {
   const ChaosReport first = RunChaosScenario(ObservedOverloadScenario(13));
   const ChaosReport second = RunChaosScenario(ObservedOverloadScenario(13));
   ExpectClean(first);
-  EXPECT_FALSE(first.timeline_json.empty());
-  EXPECT_FALSE(first.health_json.empty());
-  EXPECT_FALSE(first.flight_json.empty());
+  EXPECT_FALSE(first.artifacts.timeline_json.empty());
+  EXPECT_FALSE(first.artifacts.health_json.empty());
+  EXPECT_FALSE(first.artifacts.flight_json.empty());
   EXPECT_EQ(first.Fingerprint(), second.Fingerprint());
 }
 
@@ -251,10 +250,10 @@ TEST(ChaosTest, ViolationDumpsFlightRingForPostMortem) {
   // A plan that addresses a node the cluster does not have is the cheapest
   // deterministic "breach": the harness must still honor dump_on_violation.
   ChaosScenarioOptions options;
-  options.seed = 5;
-  options.flight_recorder = true;
+  options.env.seed = 5;
+  options.env.flight_capacity = 4096;
   options.dump_on_violation = ::testing::TempDir() + "/chaos_flight_dump.json";
-  options.plan.events = {FaultEvent{Seconds(1), FaultKind::kNodeCrash, 99, Seconds(5)}};
+  options.env.faults->events = {FaultEvent{Seconds(1), FaultKind::kNodeCrash, 99, Seconds(5)}};
   const ChaosReport report = RunChaosScenario(options);
   EXPECT_FALSE(report.ok());
 
@@ -271,18 +270,18 @@ TEST(ChaosTest, BreakerOpenMatchesNoCacheBaseline) {
   // extract+load data path must match a cache-disabled run of the same
   // workload within 5% — graceful degradation, not a new failure mode.
   ChaosScenarioOptions degraded;
-  degraded.seed = 71;
+  degraded.env.seed = 71;
   degraded.num_invocations = 25;
   degraded.mean_interval_s = 8.0;
-  degraded.breaker_threshold = 1;
-  degraded.breaker_open = Minutes(10);  // Never half-opens during the run.
-  degraded.plan.events = {
+  degraded.env.ofc.proxy.breaker_failure_threshold = 1;
+  degraded.env.ofc.proxy.breaker_open_duration = Minutes(10);  // Never half-opens during the run.
+  degraded.env.faults->events = {
       FaultEvent{0, FaultKind::kCacheDegraded, -1, Minutes(10)},
   };
   ChaosScenarioOptions baseline = degraded;
-  baseline.disable_cache = true;
-  baseline.breaker_threshold = 0;
-  baseline.plan.events.clear();
+  baseline.env.ofc.proxy.max_cacheable_size = 0;  // Everything bypasses the cache.
+  baseline.env.ofc.proxy.breaker_failure_threshold = 0;
+  baseline.env.faults->events.clear();
 
   const ChaosReport a = RunChaosScenario(degraded);
   const ChaosReport b = RunChaosScenario(baseline);
@@ -302,20 +301,21 @@ TEST(ChaosTest, BreakerOpenMatchesNoCacheBaseline) {
 // (the I6 end-state sweep), and no corrupt payload may ever reach a function.
 ChaosScenarioOptions BitFlipStormScenario(std::uint64_t seed) {
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.num_invocations = 40;
   options.mean_interval_s = 4.0;
-  options.scrub_interval = Seconds(5);
-  options.scrub_quarantine_threshold = 0;  // Repair-only; quarantine tested below.
-  options.flight_recorder = true;
-  options.plan.events = {
+  // Repair-only; quarantine is tested below.
+  options.env.scrub =
+      core::ScrubberOptions{.interval = Seconds(5), .quarantine_threshold = 0};
+  options.env.flight_capacity = 4096;
+  options.env.faults->events = {
       FaultEvent{Seconds(30), FaultKind::kCorruptSegment, 0, 0, 3.0},
       FaultEvent{Seconds(50), FaultKind::kCorruptReplica, 1, 0, 3.0},
       FaultEvent{Seconds(80), FaultKind::kStoreRot, -1, 0, 4.0},
       FaultEvent{Seconds(110), FaultKind::kCorruptSegment, 2, 0, 2.0},
       FaultEvent{Seconds(140), FaultKind::kStoreRot, -1, 0, 2.0},
   };
-  options.plan.Sort();
+  options.env.faults->Sort();
   return options;
 }
 
@@ -336,9 +336,9 @@ TEST(ChaosTest, BitFlipStormIsDetectedAndRepaired) {
   EXPECT_EQ(report.counter("ofc.integrity.corrupt_acked"), 0u);
   // The scrubber made full passes and the black box kept the causal story.
   EXPECT_GT(report.counter("ofc.scrub.cycles"), 0u);
-  EXPECT_NE(report.flight_json.find("\"kind\": \"corruption_detected\""),
+  EXPECT_NE(report.artifacts.flight_json.find("\"kind\": \"corruption_detected\""),
             std::string::npos);
-  EXPECT_NE(report.flight_json.find("\"kind\": \"corruption_repaired\""),
+  EXPECT_NE(report.artifacts.flight_json.find("\"kind\": \"corruption_repaired\""),
             std::string::npos);
 }
 
@@ -354,23 +354,23 @@ TEST(ChaosTest, RepeatedCorruptionQuarantinesTheSickNode) {
   // corrupt copies there it must drain the node gracefully and re-establish
   // replication elsewhere (I4 then holds against the reduced pool).
   ChaosScenarioOptions options;
-  options.seed = 11;
+  options.env.seed = 11;
   options.num_invocations = 30;
-  options.scrub_interval = Seconds(5);
-  options.scrub_quarantine_threshold = 2;
-  options.flight_recorder = true;
-  options.plan.events = {
+  options.env.scrub =
+      core::ScrubberOptions{.interval = Seconds(5), .quarantine_threshold = 2};
+  options.env.flight_capacity = 4096;
+  options.env.faults->events = {
       FaultEvent{Seconds(40), FaultKind::kCorruptSegment, 1, 0, 4.0},
       FaultEvent{Seconds(60), FaultKind::kCorruptReplica, 1, 0, 4.0},
       FaultEvent{Seconds(80), FaultKind::kCorruptSegment, 1, 0, 4.0},
       FaultEvent{Seconds(100), FaultKind::kCorruptReplica, 1, 0, 4.0},
   };
-  options.plan.Sort();
+  options.env.faults->Sort();
   const ChaosReport report = RunChaosScenario(options);
   ExpectClean(report);
   EXPECT_GE(report.counter("ofc.scrub.quarantines"), 1u);
   EXPECT_GE(report.counter("ofc.ramcloud.nodes_quarantined"), 1u);
-  EXPECT_NE(report.flight_json.find("\"kind\": \"node_quarantined\""),
+  EXPECT_NE(report.artifacts.flight_json.find("\"kind\": \"node_quarantined\""),
             std::string::npos);
 }
 
@@ -380,17 +380,17 @@ TEST(ChaosTest, ScrubInterleavesWithCrashRecoveryCleanly) {
   // more corruption lands while the node is down, and the store rots during
   // the crash window. No double-repair, no assert, and a clean end state.
   ChaosScenarioOptions options;
-  options.seed = 29;
+  options.env.seed = 29;
   options.num_invocations = 30;
-  options.scrub_interval = Seconds(5);
-  options.scrub_quarantine_threshold = 0;
-  options.plan.events = {
+  options.env.scrub =
+      core::ScrubberOptions{.interval = Seconds(5), .quarantine_threshold = 0};
+  options.env.faults->events = {
       FaultEvent{Seconds(40), FaultKind::kCorruptSegment, 1, 0, 3.0},
       FaultEvent{Seconds(42), FaultKind::kNodeCrash, 1, Seconds(30)},
       FaultEvent{Seconds(50), FaultKind::kCorruptReplica, 0, 0, 3.0},
       FaultEvent{Seconds(55), FaultKind::kStoreRot, -1, 0, 3.0},
   };
-  options.plan.Sort();
+  options.env.faults->Sort();
   const ChaosReport report = RunChaosScenario(options);
   ExpectClean(report);
   EXPECT_EQ(report.counter("ofc.ramcloud.node_crashes"), 1u);
@@ -400,16 +400,16 @@ TEST(ChaosTest, ScrubInterleavesWithCrashRecoveryCleanly) {
 TEST(ChaosTest, ScrubbedCrashRunReplaysByteIdentical) {
   auto scenario = [] {
     ChaosScenarioOptions options;
-    options.seed = 29;
+    options.env.seed = 29;
     options.num_invocations = 30;
-    options.scrub_interval = Seconds(5);
-    options.flight_recorder = true;
-    options.plan.events = {
+    options.env.scrub = core::ScrubberOptions{.interval = Seconds(5)};
+    options.env.flight_capacity = 4096;
+    options.env.faults->events = {
         FaultEvent{Seconds(40), FaultKind::kCorruptSegment, 1, 0, 3.0},
         FaultEvent{Seconds(42), FaultKind::kNodeCrash, 1, Seconds(30)},
         FaultEvent{Seconds(55), FaultKind::kStoreRot, -1, 0, 3.0},
     };
-    options.plan.Sort();
+    options.env.faults->Sort();
     return options;
   };
   const ChaosReport first = RunChaosScenario(scenario());
@@ -437,14 +437,14 @@ TEST_P(RandomChaosTest, InvariantsHoldUnderRandomSchedule) {
   const std::uint64_t seed = GetParam();
   Rng plan_rng(seed * 1000003);
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.fault_horizon = Minutes(3);
-  options.plan = fault::RandomFaultPlan(RandomPlanOptions(), &plan_rng);
-  ASSERT_FALSE(options.plan.empty());
+  options.env.faults = fault::RandomFaultPlan(RandomPlanOptions(), &plan_rng);
+  ASSERT_FALSE(options.env.faults->empty());
   const ChaosReport report = RunChaosScenario(options);
   ExpectClean(report);
   EXPECT_EQ(report.counter("ofc.fault.injected"),
-            static_cast<std::uint64_t>(options.plan.size()));
+            static_cast<std::uint64_t>(options.env.faults->size()));
 }
 
 TEST_P(RandomChaosTest, RandomScheduleReplaysByteIdentical) {
@@ -453,10 +453,10 @@ TEST_P(RandomChaosTest, RandomScheduleReplaysByteIdentical) {
   for (ChaosReport& report : reports) {
     Rng plan_rng(seed * 1000003);
     ChaosScenarioOptions options;
-    options.seed = seed;
+    options.env.seed = seed;
     options.fault_horizon = Minutes(3);
     options.num_invocations = 20;
-    options.plan = fault::RandomFaultPlan(RandomPlanOptions(), &plan_rng);
+    options.env.faults = fault::RandomFaultPlan(RandomPlanOptions(), &plan_rng);
     report = RunChaosScenario(options);
   }
   EXPECT_TRUE(reports[0].ok()) << reports[0].ViolationSummary();
@@ -472,12 +472,12 @@ TEST_P(RandomChaosTest, CorruptionScheduleWithScrubberStaysClean) {
   fault::ChaosPlanOptions plan_options = RandomPlanOptions();
   plan_options.include_corruption_faults = true;
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.fault_horizon = Minutes(3);
   options.num_invocations = 20;
-  options.scrub_interval = Seconds(5);
-  options.plan = fault::RandomFaultPlan(plan_options, &plan_rng);
-  ASSERT_FALSE(options.plan.empty());
+  options.env.scrub = core::ScrubberOptions{.interval = Seconds(5)};
+  options.env.faults = fault::RandomFaultPlan(plan_options, &plan_rng);
+  ASSERT_FALSE(options.env.faults->empty());
   const ChaosReport report = RunChaosScenario(options);
   ExpectClean(report);
   EXPECT_EQ(report.counter("ofc.integrity.corrupt_acked"), 0u);

@@ -1,7 +1,7 @@
 // Determinism tests: a (seed, workload) pair must fully determine a run's
 // observable output. Each scenario is executed through a fresh
-// Environment + LoadInjector and fingerprinted by its metrics JSON snapshot
-// plus the event loop's final state; replays must be byte-identical —
+// faasload::Runner and fingerprinted by its metrics JSON snapshot plus the
+// event loop's final state; replays must be byte-identical —
 // including with a perturbed unordered-container hash salt, which proves no
 // bucket-iteration order leaks into observable state.
 #include <cstdint>
@@ -11,38 +11,39 @@
 
 #include "src/common/hash.h"
 #include "src/common/sim_assert.h"
-#include "src/faasload/environment.h"
-#include "src/faasload/injector.h"
-#include "src/fault/fault_injector.h"
+#include "src/faasload/runner.h"
 #include "src/fault/fault_plan.h"
 #include "tests/chaos_harness.h"
 
 namespace ofc {
 namespace {
 
-using faasload::Environment;
 using faasload::EnvironmentOptions;
 using faasload::Mode;
+using faasload::RunArtifacts;
 
-struct RunFingerprint {
-  std::string metrics_json;
-  SimTime final_time = 0;
-  std::uint64_t events_scheduled = 0;
+// Everything observable about a run: its metrics JSON snapshot plus the event
+// loop's final state.
+void ExpectIdentical(const RunArtifacts& a, const RunArtifacts& b) {
+  EXPECT_EQ(a.final_time, b.final_time);
+  EXPECT_EQ(a.events_scheduled, b.events_scheduled);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+}
 
-  bool operator==(const RunFingerprint&) const = default;
-};
-
-// Runs the default mixed-tenant scenario for `sim_minutes` of simulated time
-// and returns everything observable about the run.
-RunFingerprint RunScenario(Mode mode, std::uint64_t seed, std::uint64_t hash_salt,
-                           int sim_minutes = 5) {
-  SetHashSalt(hash_salt);
+EnvironmentOptions SmallEnv(std::uint64_t seed) {
   EnvironmentOptions options;
   options.platform.num_workers = 2;
   options.platform.worker_memory = GiB(8);
   options.seed = seed;
-  Environment env(mode, options);
-  faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, seed + 1);
+  return options;
+}
+
+// Runs the default mixed-tenant scenario for `sim_minutes` of simulated time
+// and returns everything observable about the run.
+RunArtifacts RunScenario(Mode mode, std::uint64_t seed, std::uint64_t hash_salt,
+                         int sim_minutes = 5) {
+  SetHashSalt(hash_salt);
+  faasload::Runner run(mode, SmallEnv(seed), faasload::TenantProfile::kNormal, seed + 1);
 
   for (const char* function : {"wand_blur", "wand_sepia"}) {
     faasload::TenantSpec spec;
@@ -50,38 +51,21 @@ RunFingerprint RunScenario(Mode mode, std::uint64_t seed, std::uint64_t hash_sal
     spec.function = function;
     spec.mean_interval_s = 10.0;
     spec.arrivals = faasload::ArrivalPattern::kExponential;
-    EXPECT_TRUE(injector.AddTenant(spec).ok());
+    EXPECT_TRUE(run.load().AddTenant(spec).ok());
   }
-  injector.PretrainModels(200);
-  injector.Run(Minutes(sim_minutes));
-
-  RunFingerprint fp;
-  fp.metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  fp.final_time = env.loop().now();
-  fp.events_scheduled = env.loop().total_scheduled();
+  run.load().PretrainModels(200);
+  EXPECT_TRUE(run.Run(Minutes(sim_minutes)).ok());
   SetHashSalt(0);
-  return fp;
+  return run.artifacts();
 }
 
 // Same scenario as RunScenario, but with a fault plan replayed against the
 // stack mid-run: crashes, an outage, and a persistor drop must not introduce
 // any nondeterminism (the degradation paths use jitter-free backoff).
-RunFingerprint RunFaultScenario(std::uint64_t seed, std::uint64_t hash_salt,
-                                bool with_faults = true) {
+RunArtifacts RunFaultScenario(std::uint64_t seed, std::uint64_t hash_salt,
+                              bool with_faults = true) {
   SetHashSalt(hash_salt);
-  EnvironmentOptions options;
-  options.platform.num_workers = 2;
-  options.platform.worker_memory = GiB(8);
-  options.seed = seed;
-  Environment env(Mode::kOfc, options);
-  faasload::LoadInjector load(&env, faasload::TenantProfile::kNormal, seed + 1);
-  faasload::TenantSpec spec;
-  spec.name = "t-chaos";
-  spec.function = "wand_sepia";
-  spec.mean_interval_s = 5.0;
-  spec.arrivals = faasload::ArrivalPattern::kExponential;
-  EXPECT_TRUE(load.AddTenant(spec).ok());
-
+  EnvironmentOptions options = SmallEnv(seed);
   // Parsed from JSON so the CLI ingestion path is part of the replayed bytes.
   const auto plan = fault::ParseFaultPlanJson(R"({"events": [
       {"at_ms": 40000, "kind": "store_brownout", "duration_ms": 30000, "severity": 4},
@@ -91,80 +75,69 @@ RunFingerprint RunFaultScenario(std::uint64_t seed, std::uint64_t hash_salt,
       {"at_ms": 100000, "kind": "store_outage", "duration_ms": 8000}
   ]})");
   EXPECT_TRUE(plan.ok());
-  fault::FaultInjector faults(
-      &env.loop(),
-      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                  &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), &env.trace()});
-  if (with_faults) {
-    EXPECT_TRUE(faults.Schedule(*plan).ok());
-  }
+  options.faults = with_faults ? *plan : fault::FaultPlan{};
+  faasload::Runner run(Mode::kOfc, options, faasload::TenantProfile::kNormal, seed + 1);
+  faasload::TenantSpec spec;
+  spec.name = "t-chaos";
+  spec.function = "wand_sepia";
+  spec.mean_interval_s = 5.0;
+  spec.arrivals = faasload::ArrivalPattern::kExponential;
+  EXPECT_TRUE(run.load().AddTenant(spec).ok());
+  EXPECT_TRUE(run.Arm().ok());
 
-  load.PretrainModels(200);
-  load.Run(Minutes(4));
-
-  RunFingerprint fp;
-  fp.metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  fp.final_time = env.loop().now();
-  fp.events_scheduled = env.loop().total_scheduled();
+  run.load().PretrainModels(200);
+  EXPECT_TRUE(run.Run(Minutes(4)).ok());
   SetHashSalt(0);
-  return fp;
+  return run.artifacts();
 }
 
 TEST(DeterminismTest, FaultPlanReplaysAreByteIdentical) {
-  const RunFingerprint first = RunFaultScenario(19, /*hash_salt=*/0);
-  const RunFingerprint second = RunFaultScenario(19, /*hash_salt=*/0);
-  EXPECT_EQ(first.final_time, second.final_time);
-  EXPECT_EQ(first.events_scheduled, second.events_scheduled);
-  EXPECT_EQ(first.metrics_json, second.metrics_json);
+  const RunArtifacts first = RunFaultScenario(19, /*hash_salt=*/0);
+  const RunArtifacts second = RunFaultScenario(19, /*hash_salt=*/0);
+  ExpectIdentical(first, second);
 }
 
 TEST(DeterminismTest, FaultPlanWithPerturbedHashSaltIsIdentical) {
-  const RunFingerprint baseline = RunFaultScenario(19, /*hash_salt=*/0);
-  const RunFingerprint salted =
-      RunFaultScenario(19, /*hash_salt=*/0x9e3779b97f4a7c15ull);
-  EXPECT_TRUE(baseline == salted);
+  const RunArtifacts baseline = RunFaultScenario(19, /*hash_salt=*/0);
+  const RunArtifacts salted = RunFaultScenario(19, /*hash_salt=*/0x9e3779b97f4a7c15ull);
+  ExpectIdentical(baseline, salted);
 }
 
 TEST(DeterminismTest, FaultPlanActuallyPerturbsTheRun) {
   // Guards against the fault path silently not firing: the faulted fingerprint
   // must differ from the fault-free one for the same seed.
-  const RunFingerprint faulted = RunFaultScenario(19, 0);
-  const RunFingerprint clean = RunFaultScenario(19, 0, /*with_faults=*/false);
+  const RunArtifacts faulted = RunFaultScenario(19, 0);
+  const RunArtifacts clean = RunFaultScenario(19, 0, /*with_faults=*/false);
   EXPECT_NE(faulted.metrics_json, clean.metrics_json);
 }
 
 TEST(DeterminismTest, SameSeedReplaysAreByteIdentical) {
-  const RunFingerprint first = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0);
-  const RunFingerprint second = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0);
-  EXPECT_EQ(first.final_time, second.final_time);
-  EXPECT_EQ(first.events_scheduled, second.events_scheduled);
-  EXPECT_EQ(first.metrics_json, second.metrics_json);
+  const RunArtifacts first = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0);
+  const RunArtifacts second = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0);
+  ExpectIdentical(first, second);
 }
 
 TEST(DeterminismTest, PerturbedHashSaltDoesNotChangeObservableState) {
   // If any code path iterates an unordered container into observable state,
   // changing the hash salt reorders the buckets and the fingerprints diverge.
-  const RunFingerprint baseline = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0);
-  const RunFingerprint salted = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0x9e3779b97f4a7c15ull);
-  EXPECT_EQ(baseline.final_time, salted.final_time);
-  EXPECT_EQ(baseline.events_scheduled, salted.events_scheduled);
-  EXPECT_EQ(baseline.metrics_json, salted.metrics_json);
+  const RunArtifacts baseline = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0);
+  const RunArtifacts salted = RunScenario(Mode::kOfc, 7, /*hash_salt=*/0x9e3779b97f4a7c15ull);
+  ExpectIdentical(baseline, salted);
 }
 
 TEST(DeterminismTest, BaselineModesAreAlsoDeterministic) {
   for (Mode mode : {Mode::kOwkSwift, Mode::kOwkRedis}) {
-    const RunFingerprint first = RunScenario(mode, 11, 0, /*sim_minutes=*/2);
-    const RunFingerprint second = RunScenario(mode, 11, 0x1234u, /*sim_minutes=*/2);
-    EXPECT_TRUE(first == second) << "mode " << static_cast<int>(mode);
+    SCOPED_TRACE(faasload::ModeName(mode));
+    ExpectIdentical(RunScenario(mode, 11, 0, /*sim_minutes=*/2),
+                    RunScenario(mode, 11, 0x1234u, /*sim_minutes=*/2));
   }
 }
 
 TEST(DeterminismTest, DifferentSeedsDiverge) {
   // Sanity check that the fingerprint is sensitive at all — otherwise the
   // identical-replay assertions above would be vacuous.
-  const RunFingerprint a = RunScenario(Mode::kOfc, 7, 0, /*sim_minutes=*/3);
-  const RunFingerprint b = RunScenario(Mode::kOfc, 8, 0, /*sim_minutes=*/3);
+  const RunArtifacts a = RunScenario(Mode::kOfc, 7, 0, /*sim_minutes=*/3);
+  const RunArtifacts b = RunScenario(Mode::kOfc, 8, 0, /*sim_minutes=*/3);
   EXPECT_NE(a.metrics_json, b.metrics_json);
 }
 
@@ -175,15 +148,15 @@ TEST(DeterminismTest, OverloadShedReplayIsByteIdentical) {
   const auto run = [](std::uint64_t hash_salt) {
     SetHashSalt(hash_salt);
     chaos::ChaosScenarioOptions options;
-    options.seed = 29;
+    options.env.seed = 29;
     options.num_invocations = 10;
     options.mean_interval_s = 6.0;
-    options.queue_limit = 4;
-    options.queue_deadline = Seconds(1);
-    options.breaker_threshold = 2;
+    options.env.platform.max_queue_depth = 4;
+    options.env.platform.queue_deadline = Seconds(1);
+    options.env.ofc.proxy.breaker_failure_threshold = 2;
     options.burst_count = 25;
     options.burst_at = Seconds(40);
-    options.plan.events.push_back(
+    options.env.faults->events.push_back(
         {Seconds(35), fault::FaultKind::kCacheDegraded, -1, Seconds(30), 1.0});
     chaos::ChaosReport report = chaos::RunChaosScenario(options);
     SetHashSalt(0);

@@ -1,9 +1,13 @@
 // Unit tests for the FAASLOAD harness: environment factory, tenant setup,
-// dataset preparation, booking profiles, arrival processes.
+// dataset preparation, booking profiles, arrival processes, and the runner's
+// contract (the final partial scrape, and requests it refuses up front).
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
+#include "src/faasload/runner.h"
 
 namespace ofc::faasload {
 namespace {
@@ -205,6 +209,77 @@ TEST(TenantResultTest, AggregationHelpers) {
   result.pipelines = {p};
   EXPECT_EQ(result.TotalExecutionTime(), Seconds(10));
   EXPECT_EQ(result.FailureCount(), 1u);
+}
+
+TEST(RunnerTest, FinalPartialScrapeClosesAtTheFinalSimulatedTime) {
+  // A 7 s scrape period does not divide the run's end (the one-minute horizon
+  // plus LoadInjector::Run's 10-minute drain step, 660 s): the last window is
+  // the partial tail from the last full tick to the end, and the SLO health is
+  // evaluated at the end too.
+  EnvironmentOptions options = SmallEnv(21);
+  options.scrape_interval = Seconds(7);
+  std::string error;
+  ASSERT_TRUE(obs::ParseSloSpecs("shed=rate:ofc.overload.shed/ofc.platform.invocations:0.01",
+                                 &options.slos, &error))
+      << error;
+  Runner run(Mode::kOwkSwift, options, TenantProfile::kNormal, 22);
+  TenantSpec spec;
+  spec.name = "ivan";
+  spec.function = "wand_thumbnail";
+  spec.mean_interval_s = 10.0;
+  spec.dataset_objects = 1;
+  spec.object_size = KiB(64);
+  ASSERT_TRUE(run.load().AddTenant(spec).ok());
+  ASSERT_TRUE(run.Run(Minutes(1)).ok());
+
+  const RunArtifacts& artifacts = run.artifacts();
+  ASSERT_EQ(artifacts.final_time, Seconds(660));
+  ASSERT_NE(run.timeline(), nullptr);
+  ASSERT_FALSE(run.timeline()->windows().empty());
+  const obs::TimelineWindow& last = run.timeline()->windows().back();
+  EXPECT_EQ(last.end, artifacts.final_time);
+  EXPECT_EQ(last.start, Seconds(658));  // The 94th tick.
+  EXPECT_EQ(artifacts.health_json.rfind("{\"sim_time_us\": 660000000,", 0), 0u)
+      << artifacts.health_json.substr(0, 60);
+  EXPECT_GT(artifacts.invocations_completed, 0u);
+  EXPECT_EQ(artifacts.invocations_fired, artifacts.invocations_completed);
+}
+
+TEST(RunnerTest, InvalidRequestsFailBeforeAnyEventRuns) {
+  // Each request fails Arm() and Run() alike, naming its cause, and nothing
+  // has been dispatched or fired.
+  const auto expect_refused = [](Mode mode, const EnvironmentOptions& options,
+                                 const std::string& cause) {
+    SCOPED_TRACE(cause);
+    Runner run(mode, options, TenantProfile::kNormal, 24);
+    TenantSpec spec;
+    spec.name = "judy";
+    spec.function = "wand_thumbnail";
+    ASSERT_TRUE(run.load().AddTenant(spec).ok());
+    const Status armed = run.Arm();
+    EXPECT_NE(armed.message().find(cause), std::string::npos) << armed.message();
+    const Status ran = run.Run(Minutes(1));
+    EXPECT_FALSE(ran.ok());
+    EXPECT_EQ(ran.message(), armed.message());
+    EXPECT_EQ(run.env().loop().total_dispatched(), 0u);
+    EXPECT_EQ(run.load().invocations_fired(), 0u);
+  };
+  EnvironmentOptions options = SmallEnv(23);
+  options.scrub = core::ScrubberOptions{};
+  expect_refused(Mode::kOwkSwift, options, "the scrubber needs a cache cluster");
+  options.scrub = core::ScrubberOptions{.interval = 0};
+  expect_refused(Mode::kOfc, options, "scrub interval is below 1 us");
+  options = SmallEnv(23);
+  options.faults = fault::FaultPlan{{{Seconds(1), fault::FaultKind::kNodeCrash, 0, Seconds(1)}}};
+  expect_refused(Mode::kOwkSwift, options, "fault plan rejected");
+  options = SmallEnv(23);
+  options.scrape_interval = -1;
+  expect_refused(Mode::kOfc, options, "scrape interval is below 1 us");
+  options.scrape_interval = 0;
+  std::string error;
+  ASSERT_TRUE(obs::ParseSloSpecs("warm=lat:ofc.platform.total_ms:p99:250", &options.slos,
+                                 &error));
+  expect_refused(Mode::kOfc, options, "SLO specs need a scrape interval");
 }
 
 }  // namespace

@@ -16,15 +16,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/faasload/environment.h"
-#include "src/faasload/injector.h"
+#include "src/faasload/runner.h"
 #include "src/obs/slo.h"
-#include "src/obs/timeline.h"
-#include "src/sim/periodic.h"
 
 namespace ofc {
 namespace {
@@ -36,71 +32,40 @@ bool UpdateMode() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-struct Artifacts {
-  std::string metrics_json;
-  std::string metrics_csv;
-  std::string timeline_json;
-  std::string health_json;
-  std::string flight_json;
-  std::string trace_json;
-};
-
 // The fixed scenario. Anything touched here invalidates the goldens, which is
 // the point: the blessed files pin scenario + exporter behavior together.
-Artifacts RunGoldenScenario() {
+std::unique_ptr<faasload::Runner> RunGoldenScenario() {
   faasload::EnvironmentOptions options;
   options.seed = 42;
-  faasload::Environment env(faasload::Mode::kOfc, options);
-  env.flight().set_capacity(128);
-  env.flight().set_enabled(true);
-  env.trace().set_enabled(true);
-
-  std::vector<obs::SloSpec> slo_specs;
+  options.flight_capacity = 128;
+  options.trace_sample = 1;
+  options.scrape_interval = Seconds(30);
   std::string error;
   EXPECT_TRUE(obs::ParseSloSpecs(
       "warm=lat:ofc.platform.total_ms:p99:250\n"
       "shed=rate:ofc.overload.shed/ofc.platform.invocations:0.01",
-      &slo_specs, &error))
+      &options.slos, &error))
       << error;
-
-  faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, /*seed=*/43);
+  auto run = std::make_unique<faasload::Runner>(faasload::Mode::kOfc, options,
+                                                faasload::TenantProfile::kNormal, /*seed=*/43);
   for (const char* function : {"wand_blur", "wand_sepia", "wand_edge"}) {
     faasload::TenantSpec spec;
     spec.name = std::string("t-") + function;
     spec.function = function;
     spec.mean_interval_s = 20.0;
-    EXPECT_TRUE(injector.AddTenant(spec).ok());
+    EXPECT_TRUE(run->load().AddTenant(spec).ok());
   }
-
-  obs::SloMonitor slo(&env.metrics(), /*trace=*/nullptr, slo_specs);
-  obs::TimelineRecorder timeline(&env.metrics());
-  sim::PeriodicTask scraper(&env.loop(), Seconds(30), [&slo, &timeline](SimTime now) {
-    slo.Evaluate(now);
-    timeline.Scrape(now);
-  });
-  scraper.Start();
-
-  injector.PretrainModels(100);
-  injector.Run(Minutes(5));
-  scraper.Stop();
-  slo.Evaluate(env.loop().now());
-  timeline.Scrape(env.loop().now());
-
-  Artifacts artifacts;
-  artifacts.metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  artifacts.metrics_csv = env.metrics().SnapshotCsv(env.loop().now());
-  artifacts.timeline_json = timeline.ToJson();
-  artifacts.health_json = slo.HealthJson(env.loop().now());
-  artifacts.flight_json = env.flight().ToJson("golden scenario end-of-run dump");
-  artifacts.trace_json = env.trace().ToJson();
-  return artifacts;
+  EXPECT_TRUE(run->Arm().ok());
+  run->load().PretrainModels(100);
+  EXPECT_TRUE(run->Run(Minutes(5)).ok());
+  return run;
 }
 
 // Shared across tests: the scenario runs once, each artifact gets its own
 // test so a diff names the exporter that moved.
-const Artifacts& GoldenArtifacts() {
-  static const Artifacts artifacts = RunGoldenScenario();
-  return artifacts;
+faasload::Runner& Golden() {
+  static const std::unique_ptr<faasload::Runner> run = RunGoldenScenario();
+  return *run;
 }
 
 void CompareOrUpdate(const std::string& name, const std::string& actual) {
@@ -141,19 +106,27 @@ void CompareOrUpdate(const std::string& name, const std::string& actual) {
          << "\nIf the change is intentional, re-bless with tools/update_goldens.py";
 }
 
-TEST(GoldenTest, MetricsJson) { CompareOrUpdate("metrics.json", GoldenArtifacts().metrics_json); }
-
-TEST(GoldenTest, MetricsCsv) { CompareOrUpdate("metrics.csv", GoldenArtifacts().metrics_csv); }
-
-TEST(GoldenTest, TimelineJson) {
-  CompareOrUpdate("timeline.json", GoldenArtifacts().timeline_json);
+TEST(GoldenTest, MetricsJson) {
+  CompareOrUpdate("metrics.json", Golden().artifacts().metrics_json);
 }
 
-TEST(GoldenTest, HealthJson) { CompareOrUpdate("health.json", GoldenArtifacts().health_json); }
+TEST(GoldenTest, MetricsCsv) {
+  CompareOrUpdate("metrics.csv",
+                  Golden().env().metrics().SnapshotCsv(Golden().artifacts().final_time));
+}
 
-TEST(GoldenTest, FlightJson) { CompareOrUpdate("flight.json", GoldenArtifacts().flight_json); }
+TEST(GoldenTest, TimelineJson) {
+  CompareOrUpdate("timeline.json", Golden().artifacts().timeline_json);
+}
 
-TEST(GoldenTest, TraceJson) { CompareOrUpdate("trace.json", GoldenArtifacts().trace_json); }
+TEST(GoldenTest, HealthJson) { CompareOrUpdate("health.json", Golden().artifacts().health_json); }
+
+TEST(GoldenTest, FlightJson) {
+  CompareOrUpdate("flight.json",
+                  Golden().env().flight().ToJson("golden scenario end-of-run dump"));
+}
+
+TEST(GoldenTest, TraceJson) { CompareOrUpdate("trace.json", Golden().artifacts().trace_json); }
 
 }  // namespace
 }  // namespace ofc

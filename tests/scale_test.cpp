@@ -18,9 +18,7 @@
 
 #include "src/common/checksum.h"
 #include "src/core/scrubber.h"
-#include "src/faasload/environment.h"
-#include "src/faasload/injector.h"
-#include "src/fault/fault_injector.h"
+#include "src/faasload/runner.h"
 #include "src/fault/fault_plan.h"
 #include "src/workloads/scale_trace.h"
 
@@ -50,65 +48,51 @@ double PeakRssMb() {
 }
 
 struct ScaleRun {
-  std::uint64_t fired = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t dispatched = 0;
-  SimTime final_time = 0;
+  faasload::RunArtifacts artifacts;
   double run_wall_s = 0.0;
-  std::string metrics_json;
 };
 
-// Mirrors bench/scale_stress's full-stack run at 1/20th scale: synthesized
-// multi-tenant trace, full OFC stack, counters-only record retention.
-ScaleRun RunScaleScenario(std::uint64_t seed) {
+// bench/scale_stress's scale-trace scenario at 1/20th scale: a 32-tenant,
+// 10-minute trace on the full OFC stack.
+workloads::ScaleTrace MakeTrace(std::uint64_t seed) {
   workloads::ScaleTraceOptions trace_options;
   trace_options.seed = seed;
   trace_options.num_tenants = 32;
   trace_options.duration_s = 600.0;
   trace_options.target_invocations = kTargetInvocations;
-  const workloads::ScaleTrace trace = workloads::GenerateScaleTrace(trace_options);
+  return workloads::GenerateScaleTrace(trace_options);
+}
 
-  faasload::EnvironmentOptions env_options;
-  env_options.seed = seed;
-  env_options.platform.num_workers = 8;
-  env_options.platform.worker_memory = GiB(32);
-  faasload::Environment env(faasload::Mode::kOfc, env_options);
-  faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, seed);
-  injector.set_max_records_per_tenant(0);
-  EXPECT_TRUE(injector.AddScaleTrace(trace).ok());
-  injector.PretrainModels(40);
+ScaleRun RunScaleScenario(std::uint64_t seed) {
+  faasload::EnvironmentOptions options;
+  options.seed = seed;
+  auto run = faasload::MakeScaleTraceRun(faasload::Mode::kOfc, options, MakeTrace(seed));
+  EXPECT_TRUE(run.ok());
 
   const auto start = std::chrono::steady_clock::now();  // simlint: allow(wall-clock) -- throughput assertion
-  injector.Run(static_cast<SimDuration>(trace_options.duration_s * 1e6));
+  EXPECT_TRUE((*run)->Run(Minutes(10)).ok());
   const auto elapsed = std::chrono::steady_clock::now() - start;  // simlint: allow(wall-clock) -- throughput assertion
-  const double wall = std::chrono::duration<double>(elapsed).count();
-
-  ScaleRun run;
-  run.fired = injector.invocations_fired();
-  run.completed = injector.invocations_completed();
-  run.dispatched = env.loop().total_dispatched();
-  run.final_time = env.loop().now();
-  run.run_wall_s = wall;
-  run.metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  return run;
+  return ScaleRun{(*run)->artifacts(), std::chrono::duration<double>(elapsed).count()};
 }
 
 TEST(ScaleTest, FiftyThousandInvocationsCompleteExactlyOnceWithinBudgets) {
   const ScaleRun run = RunScaleScenario(/*seed=*/42);
+  const faasload::RunArtifacts& artifacts = run.artifacts;
 
   // Exactly-once: every fired invocation completed, none twice. The generator
   // targets 50k in expectation, so the realized count must land near it.
-  EXPECT_EQ(run.fired, run.completed);
-  EXPECT_GT(run.fired, kTargetInvocations / 2);
-  EXPECT_LT(run.fired, kTargetInvocations * 2);
+  EXPECT_EQ(artifacts.invocations_fired, artifacts.invocations_completed);
+  EXPECT_GT(artifacts.invocations_fired, kTargetInvocations / 2);
+  EXPECT_LT(artifacts.invocations_fired, kTargetInvocations * 2);
 
   // Throughput floor (kMinEventsPerSec): only a pathological hot-path
   // regression trips it.
   ASSERT_GT(run.run_wall_s, 0.0);
-  const double events_per_sec = static_cast<double>(run.dispatched) / run.run_wall_s;
+  const double events_per_sec =
+      static_cast<double>(artifacts.events_dispatched) / run.run_wall_s;
   EXPECT_GE(events_per_sec, kMinEventsPerSec)
       << "simulator throughput regressed: " << events_per_sec << " events/s over "
-      << run.dispatched << " events in " << run.run_wall_s << "s";
+      << artifacts.events_dispatched << " events in " << run.run_wall_s << "s";
 
   // Memory bound: records are kept as counters only, so what grows with the
   // run is the RSDS's one fixed-size record per stored object (about 0.2 KiB
@@ -119,12 +103,12 @@ TEST(ScaleTest, FiftyThousandInvocationsCompleteExactlyOnceWithinBudgets) {
 }
 
 TEST(ScaleTest, SameSeedRunsProduceByteIdenticalMetrics) {
-  const ScaleRun first = RunScaleScenario(/*seed=*/7);
-  const ScaleRun second = RunScaleScenario(/*seed=*/7);
+  const faasload::RunArtifacts first = RunScaleScenario(/*seed=*/7).artifacts;
+  const faasload::RunArtifacts second = RunScaleScenario(/*seed=*/7).artifacts;
 
-  EXPECT_EQ(first.fired, second.fired);
-  EXPECT_EQ(first.completed, second.completed);
-  EXPECT_EQ(first.dispatched, second.dispatched);
+  EXPECT_EQ(first.invocations_fired, second.invocations_fired);
+  EXPECT_EQ(first.invocations_completed, second.invocations_completed);
+  EXPECT_EQ(first.events_dispatched, second.events_dispatched);
   EXPECT_EQ(first.final_time, second.final_time);
   ASSERT_EQ(first.metrics_json.size(), second.metrics_json.size());
   EXPECT_TRUE(first.metrics_json == second.metrics_json)
@@ -136,24 +120,7 @@ TEST(ScaleTest, IntegrityHoldsThroughBitFlipStormAtScale) {
   // and store rot every 20 s) rides the 50k-invocation trace with the
   // background scrubber on. I6 must hold — no corrupt payload is ever acked —
   // and after a scrub-long drain every surviving copy verifies.
-  workloads::ScaleTraceOptions trace_options;
-  trace_options.seed = 97;
-  trace_options.num_tenants = 32;
-  trace_options.duration_s = 600.0;
-  trace_options.target_invocations = kTargetInvocations;
-  const workloads::ScaleTrace trace = workloads::GenerateScaleTrace(trace_options);
-
-  faasload::EnvironmentOptions env_options;
-  env_options.seed = 97;
-  env_options.platform.num_workers = 8;
-  env_options.platform.worker_memory = GiB(32);
-  faasload::Environment env(faasload::Mode::kOfc, env_options);
-  faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, 97);
-  injector.set_max_records_per_tenant(0);
-  ASSERT_TRUE(injector.AddScaleTrace(trace).ok());
-  injector.PretrainModels(40);
-
-  const int num_nodes = env.cluster()->num_nodes();
+  const int num_nodes = faasload::kScaleTraceWorkers;
   fault::FaultPlan plan;
   for (int i = 0; i < 24; ++i) {
     const SimTime at = Seconds(60 + i * 20);
@@ -173,29 +140,24 @@ TEST(ScaleTest, IntegrityHoldsThroughBitFlipStormAtScale) {
     }
   }
   plan.Sort();
-  fault::FaultInjector fault_injector(
-      &env.loop(),
-      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                  &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), nullptr, nullptr});
-  ASSERT_TRUE(fault_injector.Schedule(plan).ok());
-
-  core::ScrubberOptions scrub_options;
-  scrub_options.interval = Seconds(5);
-  scrub_options.objects_per_cycle = 4096;  // The store accumulates ~50k outputs.
-  scrub_options.quarantine_threshold = 0;  // Keep all 8 nodes for the trace.
-  scrub_options.metrics = &env.metrics();
-  core::Scrubber scrubber(&env.loop(), env.cluster(), &env.rsds(), scrub_options);
-  scrubber.Start();
-
-  injector.Run(static_cast<SimDuration>(trace_options.duration_s * 1e6));
+  faasload::EnvironmentOptions options;
+  options.seed = 97;
+  options.faults = plan;
+  options.scrub = core::ScrubberOptions{
+      .interval = Seconds(5),
+      .objects_per_cycle = 4096,  // The store accumulates ~50k outputs.
+      .quarantine_threshold = 0,  // Keep all 8 nodes for the trace.
+  };
+  auto made = faasload::MakeScaleTraceRun(faasload::Mode::kOfc, options, MakeTrace(97));
+  ASSERT_TRUE(made.ok());
+  faasload::Runner& run = **made;
   // Post-trace drain: enough full scrub passes to cover every store object
   // even if the last rot landed just before the trace ended.
-  env.loop().RunUntil(env.loop().now() + Minutes(5));
-  scrubber.Stop();
+  ASSERT_TRUE(run.Run(Minutes(10), /*drain=*/Minutes(5)).ok());
+  faasload::Environment& env = run.env();
 
-  EXPECT_EQ(injector.invocations_fired(), injector.invocations_completed());
-  EXPECT_GT(injector.invocations_fired(), kTargetInvocations / 2);
+  EXPECT_EQ(run.artifacts().invocations_fired, run.artifacts().invocations_completed);
+  EXPECT_GT(run.artifacts().invocations_fired, kTargetInvocations / 2);
   EXPECT_GT(env.metrics().CounterTotal("ofc.fault.objects_corrupted"), 0u);
   // I6 proper: the tripwire never moved.
   EXPECT_EQ(env.metrics().CounterTotal("ofc.integrity.corrupt_acked"), 0u);

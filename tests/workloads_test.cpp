@@ -162,6 +162,7 @@ TEST(FunctionsTest, FeatureSchemaMatchesExtraction) {
     const auto args = SampleArgs(spec, rng);
     const auto features = ExtractFeatures(spec, media, args);
     ASSERT_EQ(features.size(), attrs.size()) << spec.name;
+    EXPECT_EQ(features.capacity(), features.size()) << spec.name;  // One exact allocation.
     // Nominal features must be valid indexes.
     for (std::size_t i = 0; i < attrs.size(); ++i) {
       if (attrs[i].kind == ml::AttributeKind::kNominal) {

@@ -8,9 +8,11 @@ Drives the built CLI binary through the telemetry paths CI cares about:
   2. unwritable output paths fail loudly — nonzero exit and a stderr line
      naming the path — for every artifact flag (never a silent exit 0);
   3. scenario sizes that cannot run (no workers, no worker memory, no
-     simulated time, a non-positive arrival interval) are rejected up front —
-     nonzero exit and a stderr line naming the flag — instead of crashing the
-     simulator or leaving its run stranded;
+     simulated time, a non-positive arrival interval) and duration flags that
+     cannot mean anything (NaN, negative, a scrape or scrub period below
+     1 us) are rejected up front — nonzero exit and a stderr line naming the
+     flag — instead of crashing the simulator, hanging it, or silently
+     dropping the setting;
   4. an injected fault leaves its window in the flight ring: a fault_inject
      and a fault_heal record sharing the fault's parent id;
   5. the negative post-mortem path: --inject-breach-at trips a SIM_ASSERT and
@@ -42,9 +44,9 @@ def fail(msg):
     print(f"obs_smoke_test: FAIL: {msg}", file=sys.stderr)
 
 
-def run(binary, args, **kwargs):
+def run(binary, args, timeout=300):
     return subprocess.run([binary] + args, capture_output=True, text=True,
-                          timeout=300, **kwargs)
+                          timeout=timeout)
 
 
 def check_scraped_run(binary, outdir):
@@ -84,10 +86,31 @@ def check_unwritable_outputs(binary):
                  f"{proc.stderr.strip()!r}")
 
 
-def check_invalid_scenario_sizes(binary):
-    for arg in ("--workers=0", "--workers=-2", "--worker-gb=0",
-                "--duration-min=0", "--interval-s=0", "--interval-s=-1"):
-        proc = run(binary, ["--mode=ofc", arg])
+def check_invalid_scenario_sizes(binary, outdir):
+    timeline = f"--timeline-json={os.path.join(outdir, 'rejected_timeline.json')}"
+    # (rejected argument, arguments the run needs beside it)
+    cases = [(arg, []) for arg in ("--workers=0", "--workers=-2", "--worker-gb=0",
+                                   "--duration-min=0", "--interval-s=0",
+                                   "--interval-s=-1")]
+    # Duration flags: NaN, a negative value where 0 means "off", and a scrape
+    # or scrub period that truncates below 1 us (it would re-fire at one
+    # instant forever, so each run gets a short timeout).
+    cases += [
+        ("--scrape-interval-s=0.0000001", ["--duration-min=1", timeline]),
+        ("--scrub-interval-s=0.0000001", ["--duration-min=1"]),
+        ("--scrape-interval-s=nan", [timeline]),
+        ("--scrub-interval-s=nan", []),
+        ("--queue-deadline-s=nan", []),
+        ("--breaker-open-s=nan", []),
+        ("--breaker-open-s=-5", []),
+        ("--inject-breach-at=nan", []),
+    ]
+    for arg, extra in cases:
+        try:
+            proc = run(binary, ["--mode=ofc", arg] + extra, timeout=10)
+        except subprocess.TimeoutExpired:
+            fail(f"{arg} did not finish within 10 s; expected a rejection")
+            continue
         flag = arg.split("=", 1)[0]
         if proc.returncode == 0:
             fail(f"{arg} exited 0; expected a rejection")
@@ -149,7 +172,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="ofc-obs-smoke-") as outdir:
         check_scraped_run(binary, outdir)
         check_unwritable_outputs(binary)
-        check_invalid_scenario_sizes(binary)
+        check_invalid_scenario_sizes(binary, outdir)
         check_fault_window(binary, outdir)
         if args.sim_asserts == "ON":
             check_breach_dump(binary, outdir)

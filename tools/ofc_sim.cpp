@@ -33,12 +33,9 @@
 #include "src/common/stats.h"
 #include "src/core/cache_policy.h"
 #include "src/core/scrubber.h"
-#include "src/faasload/environment.h"
-#include "src/faasload/injector.h"
-#include "src/fault/fault_injector.h"
+#include "src/faasload/runner.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/slo.h"
-#include "src/obs/timeline.h"
 #include "src/sim/periodic.h"
 
 namespace ofc {
@@ -52,52 +49,26 @@ struct Flags {
   std::string arrivals = "poisson";
   int duration_min = 10;
   double interval_s = 30.0;
-  int workers = 4;
-  int worker_gb = 16;
-  std::uint64_t seed = 42;
   int pretrain = 1000;
-  // Cache eviction/sweep policy spec, "NAME[,function=NAME]..." — validated
-  // against core::KnownCachePolicies() at parse time (OFC mode only).
-  std::string cache_policy = "lru";
+  // The stack and its attachments: workers (default 4 x 16 GiB), seed, cache
+  // policy, overload protection, trace sampling, flight ring size, scrubber,
+  // scrape period (default 10 s) and SLOs. RunScenario turns off the sinks
+  // whose output no flag asked for.
+  faasload::EnvironmentOptions env;
   std::string metrics_json;
   std::string metrics_csv;
   std::string trace_json;
-  std::uint64_t trace_sample = 1;
   bool log_sim_time = false;
-  // Telemetry scrapes: a sim-clock timer samples the registry into windowed
-  // timeline snapshots and (when SLOs are declared) evaluates burn rates.
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double scrape_interval_s = 10.0;
   std::string timeline_json;
-  std::vector<obs::SloSpec> slo_specs;
   std::string health_json;
-  // Black-box flight recorder: 0 = off; --flight-recorder arms the default
-  // ring, --flight-recorder=N sizes it.
-  std::size_t flight_capacity = 0;
   std::string flight_json;     // End-of-run ring dump (independent of asserts).
   std::string dump_on_assert;  // Ring dump target when a SIM_ASSERT fires.
-  // Hidden test hook: fires a deliberate SIM_ASSERT breach at S seconds so CI
-  // can prove --dump-on-assert produces a dump on an invariant breach.
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double inject_breach_at_s = 0.0;
+  // Hidden test hook: fires a deliberate SIM_ASSERT breach at this time (0 =
+  // off) so CI can prove --dump-on-assert produces a dump on an invariant breach.
+  SimTime inject_breach_at = 0;
   // Declarative fault schedule (--fault-plan JSON plus --crash-node-at
   // shorthands), replayed by a FaultInjector alongside the workload.
   fault::FaultPlan fault_plan;
-  // Background integrity scrubber: 0 = off. Walks cache copies and store
-  // objects incrementally, repairing checksum divergence as it is found.
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double scrub_interval_s = 0.0;
-  // Overload protection: platform admission control (queue depth / deadline /
-  // concurrency, 0 = unbounded) and the proxy's cache-path circuit breaker
-  // (threshold 0 = disabled).
-  std::size_t queue_limit = 0;
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double queue_deadline_s = 0.0;
-  int max_concurrency = 0;
-  int breaker_threshold = 0;
-  double breaker_open_s = 5.0;
-  int breaker_probes = 3;
-  double breaker_slo_ms = 0.0;
   // Run guards: --progress prints a heartbeat line every tenth of the horizon
   // (simulated time, invocations fired/completed, events dispatched) so long
   // scale runs are observably alive; --max-events caps the event loop's
@@ -111,19 +82,6 @@ struct Flags {
   // Test hook: leaks the replay index into the workload seed so the selfcheck
   // MUST fail. Exists so CI can prove the selfcheck detects nondeterminism.
   bool selfcheck_perturb = false;
-};
-
-// What a run leaves behind for comparison: the full metrics snapshot plus the
-// event-loop fingerprint (final simulated time, total events scheduled).
-struct RunOutcome {
-  std::string metrics_json;
-  std::string timeline_json;  // Empty when no telemetry scraping was on.
-  std::string health_json;    // Empty when no scraping/SLOs were on.
-  std::string flight_json;    // Empty when the flight recorder was off.
-  std::string trace_json;     // Empty without --trace-json.
-  SimTime final_time = 0;
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t invocations = 0;
 };
 
 // Writes `body` to `path`; returns false (with a message) on failure.
@@ -154,6 +112,29 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
+// The largest seconds value a duration flag accepts (~292k years: the
+// microsecond SimDuration stays far from overflow).
+constexpr double kMaxFlagSeconds = 9.2e12;
+
+// Reads a seconds (`us_per_unit` 1e6) or milliseconds (1e3) flag into whole
+// microseconds. NaN, negative, out-of-range and below-`min_us` values are
+// rejected with a message naming the flag.
+bool ParseDurationFlag(const char* flag, const std::string& value, double us_per_unit,
+                       SimDuration min_us, SimDuration* out) {
+  const double v = std::atof(value.c_str());
+  if (!(v >= 0.0) || !(v * us_per_unit < kMaxFlagSeconds * 1e6)) {  // Also rejects NaN.
+    std::fprintf(stderr, "%s must be a non-negative number of %s\n", flag,
+                 us_per_unit == 1e3 ? "milliseconds" : "seconds");
+    return false;
+  }
+  *out = static_cast<SimDuration>(v * us_per_unit);
+  if (*out < min_us) {
+    std::fprintf(stderr, "%s must be at least 1 us\n", flag);
+    return false;
+  }
+  return true;
+}
+
 // --crash-node-at=N:S[:D] — crash node N at S seconds, restart after D seconds
 // (D omitted or 0: the node stays down).
 bool ParseCrashNodeAt(const std::string& value, fault::FaultEvent* out) {
@@ -162,7 +143,8 @@ bool ParseCrashNodeAt(const std::string& value, fault::FaultEvent* out) {
   double dur_s = 0.0;
   const int matched =
       std::sscanf(value.c_str(), "%d:%lf:%lf", &node, &at_s, &dur_s);
-  if (matched < 2 || node < 0 || at_s < 0.0 || dur_s < 0.0) {
+  const auto valid = [](double s) { return s >= 0.0 && s < kMaxFlagSeconds; };  // Not NaN.
+  if (matched < 2 || node < 0 || !valid(at_s) || !valid(dur_s)) {
     std::fprintf(stderr, "bad --crash-node-at=%s (want N:S[:D])\n", value.c_str());
     return false;
   }
@@ -282,7 +264,8 @@ int Usage() {
 // Runs the scenario described by `flags` once. `run_index` identifies the
 // replay for the selfcheck harness; `quiet` suppresses the human-readable
 // report. Returns 0 on success and fills `out`.
-int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutcome* out) {
+int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index,
+                faasload::RunArtifacts* out) {
   faasload::Mode mode;
   if (flags.mode == "ofc") {
     mode = faasload::Mode::kOfc;
@@ -314,57 +297,25 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     return Usage();
   }
 
+  faasload::EnvironmentOptions env_options = flags.env;
   // The deliberate bug behind --selfcheck-perturb: a replay-dependent seed.
-  const std::uint64_t seed = flags.seed + (flags.selfcheck_perturb ? run_index : 0);
-
-  faasload::EnvironmentOptions env_options;
-  env_options.platform.num_workers = flags.workers;
-  env_options.platform.worker_memory = GiB(flags.worker_gb);
-  env_options.platform.max_queue_depth = flags.queue_limit;
-  env_options.platform.queue_deadline =
-      static_cast<SimDuration>(flags.queue_deadline_s * 1e6);
-  env_options.platform.max_concurrency_per_function = flags.max_concurrency;
-  env_options.ofc.proxy.breaker_failure_threshold = flags.breaker_threshold;
-  env_options.ofc.proxy.breaker_open_duration =
-      static_cast<SimDuration>(flags.breaker_open_s * 1e6);
-  env_options.ofc.proxy.breaker_half_open_probes = flags.breaker_probes;
-  env_options.ofc.proxy.breaker_latency_slo =
-      static_cast<SimDuration>(flags.breaker_slo_ms * 1e3);
-  env_options.ofc.cache_policy = flags.cache_policy;
-  env_options.seed = seed;
-  faasload::Environment env(mode, env_options);
-  if (!flags.trace_json.empty()) {
-    env.trace().set_enabled(true);
-    env.trace().set_sample_period(flags.trace_sample);
+  env_options.seed += flags.selfcheck_perturb ? run_index : 0;
+  const std::uint64_t seed = env_options.seed;
+  env_options.trace_sample =
+      flags.trace_json.empty() ? 0 : std::max<std::uint64_t>(env_options.trace_sample, 1);
+  if (env_options.flight_capacity == 0 &&
+      (!flags.dump_on_assert.empty() || !flags.flight_json.empty())) {
+    env_options.flight_capacity = obs::FlightRecorderOptions{}.capacity;
   }
-  const bool flight_on = flags.flight_capacity > 0 || !flags.dump_on_assert.empty() ||
-                         !flags.flight_json.empty();
-  if (flight_on) {
-    if (flags.flight_capacity > 0) {
-      env.flight().set_capacity(flags.flight_capacity);
-    }
-    env.flight().set_enabled(true);
+  if (!flags.fault_plan.empty()) {
+    env_options.faults = flags.fault_plan;
   }
-  if (!flags.dump_on_assert.empty()) {
-    // Post-mortem: when any SIM_ASSERT fires, dump the black-box ring before
-    // the abort so the causal chain that led up to the breach survives.
-    SetSimAssertHook([&env, path = flags.dump_on_assert](const std::string& message) {
-      if (env.flight().WriteJson(path, message)) {
-        std::fprintf(stderr, "flight recorder dumped to %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      }
-    });
+  if (flags.timeline_json.empty() && flags.health_json.empty() && env_options.slos.empty()) {
+    env_options.scrape_interval = 0;
   }
-  if (flags.log_sim_time) {
-    // Prefix every log line with the simulated clock, e.g. "t=12.345s".
-    SetLogPrefixHook([&env] {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "t=%.3fs", ToSeconds(env.loop().now()));
-      return std::string(buf);
-    });
-  }
-  faasload::LoadInjector injector(&env, profile, seed + 1);
+  faasload::Runner run(mode, env_options, profile, seed + 1);
+  faasload::Environment& env = run.env();
+  faasload::LoadInjector& injector = run.load();
 
   for (const std::string& function : flags.functions) {
     if (workloads::FindFunction(function) == nullptr) {
@@ -396,59 +347,32 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     }
   }
 
-  std::unique_ptr<fault::FaultInjector> faults;
-  if (!flags.fault_plan.empty()) {
-    fault::FaultInjectorTargets targets;
-    targets.platform = &env.platform();
-    targets.cluster = env.cluster();  // Null in baseline modes: node faults reject.
-    targets.rsds = &env.rsds();
-    targets.proxy = env.ofc() != nullptr ? &env.ofc()->proxy() : nullptr;
-    faults = std::make_unique<fault::FaultInjector>(
-        &env.loop(), targets,
-        fault::FaultInjectorOptions{&env.metrics(), &env.trace(), &env.flight()});
-    if (Status scheduled = faults->Schedule(flags.fault_plan); !scheduled.ok()) {
-      std::fprintf(stderr, "fault plan: %s\n", scheduled.message().c_str());
-      return 1;
-    }
+  if (Status armed = run.Arm(); !armed.ok()) {
+    std::fprintf(stderr, "%s\n", armed.message().c_str());
+    return 1;
+  }
+  if (!flags.dump_on_assert.empty()) {
+    // Post-mortem: when any SIM_ASSERT fires, dump the black-box ring before
+    // the abort so the causal chain that led up to the breach survives.
+    SetSimAssertHook([&env, path = flags.dump_on_assert](const std::string& message) {
+      if (env.flight().WriteJson(path, message)) {
+        std::fprintf(stderr, "flight recorder dumped to %s\n", path.c_str());
+      } else {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      }
+    });
+  }
+  if (flags.log_sim_time) {
+    // Prefix every log line with the simulated clock, e.g. "t=12.345s".
+    SetLogPrefixHook([&env] {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "t=%.3fs", ToSeconds(env.loop().now()));
+      return std::string(buf);
+    });
   }
 
-  // Background integrity scrubber: needs the cache cluster, so OFC mode only.
-  std::unique_ptr<core::Scrubber> scrubber;
-  if (flags.scrub_interval_s > 0.0) {
-    if (env.cluster() == nullptr) {
-      std::fprintf(stderr, "--scrub-interval-s needs a cache cluster (--mode=ofc)\n");
-      return 1;
-    }
-    core::ScrubberOptions scrub_options;
-    scrub_options.interval = static_cast<SimDuration>(flags.scrub_interval_s * 1e6);
-    scrub_options.metrics = &env.metrics();
-    scrubber = std::make_unique<core::Scrubber>(&env.loop(), env.cluster(), &env.rsds(),
-                                                scrub_options);
-    scrubber->Start();
-  }
-
-  // Telemetry scrape loop: SLO evaluation folds the interval first so the
-  // ofc.slo.* cells land in the same timeline window the scrape captures.
-  const bool scraping = !flags.timeline_json.empty() || !flags.health_json.empty() ||
-                        !flags.slo_specs.empty();
-  std::unique_ptr<obs::TimelineRecorder> timeline;
-  std::unique_ptr<obs::SloMonitor> slo;
-  std::unique_ptr<sim::PeriodicTask> scraper;
-  if (scraping) {
-    slo = std::make_unique<obs::SloMonitor>(
-        &env.metrics(), flags.trace_json.empty() ? nullptr : &env.trace(), flags.slo_specs);
-    timeline = std::make_unique<obs::TimelineRecorder>(&env.metrics());
-    scraper = std::make_unique<sim::PeriodicTask>(
-        &env.loop(), static_cast<SimDuration>(flags.scrape_interval_s * 1e6),
-        [&slo, &timeline](SimTime now) {
-          slo->Evaluate(now);
-          timeline->Scrape(now);
-        });
-    scraper->Start();
-  }
-
-  if (flags.inject_breach_at_s > 0.0) {
-    env.loop().ScheduleAt(static_cast<SimTime>(flags.inject_breach_at_s * 1e6), [&env] {
+  if (flags.inject_breach_at > 0) {
+    env.loop().ScheduleAt(flags.inject_breach_at, [&env] {
       SIM_ASSERT(false) << "; injected invariant breach (--inject-breach-at) at t="
                         << ToSeconds(env.loop().now()) << "s";
     });
@@ -458,7 +382,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   if (!quiet) {
     std::printf("mode=%s profile=%s workers=%dx%dGiB duration=%dmin seed=%llu\n\n",
                 faasload::ModeName(mode).c_str(), faasload::TenantProfileName(profile).c_str(),
-                flags.workers, flags.worker_gb, flags.duration_min,
+                flags.env.platform.num_workers,
+                static_cast<int>(flags.env.platform.worker_memory / GiB(1)), flags.duration_min,
                 static_cast<unsigned long long>(seed));
     if (!flags.fault_plan.empty()) {
       std::printf("fault plan: %zu events: %s\n\n", flags.fault_plan.size(),
@@ -485,28 +410,19 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   if (flags.max_events > 0) {
     env.loop().set_dispatch_budget(flags.max_events);
   }
-  injector.Run(Minutes(flags.duration_min));
+  (void)run.Run(Minutes(flags.duration_min));  // Armed above: cannot fail.
   if (progress != nullptr) {
     progress->Stop();
   }
-  const bool budget_hit = env.loop().dispatch_budget_exhausted();
-  if (budget_hit) {
+  *out = run.artifacts();
+  if (env.loop().dispatch_budget_exhausted()) {
     std::fprintf(stderr,
                  "note: --max-events budget (%llu) exhausted at t=%.1fs; "
                  "run truncated (%llu invocations still in flight)\n",
                  static_cast<unsigned long long>(flags.max_events),
-                 ToSeconds(env.loop().now()),
-                 static_cast<unsigned long long>(injector.invocations_fired() -
-                                                 injector.invocations_completed()));
-  }
-  if (scrubber != nullptr) {
-    scrubber->Stop();
-  }
-  if (scraper != nullptr) {
-    scraper->Stop();
-    // Final partial window: capture the tail between the last tick and drain.
-    slo->Evaluate(env.loop().now());
-    timeline->Scrape(env.loop().now());
+                 ToSeconds(out->final_time),
+                 static_cast<unsigned long long>(out->invocations_fired -
+                                                 out->invocations_completed));
   }
 
   if (!quiet) {
@@ -525,7 +441,6 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
                   latencies.Percentile(0.95),
                   ToSeconds(tenant.TotalExecutionTime()), tenant.FailureCount());
     }
-
     const obs::MetricsRegistry& m = env.metrics();
     auto ull = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
     if (env.ofc() != nullptr) {
@@ -548,7 +463,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
       std::printf("  cache used/capacity  %s / %s\n",
                   FormatBytes(env.cluster()->TotalUsed()).c_str(),
                   FormatBytes(env.cluster()->TotalCapacity()).c_str());
-      if (flags.breaker_threshold > 0) {
+      if (flags.env.ofc.proxy.breaker_failure_threshold > 0) {
         std::printf("  breaker              %llu opens, %llu closes, "
                     "%llu bypassed reads, %llu bypassed writes\n",
                     ull(m.CounterValue("ofc.breaker.opens")),
@@ -567,7 +482,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
                 ull(m.CounterTotal("ofc.overload.shed")));
   }
 
-  if (!quiet && slo != nullptr && !slo->specs().empty()) {
+  if (const obs::SloMonitor* slo = run.slo();
+      !quiet && slo != nullptr && !slo->specs().empty()) {
     std::printf("\nSLOs: worst burn %.2f, %llu alert(s) fired\n", slo->worst_burn(),
                 static_cast<unsigned long long>(slo->alerts_fired()));
     for (const obs::SloAlert& alert : slo->alerts()) {
@@ -583,29 +499,12 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     }
   }
 
-  out->metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  if (timeline != nullptr) {
-    out->timeline_json = timeline->ToJson();
-  }
-  if (slo != nullptr) {
-    out->health_json = slo->HealthJson(env.loop().now());
-  }
-  if (flight_on) {
-    out->flight_json = env.flight().ToJson("end_of_run");
-  }
-  if (!flags.trace_json.empty()) {
-    out->trace_json = env.trace().ToJson();
-  }
-  out->final_time = env.loop().now();
-  out->events_scheduled = env.loop().total_scheduled();
-  out->invocations = env.metrics().CounterValue("ofc.platform.invocations");
-
   bool ok = true;
   if (!flags.metrics_json.empty()) {
     ok = WriteFile(flags.metrics_json, out->metrics_json) && ok;
   }
   if (!flags.metrics_csv.empty()) {
-    ok = WriteFile(flags.metrics_csv, env.metrics().SnapshotCsv(env.loop().now())) && ok;
+    ok = WriteFile(flags.metrics_csv, env.metrics().SnapshotCsv(out->final_time)) && ok;
   }
   if (!flags.timeline_json.empty()) {
     ok = WriteFile(flags.timeline_json, out->timeline_json) && ok;
@@ -624,8 +523,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
                   env.trace().num_dropped(), flags.trace_json.c_str());
     }
   }
-  ClearSimAssertHook();  // The hook captures `env`, which dies with this frame.
-  ClearLogPrefixHook();  // Likewise.
+  ClearSimAssertHook();  // The hooks capture `env`, which dies with this frame.
+  ClearLogPrefixHook();
   return ok ? 0 : 1;
 }
 
@@ -636,8 +535,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
 // pair in the report. Exit: 0 identical, 1 divergence.
 int SelfcheckPair(const Flags& flags, const char* label) {
   constexpr std::uint64_t kPerturbedSalt = 0x9e3779b97f4a7c15ull;
-  RunOutcome first;
-  RunOutcome second;
+  faasload::RunArtifacts first;
+  faasload::RunArtifacts second;
 
   SetHashSalt(0);
   int rc = RunScenario(flags, /*quiet=*/true, /*run_index=*/0, &first);
@@ -664,10 +563,11 @@ int SelfcheckPair(const Flags& flags, const char* label) {
                  static_cast<unsigned long long>(second.events_scheduled));
     identical = false;
   }
-  if (first.invocations != second.invocations) {
+  if (first.invocations_fired != second.invocations_fired ||
+      first.invocations_completed != second.invocations_completed) {
     std::fprintf(stderr, "selfcheck[%s]: invocation count diverged: %llu vs %llu\n",
-                 label, static_cast<unsigned long long>(first.invocations),
-                 static_cast<unsigned long long>(second.invocations));
+                 label, static_cast<unsigned long long>(first.invocations_fired),
+                 static_cast<unsigned long long>(second.invocations_fired));
     identical = false;
   }
   // Every artifact a replay can leave behind must be byte-identical: the
@@ -710,7 +610,7 @@ int SelfcheckPair(const Flags& flags, const char* label) {
   std::printf("selfcheck-determinism[%s]: OK — %llu events, %llu invocations, "
               "metrics identical across replays (hash salt perturbed)\n",
               label, static_cast<unsigned long long>(first.events_scheduled),
-              static_cast<unsigned long long>(first.invocations));
+              static_cast<unsigned long long>(first.invocations_fired));
   return 0;
 }
 
@@ -730,7 +630,7 @@ int RunSelfcheck(const Flags& flags) {
   chaos.fault_plan.events = {
       {Seconds(40), fault::FaultKind::kStoreBrownout, -1, Seconds(30), 4.0},
       {Seconds(60), fault::FaultKind::kNodeCrash,
-       flags.workers > 1 ? 1 : 0, Seconds(20), 2.0},
+       flags.env.platform.num_workers > 1 ? 1 : 0, Seconds(20), 2.0},
       {Seconds(75), fault::FaultKind::kWorkerCrash, 0, Seconds(10), 2.0},
       {Seconds(90), fault::FaultKind::kPersistorDrop, -1, Seconds(15), 2.0},
   };
@@ -744,11 +644,11 @@ int RunSelfcheck(const Flags& flags) {
   Flags overload = flags;
   overload.arrivals = "bursty";
   overload.interval_s = std::min(flags.interval_s, 5.0);
-  overload.queue_limit = 8;
-  overload.queue_deadline_s = 2.0;
-  overload.breaker_threshold = 3;
-  overload.breaker_open_s = 10.0;
-  overload.breaker_probes = 2;
+  overload.env.platform.max_queue_depth = 8;
+  overload.env.platform.queue_deadline = Seconds(2);
+  overload.env.ofc.proxy.breaker_failure_threshold = 3;
+  overload.env.ofc.proxy.breaker_open_duration = Seconds(10);
+  overload.env.ofc.proxy.breaker_half_open_probes = 2;
   overload.fault_plan.events = {
       {Seconds(30), fault::FaultKind::kStoreBrownout, -1, Seconds(60), 4.0},
       {Seconds(45), fault::FaultKind::kCacheDegraded, -1, Seconds(40), 2.0},
@@ -761,11 +661,11 @@ int RunSelfcheck(const Flags& flags) {
   // with the background scrubber on, so detection, self-healing reads, and
   // scrub repairs are also held to byte-identical replays.
   Flags corruption = flags;
-  corruption.scrub_interval_s = 5.0;
+  corruption.env.scrub = core::ScrubberOptions{.interval = Seconds(5)};
   corruption.fault_plan.events = {
       {Seconds(30), fault::FaultKind::kCorruptSegment, 0, 0, 3.0},
       {Seconds(50), fault::FaultKind::kCorruptReplica,
-       flags.workers > 1 ? 1 : 0, 0, 3.0},
+       flags.env.platform.num_workers > 1 ? 1 : 0, 0, 3.0},
       {Seconds(70), fault::FaultKind::kStoreRot, -1, 0, 4.0},
   };
   return SelfcheckPair(corruption, "corruption");
@@ -775,6 +675,8 @@ int RunSelfcheck(const Flags& flags) {
 
 int Main(int argc, char** argv) {
   Flags flags;
+  flags.env.platform.worker_memory = GiB(16);
+  flags.env.scrape_interval = Seconds(10);
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (ParseFlag(argv[i], "--mode", &flags.mode)) {
@@ -792,28 +694,29 @@ int Main(int argc, char** argv) {
       }
     } else if (ParseFlag(argv[i], "--interval-s", &value)) {
       flags.interval_s = std::atof(value.c_str());
-      if (!(flags.interval_s > 0.0)) {  // Also rejects NaN.
-        std::fprintf(stderr, "--interval-s must be > 0\n");
+      if (!(flags.interval_s > 0.0) || !(flags.interval_s < kMaxFlagSeconds)) {  // And NaN.
+        std::fprintf(stderr, "--interval-s must be a positive number of seconds\n");
         return 1;
       }
     } else if (ParseFlag(argv[i], "--workers", &value)) {
-      flags.workers = std::atoi(value.c_str());
-      if (flags.workers < 1) {
+      flags.env.platform.num_workers = std::atoi(value.c_str());
+      if (flags.env.platform.num_workers < 1) {
         std::fprintf(stderr, "--workers must be >= 1\n");
         return 1;
       }
     } else if (ParseFlag(argv[i], "--worker-gb", &value)) {
-      flags.worker_gb = std::atoi(value.c_str());
-      if (flags.worker_gb < 1) {
+      const int worker_gb = std::atoi(value.c_str());
+      if (worker_gb < 1) {
         std::fprintf(stderr, "--worker-gb must be >= 1\n");
         return 1;
       }
+      flags.env.platform.worker_memory = GiB(worker_gb);
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
+      flags.env.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--pretrain", &value)) {
       flags.pretrain = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--cache-policy", &flags.cache_policy)) {
-      const auto spec = core::ParseCachePolicySpec(flags.cache_policy);
+    } else if (ParseFlag(argv[i], "--cache-policy", &flags.env.ofc.cache_policy)) {
+      const auto spec = core::ParseCachePolicySpec(flags.env.ofc.cache_policy);
       if (!spec.ok()) {
         std::fprintf(stderr, "--cache-policy: %s\n", spec.status().message().c_str());
         return Usage();
@@ -822,13 +725,12 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--metrics-csv", &flags.metrics_csv)) {
     } else if (ParseFlag(argv[i], "--trace-json", &flags.trace_json)) {
     } else if (ParseFlag(argv[i], "--trace-sample", &value)) {
-      flags.trace_sample = std::strtoull(value.c_str(), nullptr, 10);
+      flags.env.trace_sample = std::strtoull(value.c_str(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--log-sim-time") == 0) {
       flags.log_sim_time = true;
     } else if (ParseFlag(argv[i], "--scrape-interval-s", &value)) {
-      flags.scrape_interval_s = std::atof(value.c_str());
-      if (flags.scrape_interval_s <= 0.0) {
-        std::fprintf(stderr, "--scrape-interval-s must be > 0\n");
+      if (!ParseDurationFlag("--scrape-interval-s", value, 1e6, 1,
+                             &flags.env.scrape_interval)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--timeline-json", &flags.timeline_json)) {
@@ -841,23 +743,25 @@ int Main(int argc, char** argv) {
         }
       }
       std::string error;
-      if (!obs::ParseSloSpecs(text, &flags.slo_specs, &error)) {
+      if (!obs::ParseSloSpecs(text, &flags.env.slos, &error)) {
         std::fprintf(stderr, "--slo: %s\n", error.c_str());
         return 1;
       }
     } else if (ParseFlag(argv[i], "--health-json", &flags.health_json)) {
     } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
-      flags.flight_capacity = 4096;
+      flags.env.flight_capacity = obs::FlightRecorderOptions{}.capacity;
     } else if (ParseFlag(argv[i], "--flight-recorder", &value)) {
-      flags.flight_capacity = std::strtoull(value.c_str(), nullptr, 10);
-      if (flags.flight_capacity == 0) {
+      flags.env.flight_capacity = std::strtoull(value.c_str(), nullptr, 10);
+      if (flags.env.flight_capacity == 0) {
         std::fprintf(stderr, "--flight-recorder=N needs N > 0\n");
         return 1;
       }
     } else if (ParseFlag(argv[i], "--flight-json", &flags.flight_json)) {
     } else if (ParseFlag(argv[i], "--dump-on-assert", &flags.dump_on_assert)) {
     } else if (ParseFlag(argv[i], "--inject-breach-at", &value)) {
-      flags.inject_breach_at_s = std::atof(value.c_str());
+      if (!ParseDurationFlag("--inject-breach-at", value, 1e6, 0, &flags.inject_breach_at)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--fault-plan", &value)) {
       std::string body;
       if (!ReadFile(value, &body)) {
@@ -879,25 +783,34 @@ int Main(int argc, char** argv) {
       }
       flags.fault_plan.events.push_back(event);
     } else if (ParseFlag(argv[i], "--scrub-interval-s", &value)) {
-      flags.scrub_interval_s = std::atof(value.c_str());
-      if (flags.scrub_interval_s <= 0.0) {
-        std::fprintf(stderr, "--scrub-interval-s must be > 0\n");
+      SimDuration interval = 0;
+      if (!ParseDurationFlag("--scrub-interval-s", value, 1e6, 1, &interval)) {
         return 1;
       }
+      flags.env.scrub = core::ScrubberOptions{.interval = interval};
     } else if (ParseFlag(argv[i], "--queue-limit", &value)) {
-      flags.queue_limit = std::strtoull(value.c_str(), nullptr, 10);
+      flags.env.platform.max_queue_depth = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--queue-deadline-s", &value)) {
-      flags.queue_deadline_s = std::atof(value.c_str());
+      if (!ParseDurationFlag("--queue-deadline-s", value, 1e6, 0,
+                             &flags.env.platform.queue_deadline)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--max-concurrency", &value)) {
-      flags.max_concurrency = std::atoi(value.c_str());
+      flags.env.platform.max_concurrency_per_function = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--breaker-threshold", &value)) {
-      flags.breaker_threshold = std::atoi(value.c_str());
+      flags.env.ofc.proxy.breaker_failure_threshold = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--breaker-open-s", &value)) {
-      flags.breaker_open_s = std::atof(value.c_str());
+      if (!ParseDurationFlag("--breaker-open-s", value, 1e6, 0,
+                             &flags.env.ofc.proxy.breaker_open_duration)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-probes", &value)) {
-      flags.breaker_probes = std::atoi(value.c_str());
+      flags.env.ofc.proxy.breaker_half_open_probes = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--breaker-slo-ms", &value)) {
-      flags.breaker_slo_ms = std::atof(value.c_str());
+      if (!ParseDurationFlag("--breaker-slo-ms", value, 1e3, 0,
+                             &flags.env.ofc.proxy.breaker_latency_slo)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       flags.progress = true;
     } else if (ParseFlag(argv[i], "--max-events", &value)) {
@@ -923,8 +836,8 @@ int Main(int argc, char** argv) {
   if (flags.selfcheck) {
     return RunSelfcheck(flags);
   }
-  RunOutcome outcome;
-  return RunScenario(flags, /*quiet=*/false, /*run_index=*/0, &outcome);
+  faasload::RunArtifacts artifacts;
+  return RunScenario(flags, /*quiet=*/false, /*run_index=*/0, &artifacts);
 }
 
 }  // namespace ofc

@@ -97,7 +97,7 @@ void SortFindings(std::vector<Finding>* findings) {
 // architecture documented in DESIGN.md §8: common at the bottom; sim/obs/ml
 // above it; workloads over ml; ramcloud/store over sim+obs; faas over
 // store+workloads; core over everything below it; fault and faasload drive the
-// assembled system from the top.
+// assembled system from the top, and faasload's runner arms fault's injector.
 const std::map<std::string, std::set<std::string>>& LayerDag() {
   static const std::map<std::string, std::set<std::string>> dag = {
       {"common", {}},
@@ -111,7 +111,7 @@ const std::map<std::string, std::set<std::string>>& LayerDag() {
       {"core", {"common", "sim", "obs", "ml", "ramcloud", "store", "workloads", "faas"}},
       {"fault", {"common", "sim", "obs", "ramcloud", "store", "faas", "core"}},
       {"faasload",
-       {"common", "sim", "obs", "ramcloud", "store", "workloads", "faas", "core"}},
+       {"common", "sim", "obs", "ramcloud", "store", "workloads", "faas", "core", "fault"}},
   };
   return dag;
 }
