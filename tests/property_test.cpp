@@ -106,59 +106,121 @@ INSTANTIATE_TEST_SUITE_P(IntervalSizes, IntervalPropertyTest,
 class ClusterPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClusterPropertyTest, AccountingStaysConsistent) {
+  constexpr int kNodes = 5;
   sim::EventLoop loop;
   rc::ClusterOptions options;
   options.default_capacity = MiB(64);
   options.replication_factor = 2;
-  rc::Cluster cluster(&loop, 4, options, Rng(11));
+  rc::Cluster cluster(&loop, kNodes, options, Rng(11));
   Rng rng(GetParam());
+  // Model of the cache's contents: every object the cluster still holds, by
+  // size. Losses (crash, quarantine, all-copies-corrupt reads, rejected
+  // updates) are reconciled against what the cluster reports.
   std::map<std::string, Bytes> live;
+  // Drops from the model every key the cluster no longer holds.
+  const auto reconcile_losses = [&] {
+    std::size_t lost = 0;
+    for (auto it = live.begin(); it != live.end();) {
+      if (cluster.Contains(it->first)) {
+        ++it;
+      } else {
+        it = live.erase(it);
+        ++lost;
+      }
+    }
+    return lost;
+  };
+  const auto pick_node = [&] { return static_cast<int>(rng.UniformInt(0, kNodes - 1)); };
 
-  for (int step = 0; step < 400; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 3));
+  for (int step = 0; step < 3000; ++step) {
+    const std::int64_t op = rng.UniformInt(0, 99);
     const std::string key = "k" + std::to_string(rng.UniformInt(0, 30));
-    if (op == 0) {
+    if (op < 30) {
       const Bytes size = rng.UniformInt(KiB(1), MiB(4));
-      cluster.Write(static_cast<int>(rng.UniformInt(0, 3)), key, size, 1,
-                    rc::ObjectClass::kInput, rng.Bernoulli(0.3), [&, key, size](Status s) {
-                      if (s.ok()) {
-                        live[key] = size;
-                      }
-                    });
+      Status status = InternalError("unset");
+      cluster.Write(pick_node(), key, size, 1, rc::ObjectClass::kInput, rng.Bernoulli(0.3),
+                    [&](Status s) { status = s; });
       loop.Run();
-    } else if (op == 1) {
+      if (status.ok()) {
+        live[key] = size;
+      } else {
+        // A rejected update has already released the old copy.
+        ASSERT_FALSE(cluster.Contains(key)) << "step " << step;
+        live.erase(key);
+      }
+    } else if (op < 42) {
       if (cluster.Remove(key).ok()) {
         live.erase(key);
       }
-    } else if (op == 2) {
+    } else if (op < 52) {
       (void)cluster.MigrateMaster(key);
-    } else {
-      cluster.Read(static_cast<int>(rng.UniformInt(0, 3)), key,
-                   [](Result<rc::ReadHit>) {});
+    } else if (op < 70) {
+      Status status = InternalError("unset");
+      cluster.Read(pick_node(), key, [&](Result<rc::ReadHit> hit) { status = hit.status(); });
       loop.Run();
+      if (status.code() == StatusCode::kDataLoss) {
+        // Every copy was corrupt: the object is dropped everywhere.
+        ASSERT_FALSE(cluster.Contains(key)) << "step " << step;
+        live.erase(key);
+      }
+    } else if (op < 73) {
+      const rc::RecoveryResult recovery = cluster.CrashNode(pick_node());
+      ASSERT_EQ(recovery.objects_lost, reconcile_losses()) << "step " << step;
+    } else if (op < 79) {
+      cluster.RestartNode(pick_node());
+    } else if (op < 89) {
+      const rc::RecoveryResult recovery = cluster.QuarantineNode(pick_node());
+      ASSERT_EQ(recovery.objects_lost, reconcile_losses()) << "step " << step;
+    } else if (op < 95) {
+      (void)cluster.CorruptReplica(pick_node(), static_cast<int>(rng.UniformInt(1, 3)));
+    } else {
+      (void)cluster.CorruptSegment(pick_node(), static_cast<int>(rng.UniformInt(1, 3)));
     }
 
-    // Invariant 1: total memory used equals the sum of live object sizes.
+    // Invariant 1: the cluster holds exactly the model's objects, and total
+    // memory used equals the sum of their sizes.
     Bytes expected = 0;
     for (const auto& [k, size] : live) {
       expected += size;
     }
     ASSERT_EQ(cluster.TotalUsed(), expected) << "step " << step;
-    // Invariant 2: per-node accounting is non-negative and within capacity.
-    for (int n = 0; n < 4; ++n) {
-      ASSERT_GE(cluster.Used(n), 0);
-      ASSERT_LE(cluster.Used(n), cluster.Capacity(n));
-      ASSERT_GE(cluster.node_stats(n).disk_used, 0);
-    }
-    // Invariant 3: every object's master differs from all its backups, and
-    // replication is preserved across migrations.
-    for (const auto& [k, size] : live) {
-      const auto obj = cluster.Inspect(k);
-      ASSERT_TRUE(obj.ok());
-      for (int b : obj->backups) {
-        ASSERT_NE(b, obj->master) << k;
+    ASSERT_EQ(cluster.NumObjects(), live.size()) << "step " << step;
+    // Invariant 2: every node's memory is exactly the bytes of the objects it
+    // masters, and its disk exactly the bytes of the backup copies it holds.
+    std::vector<Bytes> mastered(kNodes, 0);
+    std::vector<Bytes> held(kNodes, 0);
+    const int want_backups = std::min(options.replication_factor,
+                                      std::max(cluster.AliveNodes() - 1, 0));
+    for (int n = 0; n < kNodes; ++n) {
+      for (const rc::CachedObject& obj : cluster.ObjectsOn(n)) {
+        const auto modeled = live.find(obj.key);
+        ASSERT_TRUE(modeled != live.end()) << obj.key << " step " << step;
+        ASSERT_EQ(modeled->second, obj.size) << obj.key << " step " << step;
+        mastered[static_cast<std::size_t>(n)] += obj.size;
+        // Invariant 3: master and backups are alive, the backups are
+        // distinct and exclude the master, replication is exactly
+        // min(rf, alive - 1), and every backup carries one checksum.
+        ASSERT_TRUE(cluster.Alive(n)) << obj.key << " step " << step;
+        ASSERT_EQ(static_cast<int>(obj.backups.size()), want_backups)
+            << obj.key << " step " << step;
+        ASSERT_EQ(obj.backup_checksums.size(), obj.backups.size()) << obj.key;
+        std::vector<int> backups = obj.backups;
+        std::sort(backups.begin(), backups.end());
+        ASSERT_EQ(std::adjacent_find(backups.begin(), backups.end()), backups.end())
+            << obj.key << " step " << step;
+        for (int b : obj.backups) {
+          ASSERT_NE(b, obj.master) << obj.key;
+          ASSERT_TRUE(cluster.Alive(b)) << obj.key << " step " << step;
+          held[static_cast<std::size_t>(b)] += obj.size;
+        }
       }
-      ASSERT_LE(obj->backups.size(), 2u);
+    }
+    for (int n = 0; n < kNodes; ++n) {
+      ASSERT_EQ(cluster.Used(n), mastered[static_cast<std::size_t>(n)])
+          << "node " << n << " step " << step;
+      ASSERT_LE(cluster.Used(n), cluster.Capacity(n));
+      ASSERT_EQ(cluster.node_stats(n).disk_used, held[static_cast<std::size_t>(n)])
+          << "node " << n << " step " << step;
     }
   }
 }
@@ -191,7 +253,8 @@ TEST_P(ClusterPropertyTest, CrashRecoveryNeverLosesReplicatedObjects) {
   EXPECT_EQ(readable, 60);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ClusterPropertyTest, ::testing::Values(21, 22, 23));
+INSTANTIATE_TEST_SUITE_P(Seeds, ClusterPropertyTest,
+                         ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
 
 // ---- Workload demand: positivity and monotonicity across all functions -----------
 
