@@ -1,6 +1,7 @@
 #include "src/ramcloud/cluster.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 
 #include "src/common/logging.h"
@@ -135,14 +136,8 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
   int prefer = client_node;
   auto it = objects_.find(key);
   if (it != objects_.end()) {
-    const CachedObject& existing = it->second;
-    prefer = existing.master;
-    (void)logs_[existing.master].Free(existing.log_entry);
-    SyncUsed(existing.master);
-    for (int b : existing.backups) {
-      nodes_[b].disk_used -= existing.size;
-      SIM_ASSERT(nodes_[b].disk_used >= 0) << "; backup disk accounting underflow on node " << b;
-    }
+    prefer = it->second.master;
+    Release(it->second);
   }
 
   SimDuration cleaning_cost = 0;
@@ -327,11 +322,7 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
       ++*m_.read_data_loss;
       // Drop the object everywhere: a re-fetch from the RSDS re-admits a good
       // copy, which is the repair path when no replica survives.
-      (void)logs_[obj.master].Free(obj.log_entry);
-      SyncUsed(obj.master);
-      for (int b : obj.backups) {
-        nodes_[b].disk_used -= obj.size;
-      }
+      Release(obj);
       objects_.erase(it);
       loop_->ScheduleAfter(cost, [done = std::move(done), key] {
         done(DataLossError("all copies corrupt: " + key));
@@ -387,12 +378,7 @@ Status Cluster::Remove(const std::string& key) {
   if (it == objects_.end()) {
     return NotFoundError("remove: " + key);
   }
-  const CachedObject& obj = it->second;
-  (void)logs_[obj.master].Free(obj.log_entry);
-  SyncUsed(obj.master);
-  for (int b : obj.backups) {
-    nodes_[b].disk_used -= obj.size;
-  }
+  Release(it->second);
   objects_.erase(it);
   ++*m_.evictions;
   return OkStatus();
@@ -445,27 +431,14 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   }
   CachedObject& obj = it->second;
   // Elect a backup that can absorb the object into its log, most-free first.
-  std::vector<int> order = obj.backups;
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return FreeMemory(a) > FreeMemory(b); });
-  int new_master = -1;
   SegmentedLog::EntryId new_entry = 0;
   SimDuration cleaning_cost = 0;
-  for (int b : order) {
-    if (!nodes_[b].alive) {
-      continue;
-    }
-    auto entry = logs_[b].Append(obj.size, nodes_[b].memory_capacity, &cleaning_cost);
-    if (entry.ok()) {
-      new_master = b;
-      new_entry = *entry;
-      break;
-    }
-  }
-  if (new_master < 0) {
+  const int slot = ElectMaster(obj, /*healthy=*/std::nullopt, &new_entry, &cleaning_cost);
+  if (slot < 0) {
     return ResourceExhaustedError("no backup can host the master copy: " + key);
   }
   const int old_master = obj.master;
+  const int new_master = obj.backups[static_cast<std::size_t>(slot)];
   // The new master already holds an on-disk replica: it loads the object from
   // local disk. The old master demotes to backup, keeping an on-disk copy —
   // replication factor is preserved with zero inter-node transfer (§6.4).
@@ -478,10 +451,7 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   // replica stored, verified on load — a rotted replica is repaired from the
   // (still alive, still healthy) old master's copy before promotion. The old
   // master's copy becomes the backup copy in that slot.
-  const auto slot = std::find(obj.backups.begin(), obj.backups.end(), new_master);
-  SIM_ASSERT(slot != obj.backups.end()) << "; migrate target is not a backup";
-  const std::size_t slot_idx =
-      static_cast<std::size_t>(std::distance(obj.backups.begin(), slot));
+  const std::size_t slot_idx = static_cast<std::size_t>(slot);
   Checksum promoted = obj.backup_checksums[slot_idx];
   const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
   if (promoted != expected) {
@@ -494,7 +464,7 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   }
   obj.backup_checksums[slot_idx] = obj.checksum;
   obj.checksum = promoted;
-  std::replace(obj.backups.begin(), obj.backups.end(), new_master, old_master);
+  obj.backups[slot_idx] = old_master;
   obj.master = new_master;
   obj.log_entry = new_entry;
   ++*m_.migrations;
@@ -516,131 +486,10 @@ RecoveryResult Cluster::CrashNode(int node) {
   crashed.alive = false;
   ++*m_.node_crashes;
   emit_.Emit({.kind = FlightEventKind::kNodeCrash, .time = loop_->now(), .worker = node});
-  // The crashed node's DRAM contents are gone.
-  logs_[node] = SegmentedLog(options_.log);
-  crashed.memory_used = 0;
-
-  RecoveryResult result;
-  std::vector<SimDuration> per_node_load(nodes_.size(), 0);
-
-  std::vector<std::string> to_drop;
-  for (auto& [key, obj] : objects_) {
-    if (obj.master == node) {
-      // Promote a surviving backup (partitioned recovery: spread by free mem).
-      // Recovery re-replication verifies the copy it loads: healthy replicas
-      // are preferred, and a corrupt promotion repairs from any surviving
-      // healthy copy before new replicas are cut from it.
-      const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
-      std::vector<std::size_t> order(obj.backups.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-      }
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const bool healthy_a = obj.backup_checksums[a] == expected;
-        const bool healthy_b = obj.backup_checksums[b] == expected;
-        if (healthy_a != healthy_b) {
-          return healthy_a;
-        }
-        return FreeMemory(obj.backups[a]) > FreeMemory(obj.backups[b]);
-      });
-      int new_master = -1;
-      std::size_t promoted_idx = 0;
-      SegmentedLog::EntryId new_entry = 0;
-      for (std::size_t i : order) {
-        const int b = obj.backups[i];
-        if (!nodes_[b].alive) {
-          continue;
-        }
-        auto entry = logs_[b].Append(obj.size, nodes_[b].memory_capacity, nullptr);
-        if (entry.ok()) {
-          new_master = b;
-          promoted_idx = i;
-          new_entry = *entry;
-          break;
-        }
-      }
-      if (new_master < 0) {
-        to_drop.push_back(key);
-        ++result.objects_lost;
-        continue;
-      }
-      Checksum promoted = obj.backup_checksums[promoted_idx];
-      if (promoted != expected) {
-        NoteCorruption(key, new_master, "recovery_load");
-        // Only corrupt copies could host; repair from any healthy survivor
-        // (a copy that lost the capacity race still has good bits on disk).
-        for (std::size_t i = 0; i < obj.backups.size(); ++i) {
-          if (i != promoted_idx && nodes_[obj.backups[i]].alive &&
-              obj.backup_checksums[i] == expected) {
-            promoted = expected;
-            NoteRepair(key, new_master, "replica");
-            break;
-          }
-        }
-      }
-      SyncUsed(new_master);
-      nodes_[new_master].disk_used -= obj.size;
-      obj.backups.erase(obj.backups.begin() + static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.backup_checksums.erase(obj.backup_checksums.begin() +
-                                 static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.master = new_master;
-      obj.checksum = promoted;
-      obj.log_entry = new_entry;
-      per_node_load[static_cast<std::size_t>(new_master)] +=
-          options_.disk_read.Cost(obj.size, &rng_);
-      ++result.objects_recovered;
-      // Restore the replication factor: the promotion consumed one on-disk
-      // copy, so the coordinator re-replicates to a fresh backup.
-      while (static_cast<int>(obj.backups.size()) < options_.replication_factor) {
-        int fresh = -1;
-        for (int candidate : PickBackups(obj.master, num_nodes())) {
-          if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-              obj.backups.end()) {
-            fresh = candidate;
-            break;
-          }
-        }
-        if (fresh < 0) {
-          break;  // Not enough distinct alive nodes.
-        }
-        obj.backups.push_back(fresh);
-        obj.backup_checksums.push_back(obj.checksum);
-        nodes_[fresh].disk_used += obj.size;
-      }
-    }
-    // Re-replicate backup copies that lived on the crashed node. The fresh
-    // copy is cut from the master's (verified-at-promotion) copy.
-    auto backup_it = std::find(obj.backups.begin(), obj.backups.end(), node);
-    if (backup_it != obj.backups.end()) {
-      const std::ptrdiff_t idx = std::distance(obj.backups.begin(), backup_it);
-      obj.backups.erase(backup_it);
-      obj.backup_checksums.erase(obj.backup_checksums.begin() + idx);
-      nodes_[node].disk_used -= obj.size;
-      for (int candidate : PickBackups(obj.master, num_nodes())) {
-        if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-            obj.backups.end()) {
-          obj.backups.push_back(candidate);
-          obj.backup_checksums.push_back(obj.checksum);
-          nodes_[candidate].disk_used += obj.size;
-          break;
-        }
-      }
-    }
-  }
-  for (const std::string& key : to_drop) {
-    auto it = objects_.find(key);
-    for (int b : it->second.backups) {
-      nodes_[b].disk_used -= it->second.size;
-    }
-    objects_.erase(it);
-  }
-  // Makespan of the parallel partitioned reload.
-  for (SimDuration d : per_node_load) {
-    result.duration = std::max(result.duration, d);
-  }
-  m_.objects_recovered->Add(result.objects_recovered);
-  m_.objects_lost->Add(result.objects_lost);
-  m_.recovery_ms->Observe(ToMillis(result.duration));
+  // The node's DRAM and disk are gone, and recovery has nothing to verify
+  // against: fresh copies are cut from the master copy, and a corrupt promoted
+  // copy heals only from a surviving healthy replica.
+  const RecoveryResult result = Evacuate(node, "recovery_load", /*verifier=*/nullptr);
   emit_.Emit({.kind = FlightEventKind::kNodeRecovered, .time = loop_->now(), .worker = node,
               .n = static_cast<std::int64_t>(result.objects_recovered),
               .m = static_cast<std::int64_t>(result.objects_lost)});
@@ -757,129 +606,160 @@ RecoveryResult Cluster::QuarantineNode(int node) {
   if (!stats.alive || AliveNodes() <= 1) {
     return RecoveryResult{};  // Already down, or nowhere to drain to.
   }
-  // Mark the node dead first so placement/backup selection excludes it; unlike
-  // a crash its copies remain readable for the drain below.
+  // Mark the node dead first so placement/backup selection excludes it. Unlike
+  // a crash its copies remain readable, so the drain verifies every copy it
+  // writes against the RSDS: no data is lost to the drain itself.
   stats.alive = false;
   ++*m_.nodes_quarantined;
   emit_.Emit({.kind = FlightEventKind::kNodeQuarantined, .time = loop_->now(), .worker = node});
+  return Evacuate(node, "quarantine_drain", /*verifier=*/"rsds");
+}
+
+int Cluster::ElectMaster(const CachedObject& obj, std::optional<Checksum> healthy,
+                         SegmentedLog::EntryId* entry, SimDuration* cleaning_cost) {
+  std::vector<std::size_t> order(obj.backups.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto is_healthy = [&](std::size_t slot) {
+    return healthy.has_value() && obj.backup_checksums[slot] == *healthy;
+  };
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (is_healthy(a) != is_healthy(b)) {
+      return is_healthy(a);
+    }
+    return FreeMemory(obj.backups[a]) > FreeMemory(obj.backups[b]);
+  });
+  for (std::size_t slot : order) {
+    const int b = obj.backups[slot];
+    if (!nodes_[b].alive) {
+      continue;
+    }
+    auto appended = logs_[b].Append(obj.size, nodes_[b].memory_capacity, cleaning_cost);
+    if (appended.ok()) {
+      *entry = *appended;
+      return static_cast<int>(slot);
+    }
+  }
+  return -1;
+}
+
+int Cluster::AddBackup(CachedObject& obj, Checksum copy) {
+  for (int candidate : PickBackups(obj.master, num_nodes())) {
+    if (std::find(obj.backups.begin(), obj.backups.end(), candidate) == obj.backups.end()) {
+      obj.backups.push_back(candidate);
+      obj.backup_checksums.push_back(copy);
+      nodes_[candidate].disk_used += obj.size;
+      return candidate;
+    }
+  }
+  return -1;
+}
+
+void Cluster::RestoreReplication(CachedObject& obj, Checksum copy) {
+  while (static_cast<int>(obj.backups.size()) < options_.replication_factor) {
+    if (AddBackup(obj, copy) < 0) {
+      break;  // Not enough distinct alive nodes.
+    }
+  }
+}
+
+void Cluster::Release(const CachedObject& obj) {
+  (void)logs_[obj.master].Free(obj.log_entry);
+  SyncUsed(obj.master);
+  for (int b : obj.backups) {
+    nodes_[b].disk_used -= obj.size;
+    SIM_ASSERT(nodes_[b].disk_used >= 0) << "; backup disk accounting underflow on node " << b;
+  }
+}
+
+void Cluster::MoveBackupOff(CachedObject& obj, int node, const char* note,
+                            const char* verifier) {
+  const auto held = std::find(obj.backups.begin(), obj.backups.end(), node);
+  if (held == obj.backups.end()) {
+    return;
+  }
+  const std::ptrdiff_t idx = std::distance(obj.backups.begin(), held);
+  const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
+  // Only a verifier can audit the copy left behind.
+  const bool rotted =
+      verifier != nullptr && obj.backup_checksums[static_cast<std::size_t>(idx)] != expected;
+  obj.backups.erase(held);
+  obj.backup_checksums.erase(obj.backup_checksums.begin() + idx);
+  nodes_[node].disk_used -= obj.size;
+  if (rotted) {
+    NoteCorruption(obj.key, node, note);
+  }
+  const int fresh = AddBackup(obj, verifier != nullptr ? expected : obj.checksum);
+  if (rotted && fresh >= 0) {
+    NoteRepair(obj.key, fresh, verifier);
+  }
+}
+
+RecoveryResult Cluster::Evacuate(int node, const char* note, const char* verifier) {
+  // The node's DRAM ends empty either way: a crash lost it, a drain moves it
+  // off. Nothing below reads a dead node's log.
+  logs_[node] = SegmentedLog(options_.log);
+  nodes_[node].memory_used = 0;
 
   RecoveryResult result;
   std::vector<SimDuration> per_node_load(nodes_.size(), 0);
+  // Dropped after the walk: their backups' disk stays booked until then, so
+  // backup selection for later keys sees the same loads.
   std::vector<std::string> to_drop;
   for (auto& [key, obj] : objects_) {
+    if (obj.master != node) {
+      MoveBackupOff(obj, node, note, verifier);
+      continue;
+    }
+    // Promote a surviving backup (partitioned recovery: spread by free
+    // memory), a healthy copy first.
     const Checksum expected = ExpectedChecksum(key, obj.size, obj.version);
-    if (obj.master == node) {
-      // Re-master onto a backup (its disk already holds a copy). The drain
-      // verifies whatever it loads against the RSDS, so — unlike crash
-      // recovery — the new master always starts healthy.
-      std::vector<std::size_t> order(obj.backups.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-      }
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const bool healthy_a = obj.backup_checksums[a] == expected;
-        const bool healthy_b = obj.backup_checksums[b] == expected;
-        if (healthy_a != healthy_b) {
-          return healthy_a;
-        }
-        return FreeMemory(obj.backups[a]) > FreeMemory(obj.backups[b]);
-      });
-      int new_master = -1;
-      std::size_t promoted_idx = 0;
-      SegmentedLog::EntryId new_entry = 0;
-      for (std::size_t i : order) {
-        const int b = obj.backups[i];
-        if (!nodes_[b].alive) {
-          continue;
-        }
-        auto entry = logs_[b].Append(obj.size, nodes_[b].memory_capacity, nullptr);
-        if (entry.ok()) {
-          new_master = b;
-          promoted_idx = i;
-          new_entry = *entry;
-          break;
+    SegmentedLog::EntryId entry = 0;
+    const int elected = ElectMaster(obj, expected, &entry, /*cleaning_cost=*/nullptr);
+    if (elected < 0) {
+      to_drop.push_back(key);
+      ++result.objects_lost;
+      continue;
+    }
+    const std::size_t slot = static_cast<std::size_t>(elected);
+    const int new_master = obj.backups[slot];
+    Checksum promoted = obj.backup_checksums[slot];
+    if (promoted != expected) {
+      NoteCorruption(key, new_master, note);
+      // Only corrupt copies could host. Repair from the verifier, else from any
+      // healthy survivor (a copy that lost the capacity race still has good
+      // bits on disk).
+      const char* source = verifier;
+      for (std::size_t i = 0; source == nullptr && i < obj.backups.size(); ++i) {
+        if (i != slot && nodes_[obj.backups[i]].alive && obj.backup_checksums[i] == expected) {
+          source = "replica";
         }
       }
-      if (new_master < 0) {
-        to_drop.push_back(key);
-        ++result.objects_lost;
-        continue;
-      }
-      if (obj.backup_checksums[promoted_idx] != expected) {
-        NoteCorruption(key, new_master, "quarantine_drain");
-        NoteRepair(key, new_master, "rsds");
-      }
-      (void)logs_[node].Free(obj.log_entry);
-      SyncUsed(node);
-      SyncUsed(new_master);
-      nodes_[new_master].disk_used -= obj.size;
-      obj.backups.erase(obj.backups.begin() + static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.backup_checksums.erase(obj.backup_checksums.begin() +
-                                 static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.master = new_master;
-      obj.checksum = expected;
-      obj.log_entry = new_entry;
-      per_node_load[static_cast<std::size_t>(new_master)] +=
-          options_.disk_read.Cost(obj.size, &rng_);
-      ++result.objects_recovered;
-      while (static_cast<int>(obj.backups.size()) < options_.replication_factor) {
-        int fresh = -1;
-        for (int candidate : PickBackups(obj.master, num_nodes())) {
-          if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-              obj.backups.end()) {
-            fresh = candidate;
-            break;
-          }
-        }
-        if (fresh < 0) {
-          break;  // Not enough distinct alive nodes.
-        }
-        obj.backups.push_back(fresh);
-        obj.backup_checksums.push_back(expected);
-        nodes_[fresh].disk_used += obj.size;
+      if (source != nullptr) {
+        promoted = expected;
+        NoteRepair(key, new_master, source);
       }
     }
-    // Evacuate backup copies off the quarantined node; the replacement copy is
-    // verified against the RSDS, so a rotted copy is repaired on the way out.
-    auto backup_it = std::find(obj.backups.begin(), obj.backups.end(), node);
-    if (backup_it != obj.backups.end()) {
-      const std::ptrdiff_t idx = std::distance(obj.backups.begin(), backup_it);
-      const bool was_corrupt =
-          obj.backup_checksums[static_cast<std::size_t>(idx)] != expected;
-      obj.backups.erase(backup_it);
-      obj.backup_checksums.erase(obj.backup_checksums.begin() + idx);
-      nodes_[node].disk_used -= obj.size;
-      if (was_corrupt) {
-        NoteCorruption(key, node, "quarantine_drain");
-      }
-      for (int candidate : PickBackups(obj.master, num_nodes())) {
-        if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-            obj.backups.end()) {
-          obj.backups.push_back(candidate);
-          obj.backup_checksums.push_back(expected);
-          nodes_[candidate].disk_used += obj.size;
-          if (was_corrupt) {
-            NoteRepair(key, candidate, "rsds");
-          }
-          break;
-        }
-      }
-    }
+    SyncUsed(new_master);
+    nodes_[new_master].disk_used -= obj.size;
+    obj.backups.erase(obj.backups.begin() + elected);
+    obj.backup_checksums.erase(obj.backup_checksums.begin() + elected);
+    obj.master = new_master;
+    obj.checksum = promoted;
+    obj.log_entry = entry;
+    per_node_load[static_cast<std::size_t>(new_master)] +=
+        options_.disk_read.Cost(obj.size, &rng_);
+    ++result.objects_recovered;
+    // The promotion consumed one on-disk copy; fresh ones are cut from the
+    // verified payload, else from the promoted copy.
+    RestoreReplication(obj, verifier != nullptr ? expected : obj.checksum);
   }
   for (const std::string& key : to_drop) {
-    auto it = objects_.find(key);
-    for (int b : it->second.backups) {
-      nodes_[b].disk_used -= it->second.size;
-    }
+    const auto it = objects_.find(key);
+    Release(it->second);
     objects_.erase(it);
   }
-  // The drain emptied the node's DRAM; reset the log so a later RestartNode
-  // brings it back clean, mirroring crash recovery.
-  logs_[node] = SegmentedLog(options_.log);
-  stats.memory_used = 0;
-  for (SimDuration d : per_node_load) {
-    result.duration = std::max(result.duration, d);
-  }
+  // Makespan of the parallel partitioned reload.
+  result.duration = std::ranges::max(per_node_load);
   m_.objects_recovered->Add(result.objects_recovered);
   m_.objects_lost->Add(result.objects_lost);
   m_.recovery_ms->Observe(ToMillis(result.duration));

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -301,6 +302,35 @@ class Cluster {
   Status ApplyWrite(int client_node, const std::string& key, Bytes size,
                     std::uint64_t version, ObjectClass object_class, bool dirty,
                     Checksum fingerprint, SimDuration* cost);
+  // Releases every copy of `obj`: its master's log entry and its backups' disk.
+  void Release(const CachedObject& obj);
+  // Elects the backup that takes over `obj`'s master copy: the first alive one
+  // whose log accepts the object, most free memory first, with copies storing
+  // `healthy` (when given) ahead of the rest. Returns its slot in obj.backups,
+  // or -1 when none can host it; `*entry` receives the new log entry and any
+  // cleaning time adds into `*cleaning_cost` (may be null).
+  int ElectMaster(const CachedObject& obj, std::optional<Checksum> healthy,
+                  SegmentedLog::EntryId* entry, SimDuration* cleaning_cost);
+  // Cuts one backup copy storing `copy` onto the least-loaded alive node that
+  // holds no copy of `obj` yet. Returns that node, or -1 when there is none.
+  int AddBackup(CachedObject& obj, Checksum copy);
+  // Adds backup copies storing `copy` until the replication factor is met or
+  // the distinct alive nodes run out.
+  void RestoreReplication(CachedObject& obj, Checksum copy);
+  // Re-cuts the backup copy `obj` holds on the lost `node` (if any) onto
+  // another alive node, from the verified payload when there is a `verifier`,
+  // else from the master copy; `note` and `verifier` are as for Evacuate.
+  void MoveBackupOff(CachedObject& obj, int node, const char* note, const char* verifier);
+  // Moves every copy off `node`, already marked dead, and books the recovery:
+  // each object it mastered is promoted onto an elected backup and
+  // re-replicated (dropped, and counted lost, when no backup can host it), and
+  // each backup copy it held is re-cut elsewhere. Corrupt copies met on the
+  // way are noted with `note`. `verifier` names the authority every written
+  // copy is verified against ("rsds"): the new master and fresh copies start
+  // healthy and corrupt copies left on the node are repaired. Without one,
+  // fresh copies are cut from the master copy and a corrupt promoted copy
+  // heals only from a surviving healthy replica.
+  RecoveryResult Evacuate(int node, const char* note, const char* verifier);
   // Schedules `done(status)` after `delay`.
   void Complete(SimDuration delay, const Status& status, Callback done);
   // Flight + metric bookkeeping for a detected corrupt copy and (optionally)
