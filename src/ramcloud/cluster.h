@@ -156,27 +156,6 @@ class Cluster {
   // corrupt payload is never returned.
   void Read(int client_node, const std::string& key, ReadCallback done);
 
-  // Conditional write (RAMCloud's reject rules, the primitive behind the
-  // linearizable extensions of the paper's [24]): applies only when the cached
-  // object's current version equals `expected_version` (0 = must not exist);
-  // otherwise fails with kAborted and changes nothing.
-  void ConditionalWrite(int client_node, const std::string& key, Bytes size,
-                        std::uint64_t expected_version, std::uint64_t new_version,
-                        ObjectClass object_class, bool dirty, Callback done);
-
-  // All-or-nothing multi-object commit (Sinfonia-style mini-transaction):
-  // every write's expected version is validated first; on any mismatch the
-  // whole transaction aborts without side effects.
-  struct TxWrite {
-    std::string key;
-    Bytes size = 0;
-    std::uint64_t expected_version = 0;  // 0 = the object must not exist.
-    std::uint64_t new_version = 0;
-    ObjectClass object_class = ObjectClass::kInput;
-    bool dirty = false;
-  };
-  void Commit(int client_node, std::vector<TxWrite> writes, Callback done);
-
   // ---- Coordinator queries (synchronous, control plane) ----------------------
 
   bool Contains(const std::string& key) const { return objects_.contains(key); }
@@ -184,12 +163,8 @@ class Cluster {
   Result<CachedObject> Inspect(const std::string& key) const;
   std::size_t NumObjects() const { return objects_.size(); }
 
-  // Keys mastered on `node`, unsorted (CacheAgent applies its own policy order).
-  std::vector<std::string> KeysOn(int node) const;
-
   // Bulk metadata export: a snapshot of every object mastered on `node`, with
-  // its access statistics (n_access, T_access, created_at), in the same order
-  // KeysOn yields keys. One map walk instead of KeysOn + per-key Inspect — the
+  // its access statistics (n_access, T_access, created_at), in key order. The
   // cache policy engine ranks reclamation candidates from this.
   std::vector<CachedObject> ObjectsOn(int node) const;
 
@@ -199,7 +174,6 @@ class Cluster {
   Status Remove(const std::string& key);
   // Marks the payload as persisted in the RSDS (persistor completion).
   Status MarkPersisted(const std::string& key);
-  Status SetObjectClass(const std::string& key, ObjectClass object_class);
 
   // ---- Vertical scaling --------------------------------------------------------
 
@@ -346,8 +320,6 @@ class Cluster {
     obs::Counter* read_misses = nullptr;
     obs::Counter* writes = nullptr;
     obs::Counter* write_rejects = nullptr;
-    obs::Counter* version_conflicts = nullptr;  // Conditional writes / commits aborted.
-    obs::Counter* transactions_committed = nullptr;
     obs::Counter* migrations = nullptr;
     obs::Counter* evictions = nullptr;
     obs::Counter* node_crashes = nullptr;
@@ -366,9 +338,9 @@ class Cluster {
   Rng rng_;
   std::vector<NodeStats> nodes_;
   std::vector<SegmentedLog> logs_;
-  // Ordered: CrashNode() recovery and KeysOn() iterate this map and their
-  // visit order is event-visible (log packing, eviction order), so it must be
-  // independent of hashing.
+  // Ordered: Evacuate() and ObjectsOn() iterate this map and their visit order
+  // is event-visible (log packing, eviction order), so it must be independent
+  // of hashing.
   std::map<std::string, CachedObject> objects_;
   // Candidate buffers of PlaceInLog and PickBackups, reused across calls.
   std::vector<int> place_candidates_;

@@ -266,41 +266,38 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
   const int want_backups = std::min(cluster->options().replication_factor,
                                     std::max(cluster->AliveNodes() - 1, 0));
   for (int node = 0; node < cluster->num_nodes(); ++node) {
-    for (const std::string& key : cluster->KeysOn(node)) {
-      const auto obj = cluster->Inspect(key);
-      if (!obj.ok()) {
-        continue;
-      }
-      if (obj->dirty) {
+    for (const rc::CachedObject& obj : cluster->ObjectsOn(node)) {
+      const std::string& key = obj.key;
+      if (obj.dirty) {
         violate("I2: cached object " + key + " still dirty after drain");
       }
-      if (!cluster->Alive(obj->master)) {
+      if (!cluster->Alive(obj.master)) {
         violate("I4: object " + key + " mastered on dead node " +
-                std::to_string(obj->master));
+                std::to_string(obj.master));
       }
-      std::set<int> backups(obj->backups.begin(), obj->backups.end());
-      if (backups.size() != obj->backups.size() || backups.contains(obj->master)) {
+      std::set<int> backups(obj.backups.begin(), obj.backups.end());
+      if (backups.size() != obj.backups.size() || backups.contains(obj.master)) {
         violate("I4: object " + key + " has duplicate or self-referential backups");
       }
-      for (int backup : obj->backups) {
+      for (int backup : obj.backups) {
         if (!cluster->Alive(backup)) {
           violate("I4: object " + key + " has backup on dead node " +
                   std::to_string(backup));
         }
       }
-      if (static_cast<int>(obj->backups.size()) < want_backups) {
+      if (static_cast<int>(obj.backups.size()) < want_backups) {
         violate("I4: object " + key + " under-replicated: " +
-                std::to_string(obj->backups.size()) + " < " +
+                std::to_string(obj.backups.size()) + " < " +
                 std::to_string(want_backups));
       }
-      const Checksum expected = ExpectedChecksum(key, obj->size, obj->version);
-      if (scrubbed && obj->checksum != expected) {
+      const Checksum expected = ExpectedChecksum(key, obj.size, obj.version);
+      if (scrubbed && obj.checksum != expected) {
         violate("I6: cached object " + key + " master copy still corrupt after drain");
       }
-      for (std::size_t b = 0; scrubbed && b < obj->backup_checksums.size(); ++b) {
-        if (obj->backup_checksums[b] != expected) {
+      for (std::size_t b = 0; scrubbed && b < obj.backup_checksums.size(); ++b) {
+        if (obj.backup_checksums[b] != expected) {
           violate("I6: cached object " + key + " backup copy on node " +
-                  std::to_string(obj->backups[b]) + " still corrupt after drain");
+                  std::to_string(obj.backups[b]) + " still corrupt after drain");
         }
       }
     }

@@ -424,10 +424,8 @@ TEST_P(ShadowPropertyTest, ShadowsResolveOnlyThroughPersistorRuns) {
     EXPECT_FALSE(meta->IsShadow()) << key;
   }
   for (int node = 0; node < cluster.num_nodes(); ++node) {
-    for (const std::string& key : cluster.KeysOn(node)) {
-      const auto obj = cluster.Inspect(key);
-      ASSERT_TRUE(obj.ok());
-      EXPECT_FALSE(obj->dirty) << key;
+    for (const rc::CachedObject& obj : cluster.ObjectsOn(node)) {
+      EXPECT_FALSE(obj.dirty) << obj.key;
     }
   }
   // The schedule actually exercised the fault path in at least one seed; keep

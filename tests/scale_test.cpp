@@ -169,15 +169,11 @@ TEST(ScaleTest, IntegrityHoldsThroughBitFlipStormAtScale) {
   // End-state sweep: every surviving cache copy and store object verifies.
   rc::Cluster* cluster = env.cluster();
   for (int node = 0; node < cluster->num_nodes(); ++node) {
-    for (const std::string& key : cluster->KeysOn(node)) {
-      const auto obj = cluster->Inspect(key);
-      if (!obj.ok()) {
-        continue;
-      }
-      const Checksum expected = ExpectedChecksum(key, obj->size, obj->version);
-      EXPECT_EQ(obj->checksum, expected) << "corrupt master copy survived: " << key;
-      for (const Checksum backup : obj->backup_checksums) {
-        EXPECT_EQ(backup, expected) << "corrupt backup copy survived: " << key;
+    for (const rc::CachedObject& obj : cluster->ObjectsOn(node)) {
+      const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
+      EXPECT_EQ(obj.checksum, expected) << "corrupt master copy survived: " << obj.key;
+      for (const Checksum backup : obj.backup_checksums) {
+        EXPECT_EQ(backup, expected) << "corrupt backup copy survived: " << obj.key;
       }
     }
   }
