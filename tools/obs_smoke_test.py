@@ -92,6 +92,14 @@ def check_invalid_scenario_sizes(binary, outdir):
     cases = [(arg, []) for arg in ("--workers=0", "--workers=-2", "--worker-gb=0",
                                    "--duration-min=0", "--interval-s=0",
                                    "--interval-s=-1")]
+    # Integer flags: a whole decimal number or nothing. Negatives (which
+    # `atoi` kept and `strtoull` wrapped to 2^64 - 1), text, trailing text,
+    # and a probe count or trace sampling period below 1.
+    cases += [(arg, []) for arg in ("--breaker-probes=-1", "--breaker-probes=0",
+                                    "--max-concurrency=-1", "--breaker-threshold=-2",
+                                    "--queue-limit=-1", "--pretrain=-5", "--seed=abc",
+                                    "--trace-sample=abc", "--trace-sample=0",
+                                    "--workers=4x", "--max-events=-1")]
     # Duration flags: NaN, a negative value where 0 means "off", and a scrape
     # or scrub period that truncates below 1 us (it would re-fire at one
     # instant forever, so each run gets a short timeout).

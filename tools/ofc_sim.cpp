@@ -20,9 +20,11 @@
 //   ofc_sim --fault-plan=rot.json --scrub-interval-s=5   # corruption + scrubbing
 //   ofc_sim --selfcheck-determinism              # replay twice, diff metrics
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,6 +134,24 @@ bool ParseDurationFlag(const char* flag, const std::string& value, double us_per
     std::fprintf(stderr, "%s must be at least 1 us\n", flag);
     return false;
   }
+  return true;
+}
+
+// Reads an integer flag: a whole decimal number (no sign, no trailing text)
+// from `min` to the target type's maximum. Anything else is rejected with a
+// message naming the flag.
+template <typename T>
+bool ParseIntFlag(const char* flag, const std::string& value, std::uint64_t min, T* out) {
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < min || v > max) {
+    std::fprintf(stderr, "%s must be a whole number from %llu to %llu\n", flag,
+                 static_cast<unsigned long long>(min), static_cast<unsigned long long>(max));
+    return false;
+  }
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -687,9 +707,7 @@ int Main(int argc, char** argv) {
       flags.pipelines = SplitCsv(value);
     } else if (ParseFlag(argv[i], "--arrivals", &flags.arrivals)) {
     } else if (ParseFlag(argv[i], "--duration-min", &value)) {
-      flags.duration_min = std::atoi(value.c_str());
-      if (flags.duration_min < 1) {
-        std::fprintf(stderr, "--duration-min must be >= 1\n");
+      if (!ParseIntFlag("--duration-min", value, 1, &flags.duration_min)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--interval-s", &value)) {
@@ -699,22 +717,23 @@ int Main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--workers", &value)) {
-      flags.env.platform.num_workers = std::atoi(value.c_str());
-      if (flags.env.platform.num_workers < 1) {
-        std::fprintf(stderr, "--workers must be >= 1\n");
+      if (!ParseIntFlag("--workers", value, 1, &flags.env.platform.num_workers)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--worker-gb", &value)) {
-      const int worker_gb = std::atoi(value.c_str());
-      if (worker_gb < 1) {
-        std::fprintf(stderr, "--worker-gb must be >= 1\n");
+      int worker_gb = 0;
+      if (!ParseIntFlag("--worker-gb", value, 1, &worker_gb)) {
         return 1;
       }
       flags.env.platform.worker_memory = GiB(worker_gb);
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      flags.env.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseIntFlag("--seed", value, 0, &flags.env.seed)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--pretrain", &value)) {
-      flags.pretrain = std::atoi(value.c_str());
+      if (!ParseIntFlag("--pretrain", value, 0, &flags.pretrain)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--cache-policy", &flags.env.ofc.cache_policy)) {
       const auto spec = core::ParseCachePolicySpec(flags.env.ofc.cache_policy);
       if (!spec.ok()) {
@@ -725,7 +744,9 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--metrics-csv", &flags.metrics_csv)) {
     } else if (ParseFlag(argv[i], "--trace-json", &flags.trace_json)) {
     } else if (ParseFlag(argv[i], "--trace-sample", &value)) {
-      flags.env.trace_sample = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseIntFlag("--trace-sample", value, 1, &flags.env.trace_sample)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--log-sim-time") == 0) {
       flags.log_sim_time = true;
     } else if (ParseFlag(argv[i], "--scrape-interval-s", &value)) {
@@ -751,9 +772,7 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
       flags.env.flight_capacity = obs::FlightRecorderOptions{}.capacity;
     } else if (ParseFlag(argv[i], "--flight-recorder", &value)) {
-      flags.env.flight_capacity = std::strtoull(value.c_str(), nullptr, 10);
-      if (flags.env.flight_capacity == 0) {
-        std::fprintf(stderr, "--flight-recorder=N needs N > 0\n");
+      if (!ParseIntFlag("--flight-recorder", value, 1, &flags.env.flight_capacity)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--flight-json", &flags.flight_json)) {
@@ -789,23 +808,34 @@ int Main(int argc, char** argv) {
       }
       flags.env.scrub = core::ScrubberOptions{.interval = interval};
     } else if (ParseFlag(argv[i], "--queue-limit", &value)) {
-      flags.env.platform.max_queue_depth = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseIntFlag("--queue-limit", value, 0, &flags.env.platform.max_queue_depth)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--queue-deadline-s", &value)) {
       if (!ParseDurationFlag("--queue-deadline-s", value, 1e6, 0,
                              &flags.env.platform.queue_deadline)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--max-concurrency", &value)) {
-      flags.env.platform.max_concurrency_per_function = std::atoi(value.c_str());
+      if (!ParseIntFlag("--max-concurrency", value, 0,
+                        &flags.env.platform.max_concurrency_per_function)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-threshold", &value)) {
-      flags.env.ofc.proxy.breaker_failure_threshold = std::atoi(value.c_str());
+      if (!ParseIntFlag("--breaker-threshold", value, 0,
+                        &flags.env.ofc.proxy.breaker_failure_threshold)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-open-s", &value)) {
       if (!ParseDurationFlag("--breaker-open-s", value, 1e6, 0,
                              &flags.env.ofc.proxy.breaker_open_duration)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--breaker-probes", &value)) {
-      flags.env.ofc.proxy.breaker_half_open_probes = std::atoi(value.c_str());
+      if (!ParseIntFlag("--breaker-probes", value, 1,
+                        &flags.env.ofc.proxy.breaker_half_open_probes)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-slo-ms", &value)) {
       if (!ParseDurationFlag("--breaker-slo-ms", value, 1e3, 0,
                              &flags.env.ofc.proxy.breaker_latency_slo)) {
@@ -814,9 +844,7 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       flags.progress = true;
     } else if (ParseFlag(argv[i], "--max-events", &value)) {
-      flags.max_events = std::strtoull(value.c_str(), nullptr, 10);
-      if (flags.max_events == 0) {
-        std::fprintf(stderr, "--max-events=N needs N > 0\n");
+      if (!ParseIntFlag("--max-events", value, 1, &flags.max_events)) {
         return 1;
       }
     } else if (std::strcmp(argv[i], "--selfcheck-determinism") == 0) {
