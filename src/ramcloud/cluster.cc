@@ -620,8 +620,8 @@ RecoveryResult Cluster::Evacuate(int node, const char* note, const char* verifie
 
   RecoveryResult result;
   std::vector<SimDuration> per_node_load(nodes_.size(), 0);
-  // Dropped after the walk: their backups' disk stays booked until then, so
-  // backup selection for later keys sees the same loads.
+  // Dropped after the walk, so their backups' disk stays booked while later
+  // keys pick backups.
   std::vector<std::string> to_drop;
   for (auto& [key, obj] : objects_) {
     if (obj.master != node) {
