@@ -6,7 +6,7 @@
 namespace ofc {
 
 namespace {
-LogLevel g_level = LogLevel::kWarning;
+constexpr LogLevel kLevel = LogLevel::kWarning;
 std::function<std::string()> g_prefix_hook;
 
 const char* LevelName(LogLevel level) {
@@ -26,8 +26,7 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
+LogLevel GetLogLevel() { return kLevel; }
 
 void SetLogPrefixHook(std::function<std::string()> hook) { g_prefix_hook = std::move(hook); }
 void ClearLogPrefixHook() { g_prefix_hook = nullptr; }

@@ -1,5 +1,6 @@
-// Minimal leveled logging. Off by default so simulations stay quiet; benches and
-// examples can raise the level. Not thread-safe by design: the whole simulator is
+// Minimal leveled logging. The threshold is fixed at kWarning (logging.cc) and
+// nothing changes it: warnings and errors always print to stderr, and Debug and
+// Info lines never do. Not thread-safe by design: the whole simulator is
 // single-threaded and deterministic.
 #ifndef OFC_COMMON_LOGGING_H_
 #define OFC_COMMON_LOGGING_H_
@@ -13,7 +14,6 @@ namespace ofc {
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
 
 // Global threshold; messages below it are discarded.
-void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
 // Optional prefix hook, prepended to every log line. The experiment harnesses

@@ -22,7 +22,6 @@
 #define OFC_COMMON_RECYCLING_POOL_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -44,17 +43,10 @@ class RecyclingPool {
     return std::allocate_shared<T>(Alloc<T>{state_}, std::forward<Args>(args)...);
   }
 
-  // Introspection for tests and the scale bench.
-  std::size_t free_blocks() const { return state_->free_list.size(); }
-  std::uint64_t reuses() const { return state_->reuses; }
-  std::uint64_t fresh_allocations() const { return state_->fresh; }
-
  private:
   struct State {
     std::vector<void*> free_list;
     std::size_t block_bytes = 0;  // Fixed on first n==1 allocation.
-    std::uint64_t reuses = 0;
-    std::uint64_t fresh = 0;
     ~State() {
       for (void* block : free_list) {
         ::operator delete(block);
@@ -73,6 +65,7 @@ class RecyclingPool {
     // NOLINTNEXTLINE(google-explicit-constructor): rebind conversion.
     Alloc(const Alloc<V>& other) : state(other.state) {}
 
+    // simlint: allow(unreferenced-api) -- std::allocator_traits calls it for allocate_shared
     U* allocate(std::size_t n) {
       if constexpr (alignof(U) > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
         // Over-aligned: bypass the pool (free-list blocks use default
@@ -87,15 +80,14 @@ class RecyclingPool {
           if (bytes == state->block_bytes && !state->free_list.empty()) {
             void* block = state->free_list.back();
             state->free_list.pop_back();
-            ++state->reuses;
             return static_cast<U*>(block);
           }
         }
-        ++state->fresh;
         return static_cast<U*>(::operator new(bytes));
       }
     }
 
+    // simlint: allow(unreferenced-api) -- std::allocator_traits calls it for allocate_shared
     void deallocate(U* p, std::size_t n) noexcept {
       if constexpr (alignof(U) > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
         ::operator delete(p, std::align_val_t{alignof(U)});

@@ -72,7 +72,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void Add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
   std::size_t count(std::size_t bucket) const { return counts_[bucket]; }
   std::size_t total() const { return total_; }
   double BucketLow(std::size_t bucket) const;

@@ -1,25 +1,10 @@
 #include "src/core/function_model.h"
 
-#include <sstream>
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/ml/serialization.h"
 
 namespace ofc::core {
-
-namespace {
-
-// Validates restored samples against `schema`, keeping their order.
-Result<ml::Dataset> ToDataset(const ml::Schema& schema, std::vector<ml::Instance> samples) {
-  ml::Dataset data(schema);
-  for (ml::Instance& sample : samples) {
-    OFC_RETURN_IF_ERROR(data.Add(std::move(sample)));
-  }
-  return data;
-}
-
-}  // namespace
 
 FunctionModel::FunctionModel(std::string function, std::vector<ml::Attribute> features,
                              ModelConfig config)
@@ -80,7 +65,6 @@ double FunctionModel::under_within_one_rate() const {
 }
 
 void FunctionModel::UpdateMaturity(int predicted, int truth) {
-  ++evaluated_;
   recent_evals_.emplace_back(predicted, truth);
   while (recent_evals_.size() > static_cast<std::size_t>(config_.maturity_window)) {
     recent_evals_.pop_front();
@@ -139,106 +123,6 @@ bool FunctionModel::AddSample(ml::Dataset& set, ml::Instance sample) {
     set.PopFront();
   }
   return true;
-}
-
-std::string FunctionModel::SerializeState() const {
-  std::ostringstream out;
-  out << "fnmodel 1 ";
-  ml::WriteString(out, function_);
-  out << observations_ << ' ' << evaluated_ << ' ' << (mature_ ? 1 : 0) << ' '
-      << matured_at_ << ' ' << new_samples_since_train_ << ' ';
-  out << recent_evals_.size() << ' ';
-  for (const auto& [predicted, truth] : recent_evals_) {
-    out << predicted << ' ' << truth << ' ';
-  }
-  ml::WriteJ48(out, memory_model_);
-  ml::WriteJ48(out, benefit_model_);
-  // Training sets (schema first, for instance arity).
-  ml::WriteSchema(out, memory_data_.schema());
-  ml::WriteInstances(out, memory_data_.instances());
-  ml::WriteInstances(out, benefit_data_.instances());
-  return out.str();
-}
-
-Status FunctionModel::RestoreState(const std::string& data) {
-  std::istringstream in(data);
-  std::string tag;
-  int version = 0;
-  if (!(in >> tag >> version) || tag != "fnmodel" || version != 1) {
-    return InvalidArgumentError("not a fnmodel v1 document");
-  }
-  auto name = ml::ReadString(in);
-  if (!name.ok()) {
-    return name.status();
-  }
-  if (*name != function_) {
-    return InvalidArgumentError("model document is for function " + *name);
-  }
-  int observations = 0;
-  int evaluated = 0;
-  int mature_flag = 0;
-  int matured_at = -1;
-  int pending = 0;
-  std::size_t eval_count = 0;
-  if (!(in >> observations >> evaluated >> mature_flag >> matured_at >> pending >>
-        eval_count) ||
-      eval_count > (1u << 20)) {
-    return InvalidArgumentError("truncated fnmodel counters");
-  }
-  std::deque<std::pair<int, int>> evals;
-  for (std::size_t i = 0; i < eval_count; ++i) {
-    int predicted = 0;
-    int truth = 0;
-    if (!(in >> predicted >> truth)) {
-      return InvalidArgumentError("truncated maturity window");
-    }
-    evals.emplace_back(predicted, truth);
-  }
-  auto memory_model = ml::ReadJ48(in);
-  if (!memory_model.ok()) {
-    return memory_model.status();
-  }
-  auto benefit_model = ml::ReadJ48(in);
-  if (!benefit_model.ok()) {
-    return benefit_model.status();
-  }
-  auto schema = ml::ReadSchema(in);
-  if (!schema.ok()) {
-    return schema.status();
-  }
-  if (schema->num_features() != memory_data_.schema().num_features()) {
-    return InvalidArgumentError("feature arity mismatch in model document");
-  }
-  auto memory_samples = ml::ReadInstances(in, *schema);
-  if (!memory_samples.ok()) {
-    return memory_samples.status();
-  }
-  auto benefit_samples = ml::ReadInstances(in, *schema);
-  if (!benefit_samples.ok()) {
-    return benefit_samples.status();
-  }
-  auto memory_data = ToDataset(memory_data_.schema(), std::move(*memory_samples));
-  if (!memory_data.ok()) {
-    return memory_data.status();
-  }
-  auto benefit_data = ToDataset(benefit_data_.schema(), std::move(*benefit_samples));
-  if (!benefit_data.ok()) {
-    return benefit_data.status();
-  }
-
-  observations_ = observations;
-  evaluated_ = evaluated;
-  mature_ = mature_flag == 1;
-  matured_at_ = matured_at;
-  new_samples_since_train_ = pending;
-  recent_evals_ = std::move(evals);
-  trained_ = memory_model->NumNodes() > 0;
-  benefit_trained_ = benefit_model->NumNodes() > 0;
-  memory_model_ = std::move(*memory_model);
-  benefit_model_ = std::move(*benefit_model);
-  memory_data_ = std::move(*memory_data);
-  benefit_data_ = std::move(*benefit_data);
-  return OkStatus();
 }
 
 void FunctionModel::MaybeRetrain() {

@@ -79,7 +79,6 @@ class FunctionModel {
   // ---- Introspection -----------------------------------------------------------
 
   int observations() const { return observations_; }
-  int evaluated() const { return evaluated_; }
   double eo_rate() const;
   double under_within_one_rate() const;
   std::size_t training_set_size() const { return memory_data_.size(); }
@@ -89,14 +88,6 @@ class FunctionModel {
   // The two trees as last trained (empty until the first training).
   const ml::J48& memory_model() const { return memory_model_; }
   const ml::J48& benefit_model() const { return benefit_model_; }
-
-  // ---- Persistence (models live in OWK's metadata database, §5.1) ---------------
-
-  // Full state: both trees, curated training sets, maturity counters.
-  std::string SerializeState() const;
-  // Restores a state produced by SerializeState(); schemas must match this
-  // model's function (feature arity and every restored sample are validated).
-  Status RestoreState(const std::string& data);
 
  private:
   void MaybeRetrain();
@@ -121,7 +112,6 @@ class FunctionModel {
 
   // Maturity tracking: sliding window of (predicted, truth) shadow evaluations.
   int observations_ = 0;
-  int evaluated_ = 0;
   std::deque<std::pair<int, int>> recent_evals_;
   bool mature_ = false;
   int matured_at_ = -1;

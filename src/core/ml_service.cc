@@ -33,15 +33,6 @@ double ModelRegistry::CachingBenefitConfidence(const std::string& function) cons
   return model->BenefitConfidence();
 }
 
-std::vector<const FunctionModel*> ModelRegistry::AllModels() const {
-  std::vector<const FunctionModel*> out;
-  out.reserve(models_.size());
-  for (const auto& [name, model] : models_) {
-    out.push_back(model.get());
-  }
-  return out;
-}
-
 Prediction Predictor::Predict(const workloads::FunctionSpec& spec,
                               const workloads::MediaDescriptor& media,
                               const std::vector<double>& args, Bytes booked) {

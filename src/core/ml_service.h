@@ -38,8 +38,6 @@ class ModelRegistry {
   // while the model is unknown or immature.
   double CachingBenefitConfidence(const std::string& function) const;
 
-  std::vector<const FunctionModel*> AllModels() const;
-
  private:
   ModelConfig config_;
   std::map<std::string, std::unique_ptr<FunctionModel>> models_;

@@ -164,43 +164,6 @@ int OfcSystem::PickWorkerForNewSandbox(const faas::FunctionConfig&,
   return candidates.empty() ? -1 : candidates.front();
 }
 
-void OfcSystem::PersistModels(faas::MetadataStore* store,
-                              std::function<void(Status)> done) {
-  const auto models = registry_.AllModels();
-  auto state = std::make_shared<std::pair<std::size_t, Status>>(models.size(), OkStatus());
-  if (models.empty()) {
-    done(OkStatus());
-    return;
-  }
-  for (const FunctionModel* model : models) {
-    const std::string id = "model/" + model->function();
-    // Last-writer-wins for the trainer: read the current revision, then put.
-    const auto current = store->Stat(id);
-    const std::uint64_t revision = current.ok() ? current->revision : 0;
-    store->Put(id, model->SerializeState(), revision,
-               [state, done](Result<std::uint64_t> put) {
-                 if (!put.ok()) {
-                   state->second = put.status();
-                 }
-                 if (--state->first == 0) {
-                   done(state->second);
-                 }
-               });
-  }
-}
-
-void OfcSystem::LoadModel(faas::MetadataStore* store, const workloads::FunctionSpec& spec,
-                          std::function<void(Status)> done) {
-  FunctionModel& model = registry_.GetOrCreate(spec);
-  store->Get("model/" + spec.name, [&model, done = std::move(done)](Result<faas::Document> doc) {
-    if (!doc.ok()) {
-      done(doc.status());
-      return;
-    }
-    done(model.RestoreState(doc->body));
-  });
-}
-
 void OfcSystem::OnSandboxMemoryChange(const faas::SandboxMemoryEvent& event) {
   cache_agent_.OnSandboxMemoryChange(event);
 }

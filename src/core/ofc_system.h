@@ -19,7 +19,6 @@
 #include "src/core/cache_agent.h"
 #include "src/core/ml_service.h"
 #include "src/core/proxy.h"
-#include "src/faas/metadata_store.h"
 #include "src/faas/platform.h"
 #include "src/ramcloud/cluster.h"
 #include "src/store/object_store.h"
@@ -63,25 +62,11 @@ class OfcSystem : public faas::PlatformHooks {
   faas::DataService* data_service() { return &proxy_; }
   faas::PlatformHooks* hooks() { return this; }
 
-  // ---- Model persistence (§5.1: models live in OWK's metadata database) -------
-
-  // Writes every function's model document ("model/<function>") into `store`;
-  // `done` fires once all puts acknowledged.
-  void PersistModels(faas::MetadataStore* store, std::function<void(Status)> done);
-
-  // Loads the model document for `spec` (if present) into the registry, so a
-  // restarted platform resumes with mature predictors.
-  void LoadModel(faas::MetadataStore* store, const workloads::FunctionSpec& spec,
-                 std::function<void(Status)> done);
-
   ModelRegistry& registry() { return registry_; }
   Predictor& predictor() { return predictor_; }
   ModelTrainer& trainer() { return trainer_; }
   CacheAgent& cache_agent() { return cache_agent_; }
   Proxy& proxy() { return proxy_; }
-  // The shared eviction-policy engine (fed by the Proxy's data-plane
-  // notifications, consulted by the CacheAgent's shrink/sweep paths).
-  CachePolicyEngine& policy_engine() { return *policy_engine_; }
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // ---- faas::PlatformHooks -------------------------------------------------------

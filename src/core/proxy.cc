@@ -410,7 +410,8 @@ void Proxy::JoinTransparentWrite(TransparentWrite& join) {
     // Shadow exists but the payload could not be cached: push the payload
     // directly so the RSDS converges (degenerates to a plain write).
     ++*m_.direct_writes;
-    rsds_->FinalizePayload(key, join.version, size, std::move(join.done));
+    rsds_->FinalizePayload(key, join.version, size, PayloadFingerprint(key, size),
+                           std::move(join.done));
     return;
   }
   ++*m_.cached_writes;

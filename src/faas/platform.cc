@@ -156,11 +156,6 @@ const FunctionConfig* Platform::GetFunction(const std::string& name) const {
   return it == functions_.end() ? nullptr : &it->second;
 }
 
-FunctionConfig* Platform::GetMutableFunction(const std::string& name) {
-  auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second;
-}
-
 Bytes Platform::SandboxReserved(int worker) const {
   return worker_reserved_[static_cast<std::size_t>(worker)];
 }

@@ -243,8 +243,6 @@ class Platform {
 
   Status RegisterFunction(FunctionConfig config);
   const FunctionConfig* GetFunction(const std::string& name) const;
-  // Mutable access (tenant reconfiguration, e.g. "advanced" profile updates).
-  FunctionConfig* GetMutableFunction(const std::string& name);
 
   // Invokes a single-stage function.
   void Invoke(const std::string& function, std::vector<InputObject> inputs,

@@ -103,11 +103,6 @@ class Dataset {
     return out;
   }
 
-  void Clear() {
-    instances_.clear();
-    head_ = 0;
-  }
-
  private:
   Schema schema_;
   // Live instances are instances_[head_..]. PopFront() frees a dropped

@@ -466,19 +466,6 @@ std::size_t J48::CountNodes(const Node* node) {
   return n;
 }
 
-std::size_t J48::MaxDepth(const Node* node) {
-  if (node == nullptr) {
-    return 0;
-  }
-  std::size_t deepest = 0;
-  for (const auto& child : node->children) {
-    deepest = std::max(deepest, MaxDepth(child.get()));
-  }
-  return deepest + 1;
-}
-
 std::size_t J48::NumNodes() const { return CountNodes(root_.get()); }
-
-std::size_t J48::Depth() const { return MaxDepth(root_.get()); }
 
 }  // namespace ofc::ml

@@ -44,13 +44,8 @@ class J48 : public Classifier {
   std::string Name() const override { return "J48"; }
   std::size_t NumNodes() const override;
 
-  // Depth of the learned tree (leaves have depth 1); 0 before training.
-  std::size_t Depth() const;
-
-  // Serialization (src/ml/serialization.h): models travel with the function
-  // metadata in OWK's database (§5.1).
+  // The tree dump (src/ml/serialization.h) that the J48 tree goldens hash.
   friend void WriteJ48(std::ostream& out, const J48& model);
-  friend Result<J48> ReadJ48(std::istream& in);
 
  private:
   struct Node {
@@ -83,7 +78,6 @@ class J48 : public Classifier {
   void Accumulate(const Node* node, const std::vector<double>& features, double weight,
                   std::vector<double>& dist) const;
   static std::size_t CountNodes(const Node* node);
-  static std::size_t MaxDepth(const Node* node);
 
   J48Options options_;
   std::unique_ptr<Node> root_;

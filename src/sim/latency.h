@@ -42,12 +42,10 @@ struct LatencyProfiles {
   // Metadata-only (control) operations: Swift's shadow-object persist measures
   // a constant ~11 ms (§7.2.1).
   static LatencyModel SwiftControl() { return LatencyModel{Millis(11), 0.0, 0.05}; }
-  static LatencyModel S3Control() { return LatencyModel{Millis(16), 0.0, 0.10}; }
   // Redis IMOC (ElastiCache in §2.2.3, OWK-Redis baseline in §7.2).
   static LatencyModel RedisRequest() {
     return LatencyModel{Micros(350), 1.1e9, 0.05};
   }
-  static LatencyModel RedisControl() { return LatencyModel{Micros(250), 0.0, 0.05}; }
   // RAMCloud access from the same node (loopback + in-memory copy).
   static LatencyModel RamcloudLocal() {
     return LatencyModel{Micros(120), 4.5e9, 0.03};

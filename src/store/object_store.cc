@@ -7,10 +7,6 @@
 
 namespace ofc::store {
 
-std::string MakeKey(const std::string& container, const std::string& name) {
-  return container + "/" + name;
-}
-
 ObjectStore::ObjectStore(sim::EventLoop* loop, StoreProfile profile, Rng rng,
                          std::string name, obs::MetricsRegistry* metrics)
     : loop_(loop), profile_(profile), rng_(rng), name_(std::move(name)) {
@@ -115,11 +111,6 @@ void ObjectStore::Put(const std::string& key, Bytes size, Tags tags, Callback do
 }
 
 void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_latest,
-                               Bytes size, Tags tags, Callback done) {
-  PutIfVersion(key, expected_latest, size, tags, /*fingerprint=*/0, std::move(done));
-}
-
-void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_latest,
                                Bytes size, Tags tags, Checksum fingerprint,
                                Callback done) {
   if (FailIfUnavailable("put_if_version", key, done)) {
@@ -131,7 +122,7 @@ void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_la
     // The carried fingerprint is verified before anything lands: a payload
     // damaged between the acknowledging write and this push must never be
     // installed as the authoritative copy.
-    if (fingerprint != 0 && fingerprint != PayloadFingerprint(key, size)) {
+    if (fingerprint != PayloadFingerprint(key, size)) {
       ++*m_.checksum_failures;
       done(DataLossError("put_if_version: corrupt payload push: " + key));
       return;
@@ -179,18 +170,13 @@ void ObjectStore::PutShadow(const std::string& key, Bytes pending_size, MetaCall
 }
 
 void ObjectStore::FinalizePayload(const std::string& key, ObjectVersion version, Bytes size,
-                                  Callback done) {
-  FinalizePayload(key, version, size, /*fingerprint=*/0, std::move(done));
-}
-
-void ObjectStore::FinalizePayload(const std::string& key, ObjectVersion version, Bytes size,
                                   Checksum fingerprint, Callback done) {
   if (FailIfUnavailable("finalize", key, done)) {
     return;
   }
   const SimDuration cost = WriteCost(size);
   After(cost, [this, key, version, size, fingerprint, done = std::move(done)]() {
-    if (fingerprint != 0 && fingerprint != PayloadFingerprint(key, size)) {
+    if (fingerprint != PayloadFingerprint(key, size)) {
       ++*m_.checksum_failures;
       done(DataLossError("finalize: corrupt payload push: " + key));
       return;

@@ -37,9 +37,6 @@ namespace ofc::store {
 
 using ObjectVersion = std::uint64_t;
 
-// Key = "container/object"; helpers keep call sites tidy.
-std::string MakeKey(const std::string& container, const std::string& name);
-
 // Media kind a feature tag set describes; kNone marks an object without tags.
 enum class MediaKind : std::uint8_t { kNone, kImage, kAudio, kVideo, kText };
 
@@ -144,13 +141,10 @@ class ObjectStore {
   // (0 = key absent) at the moment the write lands — otherwise the object is
   // left intact and the write fails with kAborted. The proxy's degraded
   // (shadow-less) persistor pushes through this so a stale fallback payload can
-  // never clobber a write acknowledged after the store healed.
-  void PutIfVersion(const std::string& key, ObjectVersion expected_latest, Bytes size,
-                    Tags tags, Callback done);
-  // PutIfVersion carrying the payload fingerprint the proxy stamped at write
-  // time: a fingerprint that fails verification at landing is rejected with
-  // kDataLoss instead of being installed — a conflict-safe write-back stays
-  // verifiable end to end. `fingerprint` == 0 skips the check (legacy callers).
+  // never clobber a write acknowledged after the store healed. `fingerprint`
+  // is the payload fingerprint the proxy stamped at write time: one that fails
+  // verification at landing is rejected with kDataLoss instead of being
+  // installed, so a conflict-safe write-back stays verifiable end to end.
   void PutIfVersion(const std::string& key, ObjectVersion expected_latest, Bytes size,
                     Tags tags, Checksum fingerprint, Callback done);
 
@@ -160,11 +154,9 @@ class ObjectStore {
 
   // Persistor push: installs the payload for `version`. Out-of-order pushes
   // (version <= rsds_version) return kAborted so successive updates propagate
-  // in order (§6.2). Unknown keys return kNotFound.
-  void FinalizePayload(const std::string& key, ObjectVersion version, Bytes size,
-                       Callback done);
-  // Fingerprint-carrying variant, mirroring PutIfVersion: a corrupt payload
-  // push is rejected with kDataLoss at landing and counted, never installed.
+  // in order (§6.2). Unknown keys return kNotFound. As with PutIfVersion, a
+  // push whose `fingerprint` fails verification is rejected with kDataLoss at
+  // landing and counted, never installed.
   void FinalizePayload(const std::string& key, ObjectVersion version, Bytes size,
                        Checksum fingerprint, Callback done);
 
@@ -204,7 +196,6 @@ class ObjectStore {
   // interposition handlers entirely (counted, so tests can observe the loss of
   // the consistency guarantee rather than silently missing it).
   void SetWebhooksEnabled(bool enabled) { webhooks_enabled_ = enabled; }
-  bool webhooks_enabled() const { return webhooks_enabled_; }
 
   // Bit rot (kStoreRot): flips the stored checksum of up to `flips` currently
   // healthy objects in key order (replayable). Returns how many were damaged.

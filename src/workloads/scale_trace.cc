@@ -9,20 +9,6 @@
 
 namespace ofc::workloads {
 
-const char* ScaleArrivalsName(ScaleArrivals arrivals) {
-  switch (arrivals) {
-    case ScaleArrivals::kPoisson:
-      return "poisson";
-    case ScaleArrivals::kDiurnal:
-      return "diurnal";
-    case ScaleArrivals::kBursty:
-      return "bursty";
-    case ScaleArrivals::kPeriodic:
-      return "periodic";
-  }
-  return "unknown";
-}
-
 ScaleTrace GenerateScaleTrace(const ScaleTraceOptions& options) {
   SIM_ASSERT(options.num_tenants > 0) << "; scale trace needs at least one tenant";
   SIM_ASSERT(options.duration_s > 0.0) << "; scale trace needs a positive duration";

@@ -33,8 +33,6 @@ enum class ScaleArrivals {
   kPeriodic,  // Fixed interval (cron-like timers).
 };
 
-const char* ScaleArrivalsName(ScaleArrivals arrivals);
-
 struct ScaleTraceOptions {
   std::uint64_t seed = 1;
   std::size_t num_tenants = 64;

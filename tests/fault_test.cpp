@@ -246,7 +246,8 @@ TEST_F(StoreFaultTest, OutageFailsEveryOperationWithUnavailable) {
   rsds_.Head("obj", [&](Result<store::ObjectMetadata> r) { codes.push_back(r.status().code()); });
   rsds_.PutShadow("obj", KiB(1),
                   [&](Result<store::ObjectMetadata> r) { codes.push_back(r.status().code()); });
-  rsds_.FinalizePayload("obj", 1, KiB(1), [&](Status s) { codes.push_back(s.code()); });
+  rsds_.FinalizePayload("obj", 1, KiB(1), PayloadFingerprint("obj", KiB(1)),
+                        [&](Status s) { codes.push_back(s.code()); });
   rsds_.Delete("obj", [&](Status s) { codes.push_back(s.code()); });
   loop_.Run();
   ASSERT_EQ(codes.size(), 6u);
@@ -325,7 +326,8 @@ TEST_F(StoreFaultTest, WebhookDropBypassesInterposition) {
 
 TEST_F(StoreFaultTest, PutIfVersionIsCompareAndSwap) {
   bool created = false;
-  rsds_.PutIfVersion("obj", 0, KiB(1), {}, [&](Status s) { created = s.ok(); });
+  rsds_.PutIfVersion("obj", 0, KiB(1), {}, PayloadFingerprint("obj", KiB(1)),
+                     [&](Status s) { created = s.ok(); });
   loop_.Run();
   EXPECT_TRUE(created);
   const auto meta = rsds_.Stat("obj");
@@ -334,14 +336,15 @@ TEST_F(StoreFaultTest, PutIfVersionIsCompareAndSwap) {
 
   // Stale expectation: the object advanced past "absent".
   Status stale = OkStatus();
-  rsds_.PutIfVersion("obj", 0, KiB(2), {}, [&](Status s) { stale = s; });
+  rsds_.PutIfVersion("obj", 0, KiB(2), {}, PayloadFingerprint("obj", KiB(2)),
+                     [&](Status s) { stale = s; });
   loop_.Run();
   EXPECT_EQ(stale.code(), StatusCode::kAborted);
   EXPECT_EQ(rsds_.Stat("obj")->size, KiB(1));  // Untouched.
 
   // Matching expectation swaps in the new payload.
   Status swapped = InternalError("unset");
-  rsds_.PutIfVersion("obj", meta->latest_version, KiB(2), {},
+  rsds_.PutIfVersion("obj", meta->latest_version, KiB(2), {}, PayloadFingerprint("obj", KiB(2)),
                      [&](Status s) { swapped = s; });
   loop_.Run();
   EXPECT_TRUE(swapped.ok());
@@ -351,7 +354,8 @@ TEST_F(StoreFaultTest, PutIfVersionIsCompareAndSwap) {
   // completing first (control vs payload latency) must defeat the swap.
   const store::ObjectVersion current = rsds_.Stat("obj")->latest_version;
   Status raced = OkStatus();
-  rsds_.PutIfVersion("obj", current, KiB(4), {}, [&](Status s) { raced = s; });
+  rsds_.PutIfVersion("obj", current, KiB(4), {}, PayloadFingerprint("obj", KiB(4)),
+                     [&](Status s) { raced = s; });
   rsds_.PutShadow("obj", KiB(8), [](Result<store::ObjectMetadata>) {});
   loop_.Run();
   EXPECT_EQ(raced.code(), StatusCode::kAborted);

@@ -69,7 +69,8 @@ TEST_F(StoreTest, ShadowLifecycle) {
   EXPECT_EQ(shadow->size, 0);
 
   Status fin = InternalError("unset");
-  store_.FinalizePayload("c/obj", shadow->latest_version, MiB(1), [&](Status s) { fin = s; });
+  store_.FinalizePayload("c/obj", shadow->latest_version, MiB(1),
+                         PayloadFingerprint("c/obj", MiB(1)), [&](Status s) { fin = s; });
   loop_.Run();
   EXPECT_TRUE(fin.ok());
   const auto meta = store_.Stat("c/obj");
@@ -91,12 +92,14 @@ TEST_F(StoreTest, FinalizeOutOfOrderAborts) {
 
   // Newer version lands first...
   Status fin2 = InternalError("unset");
-  store_.FinalizePayload("c/obj", v2->latest_version, KiB(20), [&](Status s) { fin2 = s; });
+  store_.FinalizePayload("c/obj", v2->latest_version, KiB(20),
+                         PayloadFingerprint("c/obj", KiB(20)), [&](Status s) { fin2 = s; });
   loop_.Run();
   EXPECT_TRUE(fin2.ok());
   // ...so the stale push must be rejected to preserve propagation order.
   Status fin1 = OkStatus();
-  store_.FinalizePayload("c/obj", v1->latest_version, KiB(10), [&](Status s) { fin1 = s; });
+  store_.FinalizePayload("c/obj", v1->latest_version, KiB(10),
+                         PayloadFingerprint("c/obj", KiB(10)), [&](Status s) { fin1 = s; });
   loop_.Run();
   EXPECT_EQ(fin1.code(), StatusCode::kAborted);
   EXPECT_EQ(store_.Stat("c/obj")->size, KiB(20));
@@ -104,7 +107,8 @@ TEST_F(StoreTest, FinalizeOutOfOrderAborts) {
 
 TEST_F(StoreTest, FinalizeUnknownKeyNotFound) {
   Status fin = OkStatus();
-  store_.FinalizePayload("c/nothing", 1, KiB(1), [&](Status s) { fin = s; });
+  store_.FinalizePayload("c/nothing", 1, KiB(1), PayloadFingerprint("c/nothing", KiB(1)),
+                         [&](Status s) { fin = s; });
   loop_.Run();
   EXPECT_EQ(fin.code(), StatusCode::kNotFound);
 }
@@ -193,7 +197,7 @@ TEST_F(StoreTest, FullWritesReplaceTagsAndPayloadPushesKeepThem) {
   EXPECT_EQ(*store_.TagsOf("c/new"), Tags{});
   Status finalized = InternalError("unset");
   store_.FinalizePayload("c/obj", shadow->latest_version, KiB(8),
-                         [&](Status s) { finalized = s; });
+                         PayloadFingerprint("c/obj", KiB(8)), [&](Status s) { finalized = s; });
   loop_.Run();
   ASSERT_TRUE(finalized.ok());
   EXPECT_EQ(*store_.TagsOf("c/obj"), audio);
@@ -202,12 +206,14 @@ TEST_F(StoreTest, FullWritesReplaceTagsAndPayloadPushesKeepThem) {
   // is refused.
   const ObjectVersion v1 = shadow->latest_version;
   Status landed = InternalError("unset");
-  store_.PutIfVersion("c/obj", v1, KiB(8), video, [&](Status s) { landed = s; });
+  store_.PutIfVersion("c/obj", v1, KiB(8), video, PayloadFingerprint("c/obj", KiB(8)),
+                      [&](Status s) { landed = s; });
   loop_.Run();
   ASSERT_TRUE(landed.ok());
   EXPECT_EQ(*store_.TagsOf("c/obj"), video);
   Status refused = InternalError("unset");
-  store_.PutIfVersion("c/obj", v1, KiB(8), image, [&](Status s) { refused = s; });
+  store_.PutIfVersion("c/obj", v1, KiB(8), image, PayloadFingerprint("c/obj", KiB(8)),
+                      [&](Status s) { refused = s; });
   loop_.Run();
   EXPECT_EQ(refused.code(), StatusCode::kAborted);
   EXPECT_EQ(*store_.TagsOf("c/obj"), video);

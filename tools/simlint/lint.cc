@@ -53,7 +53,7 @@ class Analyzer {
  public:
   Analyzer(const std::string& file_label, std::string_view content,
            const LintOptions& options)
-      : file_(file_label), options_(options), lexed_(Lex(content)) {
+      : file_(file_label), options_(options), content_(content), lexed_(Lex(content)) {
     in_src_ = StartsWith(file_, "src/");
     rng_exempt_ = std::any_of(
         options_.rng_exempt_suffixes.begin(), options_.rng_exempt_suffixes.end(),
@@ -70,6 +70,7 @@ class Analyzer {
     DanglingCapture();
     DcheckSideEffect();
     IncludesAndMetrics();
+    DeclarationsAndReferences();
     std::sort(out_.findings.begin(), out_.findings.end(),
               [](const Finding& a, const Finding& b) {
                 if (a.line != b.line) {
@@ -726,8 +727,135 @@ class Analyzer {
     }
   }
 
+  // ---- unreferenced-api (per-file half) --------------------------------------
+
+  // First token of the qualified name ending at identifier `i`: `a::b<T>::f`
+  // starts at `a`, `::a::f` at its leading `::`.
+  std::size_t QualifiedStart(std::size_t i) const {
+    while (i >= 2 && IsPunct(i - 1, "::")) {
+      std::size_t k = i - 2;
+      for (int depth = 0; IsPunct(k, ">") || depth > 0; --k) {  // Skip `<...>`.
+        depth += IsPunct(k, ">") ? 1 : IsPunct(k, "<") ? -1 : 0;
+        if (k == 0) {
+          return i;
+        }
+      }
+      if (Tok(k).kind != TokKind::kIdentifier) {
+        return i - 1;
+      }
+      i = k;
+    }
+    return i;
+  }
+
+  // Keywords that never end a declaration's type, so the name after them is
+  // not a declared function (fundamental types such as `int` do end one).
+  static bool IsKeyword(const std::string& text) {
+    static const std::set<std::string> kKeywords = {
+        "alignas",  "alignof",   "and",       "case",         "class",     "co_await",
+        "co_return", "co_yield", "concept",   "const",        "consteval", "constexpr",
+        "constinit", "decltype", "default",   "delete",       "do",        "else",
+        "enum",     "explicit",  "extern",    "for",          "friend",    "goto",
+        "if",       "inline",    "mutable",   "namespace",    "new",       "noexcept",
+        "not",      "operator",  "or",        "private",      "protected", "public",
+        "requires", "return",    "sizeof",    "static",       "static_assert",
+        "struct",   "switch",    "template",  "throw",        "typedef",   "typeid",
+        "typename", "union",     "using",     "virtual",      "volatile",  "while"};
+    return kKeywords.contains(text);
+  }
+
+  // True when the token before `start` ends a type (`int`, `Foo`, `>`, `*`,
+  // `&`), i.e. the name at `start` is being declared rather than called.
+  bool TypeEndsBefore(std::size_t start) const {
+    if (start == 0) {
+      return false;
+    }
+    const Token& prev = Tok(start - 1);
+    if (prev.kind == TokKind::kPunct) {
+      return prev.text == ">" || prev.text == "*" || prev.text == "&" || prev.text == "&&";
+    }
+    return prev.kind == TokKind::kIdentifier && !IsKeyword(prev.text);
+  }
+
+  // True when the '{' at `open` opens a namespace or class body, false for a
+  // block (function body, lambda, initializer or statement).
+  bool OpensDeclarationScope(std::size_t open) const {
+    for (std::size_t k = open; k > 0; --k) {
+      const Token& t = Tok(k - 1);
+      if (t.kind == TokKind::kPunct &&
+          (t.text == ";" || t.text == "{" || t.text == "}" || t.text == ")" || t.text == "=")) {
+        return false;
+      }
+      if (t.kind == TokKind::kIdentifier &&
+          (t.text == "namespace" || t.text == "class" || t.text == "struct" ||
+           t.text == "union" || t.text == "enum")) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Records the functions declared at namespace or class scope, and counts
+  // every other identifier as a reference. A name directly after a type and
+  // before '(' is a declaration or definition (`Status Put(`, `void
+  // Proxy::Read(`), not a use; constructors, destructors and operators have
+  // no type there (a template constructor does, but its class name is used
+  // by the class head itself). Preprocessor directives are all references: a
+  // macro body is where `OFC_LOG` calls `GetLogLevel`.
+  void DeclarationsAndReferences() {
+    std::set<int> spliced;  // Physical lines ending in a backslash-newline.
+    int line = 1;
+    for (std::size_t p = 0; p < content_.size(); ++p) {
+      if (content_[p] == '\\' &&
+          (content_.substr(p + 1, 1) == "\n" || content_.substr(p + 1, 2) == "\r\n")) {
+        spliced.insert(line);
+      } else if (content_[p] == '\n') {
+        ++line;
+      }
+    }
+    const bool src_header = in_src_ && EndsWith(file_, ".h");
+    std::vector<bool> declaration_scopes = {true};
+    int directive_end = 0;  // Last physical line of the current directive.
+    for (std::size_t i = 0; i < Size(); ++i) {
+      const Token& t = Tok(i);
+      if (IsPunct(i, "#") && (i == 0 || Tok(i - 1).line < t.line)) {
+        directive_end = t.line;
+        while (spliced.contains(directive_end)) {
+          ++directive_end;
+        }
+      }
+      if (t.line > directive_end) {
+        if (IsPunct(i, "{")) {
+          declaration_scopes.push_back(OpensDeclarationScope(i));
+          continue;
+        }
+        if (IsPunct(i, "}")) {
+          if (declaration_scopes.size() > 1) {
+            declaration_scopes.pop_back();
+          }
+          continue;
+        }
+      }
+      if (t.kind != TokKind::kIdentifier) {
+        continue;
+      }
+      if (t.line > directive_end && declaration_scopes.back() && IsPunct(i + 1, "(") &&
+          !IsKeyword(t.text)) {
+        const std::size_t start = QualifiedStart(i);
+        if (TypeEndsBefore(start)) {
+          if (src_header && start == i) {
+            out_.function_decls.push_back({t.text, t.line});
+          }
+          continue;
+        }
+      }
+      ++out_.references[t.text];
+    }
+  }
+
   std::string file_;
   const LintOptions& options_;
+  std::string_view content_;
   LexResult lexed_;
   FileAnalysis out_;
   bool in_src_ = false;

@@ -98,6 +98,13 @@ struct IterationSite {
   int line = 0;
 };
 
+// A function a file declares at namespace or class scope (constructors,
+// destructors and operators excluded): the unreferenced-api rule's subjects.
+struct FunctionDecl {
+  std::string name;
+  int line = 0;
+};
+
 // Inline-suppression state for one file, exported so project-level rules can
 // honor the same `simlint: allow(...)` syntax.
 struct SuppressionMap {
@@ -122,6 +129,12 @@ struct FileAnalysis {
   // (exported for the cross-file unordered-iter pass).
   std::vector<std::string> unordered_members;
   std::vector<IterationSite> iteration_sites;
+  // unreferenced-api (per-file half): the functions this file declares, and
+  // each identifier's uses here outside the names of declared or defined
+  // functions. Comments and string literals are not tokens, so never count;
+  // macro bodies do.
+  std::vector<FunctionDecl> function_decls;
+  std::map<std::string, int> references;
   SuppressionMap suppressions;
 };
 

@@ -216,13 +216,24 @@ ProjectResult AnalyzeProject(const std::vector<SourceFile>& files,
 
   std::map<std::string, FileAnalysis> analyses;
   std::map<std::string, std::vector<std::string>> file_lines;
+  std::map<std::string, int> references;  // Identifier uses in every file read.
+  std::set<std::string> top_dirs;
   for (const SourceFile* f : sorted) {
-    analyses[f->path] = AnalyzeSource(f->path, f->content, options.lint);
-    file_lines[f->path] = SplitLines(f->content);
-    for (Finding& finding : analyses[f->path].findings) {
+    FileAnalysis analysis = AnalyzeSource(f->path, f->content, options.lint);
+    for (const auto& [name, count] : analysis.references) {
+      references[name] += count;
+    }
+    if (f->path.rfind(std::string(kReferenceOnlyDir) + "/", 0) == 0) {
+      continue;
+    }
+    top_dirs.insert(f->path.substr(0, f->path.find('/')));
+    for (Finding& finding : analysis.findings) {
       result.findings.push_back(std::move(finding));
     }
+    analyses[f->path] = std::move(analysis);
+    file_lines[f->path] = SplitLines(f->content);
   }
+  std::erase_if(sorted, [&](const SourceFile* f) { return !analyses.contains(f->path); });
 
   if (options.project_rules) {
     // ---- layer-cycle: DAG conformance ---------------------------------------
@@ -459,6 +470,30 @@ ProjectResult AnalyzeProject(const std::vector<SourceFile>& files,
                "iteration over unordered container '" + site.target +
                    "' (declared in this file or an included header) reaches "
                    "event-visible state; use std::map or a sorted vector",
+               "", false});
+        }
+      }
+    }
+  }
+
+  // ---- unreferenced-api ------------------------------------------------------
+  // Only a scan of every linted directory sees all the callers; on a partial
+  // scan every function whose callers were left out would be flagged.
+  const bool whole_tree = std::all_of(kTreeDirs.begin(), kTreeDirs.end(),
+                                      [&](std::string_view dir) {
+                                        return top_dirs.contains(std::string(dir));
+                                      });
+  if (options.project_rules && whole_tree) {
+    for (const SourceFile* f : sorted) {
+      const FileAnalysis& analysis = analyses[f->path];
+      for (const FunctionDecl& decl : analysis.function_decls) {
+        if (!references.contains(decl.name) &&
+            !analysis.suppressions.IsSuppressed(decl.line, "unreferenced-api")) {
+          result.findings.push_back(
+              {f->path, decl.line, "unreferenced-api",
+               "'" + decl.name +
+                   "' is declared in a src/ header but nothing in the tree names it "
+                   "outside its declarations and definitions; delete it",
                "", false});
         }
       }

@@ -26,6 +26,12 @@
 //                      event-visible state, over a name declared as a
 //                      std::unordered_* member in this file or a directly
 //                      included header.
+//   unreferenced-api   a function declared in a src/ header (free or member;
+//                      not a constructor, destructor or operator) whose name
+//                      no identifier token in the scanned tree uses outside
+//                      function declarations and definitions. Tests, macro
+//                      bodies and perfbench/ count; comments and strings do
+//                      not. Runs only on a whole-tree scan (kTreeDirs).
 //
 // Stable finding ids: `<rule>-<fnv64 hex>` hashed over (rule, file,
 // whitespace-normalized text of the flagged line, ordinal among identical
@@ -40,6 +46,7 @@
 #ifndef OFC_TOOLS_SIMLINT_PROJECT_H_
 #define OFC_TOOLS_SIMLINT_PROJECT_H_
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +54,14 @@
 #include "tools/simlint/lint.h"
 
 namespace ofc::simlint {
+
+// The top-level directories a whole-tree scan (simlint's default) lints.
+// unreferenced-api runs only when the scanned files cover all of them.
+inline constexpr std::array<std::string_view, 5> kTreeDirs = {"src", "bench", "tests",
+                                                              "tools", "examples"};
+// Read for unreferenced-api's references and never linted: the benchmark
+// calls the simulator's API, and only a benchmark-only change may edit it.
+inline constexpr std::string_view kReferenceOnlyDir = "perfbench";
 
 struct SourceFile {
   std::string path;     // Root-relative, '/'-separated (used in findings).

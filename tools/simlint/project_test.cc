@@ -258,6 +258,92 @@ TEST(ProjectTest, SinklessIterationOverIncludedMemberIsClean) {
   EXPECT_TRUE(FindingsFor(result, "unordered-iter").empty());
 }
 
+// ---- unreferenced-api --------------------------------------------------------
+
+// The rule runs only when the scan covers every directory a whole-tree scan
+// lints; these empty files complete a test's tree.
+std::vector<SourceFile> WholeTree(std::vector<SourceFile> files) {
+  for (std::string_view dir : kTreeDirs) {
+    files.push_back({std::string(dir) + "/placeholder.cc", ""});
+  }
+  return files;
+}
+
+const SourceFile kApiHeader = {"src/core/api.h",
+                               "namespace ofc {\n"
+                               "class Api {\n"
+                               " public:\n"
+                               "  Api();\n"
+                               "  ~Api();\n"
+                               "  bool operator==(const Api& other) const;\n"
+                               "  int Called() const;\n"
+                               "  int Uncalled() const;\n"
+                               "  // simlint: allow(unreferenced-api) -- a library template calls it\n"
+                               "  int Hook() const;\n"
+                               "};\n"
+                               "}  // namespace ofc\n"};
+const SourceFile kApiSource = {"src/core/api.cc",
+                               "#include \"src/core/api.h\"\n"
+                               "namespace ofc {\n"
+                               "Api::Api() {}\n"
+                               "Api::~Api() {}\n"
+                               "bool Api::operator==(const Api&) const { return true; }\n"
+                               "int Api::Called() const { return 1; }\n"
+                               "int Api::Uncalled() const { return 2; }\n"
+                               "int Api::Hook() const { return 3; }\n"
+                               "}  // namespace ofc\n"};
+
+TEST(ProjectTest, UncalledFunctionIsOneFindingAndACalledOneIsClean) {
+  const std::vector<SourceFile> files = WholeTree(
+      {kApiHeader, kApiSource,
+       {"src/core/user.cc", "int Use(const ofc::Api& api) { return api.Called(); }\n"}});
+  const auto findings = FindingsFor(AnalyzeProject(files, NoDesign()), "unreferenced-api");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/core/api.h");
+  EXPECT_EQ(findings[0].line, 8);
+  EXPECT_NE(findings[0].message.find("'Uncalled'"), std::string::npos);
+}
+
+TEST(ProjectTest, NameOnlyInACommentOrStringIsAFinding) {
+  const std::vector<SourceFile> files = WholeTree(
+      {kApiHeader, kApiSource,
+       {"src/core/user.cc",
+        "// Uncalled() is for later.\n"
+        "const char* kName = \"Uncalled\";\n"
+        "int Use(const ofc::Api& api) { return api.Called(); }\n"}});
+  const auto findings = FindingsFor(AnalyzeProject(files, NoDesign()), "unreferenced-api");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("'Uncalled'"), std::string::npos);
+}
+
+TEST(ProjectTest, CallsFromTestsPerfbenchAndMacroBodiesCount) {
+  // `2 * Called(` would read as a declaration outside the directive.
+  const SourceFile macro = {"src/core/macros.h", "#define OFC_TWICE(x) \\\n  2 * Called(x)\n"};
+  const SourceFile test = {"tests/api_test.cc",
+                           "int T(const ofc::Api& api) { return api.Uncalled(); }\n"};
+  // Never linted: its wall-clock read is not reported.
+  const SourceFile bench = {"perfbench/main.cc",
+                            "auto t = std::chrono::steady_clock::now();\n"
+                            "int B(const ofc::Api& api) { return api.Uncalled(); }\n"};
+  const auto unreferenced = [](std::vector<SourceFile> files) {
+    return FindingsFor(AnalyzeProject(WholeTree(std::move(files)), NoDesign()),
+                       "unreferenced-api");
+  };
+  const auto all = AnalyzeProject(WholeTree({kApiHeader, kApiSource, macro, test, bench}),
+                                  NoDesign());
+  EXPECT_TRUE(all.findings.empty()) << all.findings.front().message;
+  EXPECT_TRUE(unreferenced({kApiHeader, kApiSource, macro, test}).empty());
+  EXPECT_TRUE(unreferenced({kApiHeader, kApiSource, macro, bench}).empty());
+  EXPECT_EQ(unreferenced({kApiHeader, kApiSource, test}).size(), 1u);
+}
+
+TEST(ProjectTest, PartialScanDoesNotRunUnreferencedApi) {
+  const std::vector<SourceFile> files = {kApiHeader, kApiSource};
+  EXPECT_TRUE(FindingsFor(AnalyzeProject(files, NoDesign()), "unreferenced-api").empty());
+  EXPECT_EQ(FindingsFor(AnalyzeProject(WholeTree(files), NoDesign()), "unreferenced-api").size(),
+            2u);
+}
+
 // ---- Stable ids --------------------------------------------------------------
 
 TEST(ProjectTest, FindingIdsAreStableAcrossUnrelatedEdits) {

@@ -3,9 +3,10 @@
 // Usage:
 //   simlint --root <repo-root> [subdir...] [flags]
 //
-// Default subdirs: src bench tests tools examples. Fixture files under
-// tools/simlint/testdata/ are always skipped (they exist to violate the
-// rules).
+// Default subdirs: src bench tests tools examples, plus perfbench, which is
+// read only for unreferenced-api's references and never linted. Fixture
+// files under tools/simlint/testdata/ are always skipped (they exist to
+// violate the rules).
 //
 // Flags:
 //   --json[=PATH]        Machine-readable findings (stdout when no PATH);
@@ -87,7 +88,10 @@ int Run(const Args& args) {
 
   std::vector<std::string> subdirs = args.subdirs;
   if (subdirs.empty()) {
-    subdirs = {"src", "bench", "tests", "tools", "examples"};
+    subdirs.assign(kTreeDirs.begin(), kTreeDirs.end());
+    if (fs::exists(fs::path(args.root) / kReferenceOnlyDir)) {
+      subdirs.emplace_back(kReferenceOnlyDir);
+    }
   }
 
   // Collect-then-sort: directory_iterator order is filesystem-dependent and
