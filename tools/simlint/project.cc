@@ -223,10 +223,11 @@ ProjectResult AnalyzeProject(const std::vector<SourceFile>& files,
     for (const auto& [name, count] : analysis.references) {
       references[name] += count;
     }
-    if (f->path.rfind(std::string(kReferenceOnlyDir) + "/", 0) == 0) {
+    const std::string top_dir = f->path.substr(0, f->path.find('/'));
+    if (top_dir == kReferenceOnlyDir) {
       continue;
     }
-    top_dirs.insert(f->path.substr(0, f->path.find('/')));
+    top_dirs.insert(top_dir);
     for (Finding& finding : analysis.findings) {
       result.findings.push_back(std::move(finding));
     }
