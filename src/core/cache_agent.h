@@ -32,7 +32,6 @@
 #define OFC_CORE_CACHE_AGENT_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -46,6 +45,7 @@
 #include "src/obs/metrics.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_function.h"
 
 namespace ofc::core {
 
@@ -88,8 +88,8 @@ class CacheAgent {
  public:
   // Write-back trigger: asks the Proxy's persistor machinery to push a dirty
   // object to the RSDS; the completion callback reports the outcome.
-  using WritebackFn =
-      std::function<void(const std::string& key, std::function<void(Status)> done)>;
+  using WritebackDone = sim::InlineFunction<void(Status)>;
+  using WritebackFn = sim::InlineFunction<void(const std::string& key, WritebackDone done)>;
 
   CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOptions options);
 

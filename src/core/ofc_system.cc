@@ -82,7 +82,7 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
                         policy_engine_.get())) {
   m_.good_predictions = metrics_->GetCounter("ofc.predictor.good_predictions");
   m_.bad_predictions = metrics_->GetCounter("ofc.predictor.bad_predictions");
-  cache_agent_.set_writeback([this](const std::string& key, std::function<void(Status)> done) {
+  cache_agent_.set_writeback([this](const std::string& key, CacheAgent::WritebackDone done) {
     proxy_.Writeback(key, std::move(done));
   });
   // Memory-pressure backpressure: while a worker's cache is shrinking under

@@ -19,7 +19,12 @@ double CacheHitRatio(const obs::MetricsRegistry& metrics) {
 
 Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsds,
              ProxyOptions options)
-    : loop_(loop), cluster_(cluster), rsds_(rsds), options_(options) {
+    : loop_(loop),
+      cluster_(cluster),
+      rsds_(rsds),
+      options_(options),
+      deferred_status_(loop),
+      deferred_reads_(loop) {
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -109,110 +114,129 @@ Proxy::FnMetrics& Proxy::FnMetricsForCtx(const faas::InvocationContext& ctx) {
 }
 
 void Proxy::InstallWebhooks() {
-  rsds_->set_read_webhook([this](const std::string& key, std::function<void()> resume) {
+  rsds_->set_read_webhook([this](const std::string& key, store::ObjectStore::Resume resume) {
     HandleExternalRead(key, std::move(resume));
   });
-  rsds_->set_write_webhook([this](const std::string& key, std::function<void()> resume) {
+  rsds_->set_write_webhook([this](const std::string& key, store::ObjectStore::Resume resume) {
     HandleExternalWrite(key, std::move(resume));
   });
 }
 
 void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
                  std::function<void(Result<Bytes>)> done) {
-  if (BreakerBypasses()) {
+  ReadOp& op = *reads_.Acquire();
+  op.key = key;
+  op.done = std::move(done);
+  op.bypass = BreakerBypasses();
+  if (op.bypass) {
     // Open breaker: the cache path is sick; go straight to the RSDS exactly
     // like the no-cache baseline (no admission either — nothing may touch the
     // cluster until probes succeed).
     ++*m_.breaker_bypassed_reads;
-    const SimTime read_deadline = loop_->now() + options_.rsds_deadline;
-    GetWithRetry(key, read_deadline, /*attempt=*/0,
-                 [done = std::move(done)](Result<store::ObjectMetadata> meta) {
-                   if (!meta.ok()) {
-                     done(meta.status());
-                     return;
-                   }
-                   done(meta->size);
-                 });
+    StartRsdsRead(op);
     return;
   }
-  const SimTime issued = loop_->now();
+  op.ctx = ctx;
+  op.issued = loop_->now();
   CacheRead(ctx.worker, key,
-            [this, ctx, key, issued, done = std::move(done)](Result<rc::ReadHit> hit) {
-    FnMetrics& fn = FnMetricsForCtx(ctx);
-    if (hit.ok()) {
-      // A hit slower than the latency SLO counts against the breaker even
-      // though it is served — a crawling cache is a sick cache.
-      const SimDuration elapsed = loop_->now() - issued;
-      BreakerReport(options_.breaker_latency_slo == 0 ||
-                    elapsed <= options_.breaker_latency_slo);
-      ++*m_.cache_hits;
-      ++*fn.hits;
-      PolicyAccess(key, hit->size, ctx.function);
-      if (hit->checksum != ExpectedChecksum(key, hit->size, hit->version)) {
-        // I6 tripwire: the cluster's self-healing read must never surface a
-        // corrupt payload. Counted (the chaos audit asserts zero), not fatal.
-        ++*m_.corrupt_acked;
-      }
-      emit_.Emit({.kind = FlightEventKind::kCacheHit, .time = loop_->now(),
-                  .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
-      done(hit->size);
+            [this, op = &op](Result<rc::ReadHit> hit) { OnCacheRead(*op, std::move(hit)); });
+}
+
+void Proxy::OnCacheRead(ReadOp& op, Result<rc::ReadHit> hit) {
+  const faas::InvocationContext& ctx = op.ctx;
+  FnMetrics& fn = FnMetricsForCtx(ctx);
+  if (hit.ok()) {
+    // A hit slower than the latency SLO counts against the breaker even
+    // though it is served — a crawling cache is a sick cache.
+    const SimDuration elapsed = loop_->now() - op.issued;
+    BreakerReport(options_.breaker_latency_slo == 0 || elapsed <= options_.breaker_latency_slo);
+    ++*m_.cache_hits;
+    ++*fn.hits;
+    PolicyAccess(op.key, hit->size, ctx.function);
+    if (hit->checksum != ExpectedChecksum(op.key, hit->size, hit->version)) {
+      // I6 tripwire: the cluster's self-healing read must never surface a
+      // corrupt payload. Counted (the chaos audit asserts zero), not fatal.
+      ++*m_.corrupt_acked;
+    }
+    emit_.Emit({.kind = FlightEventKind::kCacheHit, .time = loop_->now(),
+                .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = op.key});
+    FinishRead(op, hit->size);
+    return;
+  }
+  const bool data_loss = hit.status().code() == StatusCode::kDataLoss;
+  if (data_loss) {
+    // Every cache copy was corrupt: the cluster dropped the object and this
+    // read falls through to the RSDS below, re-admitting a good copy. The
+    // detection is the integrity machinery working, not a sick cache path,
+    // so the breaker sees it as a plain miss.
+    ++*m_.reread_from_rsds;
+  }
+  // A plain miss is a healthy cache answering "not here"; any other error
+  // (injected fault, cluster trouble) is a cache-path failure.
+  BreakerReport(data_loss || hit.status().code() == StatusCode::kNotFound);
+  ++*m_.cache_misses;
+  ++*fn.misses;
+  emit_.Emit({.kind = FlightEventKind::kCacheMiss, .time = loop_->now(),
+              .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = op.key});
+  // Miss: fetch from the RSDS (with bounded kUnavailable retries), then admit
+  // off the critical path.
+  StartRsdsRead(op);
+}
+
+void Proxy::StartRsdsRead(ReadOp& op) {
+  op.deadline = loop_->now() + options_.rsds_deadline;
+  op.attempt = 0;
+  GetWithRetry(op);
+}
+
+void Proxy::OnRsdsRead(ReadOp& op, Result<store::ObjectMetadata> meta) {
+  if (!meta.ok()) {
+    FinishRead(op, meta.status());
+    return;
+  }
+  const Bytes size = meta->size;
+  // Shadow objects are not admitted: the RSDS payload just read is the
+  // *previous* version, and caching it as current would serve stale data
+  // after the in-flight persistor lands.
+  const faas::InvocationContext& ctx = op.ctx;
+  if (!op.bypass && ctx.should_cache && !meta->IsShadow() && size > 0 &&
+      size <= options_.max_cacheable_size) {
+    if (admission_gate_ && !admission_gate_(ctx.worker)) {
+      // Memory pressure on this worker: shrink is reclaiming the cache, so
+      // admitting would only force more eviction work. Defer (skip); the
+      // object stays fetchable from the RSDS.
+      ++*m_.admission_deferred;
+    } else {
+      op.size = size;
+      CacheWrite(ctx.worker, op.key, size, meta->rsds_version, rc::ObjectClass::kInput,
+                 /*dirty=*/false, [this, op = &op](Status status) { OnAdmitted(*op, status); });
+      // The function proceeds without waiting for the admission, whose
+      // completion releases the record.
+      ReadDone done = std::move(op.done);
+      done(size);
       return;
     }
-    const bool data_loss = hit.status().code() == StatusCode::kDataLoss;
-    if (data_loss) {
-      // Every cache copy was corrupt: the cluster dropped the object and this
-      // read falls through to the RSDS below, re-admitting a good copy. The
-      // detection is the integrity machinery working, not a sick cache path,
-      // so the breaker sees it as a plain miss.
-      ++*m_.reread_from_rsds;
-    }
-    // A plain miss is a healthy cache answering "not here"; any other error
-    // (injected fault, cluster trouble) is a cache-path failure.
-    BreakerReport(data_loss || hit.status().code() == StatusCode::kNotFound);
-    ++*m_.cache_misses;
-    ++*fn.misses;
-    emit_.Emit({.kind = FlightEventKind::kCacheMiss, .time = loop_->now(),
-                .invocation = ctx.invocation_id, .worker = ctx.worker, .subject = key});
-    // Miss: fetch from the RSDS (with bounded kUnavailable retries), then admit
-    // off the critical path.
-    const SimTime read_deadline = loop_->now() + options_.rsds_deadline;
-    GetWithRetry(key, read_deadline, /*attempt=*/0,
-                 [this, ctx, key, done = std::move(done)](
-                        Result<store::ObjectMetadata> meta) {
-      if (!meta.ok()) {
-        done(meta.status());
-        return;
-      }
-      const Bytes size = meta->size;
-      const store::ObjectVersion version = meta->rsds_version;
-      // Shadow objects are not admitted: the RSDS payload just read is the
-      // *previous* version, and caching it as current would serve stale data
-      // after the in-flight persistor lands.
-      if (ctx.should_cache && !meta->IsShadow() && size > 0 &&
-          size <= options_.max_cacheable_size) {
-        if (admission_gate_ != nullptr && !admission_gate_(ctx.worker)) {
-          // Memory pressure on this worker: shrink is reclaiming the cache, so
-          // admitting would only force more eviction work. Defer (skip); the
-          // object stays fetchable from the RSDS.
-          ++*m_.admission_deferred;
-        } else {
-          CacheWrite(ctx.worker, key, size, version, rc::ObjectClass::kInput,
-                     /*dirty=*/false, [this, ctx, key, size](Status status) {
-                       if (status.ok()) {
-                         ++*m_.admissions;
-                         PolicyAdmit(key, size, ctx.function);
-                         emit_.Emit({.kind = FlightEventKind::kCacheAdmit, .time = loop_->now(),
-                                     .invocation = ctx.invocation_id, .worker = ctx.worker,
-                                     .subject = key});
-                       } else {
-                         ++*m_.admission_failures;
-                       }
-                     });
-        }
-      }
-      done(size);  // The function proceeds without waiting for the admission.
-    });
-  });
+  }
+  FinishRead(op, size);
+}
+
+void Proxy::OnAdmitted(ReadOp& op, const Status& status) {
+  if (status.ok()) {
+    ++*m_.admissions;
+    PolicyAdmit(op.key, op.size, op.ctx.function);
+    emit_.Emit({.kind = FlightEventKind::kCacheAdmit, .time = loop_->now(),
+                .invocation = op.ctx.invocation_id, .worker = op.ctx.worker,
+                .subject = op.key});
+  } else {
+    ++*m_.admission_failures;
+  }
+  reads_.Release(&op);
+}
+
+void Proxy::FinishRead(ReadOp& op, Result<Bytes> result) {
+  ReadDone done = std::move(op.done);
+  reads_.Release(&op);
+  done(std::move(result));
 }
 
 SimDuration Proxy::Backoff(SimDuration base, int attempt) const {
@@ -224,34 +248,55 @@ SimDuration Proxy::Backoff(SimDuration base, int attempt) const {
   return backoff < kCap ? backoff : kCap;
 }
 
-void Proxy::GetWithRetry(const std::string& key, SimTime deadline, int attempt,
-                         store::ObjectStore::MetaCallback done) {
-  rsds_->Get(key, [this, key, deadline, attempt, done = std::move(done)](
-                      Result<store::ObjectMetadata> meta) mutable {
+void Proxy::GetWithRetry(ReadOp& op) {
+  rsds_->Get(op.key, [this, op = &op](Result<store::ObjectMetadata> meta) {
     if (meta.ok() || meta.status().code() != StatusCode::kUnavailable) {
-      done(std::move(meta));
+      OnRsdsRead(*op, std::move(meta));
       return;
     }
-    const SimDuration backoff = Backoff(options_.rsds_retry_backoff, attempt);
-    if (attempt + 1 > options_.rsds_max_retries || loop_->now() + backoff > deadline) {
-      if (attempt == 0) {
+    const SimDuration backoff = Backoff(options_.rsds_retry_backoff, op->attempt);
+    if (op->attempt + 1 > options_.rsds_max_retries || loop_->now() + backoff > op->deadline) {
+      if (op->attempt == 0) {
         // No retry was ever attempted (retries disabled, or the first backoff
         // already overshoots the deadline): the store's own kUnavailable is
         // the truth — callers distinguish it from a spent retry budget.
-        done(std::move(meta));
+        OnRsdsRead(*op, std::move(meta));
         return;
       }
       ++*m_.read_deadlines;
-      done(DeadlineExceededError("rsds read retry budget exhausted: " + key));
+      OnRsdsRead(*op, DeadlineExceededError("rsds read retry budget exhausted: " + op->key));
       return;
     }
     ++*m_.rsds_retries;
-    emit_.Emit({.kind = FlightEventKind::kRsdsReadRetry, .time = loop_->now(), .subject = key});
-    loop_->ScheduleAfter(backoff,
-                         [this, key, deadline, attempt, done = std::move(done)]() mutable {
-                           GetWithRetry(key, deadline, attempt + 1, std::move(done));
-                         });
+    emit_.Emit(
+        {.kind = FlightEventKind::kRsdsReadRetry, .time = loop_->now(), .subject = op->key});
+    ++op->attempt;
+    loop_->ScheduleAfter(backoff, [this, op] { GetWithRetry(*op); });
   });
+}
+
+Proxy::WriteOp& Proxy::NewWrite(const faas::InvocationContext& ctx, const std::string& key,
+                                Bytes size, const workloads::MediaDescriptor& media,
+                                WriteDone done) {
+  WriteOp& op = *writes_.Acquire();
+  op.ctx = ctx;
+  op.key = key;
+  op.size = size;
+  op.tags = faas::MediaToTags(media);
+  op.done = std::move(done);
+  return op;
+}
+
+void Proxy::WriteThrough(WriteOp& op) {
+  ++*m_.direct_writes;
+  rsds_->Put(op.key, op.size, op.tags, std::move(op.done));
+  writes_.Release(&op);
+}
+
+void Proxy::FinishWrite(WriteOp& op, Status status) {
+  WriteDone done = std::move(op.done);
+  writes_.Release(&op);
+  done(std::move(status));
 }
 
 void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, Bytes size,
@@ -276,27 +321,26 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
     return;
   }
 
+  WriteOp& op = NewWrite(ctx, key, size, media, std::move(done));
   if (intermediate) {
     // Pipeline intermediates never touch the RSDS (§6.3): they are consumed by
     // the next stage and dropped when the pipeline ends. Marked persisted so
     // reclamation may drop them without a write-back (the RSDS never needs
     // them), but tracked as intermediates for the end-of-pipeline cleanup.
     CacheWrite(ctx.worker, key, size, /*version=*/0, rc::ObjectClass::kIntermediate,
-               /*dirty=*/false,
-               [this, ctx, key, size, media, done = std::move(done)](Status status) {
-                      BreakerReport(WriteHealthy(status));
-                      if (!status.ok()) {
-                        // Cache full: fall back to the RSDS so the pipeline
-                        // still makes progress.
-                        ++*m_.direct_writes;
-                        rsds_->Put(key, size, faas::MediaToTags(media), std::move(done));
-                        return;
-                      }
-                      ++*m_.intermediates_cached;
-                      PolicyAdmit(key, size, ctx.function);
-                      pipeline_intermediates_[ctx.pipeline_id].push_back(key);
-                      done(OkStatus());
-                    });
+               /*dirty=*/false, [this, op = &op](Status status) {
+                 BreakerReport(WriteHealthy(status));
+                 if (!status.ok()) {
+                   // Cache full: fall back to the RSDS so the pipeline still
+                   // makes progress.
+                   WriteThrough(*op);
+                   return;
+                 }
+                 ++*m_.intermediates_cached;
+                 PolicyAdmit(op->key, op->size, op->ctx.function);
+                 pipeline_intermediates_[op->ctx.pipeline_id].push_back(op->key);
+                 FinishWrite(*op, OkStatus());
+               });
     return;
   }
 
@@ -304,21 +348,22 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
     // Ablation: synchronous persistence. The payload goes straight to the
     // RSDS; a clean copy is cached for future reads.
     ++*m_.direct_writes;
-    rsds_->Put(key, size, faas::MediaToTags(media),
-               [this, ctx, key, size, done = std::move(done)](Status status) mutable {
-                 if (!status.ok()) {
-                   done(status);
-                   return;
-                 }
-                 CacheWrite(ctx.worker, key, size, /*version=*/0,
-                            rc::ObjectClass::kFinalOutput, /*dirty=*/false,
-                            [this, ctx, key, size](Status status) {
-                              if (status.ok()) {
-                                PolicyAdmit(key, size, ctx.function);
-                              }
-                            });
-                 done(OkStatus());
-               });
+    rsds_->Put(key, size, op.tags, [this, op = &op](Status status) {
+      if (!status.ok()) {
+        FinishWrite(*op, std::move(status));
+        return;
+      }
+      CacheWrite(op->ctx.worker, op->key, op->size, /*version=*/0,
+                 rc::ObjectClass::kFinalOutput, /*dirty=*/false, [this, op](Status cached) {
+                   if (cached.ok()) {
+                     PolicyAdmit(op->key, op->size, op->ctx.function);
+                   }
+                   writes_.Release(op);
+                 });
+      // Acknowledged now; the record stays until the cache write completes.
+      WriteDone acked = std::move(op->done);
+      acked(OkStatus());
+    });
     return;
   }
 
@@ -326,50 +371,47 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
     // Relaxed mode: payload goes to the cache only; persistence is lazy (on
     // eviction), relying on RAMCloud's on-disk replication for durability.
     CacheWrite(ctx.worker, key, size, /*version=*/0, rc::ObjectClass::kFinalOutput,
-               /*dirty=*/true,
-               [this, ctx, key, size, media, done = std::move(done)](Status status) {
+               /*dirty=*/true, [this, op = &op](Status status) {
                  BreakerReport(WriteHealthy(status));
                  if (!status.ok()) {
-                   ++*m_.direct_writes;
-                   rsds_->Put(key, size, faas::MediaToTags(media), std::move(done));
+                   WriteThrough(*op);
                    return;
                  }
                  ++*m_.cached_writes;
-                 PolicyAdmit(key, size, ctx.function);
+                 PolicyAdmit(op->key, op->size, op->ctx.function);
                  emit_.Emit({.kind = FlightEventKind::kCacheWrite, .time = loop_->now(),
-                             .invocation = ctx.invocation_id, .worker = ctx.worker,
-                             .subject = key});
-                 done(OkStatus());
+                             .invocation = op->ctx.invocation_id, .worker = op->ctx.worker,
+                             .subject = op->key});
+                 FinishWrite(*op, OkStatus());
                });
     return;
   }
 
   // Transparent mode: shadow object in the RSDS + durable cache write run in
   // parallel; acknowledge when both are done, then schedule the persistor. The
-  // join owns the write's state once; each completion holds only the join.
-  auto join = std::make_shared<TransparentWrite>();
-  join->ctx = ctx;
-  join->key = key;
-  join->size = size;
-  join->done = std::move(done);
+  // write's record is the join: each completion holds only its address.
+  op.remaining = 2;
+  op.failure = OkStatus();
+  op.version = 0;
+  op.cache_ok = true;
   ++*m_.shadow_writes;
-  rsds_->PutShadow(key, size, [this, join](Result<store::ObjectMetadata> meta) {
+  rsds_->PutShadow(key, size, [this, op = &op](Result<store::ObjectMetadata> meta) {
     if (!meta.ok()) {
-      join->failure = meta.status();
+      op->failure = meta.status();
     } else {
-      join->version = meta->latest_version;
+      op->version = meta->latest_version;
     }
-    JoinTransparentWrite(*join);
+    JoinTransparentWrite(*op);
   });
   CacheWrite(ctx.worker, key, size, /*version=*/0, rc::ObjectClass::kFinalOutput,
-             /*dirty=*/true, [this, join](Status status) {
+             /*dirty=*/true, [this, op = &op](Status status) {
                BreakerReport(WriteHealthy(status));
-               join->cache_ok = status.ok();
-               JoinTransparentWrite(*join);
+               op->cache_ok = status.ok();
+               JoinTransparentWrite(*op);
              });
 }
 
-void Proxy::JoinTransparentWrite(TransparentWrite& join) {
+void Proxy::JoinTransparentWrite(WriteOp& join) {
   if (--join.remaining > 0) {
     return;
   }
@@ -400,10 +442,10 @@ void Proxy::JoinTransparentWrite(TransparentWrite& join) {
       job.fallback_base = prior.ok() ? prior->latest_version : 0;
       job.epoch = NewWriteEpoch(key);
       SchedulePersistor(key, job);
-      join.done(OkStatus());
+      FinishWrite(join, OkStatus());
       return;
     }
-    join.done(join.failure);
+    FinishWrite(join, join.failure);
     return;
   }
   if (!join.cache_ok) {
@@ -412,6 +454,7 @@ void Proxy::JoinTransparentWrite(TransparentWrite& join) {
     ++*m_.direct_writes;
     rsds_->FinalizePayload(key, join.version, size, PayloadFingerprint(key, size),
                            std::move(join.done));
+    writes_.Release(&join);
     return;
   }
   ++*m_.cached_writes;
@@ -426,16 +469,15 @@ void Proxy::JoinTransparentWrite(TransparentWrite& join) {
   job.checksum = PayloadFingerprint(key, size);
   job.epoch = NewWriteEpoch(key);
   SchedulePersistor(key, job);
-  join.done(OkStatus());
+  FinishWrite(join, OkStatus());
 }
 
 // ---- Circuit breaker & cache-fault injection ----------------------------------------
 
 void Proxy::CacheRead(int worker, const std::string& key, rc::Cluster::ReadCallback done) {
   if (CacheFaulted()) {
-    loop_->ScheduleAfter(0, [done = std::move(done)] {
-      done(UnavailableError("cache path degraded (injected fault)"));
-    });
+    deferred_reads_.After(0, std::move(done),
+                          UnavailableError("cache path degraded (injected fault)"));
     return;
   }
   cluster_->Read(worker, key, std::move(done));
@@ -445,9 +487,8 @@ void Proxy::CacheWrite(int worker, const std::string& key, Bytes size,
                        store::ObjectVersion version, rc::ObjectClass object_class,
                        bool dirty, rc::Cluster::Callback done) {
   if (CacheFaulted()) {
-    loop_->ScheduleAfter(0, [done = std::move(done)] {
-      done(UnavailableError("cache path degraded (injected fault)"));
-    });
+    deferred_status_.After(0, std::move(done),
+                           UnavailableError("cache path degraded (injected fault)"));
     return;
   }
   // Every proxy-side cache write carries the payload fingerprint, so the
@@ -524,13 +565,7 @@ void Proxy::BreakerClose() {
 }
 
 void Proxy::SchedulePersistor(const std::string& key, const PersistorJob& job) {
-  PersistorRun* run;
-  if (idle_persistor_runs_.empty()) {
-    run = &persistor_runs_.emplace_back();
-  } else {
-    run = idle_persistor_runs_.back();
-    idle_persistor_runs_.pop_back();
-  }
+  PersistorRun* run = persistor_runs_.Acquire();
   run->key = key;
   run->job = job;
   run->attempt = 0;
@@ -562,7 +597,7 @@ void Proxy::FinishPersistor(PersistorRun& run) {
   if (it != write_epoch_.end() && --it->second.persistors == 0) {
     write_epoch_.erase(it);
   }
-  idle_persistor_runs_.push_back(&run);
+  persistor_runs_.Release(&run);
 }
 
 void Proxy::RunPersistor(PersistorRun& run) {
@@ -660,14 +695,14 @@ void Proxy::OnPipelineComplete(std::uint64_t pipeline_id) {
   pipeline_intermediates_.erase(it);
 }
 
-void Proxy::Writeback(const std::string& key, std::function<void(Status)> done) {
+void Proxy::Writeback(const std::string& key, store::ObjectStore::Callback done) {
   const auto obj = cluster_->Inspect(key);
   if (!obj.ok()) {
-    loop_->ScheduleAfter(0, [done = std::move(done), status = obj.status()] { done(status); });
+    deferred_status_.After(0, std::move(done), obj.status());
     return;
   }
   if (!obj->dirty) {
-    loop_->ScheduleAfter(0, [done = std::move(done)] { done(OkStatus()); });
+    deferred_status_.After(0, std::move(done), OkStatus());
     return;
   }
   const Bytes size = obj->size;
@@ -676,25 +711,24 @@ void Proxy::Writeback(const std::string& key, std::function<void(Status)> done) 
   const auto meta = rsds_->Stat(key);
   ++*m_.persistor_runs;
   emit_.Emit({.kind = FlightEventKind::kWriteback, .time = loop_->now(), .subject = key});
+  WriteOp& op = *writes_.Acquire();
+  op.key = key;
+  op.done = std::move(done);
+  auto on_pushed = [this, op = &op](Status status) {
+    if (status.ok()) {
+      (void)cluster_->MarkPersisted(op->key);
+    }
+    FinishWrite(*op, std::move(status));
+  };
   if (meta.ok() && meta->IsShadow()) {
     rsds_->FinalizePayload(key, meta->latest_version, size, PayloadFingerprint(key, size),
-                           [this, key, done = std::move(done)](Status status) {
-                             if (status.ok()) {
-                               (void)cluster_->MarkPersisted(key);
-                             }
-                             done(status);
-                           });
+                           on_pushed);
     return;
   }
-  rsds_->Put(key, size, {}, [this, key, done = std::move(done)](Status status) {
-    if (status.ok()) {
-      (void)cluster_->MarkPersisted(key);
-    }
-    done(status);
-  });
+  rsds_->Put(key, size, {}, on_pushed);
 }
 
-void Proxy::HandleExternalRead(const std::string& key, std::function<void()> resume) {
+void Proxy::HandleExternalRead(const std::string& key, store::ObjectStore::Resume resume) {
   const auto meta = rsds_->Stat(key);
   if (!meta.ok() || !meta->IsShadow()) {
     resume();
@@ -704,10 +738,16 @@ void Proxy::HandleExternalRead(const std::string& key, std::function<void()> res
   // payload is in the RSDS (§6.2).
   ++*m_.external_read_boosts;
   emit_.Emit({.kind = FlightEventKind::kExternalReadBoost, .time = loop_->now(), .subject = key});
-  Writeback(key, [resume = std::move(resume)](Status) { resume(); });
+  store::ObjectStore::Resume* waiting = boosted_reads_.Acquire();
+  *waiting = std::move(resume);
+  Writeback(key, [this, waiting](Status) {
+    store::ObjectStore::Resume resume_read = std::move(*waiting);
+    boosted_reads_.Release(waiting);
+    resume_read();
+  });
 }
 
-void Proxy::HandleExternalWrite(const std::string& key, std::function<void()> resume) {
+void Proxy::HandleExternalWrite(const std::string& key, store::ObjectStore::Resume resume) {
   if (cluster_->Contains(key)) {
     ++*m_.external_write_invalidations;
     (void)cluster_->Remove(key);

@@ -24,8 +24,6 @@
 #define OFC_CORE_PROXY_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,12 +32,15 @@
 
 #include "src/common/checksum.h"
 #include "src/common/hash.h"
+#include "src/common/record_pool.h"
 #include "src/core/cache_policy.h"
 #include "src/faas/platform.h"
 #include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
 #include "src/ramcloud/cluster.h"
+#include "src/sim/deferred_calls.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_function.h"
 #include "src/store/object_store.h"
 
 namespace ofc::core {
@@ -112,10 +113,15 @@ class Proxy : public faas::DataService {
 
   // ---- faas::DataService --------------------------------------------------------
 
+  // faas::DataService's completions are std::functions because perfbench's
+  // timing seam overrides that signature; the proxy keeps each `done` as an
+  // InlineFunction from the call on.
   void Read(const faas::InvocationContext& ctx, const std::string& key,
+            // simlint: allow(std-function-completion) -- DataService's signature (ROADMAP item 5)
             std::function<void(Result<Bytes>)> done) override;
   void Write(const faas::InvocationContext& ctx, const std::string& key, Bytes size,
              const workloads::MediaDescriptor& media,
+             // simlint: allow(std-function-completion) -- DataService's signature (ROADMAP item 5)
              std::function<void(Status)> done) override;
   void OnPipelineComplete(std::uint64_t pipeline_id) override;
 
@@ -124,7 +130,7 @@ class Proxy : public faas::DataService {
   // Pushes a dirty cached object's payload to the RSDS (persistor boost). The
   // callback fires once the RSDS holds the payload (object stays cached; the
   // caller decides whether to drop it).
-  void Writeback(const std::string& key, std::function<void(Status)> done);
+  void Writeback(const std::string& key, store::ObjectStore::Callback done);
 
   // ---- Fault-injection hooks (src/fault/) ----------------------------------------
 
@@ -158,7 +164,7 @@ class Proxy : public faas::DataService {
   // wires it to the CacheAgent's memory-pressure watermarks so admissions are
   // deferred (counted, not queued) while the worker's cache shrinks under
   // pressure. Null (default) admits everything.
-  using AdmissionGate = std::function<bool(int worker)>;
+  using AdmissionGate = sim::InlineFunction<bool(int worker)>;
   void set_admission_gate(AdmissionGate gate) { admission_gate_ = std::move(gate); }
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
@@ -243,9 +249,8 @@ class Proxy : public faas::DataService {
   };
   // One persistor from its dispatch to its FinishPersistor. Records are pooled
   // and never move, so each step of the chain (dispatch, retry, the store
-  // push's completion) captures only `this` and the record's address. That
-  // fits the event loop's and std::function's inline buffers, and the key is
-  // copied once, into a string whose capacity the pool keeps.
+  // push's completion) captures only `this` and the record's address, and the
+  // key is copied once, into a string whose capacity the pool keeps.
   struct PersistorRun {
     std::string key;
     PersistorJob job;
@@ -253,26 +258,59 @@ class Proxy : public faas::DataService {
     int attempt = 0;
   };
 
-  // One transparent-mode write between its two halves: the RSDS shadow and the
-  // durable cache write. Shared by both completions; the second to arrive
-  // acknowledges the write (JoinTransparentWrite).
-  struct TransparentWrite {
+  using ReadDone = sim::InlineFunction<void(Result<Bytes>)>;
+  using WriteDone = store::ObjectStore::Callback;
+
+  // One proxy read from its call to its last completion: the cache read, on a
+  // miss the RSDS fetch with its retries, and the admission of what was
+  // fetched, which outlives `done` (the function proceeds without waiting).
+  // Pooled like PersistorRun: every completion captures `this` and the
+  // record's address.
+  struct ReadOp {
+    faas::InvocationContext ctx;
+    std::string key;
+    ReadDone done;
+    bool bypass = false;   // Breaker open: RSDS only, no admission.
+    SimTime issued = 0;    // When the cache read was issued.
+    SimTime deadline = 0;  // Absolute deadline of the RSDS fetch's retries.
+    int attempt = 0;       // RSDS attempts so far that met kUnavailable.
+    Bytes size = 0;        // Size being admitted.
+  };
+  // Starts the RSDS fetch of a read that bypassed or missed the cache.
+  void StartRsdsRead(ReadOp& op);
+  // RSDS Get with bounded kUnavailable retries until `op.deadline`.
+  void GetWithRetry(ReadOp& op);
+  void OnCacheRead(ReadOp& op, Result<rc::ReadHit> hit);
+  void OnRsdsRead(ReadOp& op, Result<store::ObjectMetadata> meta);
+  void OnAdmitted(ReadOp& op, const Status& status);
+  // Releases `op`, then completes the read.
+  void FinishRead(ReadOp& op, Result<Bytes> result);
+
+  // One proxy write (or cache-agent write-back) from its call to its last
+  // completion. A transparent-mode write joins its two halves here, the RSDS
+  // shadow and the durable cache write, and the second to arrive acknowledges
+  // the write (JoinTransparentWrite).
+  struct WriteOp {
     faas::InvocationContext ctx;
     std::string key;
     Bytes size = 0;
-    std::function<void(Status)> done;
-    int remaining = 2;
+    store::Tags tags;  // For a write that falls back to the RSDS.
+    WriteDone done;
+    int remaining = 0;
     Status failure;
     store::ObjectVersion version = 0;
     bool cache_ok = true;
   };
-  void JoinTransparentWrite(TransparentWrite& join);
+  WriteOp& NewWrite(const faas::InvocationContext& ctx, const std::string& key, Bytes size,
+                    const workloads::MediaDescriptor& media, WriteDone done);
+  // A cached write the cluster refused goes to the RSDS instead.
+  void WriteThrough(WriteOp& op);
+  void JoinTransparentWrite(WriteOp& op);
+  // Releases `op`, then completes the write.
+  void FinishWrite(WriteOp& op, Status status);
 
   // Deterministic exponential backoff: base * 2^attempt, capped at 30 s.
   SimDuration Backoff(SimDuration base, int attempt) const;
-  // RSDS Get with bounded kUnavailable retries; `deadline` is absolute.
-  void GetWithRetry(const std::string& key, SimTime deadline, int attempt,
-                    store::ObjectStore::MetaCallback done);
   void SchedulePersistor(const std::string& key, const PersistorJob& job);
   // Persistor body: drop-window check, then the payload push.
   void RunPersistor(PersistorRun& run);
@@ -287,8 +325,8 @@ class Proxy : public faas::DataService {
   // True while `run` still represents the newest acknowledged write for its
   // key — only then may its persistor mark the cached copy clean or drop it.
   bool EpochCurrent(const PersistorRun& run) const;
-  void HandleExternalRead(const std::string& key, std::function<void()> resume);
-  void HandleExternalWrite(const std::string& key, std::function<void()> resume);
+  void HandleExternalRead(const std::string& key, store::ObjectStore::Resume resume);
+  void HandleExternalWrite(const std::string& key, store::ObjectStore::Resume resume);
 
   // ---- Circuit breaker (see ProxyOptions) -----------------------------------------
   bool BreakerEnabled() const { return options_.breaker_failure_threshold > 0; }
@@ -358,10 +396,15 @@ class Proxy : public faas::DataService {
   };
   std::uint64_t next_write_epoch_ = 1;
   std::unordered_map<std::string, WriteEpoch, DetHash<std::string>> write_epoch_;
-  // Every persistor record ever needed (as many as were once in flight at the
-  // same time; a deque keeps their addresses stable) and the idle ones.
-  std::deque<PersistorRun> persistor_runs_;
-  std::vector<PersistorRun*> idle_persistor_runs_;
+  RecordPool<PersistorRun> persistor_runs_;
+  RecordPool<ReadOp> reads_;
+  RecordPool<WriteOp> writes_;
+  // External reads waiting on a persistor boost (HandleExternalRead).
+  RecordPool<store::ObjectStore::Resume> boosted_reads_;
+  // Completions with a value known at call time: injected cache faults and
+  // write-backs with nothing to push.
+  sim::DeferredCalls<Status> deferred_status_;
+  sim::DeferredCalls<Result<rc::ReadHit>> deferred_reads_;
 };
 
 }  // namespace ofc::core

@@ -191,7 +191,10 @@ void Platform::Invoke(const std::string& function, std::vector<InputObject> inpu
   request->args = std::move(args);
   request->done = std::move(done);
   request->arrival = loop_->now();
-  request->output_key = "out/" + function + "/" + std::to_string(request->id);
+  std::string& output_key = request->record.output_key;
+  const std::string id = std::to_string(request->id);
+  output_key.reserve(5 + function.size() + id.size());
+  output_key.append("out/").append(function).append("/").append(id);
   InvokeInternal(std::move(request));
 }
 
@@ -278,8 +281,8 @@ void Platform::Dispatch(std::shared_ptr<Request> request) {
   // 1. Prefer an idle warm sandbox of this function (avoids cold start).
   const std::vector<Sandbox*>& idle = idle_by_function_[fn->fn_index];
   if (!idle.empty()) {
-    std::vector<SandboxInfo> candidates;
-    candidates.reserve(idle.size());
+    std::vector<SandboxInfo>& candidates = pick_candidates_;
+    candidates.clear();
     for (const Sandbox* sandbox : idle) {
       candidates.push_back(
           SandboxInfo{sandbox->id, sandbox->worker, sandbox->limit, sandbox->last_used});
@@ -383,7 +386,9 @@ void Platform::SetSandboxLimit(Sandbox* sandbox, Bytes new_limit) {
 void Platform::RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
                             PlatformHooks::Sizing sizing, bool cold, SimDuration startup) {
   InvocationRecord& record = request->record;
+  std::string output_key = std::move(record.output_key);
   record = InvocationRecord{};
+  record.output_key = std::move(output_key);
   record.id = request->id;
   record.function = request->function;
   record.fn_index = request->fn->fn_index;
@@ -395,11 +400,10 @@ void Platform::RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
   record.memory_used = request->demand.memory;
   record.should_cache = sizing.should_cache;
   record.startup_time = startup;
-  record.output_key = request->output_key;
   request->sandbox_id = sandbox->id;
 
   request->running_worker = sandbox->worker;
-  in_flight_[request->id] = request;
+  AddInFlight(request);
   TrackRunning(*request, +1);
   if (request->first_queued != 0 && !request->queue_wait_recorded) {
     request->queue_wait_recorded = true;
@@ -440,26 +444,16 @@ InvocationContext Platform::ContextFor(const Request& request) const {
 
 void Platform::Extract(std::shared_ptr<Request> request) {
   if (request->next_input < request->inputs.size()) {
-    // Read inputs sequentially through the data service.
-    const std::size_t input = request->next_input++;
-    const std::uint64_t epoch = request->crash_epoch;
-    // The callback copies `request` rather than taking it: this frame's
-    // reference keeps the key argument alive even if the read completes
-    // synchronously and the chain finishes the invocation.
-    data_->Read(ContextFor(*request), request->inputs[input].key,
-                [this, request, epoch, input](Result<Bytes> size) mutable {
-                  if (!size.ok()) {
-                    OFC_LOG(Warning) << "read failed for " << request->inputs[input].key << ": "
-                                     << size.status().ToString();
-                  }
-                  if (request->crash_epoch != epoch) {
-                    return;  // Worker crashed mid-read; a retry owns the request now.
-                  }
-                  if (size.ok()) {
-                    request->record.input_bytes += *size;
-                  }
-                  Extract(std::move(request));
-                });
+    // Read inputs sequentially through the data service. The pending record
+    // holds a copy of `request` while this frame keeps its own, so the key
+    // argument stays alive even if the read completes synchronously and the
+    // chain finishes the invocation.
+    PendingIo& io = *pending_io_.Acquire();
+    io.request = request;
+    io.epoch = request->crash_epoch;
+    io.input = request->next_input++;
+    data_->Read(ContextFor(*request), request->inputs[io.input].key,
+                [this, io = &io](Result<Bytes> size) { OnInputRead(*io, std::move(size)); });
     return;
   }
   InvocationRecord& record = request->record;
@@ -469,6 +463,29 @@ void Platform::Extract(std::shared_ptr<Request> request) {
               .subject = request->function, .duration = record.extract_time,
               .n = record.input_bytes});
   Transform(std::move(request));
+}
+
+std::shared_ptr<Platform::Request> Platform::TakeRequest(PendingIo& io) {
+  std::shared_ptr<Request> request = std::move(io.request);
+  pending_io_.Release(&io);
+  return request;
+}
+
+void Platform::OnInputRead(PendingIo& io, Result<Bytes> size) {
+  const std::uint64_t epoch = io.epoch;
+  const std::size_t input = io.input;
+  std::shared_ptr<Request> request = TakeRequest(io);
+  if (!size.ok()) {
+    OFC_LOG(Warning) << "read failed for " << request->inputs[input].key << ": "
+                     << size.status().ToString();
+  }
+  if (request->crash_epoch != epoch) {
+    return;  // Worker crashed mid-read; a retry owns the request now.
+  }
+  if (size.ok()) {
+    request->record.input_bytes += *size;
+  }
+  Extract(std::move(request));
 }
 
 void Platform::Transform(std::shared_ptr<Request> request) {
@@ -523,31 +540,37 @@ void Platform::Transform(std::shared_ptr<Request> request) {
 void Platform::Load(std::shared_ptr<Request> request) {
   InvocationRecord& record = request->record;
   const workloads::InvocationDemand& demand = request->demand;
-  const SimTime load_start = loop_->now();
-  const std::uint64_t epoch = request->crash_epoch;
   record.output_media = workloads::OutputMedia(request->fn->spec, AggregateMedia(request->inputs),
                                                demand.output_size);
   record.output_bytes = demand.output_size;
   // As in Extract, this frame's reference keeps the key and media arguments
   // alive if the write completes synchronously.
-  data_->Write(ContextFor(*request), request->output_key, demand.output_size,
-               record.output_media,
-               [this, request, epoch, load_start](Status status) mutable {
-                 if (request->crash_epoch != epoch) {
-                   return;
-                 }
-                 InvocationRecord& record = request->record;
-                 record.load_time = loop_->now() - load_start;
-                 emit_.Emit({.kind = FlightEventKind::kLoad, .time = loop_->now(),
-                             .invocation = request->id, .parent = request->pipeline_id,
-                             .worker = record.worker, .subject = request->output_key,
-                             .duration = record.load_time, .n = record.output_bytes});
-                 if (!status.ok()) {
-                   FailAndMaybeRetry(std::move(request));
-                   return;
-                 }
-                 FinishInvocation(std::move(request));
-               });
+  PendingIo& io = *pending_io_.Acquire();
+  io.request = request;
+  io.epoch = request->crash_epoch;
+  io.load_start = loop_->now();
+  data_->Write(ContextFor(*request), record.output_key, demand.output_size, record.output_media,
+               [this, io = &io](Status status) { OnOutputWritten(*io, status); });
+}
+
+void Platform::OnOutputWritten(PendingIo& io, const Status& status) {
+  const std::uint64_t epoch = io.epoch;
+  const SimTime load_start = io.load_start;
+  std::shared_ptr<Request> request = TakeRequest(io);
+  if (request->crash_epoch != epoch) {
+    return;
+  }
+  InvocationRecord& record = request->record;
+  record.load_time = loop_->now() - load_start;
+  emit_.Emit({.kind = FlightEventKind::kLoad, .time = loop_->now(), .invocation = request->id,
+              .parent = request->pipeline_id, .worker = record.worker,
+              .subject = record.output_key, .duration = record.load_time,
+              .n = record.output_bytes});
+  if (!status.ok()) {
+    FailAndMaybeRetry(std::move(request));
+    return;
+  }
+  FinishInvocation(std::move(request));
 }
 
 void Platform::CrashWorker(int worker) {
@@ -578,15 +601,17 @@ void Platform::CrashWorker(int worker) {
 
   // Abort in-flight invocations on the worker and re-dispatch them elsewhere
   // (§6.1: the platform retries failed invocations; functions are expected to
-  // have idempotent side effects).
+  // have idempotent side effects), in id order.
   std::vector<std::shared_ptr<Request>> victims;
-  for (const auto& [id, request] : in_flight_) {
-    if (request->running_worker == worker) {
+  for (const std::shared_ptr<Request>& request : in_flight_) {
+    if (request != nullptr && request->running_worker == worker) {
       victims.push_back(request);
     }
   }
+  std::sort(victims.begin(), victims.end(),
+            [](const auto& a, const auto& b) { return a->id < b->id; });
   for (auto& request : victims) {
-    in_flight_.erase(request->id);
+    RemoveInFlight(*request);
     TrackRunning(*request, -1);
     request->crash_epoch = ++crash_epoch_;  // Invalidates stale continuations.
     request->running_worker = -1;
@@ -613,8 +638,30 @@ void Platform::RestoreWorker(int worker) {
   DrainWaitQueue();
 }
 
+void Platform::AddInFlight(const std::shared_ptr<Request>& request) {
+  SIM_ASSERT(request->in_flight_slot == kNotInFlight)
+      << "; request " << request->id << " already in flight";
+  if (free_in_flight_.empty()) {
+    request->in_flight_slot = in_flight_.size();
+    in_flight_.push_back(request);
+    return;
+  }
+  request->in_flight_slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[request->in_flight_slot] = request;
+}
+
+void Platform::RemoveInFlight(Request& request) {
+  if (request.in_flight_slot == kNotInFlight) {
+    return;
+  }
+  in_flight_[request.in_flight_slot].reset();
+  free_in_flight_.push_back(request.in_flight_slot);
+  request.in_flight_slot = kNotInFlight;
+}
+
 void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request) {
-  in_flight_.erase(request->id);
+  RemoveInFlight(*request);
   TrackRunning(*request, -1);
   ReleaseSandbox(request->sandbox_id);
   InvocationRecord& record = request->record;
@@ -650,7 +697,7 @@ void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request) {
 void Platform::FinishInvocation(std::shared_ptr<Request> request) {
   InvocationRecord& record = request->record;
   record.total = loop_->now() - request->arrival;
-  in_flight_.erase(request->id);
+  RemoveInFlight(*request);
   TrackRunning(*request, -1);
   ReleaseSandbox(request->sandbox_id);
   RecordCompletion(record);
@@ -818,7 +865,7 @@ void Platform::Shed(std::shared_ptr<Request> request, obs::Counter* cell,
   record.retries = request->retries;
   record.oom_killed = request->oom_killed;
   record.total = loop_->now() - request->arrival;
-  record.output_key = request->output_key;
+  record.output_key = request->record.output_key;
   emit_.Emit({.kind = FlightEventKind::kShed, .time = loop_->now(), .invocation = request->id,
               .parent = request->pipeline_id, .subject = request->function, .detail = reason});
   // Asynchronous completion, matching every other terminal path: Shed can fire
@@ -926,8 +973,8 @@ void Platform::InvokePipeline(const workloads::PipelineSpec& spec,
       request->arrival = loop_->now();
       request->pipeline_id = state->record.id;
       request->final_stage = final_stage;
-      request->output_key = "pipe/" + std::to_string(state->record.id) + "/s" +
-                            std::to_string(state->stage) + "/t" + std::to_string(t);
+      request->record.output_key = "pipe/" + std::to_string(state->record.id) + "/s" +
+                                   std::to_string(state->stage) + "/t" + std::to_string(t);
       auto self = weak_run_stage.lock();
       assert(self != nullptr);
       request->done = [this, state, outputs, remaining, t, self](

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/record_pool.h"
 #include "src/common/recycling_pool.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -292,6 +293,8 @@ class Platform {
     sim::EventLoop::EventId keepalive_event = 0;
   };
 
+  static constexpr std::size_t kNotInFlight = static_cast<std::size_t>(-1);
+
   struct Request {
     std::uint64_t id = 0;
     std::string function;
@@ -307,16 +310,16 @@ class Platform {
     Bytes forced_limit = 0;  // Retry path: run with the booked memory.
     std::uint64_t pipeline_id = 0;
     bool final_stage = true;
-    std::string output_key;  // Defaults to "out/<function>/<id>".
     bool has_demand = false;
     workloads::InvocationDemand demand;  // Fixed at first dispatch (retries reuse it).
     // Bumped when the running worker crashes, so the stale execution's pending
     // continuations are discarded while the request is re-dispatched.
     std::uint64_t crash_epoch = 0;
     int running_worker = -1;
-    // The running attempt, reset by RunOnSandbox. Its event-loop
-    // continuations capture only (this, request, crash_epoch) and find
-    // everything else here.
+    // The running attempt, reset by RunOnSandbox except for its output key
+    // ("out/<function>/<id>" unless a pipeline names it), which is built once
+    // per request. Its event-loop continuations capture only (this, request,
+    // crash_epoch) and find everything else here.
     InvocationRecord record;
     std::uint64_t sandbox_id = 0;
     std::size_t next_input = 0;  // Extract cursor: the next input to read.
@@ -326,6 +329,18 @@ class Platform {
     SimTime first_queued = 0;
     SimTime queue_deadline_at = 0;
     bool queue_wait_recorded = false;  // Observe queue_wait_ms at most once.
+    std::size_t in_flight_slot = kNotInFlight;  // Its slot in in_flight_ while running.
+  };
+
+  // One data-service call in flight: what its completion needs to resume the
+  // request. Pooled, so the completion handed to the DataService captures
+  // only (this, record): 16 trivially copyable bytes, which std::function
+  // keeps in its local buffer.
+  struct PendingIo {
+    std::shared_ptr<Request> request;
+    std::uint64_t epoch = 0;  // The request's crash epoch when the call began.
+    std::size_t input = 0;    // Extract: the input being read.
+    SimTime load_start = 0;   // Load: when the write began.
   };
 
   // Registry cells (counters and the phase-latency series); bumped on the hot
@@ -376,8 +391,15 @@ class Platform {
   // ends the phase once every input has arrived; Transform applies the memory
   // check and computes; Load writes the output.
   void Extract(std::shared_ptr<Request> request);
+  void OnInputRead(PendingIo& io, Result<Bytes> size);
   void Transform(std::shared_ptr<Request> request);
   void Load(std::shared_ptr<Request> request);
+  void OnOutputWritten(PendingIo& io, const Status& status);
+  // Moves the request out of `io` and returns the record to the pool.
+  std::shared_ptr<Request> TakeRequest(PendingIo& io);
+  // in_flight_ bookkeeping: a running request holds one slot.
+  void AddInFlight(const std::shared_ptr<Request>& request);
+  void RemoveInFlight(Request& request);
   InvocationContext ContextFor(const Request& request) const;
   void FinishInvocation(std::shared_ptr<Request> request);
   void FailAndMaybeRetry(std::shared_ptr<Request> request);
@@ -432,8 +454,13 @@ class Platform {
   std::vector<Bytes> worker_reserved_;
   std::vector<bool> worker_alive_;
   std::uint64_t crash_epoch_ = 0;
-  // Requests currently executing, for crash-time abort/retry.
-  std::map<std::uint64_t, std::shared_ptr<Request>> in_flight_;
+  // Requests currently executing, for crash-time abort/retry, by slot; free
+  // slots are empty and listed in free_in_flight_.
+  std::vector<std::shared_ptr<Request>> in_flight_;
+  std::vector<std::size_t> free_in_flight_;
+  RecordPool<PendingIo> pending_io_;
+  // PickSandbox's candidates, rebuilt in place by every warm dispatch.
+  std::vector<SandboxInfo> pick_candidates_;
   std::deque<std::shared_ptr<Request>> wait_queue_;
   bool drain_scheduled_ = false;
   // Running-invocation counts behind the per-function / per-tenant concurrency
@@ -450,8 +477,10 @@ class Platform {
   // fn_index → cell pointers into fn_metrics_.
   std::vector<FnMetrics*> fn_metrics_by_index_;
   std::uint32_t next_fn_index_ = 1;
-  // Request blocks are recycled: completion frees into the pool, the next
-  // Invoke() reuses — zero steady-state allocation for request records.
+  // Request blocks are recycled: completion frees into the pool and the next
+  // Invoke() reuses the block, so a request costs no allocation of its own.
+  // Each Request is constructed afresh, though: its strings and vectors
+  // allocate again for every invocation when they outgrow their inline size.
   RecyclingPool<Request> request_pool_;
   std::uint64_t next_invocation_id_ = 1;
   std::uint64_t next_sandbox_id_ = 1;

@@ -11,13 +11,16 @@ namespace ofc::rc {
 using obs::FlightEventKind;
 
 Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rng rng)
-    : loop_(loop), options_(options), rng_(rng) {
+    : loop_(loop), options_(options), rng_(rng), write_done_(loop), read_done_(loop) {
   assert(num_nodes > 0);
   nodes_.resize(static_cast<std::size_t>(num_nodes));
   for (NodeStats& node : nodes_) {
     node.memory_capacity = options_.default_capacity;
   }
-  logs_.assign(static_cast<std::size_t>(num_nodes), SegmentedLog(options_.log));
+  logs_.reserve(static_cast<std::size_t>(num_nodes));
+  for (int n = 0; n < num_nodes; ++n) {
+    logs_.emplace_back(options_.log);
+  }
 
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
@@ -202,18 +205,9 @@ void Cluster::Write(int client_node, const std::string& key, Bytes size,
                     std::uint64_t version, ObjectClass object_class, bool dirty,
                     Checksum fingerprint, Callback done) {
   SimDuration cost = 0;
-  const Status status = ApplyWrite(client_node, key, size, version, object_class, dirty,
-                                   fingerprint, &cost);
-  Complete(cost, status, std::move(done));
-}
-
-void Cluster::Complete(SimDuration delay, const Status& status, Callback done) {
-  if (status.ok()) {
-    // Only a failure carries a message; a success event holds just `done`.
-    loop_->ScheduleAfter(delay, [done = std::move(done)] { done(OkStatus()); });
-    return;
-  }
-  loop_->ScheduleAfter(delay, [done = std::move(done), status] { done(status); });
+  Status status = ApplyWrite(client_node, key, size, version, object_class, dirty,
+                             fingerprint, &cost);
+  write_done_.After(cost, std::move(done), std::move(status));
 }
 
 void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
@@ -221,10 +215,8 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
   ++*m_.reads;
   if (it == objects_.end()) {
     ++*m_.read_misses;
-    loop_->ScheduleAfter(options_.local_access.Cost(0, &rng_),
-                         [done = std::move(done), key] {
-                           done(NotFoundError("cache miss: " + key));
-                         });
+    read_done_.After(options_.local_access.Cost(0, &rng_), std::move(done),
+                     NotFoundError("cache miss: " + key));
     return;
   }
   CachedObject& obj = it->second;
@@ -261,17 +253,14 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
       // copy, which is the repair path when no replica survives.
       Release(obj);
       objects_.erase(it);
-      loop_->ScheduleAfter(cost, [done = std::move(done), key] {
-        done(DataLossError("all copies corrupt: " + key));
-      });
+      read_done_.After(cost, std::move(done), DataLossError("all copies corrupt: " + key));
       return;
     }
     obj.checksum = expected;
     cost += options_.disk_read.Cost(obj.size, &rng_);
     NoteRepair(key, obj.master, "replica");
   }
-  const ReadHit hit{obj.size, obj.version, obj.checksum};
-  loop_->ScheduleAfter(cost, [done = std::move(done), hit] { done(hit); });
+  read_done_.After(cost, std::move(done), ReadHit{obj.size, obj.version, obj.checksum});
 }
 
 Result<int> Cluster::MasterOf(const std::string& key) const {

@@ -22,7 +22,6 @@
 #define OFC_RAMCLOUD_CLUSTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -37,7 +36,9 @@
 #include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
 #include "src/ramcloud/segmented_log.h"
+#include "src/sim/deferred_calls.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_function.h"
 #include "src/sim/latency.h"
 
 namespace ofc::rc {
@@ -122,8 +123,8 @@ struct RecoveryResult {
 
 class Cluster {
  public:
-  using Callback = std::function<void(Status)>;
-  using ReadCallback = std::function<void(Result<ReadHit>)>;
+  using Callback = sim::InlineFunction<void(Status)>;
+  using ReadCallback = sim::InlineFunction<void(Result<ReadHit>)>;
 
   Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rng rng);
 
@@ -248,6 +249,12 @@ class Cluster {
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
+  // Completion records the cluster has made: the most data-path completions
+  // it ever had pending at once.
+  std::size_t completion_records() const {
+    return write_done_.records() + read_done_.records();
+  }
+
   // Total memory in use across alive nodes (Figure 10 series).
   Bytes TotalUsed() const;
   Bytes TotalCapacity() const;
@@ -305,8 +312,6 @@ class Cluster {
   // fresh copies are cut from the master copy and a corrupt promoted copy
   // heals only from a surviving healthy replica.
   RecoveryResult Evacuate(int node, const char* note, const char* verifier);
-  // Schedules `done(status)` after `delay`.
-  void Complete(SimDuration delay, const Status& status, Callback done);
   // Flight + metric bookkeeping for a detected corrupt copy and (optionally)
   // its repair. `source` names where the good bits came from.
   void NoteCorruption(const std::string& key, int node, const char* where);
@@ -345,6 +350,9 @@ class Cluster {
   // Candidate buffers of PlaceInLog and PickBackups, reused across calls.
   std::vector<int> place_candidates_;
   std::vector<int> backup_candidates_;
+  // Data-path completions wait out their latency here, in pooled records.
+  sim::DeferredCalls<Status> write_done_;
+  sim::DeferredCalls<Result<ReadHit>> read_done_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Emitter emit_;

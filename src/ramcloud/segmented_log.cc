@@ -101,10 +101,26 @@ Result<SegmentedLog::EntryId> SegmentedLog::Append(Bytes size, Bytes capacity,
   }
   Segment& segment = segments_[static_cast<std::size_t>(slot)];
   const EntryId id = next_id_++;
-  segment.entries.emplace(id, size);
+  if (spare_entries_.empty()) {
+    segment.entries.emplace(id, size);
+  } else {
+    auto node = std::move(spare_entries_.back());
+    spare_entries_.pop_back();
+    node.key() = id;
+    node.mapped() = size;
+    segment.entries.insert(std::move(node));
+  }
   segment.live += size;
   segment.used += size;
-  entry_segment_.emplace(id, static_cast<std::size_t>(slot));
+  if (spare_index_.empty()) {
+    entry_segment_.emplace(id, static_cast<std::size_t>(slot));
+  } else {
+    auto node = std::move(spare_index_.back());
+    spare_index_.pop_back();
+    node.key() = id;
+    node.mapped() = static_cast<std::size_t>(slot);
+    entry_segment_.insert(std::move(node));
+  }
   live_bytes_ += size;
   ++stats_.appends;
   // Per-segment accounting: live never exceeds appended, appended never
@@ -125,10 +141,10 @@ Status SegmentedLog::Free(EntryId id) {
   const std::size_t segment_index = it->second;
   Segment& segment = segments_[segment_index];
   const Bytes size = segment.entries.at(id);
-  segment.entries.erase(id);
+  spare_entries_.push_back(segment.entries.extract(id));
   segment.live -= size;  // Dead bytes stay in `used` until the cleaner runs.
   live_bytes_ -= size;
-  entry_segment_.erase(it);
+  spare_index_.push_back(entry_segment_.extract(it));
   ++stats_.frees;
   SIM_ASSERT(segment.live >= 0 && live_bytes_ >= 0)
       << "; entry " << id << " freed twice? segment live=" << segment.live

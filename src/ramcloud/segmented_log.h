@@ -101,7 +101,14 @@ class SegmentedLog {
   Bytes footprint_ = 0;
   // Looked up by id, never iterated; salted hashing keeps that honest under
   // test (tests/determinism_test.cpp perturbs the salt).
-  std::unordered_map<EntryId, std::size_t, DetHash<EntryId>> entry_segment_;
+  using EntryIndex = std::unordered_map<EntryId, std::size_t, DetHash<EntryId>>;
+  EntryIndex entry_segment_;
+  // Nodes Free() took out of a segment's entries and out of the index, reused
+  // by Append(): an update frees one entry and appends one, so a log in that
+  // steady state allocates nothing. They are as many as the entries freed and
+  // not yet replaced, at most the most entries the log ever held.
+  std::vector<std::map<EntryId, Bytes>::node_type> spare_entries_;
+  std::vector<EntryIndex::node_type> spare_index_;
   Bytes live_bytes_ = 0;
   EntryId next_id_ = 1;
   SegmentedLogStats stats_;

@@ -7,11 +7,11 @@
 //
 // Hot-path design (perfbench's sim.bare_ns_per_event measures the bare loop):
 //   * Callbacks live in a slab of recycled slots holding InlineCallback values
-//     (small-buffer storage, src/sim/inline_callback.h) — no per-event heap
+//     (small-buffer storage, src/sim/inline_function.h) — no per-event heap
 //     allocation and no hash-map lookup on schedule/cancel/dispatch. An
 //     EventId encodes (slot index, generation); generations make stale ids
 //     (already ran, already cancelled, slot since reused) miss cheaply.
-//   * The ready queue is a hand-rolled 4-ary min-heap of 16-byte entries
+//   * The ready queue is a hand-rolled 4-ary min-heap of 24-byte entries
 //     ordered by (when, seq). seq is unique, so the order is total and heap
 //     arity can never change dispatch order — only cache behavior.
 //   * Cancellation is O(1): the slot is disarmed and its callback destroyed
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "src/common/units.h"
-#include "src/sim/inline_callback.h"
+#include "src/sim/inline_function.h"
 
 namespace ofc::sim {
 
@@ -89,16 +89,16 @@ class EventLoop {
   }
 
  private:
-  // 16 bytes; the heap never touches slot storage until an entry is popped.
+  // 24 bytes; the heap never touches slot storage until an entry is popped.
   struct HeapEntry {
     SimTime when;
-    // Scheduling order, packed with the slot index: the low 40 bits of seq
-    // disambiguate equal timestamps (2^40 events per equal-time cohort is
-    // unreachable), the high 24 would overflow first at ~10^12 total events.
+    // Scheduling order: the event's index among every event ever scheduled,
+    // so it is unique and breaks ties between equal timestamps.
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t pad = 0;
   };
+  static_assert(sizeof(HeapEntry) == 24);
 
   struct Slot {
     Callback cb;

@@ -9,7 +9,12 @@ namespace ofc::store {
 
 ObjectStore::ObjectStore(sim::EventLoop* loop, StoreProfile profile, Rng rng,
                          std::string name, obs::MetricsRegistry* metrics)
-    : loop_(loop), profile_(profile), rng_(rng), name_(std::move(name)) {
+    : loop_(loop),
+      profile_(profile),
+      rng_(rng),
+      name_(std::move(name)),
+      deferred_status_(loop),
+      deferred_meta_(loop) {
   InitMetrics(metrics);
 }
 
@@ -43,8 +48,27 @@ void ObjectStore::InitMetrics(obs::MetricsRegistry* metrics) {
   m_.bytes_written = metrics_->GetCounter("ofc.store.bytes_written", name_);
 }
 
-void ObjectStore::After(SimDuration delay, std::function<void()> fn) {
-  loop_->ScheduleAfter(delay, std::move(fn));
+ObjectStore::Op& ObjectStore::NewOp(const std::string& key, void (ObjectStore::*land)(Op& op)) {
+  Op& op = *ops_.Acquire();
+  op.key = key;
+  op.land = land;
+  return op;
+}
+
+void ObjectStore::After(SimDuration delay, Op& op) {
+  loop_->ScheduleAfter(delay, [this, op = &op] { (this->*op->land)(*op); });
+}
+
+void ObjectStore::Finish(Op& op, Status status) {
+  Callback done = std::move(op.done);
+  ops_.Release(&op);
+  done(std::move(status));
+}
+
+void ObjectStore::FinishMeta(Op& op, Result<ObjectMetadata> meta) {
+  MetaCallback done = std::move(op.meta_done);
+  ops_.Release(&op);
+  done(std::move(meta));
 }
 
 SimDuration ObjectStore::ControlCost() { return Inflate(profile_.control.Cost(0, &rng_)); }
@@ -70,9 +94,8 @@ bool ObjectStore::FailIfUnavailable(const char* op, const std::string& key,
     return false;
   }
   ++*m_.unavailable_errors;
-  After(ControlCost(), [op, key, done = std::move(done)]() {
-    done(UnavailableError(std::string(op) + ": store unavailable: " + key));
-  });
+  deferred_status_.After(ControlCost(), std::move(done),
+                         UnavailableError(std::string(op) + ": store unavailable: " + key));
   return true;
 }
 
@@ -82,10 +105,24 @@ bool ObjectStore::FailIfUnavailable(const char* op, const std::string& key,
     return false;
   }
   ++*m_.unavailable_errors;
-  After(ControlCost(), [op, key, done = std::move(done)]() {
-    done(UnavailableError(std::string(op) + ": store unavailable: " + key));
-  });
+  deferred_meta_.After(ControlCost(), std::move(done),
+                       UnavailableError(std::string(op) + ": store unavailable: " + key));
   return true;
+}
+
+void ObjectStore::Install(const std::string& key, Bytes size, Tags tags) {
+  Entry& entry = objects_[key];
+  ObjectMetadata& obj = entry.meta;
+  obj.size = size;
+  obj.pending_size = 0;
+  obj.latest_version = next_version_++;
+  obj.rsds_version = obj.latest_version;
+  entry.tags = tags;
+  obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
+  // A full-payload write leaves the object in the converged state.
+  SIM_ASSERT(!obj.IsShadow()) << "; full write left a shadow: " << key;
+  ++*m_.writes;
+  m_.bytes_written->Add(static_cast<std::uint64_t>(size));
 }
 
 void ObjectStore::Put(const std::string& key, Bytes size, Tags tags, Callback done) {
@@ -93,21 +130,16 @@ void ObjectStore::Put(const std::string& key, Bytes size, Tags tags, Callback do
     return;
   }
   const SimDuration cost = WriteCost(size);
-  After(cost, [this, key, size, tags, done = std::move(done)]() {
-    Entry& entry = objects_[key];
-    ObjectMetadata& obj = entry.meta;
-    obj.size = size;
-    obj.pending_size = 0;
-    obj.latest_version = next_version_++;
-    obj.rsds_version = obj.latest_version;
-    entry.tags = tags;
-    obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
-    // A full-payload write leaves the object in the converged state.
-    SIM_ASSERT(!obj.IsShadow()) << "; Put left a shadow: " << key;
-    ++*m_.writes;
-    m_.bytes_written->Add(static_cast<std::uint64_t>(size));
-    done(OkStatus());
-  });
+  Op& op = NewOp(key, &ObjectStore::LandPut);
+  op.size = size;
+  op.tags = tags;
+  op.done = std::move(done);
+  After(cost, op);
+}
+
+void ObjectStore::LandPut(Op& op) {
+  Install(op.key, op.size, op.tags);
+  Finish(op, OkStatus());
 }
 
 void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_latest,
@@ -117,56 +149,60 @@ void ObjectStore::PutIfVersion(const std::string& key, ObjectVersion expected_la
     return;
   }
   const SimDuration cost = WriteCost(size);
-  After(cost, [this, key, expected_latest, size, fingerprint, tags,
-               done = std::move(done)]() {
-    // The carried fingerprint is verified before anything lands: a payload
-    // damaged between the acknowledging write and this push must never be
-    // installed as the authoritative copy.
-    if (fingerprint != PayloadFingerprint(key, size)) {
-      ++*m_.checksum_failures;
-      done(DataLossError("put_if_version: corrupt payload push: " + key));
-      return;
-    }
-    auto found = objects_.find(key);
-    const ObjectVersion current = found == objects_.end() ? 0 : found->second.meta.latest_version;
-    // Checked when the write *lands*, not when it starts: an atomic
-    // compare-and-swap against whatever arrived while it was in flight.
-    if (current != expected_latest) {
-      done(AbortedError("put_if_version: " + key + " advanced to v" +
-                        std::to_string(current)));
-      return;
-    }
-    Entry& entry = objects_[key];
-    ObjectMetadata& obj = entry.meta;
-    obj.size = size;
-    obj.pending_size = 0;
-    obj.latest_version = next_version_++;
-    obj.rsds_version = obj.latest_version;
-    entry.tags = tags;
-    obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
-    SIM_ASSERT(!obj.IsShadow()) << "; PutIfVersion left a shadow: " << key;
-    ++*m_.writes;
-    m_.bytes_written->Add(static_cast<std::uint64_t>(size));
-    done(OkStatus());
-  });
+  Op& op = NewOp(key, &ObjectStore::LandPutIfVersion);
+  op.version = expected_latest;
+  op.size = size;
+  op.tags = tags;
+  op.fingerprint = fingerprint;
+  op.done = std::move(done);
+  After(cost, op);
+}
+
+void ObjectStore::LandPutIfVersion(Op& op) {
+  const std::string& key = op.key;
+  // The carried fingerprint is verified before anything lands: a payload
+  // damaged between the acknowledging write and this push must never be
+  // installed as the authoritative copy.
+  if (op.fingerprint != PayloadFingerprint(key, op.size)) {
+    ++*m_.checksum_failures;
+    Finish(op, DataLossError("put_if_version: corrupt payload push: " + key));
+    return;
+  }
+  auto found = objects_.find(key);
+  const ObjectVersion current = found == objects_.end() ? 0 : found->second.meta.latest_version;
+  // Checked when the write *lands*, not when it starts: an atomic
+  // compare-and-swap against whatever arrived while it was in flight.
+  if (current != op.version) {
+    Finish(op, AbortedError("put_if_version: " + key + " advanced to v" +
+                            std::to_string(current)));
+    return;
+  }
+  Install(key, op.size, op.tags);
+  Finish(op, OkStatus());
 }
 
 void ObjectStore::PutShadow(const std::string& key, Bytes pending_size, MetaCallback done) {
   if (FailIfUnavailable("put_shadow", key, done)) {
     return;
   }
-  After(ControlCost(), [this, key, pending_size, done = std::move(done)]() {
-    // A new key starts with no resident payload (rsds_version 0) and no tags.
-    ObjectMetadata& obj = objects_[key].meta;
-    obj.pending_size = pending_size;
-    obj.latest_version = next_version_++;
-    // Shadow state machine: the placeholder's cache-visible version is always
-    // strictly ahead of the RSDS-resident payload version.
-    SIM_ASSERT(obj.rsds_version < obj.latest_version)
-        << "; shadow write did not advance latest_version: " << key;
-    ++*m_.shadow_writes;
-    done(obj);
-  });
+  const SimDuration cost = ControlCost();
+  Op& op = NewOp(key, &ObjectStore::LandShadow);
+  op.size = pending_size;
+  op.meta_done = std::move(done);
+  After(cost, op);
+}
+
+void ObjectStore::LandShadow(Op& op) {
+  // A new key starts with no resident payload (rsds_version 0) and no tags.
+  ObjectMetadata& obj = objects_[op.key].meta;
+  obj.pending_size = op.size;
+  obj.latest_version = next_version_++;
+  // Shadow state machine: the placeholder's cache-visible version is always
+  // strictly ahead of the RSDS-resident payload version.
+  SIM_ASSERT(obj.rsds_version < obj.latest_version)
+      << "; shadow write did not advance latest_version: " << op.key;
+  ++*m_.shadow_writes;
+  FinishMeta(op, obj);
 }
 
 void ObjectStore::FinalizePayload(const std::string& key, ObjectVersion version, Bytes size,
@@ -175,37 +211,45 @@ void ObjectStore::FinalizePayload(const std::string& key, ObjectVersion version,
     return;
   }
   const SimDuration cost = WriteCost(size);
-  After(cost, [this, key, version, size, fingerprint, done = std::move(done)]() {
-    if (fingerprint != PayloadFingerprint(key, size)) {
-      ++*m_.checksum_failures;
-      done(DataLossError("finalize: corrupt payload push: " + key));
-      return;
-    }
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
-      done(NotFoundError("finalize: " + key));
-      return;
-    }
-    ObjectMetadata& obj = it->second.meta;
-    if (version <= obj.rsds_version) {
-      done(AbortedError("finalize out of order: " + key));
-      return;
-    }
-    obj.rsds_version = version;
-    obj.size = size;
-    obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
-    // Persistors only install versions that a shadow write announced: the
-    // RSDS-resident version catches up but never overtakes latest_version.
-    SIM_ASSERT(obj.rsds_version <= obj.latest_version)
-        << "; finalize overtook latest: " << key << " v" << version << " > v"
-        << obj.latest_version;
-    if (obj.rsds_version == obj.latest_version) {
-      obj.pending_size = 0;
-    }
-    ++*m_.payload_finalizes;
-    m_.bytes_written->Add(static_cast<std::uint64_t>(size));
-    done(OkStatus());
-  });
+  Op& op = NewOp(key, &ObjectStore::LandFinalize);
+  op.version = version;
+  op.size = size;
+  op.fingerprint = fingerprint;
+  op.done = std::move(done);
+  After(cost, op);
+}
+
+void ObjectStore::LandFinalize(Op& op) {
+  const std::string& key = op.key;
+  if (op.fingerprint != PayloadFingerprint(key, op.size)) {
+    ++*m_.checksum_failures;
+    Finish(op, DataLossError("finalize: corrupt payload push: " + key));
+    return;
+  }
+  auto it = objects_.find(key);
+  if (it == objects_.end()) {
+    Finish(op, NotFoundError("finalize: " + key));
+    return;
+  }
+  ObjectMetadata& obj = it->second.meta;
+  if (op.version <= obj.rsds_version) {
+    Finish(op, AbortedError("finalize out of order: " + key));
+    return;
+  }
+  obj.rsds_version = op.version;
+  obj.size = op.size;
+  obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
+  // Persistors only install versions that a shadow write announced: the
+  // RSDS-resident version catches up but never overtakes latest_version.
+  SIM_ASSERT(obj.rsds_version <= obj.latest_version)
+      << "; finalize overtook latest: " << key << " v" << op.version << " > v"
+      << obj.latest_version;
+  if (obj.rsds_version == obj.latest_version) {
+    obj.pending_size = 0;
+  }
+  ++*m_.payload_finalizes;
+  m_.bytes_written->Add(static_cast<std::uint64_t>(op.size));
+  Finish(op, OkStatus());
 }
 
 void ObjectStore::Get(const std::string& key, MetaCallback done) {
@@ -216,64 +260,81 @@ void ObjectStore::Get(const std::string& key, MetaCallback done) {
   // Cost is computed up front from the current size; a miss costs one RTT.
   const SimDuration cost =
       it == objects_.end() ? ControlCost() : ReadCost(it->second.meta.size);
-  After(cost, [this, key, done = std::move(done)]() mutable {
-    auto it2 = objects_.find(key);
-    if (it2 == objects_.end()) {
-      done(NotFoundError("get: " + key));
-      return;
-    }
-    ++*m_.reads;
-    ObjectMetadata& obj = it2->second.meta;
-    m_.bytes_read->Add(static_cast<std::uint64_t>(obj.size));
-    const Checksum expected = ExpectedChecksum(key, obj.size, obj.rsds_version);
-    if (obj.checksum != expected) {
-      // Rotted copy: object stores hold their own internal redundancy, so the
-      // read is retried against another replica (one extra payload read) and
-      // the damaged copy repaired in place. Corrupt data is never returned.
-      ++*m_.checksum_failures;
-      obj.checksum = expected;
-      ++*m_.integrity_repairs;
-      After(ReadCost(obj.size), [this, key, done = std::move(done)]() {
-        auto it3 = objects_.find(key);
-        if (it3 == objects_.end()) {
-          done(NotFoundError("get: " + key));
-          return;
-        }
-        m_.bytes_read->Add(static_cast<std::uint64_t>(it3->second.meta.size));
-        done(it3->second.meta);
-      });
-      return;
-    }
-    done(obj);
-  });
+  Op& op = NewOp(key, &ObjectStore::LandGet);
+  op.meta_done = std::move(done);
+  After(cost, op);
+}
+
+void ObjectStore::LandGet(Op& op) {
+  auto it = objects_.find(op.key);
+  if (it == objects_.end()) {
+    FinishMeta(op, NotFoundError("get: " + op.key));
+    return;
+  }
+  ++*m_.reads;
+  ObjectMetadata& obj = it->second.meta;
+  m_.bytes_read->Add(static_cast<std::uint64_t>(obj.size));
+  const Checksum expected = ExpectedChecksum(op.key, obj.size, obj.rsds_version);
+  if (obj.checksum != expected) {
+    // Rotted copy: object stores hold their own internal redundancy, so the
+    // read is retried against another replica (one extra payload read) and
+    // the damaged copy repaired in place. Corrupt data is never returned.
+    ++*m_.checksum_failures;
+    obj.checksum = expected;
+    ++*m_.integrity_repairs;
+    op.land = &ObjectStore::LandRepairedGet;
+    After(ReadCost(obj.size), op);
+    return;
+  }
+  FinishMeta(op, obj);
+}
+
+void ObjectStore::LandRepairedGet(Op& op) {
+  auto it = objects_.find(op.key);
+  if (it == objects_.end()) {
+    FinishMeta(op, NotFoundError("get: " + op.key));
+    return;
+  }
+  m_.bytes_read->Add(static_cast<std::uint64_t>(it->second.meta.size));
+  FinishMeta(op, it->second.meta);
 }
 
 void ObjectStore::Head(const std::string& key, MetaCallback done) {
   if (FailIfUnavailable("head", key, done)) {
     return;
   }
-  After(ControlCost(), [this, key, done = std::move(done)]() {
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
-      done(NotFoundError("head: " + key));
-      return;
-    }
-    done(it->second.meta);
-  });
+  const SimDuration cost = ControlCost();
+  Op& op = NewOp(key, &ObjectStore::LandHead);
+  op.meta_done = std::move(done);
+  After(cost, op);
+}
+
+void ObjectStore::LandHead(Op& op) {
+  auto it = objects_.find(op.key);
+  if (it == objects_.end()) {
+    FinishMeta(op, NotFoundError("head: " + op.key));
+    return;
+  }
+  FinishMeta(op, it->second.meta);
 }
 
 void ObjectStore::Delete(const std::string& key, Callback done) {
   if (FailIfUnavailable("delete", key, done)) {
     return;
   }
-  After(ControlCost(), [this, key, done = std::move(done)]() {
-    if (objects_.erase(key) == 0) {
-      done(NotFoundError("delete: " + key));
-      return;
-    }
-    ++*m_.deletes;
-    done(OkStatus());
-  });
+  const SimDuration cost = ControlCost();
+  Op& op = NewOp(key, &ObjectStore::LandDelete);
+  op.done = std::move(done);
+  After(cost, op);
+}
+
+void ObjectStore::LandDelete(Op& op) {
+  if (objects_.erase(op.key) == 0) {
+    Finish(op, NotFoundError("delete: " + op.key));
+    return;
+  }
+  ++*m_.deletes;
+  Finish(op, OkStatus());
 }
 
 void ObjectStore::ExternalRead(const std::string& key, MetaCallback done) {
@@ -286,9 +347,13 @@ void ObjectStore::ExternalRead(const std::string& key, MetaCallback done) {
   }
   if (read_webhook_) {
     // The webhook must complete (e.g. waiting on a persistor boost) before the
-    // external read proceeds against the store.
-    read_webhook_(key, [this, key, done = std::move(done)]() mutable {
-      Get(key, std::move(done));
+    // external read proceeds against the store. The waiting read keeps its key
+    // and completion in a record until then.
+    Op& op = NewOp(key, /*land=*/nullptr);
+    op.meta_done = std::move(done);
+    read_webhook_(key, [this, op = &op] {
+      Get(op->key, std::move(op->meta_done));
+      ops_.Release(op);
     });
     return;
   }
@@ -303,8 +368,12 @@ void ObjectStore::ExternalWrite(const std::string& key, Bytes size, Callback don
     return;
   }
   if (write_webhook_) {
-    write_webhook_(key, [this, key, size, done = std::move(done)]() mutable {
-      Put(key, size, {}, std::move(done));
+    Op& op = NewOp(key, /*land=*/nullptr);
+    op.size = size;
+    op.done = std::move(done);
+    write_webhook_(key, [this, op = &op] {
+      Put(op->key, op->size, {}, std::move(op->done));
+      ops_.Release(op);
     });
     return;
   }

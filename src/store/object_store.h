@@ -17,7 +17,6 @@
 #define OFC_STORE_OBJECT_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,11 +25,14 @@
 #include <vector>
 
 #include "src/common/checksum.h"
+#include "src/common/record_pool.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
+#include "src/sim/deferred_calls.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_function.h"
 #include "src/sim/latency.h"
 
 namespace ofc::store {
@@ -109,13 +111,14 @@ struct StoreProfile {
 
 class ObjectStore {
  public:
-  using Callback = std::function<void(Status)>;
-  using MetaCallback = std::function<void(Result<ObjectMetadata>)>;
+  using Callback = sim::InlineFunction<void(Status)>;
+  using MetaCallback = sim::InlineFunction<void(Result<ObjectMetadata>)>;
 
   // Webhooks receive the key and a `resume` continuation; the store completes
   // the triggering external operation only after `resume` runs, which lets the
   // handler wait for a persistor (§6.2).
-  using Webhook = std::function<void(const std::string& key, std::function<void()> resume)>;
+  using Resume = sim::InlineFunction<void()>;
+  using Webhook = sim::InlineFunction<void(const std::string& key, Resume resume)>;
 
   // `metrics` (optional) is the shared observability registry; null -> the
   // store owns a private one.
@@ -225,6 +228,9 @@ class ObjectStore {
   obs::MetricsRegistry& metrics() { return *metrics_; }
   // Seeds an object instantly (dataset preparation in FaaSLoad).
   void Seed(const std::string& key, Bytes size, Tags tags);
+  // Operation records the store has made: the most operations it ever had in
+  // flight at once.
+  std::size_t op_records() const { return ops_.size(); }
 
  private:
   // Registry cells, labeled with the store's name so several stores can share
@@ -244,15 +250,49 @@ class ObjectStore {
   };
   void InitMetrics(obs::MetricsRegistry* metrics);
 
-  void After(SimDuration delay, std::function<void()> fn);
+  // One data-path operation from its call to its completion: the key, the
+  // arguments the landing step reads, and the caller's completion. Records are
+  // pooled (the key's capacity is kept) and the event loop's closure captures
+  // only the store and the record's address. Each operation fills `done` or
+  // `meta_done`, whichever its completion type is.
+  struct Op {
+    std::string key;
+    void (ObjectStore::*land)(Op& op) = nullptr;  // Runs when the latency elapses.
+    Bytes size = 0;
+    ObjectVersion version = 0;  // PutIfVersion's expected latest; the pushed version.
+    Checksum fingerprint = 0;
+    Tags tags;
+    Callback done;
+    MetaCallback meta_done;
+  };
+  Op& NewOp(const std::string& key, void (ObjectStore::*land)(Op& op));
+  // Runs `op`'s landing step `delay` from now.
+  void After(SimDuration delay, Op& op);
+  // Release `op`, then call its completion (`done`, or `meta_done` for
+  // FinishMeta): a completion that starts another operation reuses the record
+  // just released.
+  void Finish(Op& op, Status status);
+  void FinishMeta(Op& op, Result<ObjectMetadata> meta);
+  // Landing steps: the operation takes effect when its latency has elapsed.
+  void LandPut(Op& op);
+  void LandPutIfVersion(Op& op);
+  void LandShadow(Op& op);
+  void LandFinalize(Op& op);
+  void LandGet(Op& op);
+  void LandRepairedGet(Op& op);
+  void LandHead(Op& op);
+  void LandDelete(Op& op);
+  // Installs a full payload (Put and PutIfVersion).
+  void Install(const std::string& key, Bytes size, Tags tags);
+
   SimDuration ControlCost();
   SimDuration ReadCost(Bytes size);
   SimDuration WriteCost(Bytes size);
   // Applies the brownout multiplier to a computed cost.
   SimDuration Inflate(SimDuration cost) const;
   // Outage guard: when the store is down, moves `done` into a
-  // `done(kUnavailable)` scheduled after one control round-trip and returns
-  // true (the operation must bail out). While the store is up it leaves `done`
+  // `done(kUnavailable)` deferred by one control round-trip and returns true
+  // (the operation must bail out). While the store is up it leaves `done`
   // untouched, so the common path copies nothing.
   bool FailIfUnavailable(const char* op, const std::string& key, Callback& done);
   bool FailIfUnavailable(const char* op, const std::string& key, MetaCallback& done);
@@ -273,6 +313,9 @@ class ObjectStore {
   std::map<std::string, Entry> objects_;
   Webhook read_webhook_;
   Webhook write_webhook_;
+  RecordPool<Op> ops_;
+  sim::DeferredCalls<Status> deferred_status_;
+  sim::DeferredCalls<Result<ObjectMetadata>> deferred_meta_;
   bool available_ = true;
   double latency_factor_ = 1.0;  // Brownout multiplier; 1.0 = healthy.
   bool webhooks_enabled_ = true;

@@ -610,9 +610,9 @@ TEST_F(CacheAgentTest, WritebackBudgetThrottlesAndDrainsBacklog) {
   int peak_inflight = 0;
   // Slow write-backs (10 s) so one is still in flight when the manual sweep
   // below re-encounters the remaining dirty objects.
-  agent.set_writeback([&](const std::string&, std::function<void(Status)> done) {
+  agent.set_writeback([&](const std::string&, CacheAgent::WritebackDone done) {
     peak_inflight = std::max(peak_inflight, ++inflight);
-    loop_.ScheduleAfter(Seconds(10), [&inflight, done = std::move(done)] {
+    loop_.ScheduleAfter(Seconds(10), [&inflight, done = std::move(done)]() mutable {
       --inflight;
       done(OkStatus());
     });
@@ -640,9 +640,9 @@ TEST_F(CacheAgentTest, WritebackBudgetDeduplicatesPendingKeys) {
   options.max_inflight_writebacks = 1;
   CacheAgent agent(&loop_, &cluster_, options);
   int calls = 0;
-  agent.set_writeback([&](const std::string&, std::function<void(Status)> done) {
+  agent.set_writeback([&](const std::string&, CacheAgent::WritebackDone done) {
     ++calls;
-    loop_.ScheduleAfter(Seconds(10), [done = std::move(done)] { done(OkStatus()); });
+    loop_.ScheduleAfter(Seconds(10), [done = std::move(done)]() mutable { done(OkStatus()); });
   });
   agent.Start();
   agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));

@@ -267,6 +267,55 @@ TEST_F(PlatformTest, CrashRetryKeepsOomRetryWithBookedMemory) {
   EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.retries"), 2u);
 }
 
+TEST_F(PlatformTest, CrashRetriesDispatchInRequestIdOrder) {
+  // Records the order of dispatches; each request reads one input named after it.
+  struct OrderHooks : PlatformHooks {
+    std::vector<std::string> dispatched;
+    Sizing SizeInvocation(const FunctionConfig& fn, const std::vector<InputObject>& inputs,
+                          const std::vector<double>& args) override {
+      dispatched.push_back(inputs.front().key);
+      return PlatformHooks::SizeInvocation(fn, inputs, args);
+    }
+  } hooks;
+  PlatformOptions options;
+  options.num_workers = 2;
+  MakePlatform(options, &hooks);
+  FunctionConfig config;
+  config.spec = TinySpec("f", /*base_mem_mb=*/100, /*compute_us_per_mb=*/50000);
+  config.booked_memory = MiB(512);
+  ASSERT_TRUE(platform_->RegisterFunction(config).ok());
+  int completed = 0;
+  const auto invoke = [&](const std::string& key, int side) {
+    rsds_.Seed(key, KiB(64), {});
+    platform_->Invoke("f", {InputObject{key, TinyImage(KiB(64), side)}}, {},
+                      [&completed](const InvocationRecord&) { ++completed; });
+  };
+  // "in/a" computes for under 2 ms, the others for seconds. Once "in/a" is
+  // done, the later "in/d" takes over its in-flight slot, ahead of the
+  // older "in/b" and "in/c".
+  invoke("in/a", 100);
+  invoke("in/b", 4000);
+  invoke("in/c", 4000);
+  loop_.RunUntil(Millis(500));
+  ASSERT_EQ(completed, 1);
+  invoke("in/d", 4000);
+  invoke("in/e", 4000);
+  loop_.RunUntil(Millis(800));
+  int victim = -1;
+  for (int w = 0; w < 2; ++w) {
+    if (platform_->NumSandboxes(w) == 4) {
+      victim = w;
+    }
+  }
+  ASSERT_GE(victim, 0);
+  hooks.dispatched.clear();
+  platform_->CrashWorker(victim);
+  loop_.RunUntil(Millis(800) + options.retry_delay);
+  EXPECT_EQ(hooks.dispatched,
+            (std::vector<std::string>{"in/b", "in/c", "in/d", "in/e"}));
+  EXPECT_EQ(platform_->metrics().CounterValue("ofc.platform.crash_retries"), 4u);
+}
+
 TEST_F(PlatformTest, MonitorRescueAvoidsOomKill) {
   struct RescueHooks : PlatformHooks {
     Sizing SizeInvocation(const FunctionConfig&, const std::vector<InputObject>&,

@@ -300,7 +300,7 @@ TEST_F(StoreFaultTest, LatencyFactorClampsBelowOne) {
 TEST_F(StoreFaultTest, WebhookDropBypassesInterposition) {
   rsds_.Seed("obj", KiB(64), {});
   int hook_calls = 0;
-  rsds_.set_read_webhook([&](const std::string&, std::function<void()> resume) {
+  rsds_.set_read_webhook([&](const std::string&, store::ObjectStore::Resume resume) {
     ++hook_calls;
     resume();
   });

@@ -2,6 +2,10 @@
 // access stats, vertical scaling, optimized migration, crash recovery.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/common/checksum.h"
 #include "src/ramcloud/cluster.h"
 
@@ -471,6 +475,32 @@ TEST_F(ClusterTest, ChecksumsSurviveMigrationAndRestart) {
   for (const Checksum backup : obj->backup_checksums) {
     EXPECT_EQ(backup, expected);
   }
+}
+
+TEST_F(ClusterTest, CompletionThatStartsTheNextReadReusesItsRecord) {
+  ASSERT_TRUE(WriteSync(0, "first", KiB(1)).ok());
+  ASSERT_TRUE(WriteSync(0, "third", KiB(3)).ok());
+  const std::size_t records = cluster_.completion_records();
+  // Each completion starts the next read, on keys of which every other one is
+  // missing: every caller must see its own key's outcome.
+  const std::vector<std::string> keys = {"first", "second", "third", "fourth"};
+  std::vector<std::string> seen;
+  std::function<void(std::size_t)> read_from = [&](std::size_t i) {
+    cluster_.Read(0, keys[i], [&, i](Result<ReadHit> hit) {
+      seen.push_back(hit.ok() ? keys[i] + " " + std::to_string(hit->size)
+                              : hit.status().message());
+      if (i + 1 < keys.size()) {
+        read_from(i + 1);
+      }
+    });
+  };
+  read_from(0);
+  loop_.Run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"first 1024", "cache miss: second", "third 3072",
+                                            "cache miss: fourth"}));
+  // The record goes back to the pool before its completion runs, so the
+  // next read took it over: one read record served the whole chain.
+  EXPECT_EQ(cluster_.completion_records(), records + 1);
 }
 
 }  // namespace

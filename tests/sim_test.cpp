@@ -1,14 +1,94 @@
 // Unit tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/inline_function.h"
 #include "src/sim/latency.h"
 #include "src/sim/periodic.h"
 
 namespace ofc::sim {
 namespace {
+
+static_assert(!std::is_copy_constructible_v<InlineFunction<void(Status)>>);
+static_assert(!std::is_copy_assignable_v<InlineFunction<void(Status)>>);
+static_assert(sizeof(InlineFunction<void()>) == 64);
+
+TEST(InlineFunctionTest, PassesArgumentsAndReturnsValues) {
+  // By-value arguments arrive moved, reference arguments unchanged.
+  InlineFunction<int(Result<int>, const std::string&)> add =
+      [](Result<int> value, const std::string& text) {
+        return value.ok() ? *value + static_cast<int>(text.size()) : -1;
+      };
+  EXPECT_EQ(add(Result<int>(4), "abc"), 7);
+  EXPECT_EQ(add(NotFoundError("no value"), "abc"), -1);
+
+  const std::string held = "held by the caller";
+  const std::string* seen = nullptr;
+  InlineFunction<void(const std::string&)> look = [&seen](const std::string& text) {
+    seen = &text;
+  };
+  look(held);
+  EXPECT_EQ(seen, &held);
+
+  InlineFunction<bool(int)> even = [](int n) { return n % 2 == 0; };
+  EXPECT_TRUE(even(4));
+  EXPECT_FALSE(even(3));
+}
+
+TEST(InlineFunctionTest, HoldsMoveOnlyCapturesAndRunsRepeatedly) {
+  auto owned = std::make_unique<int>(41);
+  InlineFunction<int(int)> add = [owned = std::move(owned)](int n) { return *owned + n; };
+  EXPECT_EQ(add(1), 42);
+  EXPECT_EQ(add(2), 43);
+}
+
+// A callable past the 56-byte inline buffer that counts its live copies.
+struct Oversized {
+  static inline int live = 0;
+  std::array<unsigned char, 80> payload{};
+  Oversized() { ++live; }
+  Oversized(const Oversized& other) : payload(other.payload) { ++live; }
+  Oversized(Oversized&& other) noexcept : payload(other.payload) { ++live; }
+  ~Oversized() { --live; }
+  int operator()(int n) const { return n + payload[0]; }
+};
+
+TEST(InlineFunctionTest, OversizedCallableLivesOnTheHeapAndDiesOnce) {
+  {
+    InlineFunction<int(int)> first = Oversized{};
+    EXPECT_EQ(Oversized::live, 1);
+    // Moving a heap-backed function moves the owning pointer only.
+    InlineFunction<int(int)> second = std::move(first);
+    EXPECT_EQ(Oversized::live, 1);
+    EXPECT_EQ(second(5), 5);
+    second = InlineFunction<int(int)>();
+    EXPECT_EQ(Oversized::live, 0);
+    InlineFunction<int(int)> third = Oversized{};
+    EXPECT_EQ(Oversized::live, 1);
+  }
+  EXPECT_EQ(Oversized::live, 0);
+}
+
+TEST(InlineFunctionTest, MovedFromFunctionIsEmptyAndReusable) {
+  int calls = 0;
+  InlineFunction<void()> first = [&calls] { ++calls; };
+  EXPECT_TRUE(first);
+  InlineFunction<void()> second = std::move(first);
+  EXPECT_FALSE(first);  // NOLINT(bugprone-use-after-move): the moved-from state is the subject.
+  EXPECT_TRUE(second);
+  second();
+  first = [&calls] { calls += 10; };
+  first();
+  EXPECT_EQ(calls, 11);
+  EXPECT_FALSE(InlineFunction<void()>());
+}
 
 TEST(EventLoopTest, RunsEventsInTimeOrder) {
   EventLoop loop;

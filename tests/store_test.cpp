@@ -2,6 +2,10 @@
 // latency accounting.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/sim/event_loop.h"
 #include "src/store/object_store.h"
 
@@ -125,8 +129,8 @@ TEST_F(StoreTest, DeleteRemovesObject) {
 TEST_F(StoreTest, ReadWebhookBlocksExternalRead) {
   store_.Seed("c/a", KiB(1), {});
   bool webhook_ran = false;
-  std::function<void()> saved_resume;
-  store_.set_read_webhook([&](const std::string& key, std::function<void()> resume) {
+  ObjectStore::Resume saved_resume;
+  store_.set_read_webhook([&](const std::string& key, ObjectStore::Resume resume) {
     EXPECT_EQ(key, "c/a");
     webhook_ran = true;
     saved_resume = std::move(resume);  // Hold the read until we allow it.
@@ -144,7 +148,7 @@ TEST_F(StoreTest, ReadWebhookBlocksExternalRead) {
 TEST_F(StoreTest, WriteWebhookRunsBeforeExternalWrite) {
   int order = 0;
   int webhook_at = 0;
-  store_.set_write_webhook([&](const std::string&, std::function<void()> resume) {
+  store_.set_write_webhook([&](const std::string&, ObjectStore::Resume resume) {
     webhook_at = ++order;
     resume();
   });
@@ -373,6 +377,31 @@ TEST_F(StoreTest, FinalizePayloadRejectsCorruptFingerprint) {
   const auto meta = store_.Stat("c/obj");
   EXPECT_FALSE(meta->IsShadow());
   EXPECT_EQ(meta->checksum, ExpectedChecksum("c/obj", meta->size, meta->rsds_version));
+}
+
+TEST_F(StoreTest, CompletionThatStartsTheNextOperationReusesItsRecord) {
+  store_.Seed("c/first", KiB(1), {});
+  store_.Seed("c/third", KiB(3), {});
+  // Each completion starts the next read, on keys of which every other one is
+  // missing: every caller must see its own key's outcome.
+  const std::vector<std::string> keys = {"c/first", "c/second", "c/third", "c/fourth"};
+  std::vector<std::string> seen;
+  std::function<void(std::size_t)> read_from = [&](std::size_t i) {
+    store_.Get(keys[i], [&, i](Result<ObjectMetadata> meta) {
+      seen.push_back(meta.ok() ? keys[i] + " " + std::to_string(meta->size)
+                               : meta.status().message());
+      if (i + 1 < keys.size()) {
+        read_from(i + 1);
+      }
+    });
+  };
+  read_from(0);
+  loop_.Run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"c/first 1024", "get: c/second", "c/third 3072",
+                                            "get: c/fourth"}));
+  // The record goes back to the pool before its completion runs, so the
+  // next read took it over: one record served the whole chain.
+  EXPECT_EQ(store_.op_records(), 1u);
 }
 
 }  // namespace
