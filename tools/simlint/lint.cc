@@ -69,6 +69,7 @@ class Analyzer {
     UnorderedPass();
     DanglingCapture();
     DcheckSideEffect();
+    StdFunctionCompletion();
     IncludesAndMetrics();
     DeclarationsAndReferences();
     std::sort(out_.findings.begin(), out_.findings.end(),
@@ -723,6 +724,29 @@ class Analyzer {
                      " must be a string literal so it can be audited against "
                      "the DESIGN.md metrics table");
         }
+      }
+    }
+  }
+
+  // ---- std-function-completion ----------------------------------------------
+
+  // The data path's completion type is sim::InlineFunction: std::function
+  // heap-allocates any callable past 16 bytes of captures. Checked in the
+  // headers that declare the RSDS's, the cluster's, the proxy's and the cache
+  // agent's interfaces.
+  void StdFunctionCompletion() {
+    const bool covered =
+        EndsWith(file_, ".h") &&
+        (StartsWith(file_, "src/store/") || StartsWith(file_, "src/ramcloud/") ||
+         file_ == "src/core/proxy.h" || file_ == "src/core/cache_agent.h");
+    if (!covered) {
+      return;
+    }
+    for (std::size_t i = 0; i + 2 < Size(); ++i) {
+      if (IsId(i, "std") && IsPunct(i + 1, "::") && IsId(i + 2, "function")) {
+        Report(Tok(i).line, "std-function-completion",
+               "std::function in a data-path interface; completions are "
+               "sim::InlineFunction (src/sim/inline_function.h)");
       }
     }
   }

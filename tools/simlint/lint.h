@@ -38,6 +38,12 @@
 //                       lower_snake segments. The cross-file half (kind
 //                       conflicts, DESIGN.md table, reads of unregistered
 //                       names) lives in project.h.
+//   std-function-completion
+//                       std::function in a header under src/store/ or
+//                       src/ramcloud/, or in src/core/proxy.h or
+//                       src/core/cache_agent.h — the data path's completions
+//                       are sim::InlineFunction, which keeps up to 56 bytes
+//                       of captures inline where std::function allocates.
 //   suppression         a `simlint: allow(...)` comment without a
 //                       justification.
 //

@@ -121,6 +121,33 @@ TEST(SimlintTest, DanglingCaptureRuleOnlyAppliesUnderSrc) {
   EXPECT_TRUE(LintSource("tests/sim_test.cpp", content).empty());
 }
 
+TEST(SimlintTest, FlagsStdFunctionInDataPathHeaders) {
+  const std::string fixture = ReadFixture("violation_std_function_completion.h");
+  for (const char* label : {"src/store/seeded.h", "src/ramcloud/seeded.h", "src/core/proxy.h",
+                            "src/core/cache_agent.h"}) {
+    const auto findings = LintSource(label, fixture);
+    ASSERT_EQ(findings.size(), 1u) << label;
+    EXPECT_TRUE(HasFinding(findings, "std-function-completion", 12)) << label;
+  }
+}
+
+TEST(SimlintTest, StdFunctionRuleCoversOnlyDataPathHeaders) {
+  const std::string fixture = ReadFixture("violation_std_function_completion.h");
+  // Sources, other modules' headers and the rest of core/ may use it.
+  for (const char* label : {"src/store/seeded.cc", "src/faas/platform.h", "src/core/ofc_system.h",
+                            "tests/seeded.h"}) {
+    EXPECT_TRUE(LintSource(label, fixture).empty()) << label;
+  }
+  // A justified suppression on the line above waives it, as for every rule.
+  const std::string suppressed =
+      "#include <functional>\n"
+      "struct Service {\n"
+      "  // simlint: allow(std-function-completion) -- an interface owned elsewhere\n"
+      "  void Read(std::function<void(int)> done);\n"
+      "};\n";
+  EXPECT_TRUE(LintSource("src/core/proxy.h", suppressed).empty());
+}
+
 TEST(SimlintTest, FlagsDcheckSideEffects) {
   const auto findings = LintFixture("violation_dcheck_side_effect.cc");
   EXPECT_EQ(findings.size(), 3u) << (findings.empty() ? "" : FormatFinding(findings[0]));
