@@ -139,10 +139,10 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
   op.ctx = ctx;
   op.issued = loop_->now();
   CacheRead(ctx.worker, key,
-            [this, op = &op](Result<rc::ReadHit> hit) { OnCacheRead(*op, std::move(hit)); });
+            [this, op = &op](Result<rc::ReadHit> hit) { OnCacheRead(*op, hit); });
 }
 
-void Proxy::OnCacheRead(ReadOp& op, Result<rc::ReadHit> hit) {
+void Proxy::OnCacheRead(ReadOp& op, const Result<rc::ReadHit>& hit) {
   const faas::InvocationContext& ctx = op.ctx;
   FnMetrics& fn = FnMetricsForCtx(ctx);
   if (hit.ok()) {
@@ -189,7 +189,7 @@ void Proxy::StartRsdsRead(ReadOp& op) {
   GetWithRetry(op);
 }
 
-void Proxy::OnRsdsRead(ReadOp& op, Result<store::ObjectMetadata> meta) {
+void Proxy::OnRsdsRead(ReadOp& op, const Result<store::ObjectMetadata>& meta) {
   if (!meta.ok()) {
     FinishRead(op, meta.status());
     return;
@@ -251,7 +251,7 @@ SimDuration Proxy::Backoff(SimDuration base, int attempt) const {
 void Proxy::GetWithRetry(ReadOp& op) {
   rsds_->Get(op.key, [this, op = &op](Result<store::ObjectMetadata> meta) {
     if (meta.ok() || meta.status().code() != StatusCode::kUnavailable) {
-      OnRsdsRead(*op, std::move(meta));
+      OnRsdsRead(*op, meta);
       return;
     }
     const SimDuration backoff = Backoff(options_.rsds_retry_backoff, op->attempt);
@@ -260,7 +260,7 @@ void Proxy::GetWithRetry(ReadOp& op) {
         // No retry was ever attempted (retries disabled, or the first backoff
         // already overshoots the deadline): the store's own kUnavailable is
         // the truth — callers distinguish it from a spent retry budget.
-        OnRsdsRead(*op, std::move(meta));
+        OnRsdsRead(*op, meta);
         return;
       }
       ++*m_.read_deadlines;

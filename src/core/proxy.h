@@ -280,8 +280,8 @@ class Proxy : public faas::DataService {
   void StartRsdsRead(ReadOp& op);
   // RSDS Get with bounded kUnavailable retries until `op.deadline`.
   void GetWithRetry(ReadOp& op);
-  void OnCacheRead(ReadOp& op, Result<rc::ReadHit> hit);
-  void OnRsdsRead(ReadOp& op, Result<store::ObjectMetadata> meta);
+  void OnCacheRead(ReadOp& op, const Result<rc::ReadHit>& hit);
+  void OnRsdsRead(ReadOp& op, const Result<store::ObjectMetadata>& meta);
   void OnAdmitted(ReadOp& op, const Status& status);
   // Releases `op`, then completes the read.
   void FinishRead(ReadOp& op, Result<Bytes> result);

@@ -453,7 +453,7 @@ void Platform::Extract(std::shared_ptr<Request> request) {
     io.epoch = request->crash_epoch;
     io.input = request->next_input++;
     data_->Read(ContextFor(*request), request->inputs[io.input].key,
-                [this, io = &io](Result<Bytes> size) { OnInputRead(*io, std::move(size)); });
+                [this, io = &io](Result<Bytes> size) { OnInputRead(*io, size); });
     return;
   }
   InvocationRecord& record = request->record;
@@ -471,7 +471,7 @@ std::shared_ptr<Platform::Request> Platform::TakeRequest(PendingIo& io) {
   return request;
 }
 
-void Platform::OnInputRead(PendingIo& io, Result<Bytes> size) {
+void Platform::OnInputRead(PendingIo& io, const Result<Bytes>& size) {
   const std::uint64_t epoch = io.epoch;
   const std::size_t input = io.input;
   std::shared_ptr<Request> request = TakeRequest(io);

@@ -391,7 +391,7 @@ class Platform {
   // ends the phase once every input has arrived; Transform applies the memory
   // check and computes; Load writes the output.
   void Extract(std::shared_ptr<Request> request);
-  void OnInputRead(PendingIo& io, Result<Bytes> size);
+  void OnInputRead(PendingIo& io, const Result<Bytes>& size);
   void Transform(std::shared_ptr<Request> request);
   void Load(std::shared_ptr<Request> request);
   void OnOutputWritten(PendingIo& io, const Status& status);

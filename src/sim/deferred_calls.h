@@ -10,8 +10,8 @@
 #define OFC_SIM_DEFERRED_CALLS_H_
 
 #include <cstddef>
-#include <optional>
 #include <utility>
+#include <variant>
 
 #include "src/common/record_pool.h"
 #include "src/common/units.h"
@@ -34,11 +34,11 @@ class DeferredCalls {
   void After(SimDuration delay, Completion done, T value) {
     Call* call = calls_.Acquire();
     call->done = std::move(done);
-    call->value.emplace(std::move(value));
+    call->value = std::move(value);
     loop_->ScheduleAfter(delay, [this, call] {
       Completion completion = std::move(call->done);
-      T result = std::move(*call->value);
-      call->value.reset();
+      T result = std::get<T>(std::move(call->value));
+      call->value = std::monostate();
       calls_.Release(call);
       completion(std::move(result));
     });
@@ -47,7 +47,7 @@ class DeferredCalls {
  private:
   struct Call {
     Completion done;
-    std::optional<T> value;
+    std::variant<std::monostate, T> value;  // T while the call is pending.
   };
 
   EventLoop* loop_;
