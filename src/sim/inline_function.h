@@ -100,7 +100,8 @@ class InlineFunction<R(Args...)> {
   template <typename D>
   static R Invoke(D& callable, Args&&... args) {
     if constexpr (std::is_void_v<R>) {
-      std::invoke(callable, std::forward<Args>(args)...);
+      // Discards what the callable returns, as std::function<void(...)> does.
+      static_cast<void>(std::invoke(callable, std::forward<Args>(args)...));
     } else {
       return std::invoke(callable, std::forward<Args>(args)...);
     }

@@ -40,6 +40,15 @@ TEST(InlineFunctionTest, PassesArgumentsAndReturnsValues) {
   InlineFunction<bool(int)> even = [](int n) { return n % 2 == 0; };
   EXPECT_TRUE(even(4));
   EXPECT_FALSE(even(3));
+
+  // A void signature discards the callable's result, [[nodiscard]] or not.
+  int calls = 0;
+  InlineFunction<void()> status = [&calls] {
+    ++calls;
+    return NotFoundError("discarded");
+  };
+  status();
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(InlineFunctionTest, HoldsMoveOnlyCapturesAndRunsRepeatedly) {
