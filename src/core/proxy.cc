@@ -23,8 +23,7 @@ Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsd
       cluster_(cluster),
       rsds_(rsds),
       options_(options),
-      deferred_status_(loop),
-      deferred_reads_(loop) {
+      deferred_status_(loop) {
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -476,8 +475,9 @@ void Proxy::JoinTransparentWrite(WriteOp& join) {
 
 void Proxy::CacheRead(int worker, const std::string& key, rc::Cluster::ReadCallback done) {
   if (CacheFaulted()) {
-    deferred_reads_.After(0, std::move(done),
-                          UnavailableError("cache path degraded (injected fault)"));
+    loop_->ScheduleAfter(0, [done = std::move(done)]() mutable {
+      done(UnavailableError("cache path degraded (injected fault)"));
+    });
     return;
   }
   cluster_->Read(worker, key, std::move(done));
@@ -487,8 +487,9 @@ void Proxy::CacheWrite(int worker, const std::string& key, Bytes size,
                        store::ObjectVersion version, rc::ObjectClass object_class,
                        bool dirty, rc::Cluster::Callback done) {
   if (CacheFaulted()) {
-    deferred_status_.After(0, std::move(done),
-                           UnavailableError("cache path degraded (injected fault)"));
+    loop_->ScheduleAfter(0, [done = std::move(done)]() mutable {
+      done(UnavailableError("cache path degraded (injected fault)"));
+    });
     return;
   }
   // Every proxy-side cache write carries the payload fingerprint, so the
@@ -738,13 +739,7 @@ void Proxy::HandleExternalRead(const std::string& key, store::ObjectStore::Resum
   // payload is in the RSDS (§6.2).
   ++*m_.external_read_boosts;
   emit_.Emit({.kind = FlightEventKind::kExternalReadBoost, .time = loop_->now(), .subject = key});
-  store::ObjectStore::Resume* waiting = boosted_reads_.Acquire();
-  *waiting = std::move(resume);
-  Writeback(key, [this, waiting](Status) {
-    store::ObjectStore::Resume resume_read = std::move(*waiting);
-    boosted_reads_.Release(waiting);
-    resume_read();
-  });
+  Writeback(key, [resume = std::move(resume)](Status) mutable { resume(); });
 }
 
 void Proxy::HandleExternalWrite(const std::string& key, store::ObjectStore::Resume resume) {

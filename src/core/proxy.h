@@ -399,12 +399,9 @@ class Proxy : public faas::DataService {
   RecordPool<PersistorRun> persistor_runs_;
   RecordPool<ReadOp> reads_;
   RecordPool<WriteOp> writes_;
-  // External reads waiting on a persistor boost (HandleExternalRead).
-  RecordPool<store::ObjectStore::Resume> boosted_reads_;
-  // Completions with a value known at call time: injected cache faults and
-  // write-backs with nothing to push.
+  // Write-backs whose status is known at call time: nothing to push, or the
+  // object is gone.
   sim::DeferredCalls<Status> deferred_status_;
-  sim::DeferredCalls<Result<rc::ReadHit>> deferred_reads_;
 };
 
 }  // namespace ofc::core

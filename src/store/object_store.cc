@@ -347,13 +347,9 @@ void ObjectStore::ExternalRead(const std::string& key, MetaCallback done) {
   }
   if (read_webhook_) {
     // The webhook must complete (e.g. waiting on a persistor boost) before the
-    // external read proceeds against the store. The waiting read keeps its key
-    // and completion in a record until then.
-    Op& op = NewOp(key, /*land=*/nullptr);
-    op.meta_done = std::move(done);
-    read_webhook_(key, [this, op = &op] {
-      Get(op->key, std::move(op->meta_done));
-      ops_.Release(op);
+    // external read proceeds against the store.
+    read_webhook_(key, [this, key, done = std::move(done)]() mutable {
+      Get(key, std::move(done));
     });
     return;
   }
@@ -368,12 +364,8 @@ void ObjectStore::ExternalWrite(const std::string& key, Bytes size, Callback don
     return;
   }
   if (write_webhook_) {
-    Op& op = NewOp(key, /*land=*/nullptr);
-    op.size = size;
-    op.done = std::move(done);
-    write_webhook_(key, [this, op = &op] {
-      Put(op->key, op->size, {}, std::move(op->done));
-      ops_.Release(op);
+    write_webhook_(key, [this, key, size, done = std::move(done)]() mutable {
+      Put(key, size, {}, std::move(done));
     });
     return;
   }

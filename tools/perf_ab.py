@@ -3,7 +3,9 @@
 
 Runs the parent's and the change's perfbench at the same time, each pinned by
 taskset to its own CPU, and swaps the two CPUs every pair, so both sides meet
-the same host load and neither keeps a faster core. Fails when a run fails or
+the same host load and neither keeps a faster core. It runs ten pairs, each of
+BENCHMARK.json's run_seconds; for a second batch, run the tool again. It fails
+when a run fails or
 when the two sides simulate different fingerprints (a change that claims only
 speed must simulate exactly what its parent does). For each end-to-end metric
 BENCHMARK.json declares it prints the per-pair ratios (change / parent), each
@@ -22,18 +24,19 @@ Build each side with `python3 perfbench/run.py ...` in its own checkout, then:
 import argparse
 import json
 import pathlib
-import re
 import statistics
 import subprocess
 import sys
 
+from check_perfbench_fingerprints import FINGERPRINT_RE
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-FINGERPRINT_RE = re.compile(r"fingerprint (\d+) events, t=(-?\d+) us, ([0-9a-f]{16})")
+PAIRS = 10
 
 
-def start(binary, cpu, args):
+def start(binary, cpu, args, seconds):
     cmd = ["taskset", "-c", str(cpu), binary, "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--seed", str(args.seed), "--seconds", str(seconds), "--trace", str(args.trace)]
     return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -62,35 +65,31 @@ def main():
     parser.add_argument("--change", required=True, help="the change's perfbench binary")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--cpus", default="2,3", help="the two CPUs to pin the sides to")
     args = parser.parse_args()
     benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     cpus = args.cpus.split(",")
-    if args.pairs < 10 or len(cpus) != 2 or cpus[0] == cpus[1]:
-        parser.error("--pairs must be at least 10 and --cpus two distinct CPUs")
+    if len(cpus) != 2 or cpus[0] == cpus[1]:
+        parser.error("--cpus must name two distinct CPUs")
 
     runs = {"parent": [], "change": []}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         # Swap the CPUs every pair.
         parent_cpu, change_cpu = (cpus[0], cpus[1]) if pair % 2 == 0 else (cpus[1], cpus[0])
-        procs = {"parent": start(args.parent, parent_cpu, args),
-                 "change": start(args.change, change_cpu, args)}
+        procs = {"parent": start(args.parent, parent_cpu, args, seconds),
+                 "change": start(args.change, change_cpu, args, seconds)}
         results = {side: finish(side, proc) for side, proc in procs.items()}
         if results["parent"][1] != results["change"][1]:
             sys.exit(f"perf_ab: pair {pair + 1} simulated different runs: parent "
                      f"{results['parent'][1]}, change {results['change'][1]}")
         for side in runs:
             runs[side].append(results[side][0])
-        print(f"pair {pair + 1}/{args.pairs}: parent on CPU {parent_cpu}, change on CPU "
+        print(f"pair {pair + 1}/{PAIRS}: parent on CPU {parent_cpu}, change on CPU "
               f"{change_cpu}; {results['change'][1]}", flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds} s "
+    print(f"\n{args.workload}, seed {args.seed}, {PAIRS} pairs of {seconds} s "
           f"(--trace {args.trace})")
     if args.trace:
         for metric in benchmark["per_layer"]:
@@ -101,7 +100,7 @@ def main():
             wins = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
             print(f"  {name:36} {statistics.median(parent):12.6g} -> "
                   f"{statistics.median(change):12.6g} {metric['unit']:10} change better "
-                  f"{wins}/{args.pairs}")
+                  f"{wins}/{PAIRS}")
         return 0
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
@@ -114,12 +113,12 @@ def main():
         p_q1, p_median, p_q3 = quartiles(parent)
         c_q1, c_median, c_q3 = quartiles(change)
         gain = c_median - p_median if higher else p_median - c_median
-        holds = wins >= 0.9 * args.pairs and gain > p_q3 - p_q1
+        holds = wins >= 0.9 * PAIRS and gain > p_q3 - p_q1
         print(f"\n{name} ({metric['unit']}, {metric['better']} is better)")
         print("  ratios change/parent: " + " ".join(f"{r:.3f}" for r in ratios))
         print(f"  parent median {p_median:.6g} (quartiles {p_q1:.6g} .. {p_q3:.6g})")
         print(f"  change median {c_median:.6g} (quartiles {c_q1:.6g} .. {c_q3:.6g})")
-        print(f"  change better in {wins}/{args.pairs} pairs ({ties} ties); median gain "
+        print(f"  change better in {wins}/{PAIRS} pairs ({ties} ties); median gain "
               f"{gain:.6g} vs parent IQR {p_q3 - p_q1:.6g}; 9-of-10 rule "
               f"{'holds' if holds else 'does not hold'}")
     return 0
