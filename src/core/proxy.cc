@@ -22,8 +22,7 @@ Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsd
     : loop_(loop),
       cluster_(cluster),
       rsds_(rsds),
-      options_(options),
-      deferred_status_(loop) {
+      options_(options) {
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -699,11 +698,13 @@ void Proxy::OnPipelineComplete(std::uint64_t pipeline_id) {
 void Proxy::Writeback(const std::string& key, store::ObjectStore::Callback done) {
   const auto obj = cluster_->Inspect(key);
   if (!obj.ok()) {
-    deferred_status_.After(0, std::move(done), obj.status());
+    loop_->ScheduleAfter(0, [done = std::move(done), status = obj.status()]() mutable {
+      done(status);
+    });
     return;
   }
   if (!obj->dirty) {
-    deferred_status_.After(0, std::move(done), OkStatus());
+    loop_->ScheduleAfter(0, [done = std::move(done)]() mutable { done(OkStatus()); });
     return;
   }
   const Bytes size = obj->size;
@@ -712,21 +713,18 @@ void Proxy::Writeback(const std::string& key, store::ObjectStore::Callback done)
   const auto meta = rsds_->Stat(key);
   ++*m_.persistor_runs;
   emit_.Emit({.kind = FlightEventKind::kWriteback, .time = loop_->now(), .subject = key});
-  WriteOp& op = *writes_.Acquire();
-  op.key = key;
-  op.done = std::move(done);
-  auto on_pushed = [this, op = &op](Status status) {
+  auto on_pushed = [this, key, done = std::move(done)](Status status) mutable {
     if (status.ok()) {
-      (void)cluster_->MarkPersisted(op->key);
+      (void)cluster_->MarkPersisted(key);
     }
-    FinishWrite(*op, std::move(status));
+    done(std::move(status));
   };
   if (meta.ok() && meta->IsShadow()) {
     rsds_->FinalizePayload(key, meta->latest_version, size, PayloadFingerprint(key, size),
-                           on_pushed);
+                           std::move(on_pushed));
     return;
   }
-  rsds_->Put(key, size, {}, on_pushed);
+  rsds_->Put(key, size, {}, std::move(on_pushed));
 }
 
 void Proxy::HandleExternalRead(const std::string& key, store::ObjectStore::Resume resume) {

@@ -38,7 +38,6 @@
 #include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
 #include "src/ramcloud/cluster.h"
-#include "src/sim/deferred_calls.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/inline_function.h"
 #include "src/store/object_store.h"
@@ -286,10 +285,10 @@ class Proxy : public faas::DataService {
   // Releases `op`, then completes the read.
   void FinishRead(ReadOp& op, Result<Bytes> result);
 
-  // One proxy write (or cache-agent write-back) from its call to its last
-  // completion. A transparent-mode write joins its two halves here, the RSDS
-  // shadow and the durable cache write, and the second to arrive acknowledges
-  // the write (JoinTransparentWrite).
+  // One proxy write from its call to its last completion. A transparent-mode
+  // write joins its two halves here, the RSDS shadow and the durable cache
+  // write, and the second to arrive acknowledges the write
+  // (JoinTransparentWrite).
   struct WriteOp {
     faas::InvocationContext ctx;
     std::string key;
@@ -399,9 +398,6 @@ class Proxy : public faas::DataService {
   RecordPool<PersistorRun> persistor_runs_;
   RecordPool<ReadOp> reads_;
   RecordPool<WriteOp> writes_;
-  // Write-backs whose status is known at call time: nothing to push, or the
-  // object is gone.
-  sim::DeferredCalls<Status> deferred_status_;
 };
 
 }  // namespace ofc::core

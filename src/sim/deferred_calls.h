@@ -1,5 +1,5 @@
 // DeferredCalls<T>: calls a completion later on the event loop with a value
-// fixed now — a cache read's hit or miss, a write's status, an outage error.
+// fixed now — a cluster read's hit or miss, a cluster write's status.
 //
 // The completion and the value wait in a pooled record, and the loop's
 // closure captures only the record's address, so a deferred call allocates

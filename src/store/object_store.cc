@@ -12,9 +12,7 @@ ObjectStore::ObjectStore(sim::EventLoop* loop, StoreProfile profile, Rng rng,
     : loop_(loop),
       profile_(profile),
       rng_(rng),
-      name_(std::move(name)),
-      deferred_status_(loop),
-      deferred_meta_(loop) {
+      name_(std::move(name)) {
   InitMetrics(metrics);
 }
 
@@ -94,8 +92,9 @@ bool ObjectStore::FailIfUnavailable(const char* op, const std::string& key,
     return false;
   }
   ++*m_.unavailable_errors;
-  deferred_status_.After(ControlCost(), std::move(done),
-                         UnavailableError(std::string(op) + ": store unavailable: " + key));
+  loop_->ScheduleAfter(ControlCost(), [op, key, done = std::move(done)]() mutable {
+    done(UnavailableError(std::string(op) + ": store unavailable: " + key));
+  });
   return true;
 }
 
@@ -105,8 +104,9 @@ bool ObjectStore::FailIfUnavailable(const char* op, const std::string& key,
     return false;
   }
   ++*m_.unavailable_errors;
-  deferred_meta_.After(ControlCost(), std::move(done),
-                       UnavailableError(std::string(op) + ": store unavailable: " + key));
+  loop_->ScheduleAfter(ControlCost(), [op, key, done = std::move(done)]() mutable {
+    done(UnavailableError(std::string(op) + ": store unavailable: " + key));
+  });
   return true;
 }
 

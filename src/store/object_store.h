@@ -30,7 +30,6 @@
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
-#include "src/sim/deferred_calls.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/inline_function.h"
 #include "src/sim/latency.h"
@@ -314,8 +313,6 @@ class ObjectStore {
   Webhook read_webhook_;
   Webhook write_webhook_;
   RecordPool<Op> ops_;
-  sim::DeferredCalls<Status> deferred_status_;
-  sim::DeferredCalls<Result<ObjectMetadata>> deferred_meta_;
   bool available_ = true;
   double latency_factor_ = 1.0;  // Brownout multiplier; 1.0 = healthy.
   bool webhooks_enabled_ = true;
