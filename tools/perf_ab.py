@@ -5,15 +5,15 @@ Runs the parent's and the change's perfbench at the same time, each pinned by
 taskset to its own CPU, and swaps the two CPUs every pair, so both sides meet
 the same host load and neither keeps a faster core. It runs ten pairs, each of
 BENCHMARK.json's run_seconds; for a second batch, run the tool again. It fails
-when a run fails or
-when the two sides simulate different fingerprints (a change that claims only
-speed must simulate exactly what its parent does). For each end-to-end metric
-BENCHMARK.json declares it prints the per-pair ratios (change / parent), each
-side's median and quartiles, and whether the change wins by the repository's
-rule: better in at least nine tenths of the pairs, ties counting for neither,
-with medians further apart than the parent's interquartile range. With
---trace 1 perfbench reports the per-layer metrics instead, and this prints one
-line per per-layer metric: each side's median and the pairs the change won.
+when a run fails or when the two sides simulate different fingerprints (a
+change that claims only speed must simulate exactly what its parent does).
+For each end-to-end metric BENCHMARK.json declares it prints the per-pair
+ratios (change / parent), each side's median and quartiles, and whether the
+change wins by the repository's rule: better in at least nine tenths of the
+pairs, ties counting for neither, with medians further apart than the
+parent's interquartile range. With --trace 1 perfbench reports the per-layer
+metrics instead, and this prints one line per per-layer metric: each side's
+median and the pairs the change won.
 
 Build each side with `python3 perfbench/run.py ...` in its own checkout, then:
 
