@@ -635,10 +635,8 @@ TEST_F(CacheAgentTest, WritebackBudgetThrottlesAndDrainsBacklog) {
   EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.writebacks_triggered"), 3u);
 }
 
-TEST_F(CacheAgentTest, WritebackBudgetDeduplicatesPendingKeys) {
-  CacheAgentOptions options = MakeAgentOptions();
-  options.max_inflight_writebacks = 1;
-  CacheAgent agent(&loop_, &cluster_, options);
+TEST_F(CacheAgentTest, WritebackDeduplicatesPendingKeys) {
+  CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
   int calls = 0;
   agent.set_writeback([&](const std::string&, CacheAgent::WritebackDone done) {
     ++calls;
@@ -652,6 +650,55 @@ TEST_F(CacheAgentTest, WritebackBudgetDeduplicatesPendingKeys) {
   agent.SweepOnce();  // Same dirty object re-encountered while in flight.
   RunFor(Seconds(1));
   EXPECT_EQ(calls, 1);
+}
+
+TEST_F(CacheAgentTest, ShrinkRetryLaunchesOneWritebackPerKey) {
+  CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
+  int calls = 0;
+  agent.set_writeback([&](const std::string&, CacheAgent::WritebackDone done) {
+    ++calls;
+    loop_.ScheduleAfter(Seconds(10), [done = std::move(done)]() mutable { done(OkStatus()); });
+  });
+  agent.Start();
+  agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));  // Cache capacity 860 MiB.
+  WriteObject(0, "out0", MiB(300), rc::ObjectClass::kFinalOutput, /*dirty=*/true);
+  WriteObject(0, "out1", MiB(300), rc::ObjectClass::kFinalOutput, /*dirty=*/true);
+  // Sandbox grows to 704 MiB: target 220 MiB, but both outputs are dirty, so
+  // the shrink launches their write-backs and retries every 50 ms until they
+  // land. Twenty retries meet both write-backs still in flight.
+  agent.OnSandboxMemoryChange(Ev(0, MiB(64), MiB(704)));
+  RunFor(Seconds(1));
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(agent.metrics().CounterValue("ofc.cache_agent.writebacks_triggered"), 2u);
+  RunFor(Seconds(10));  // Both land; the next retry reaches the target.
+  EXPECT_FALSE(cluster_.Contains("out0"));
+  EXPECT_FALSE(cluster_.Contains("out1"));
+  EXPECT_EQ(cluster_.Capacity(0), MiB(220));
+}
+
+TEST_F(CacheAgentTest, FailedWritebackIsLaunchedAgain) {
+  CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
+  int calls = 0;
+  agent.set_writeback([&](const std::string&, CacheAgent::WritebackDone done) {
+    ++calls;
+    if (calls == 1) {
+      loop_.ScheduleAfter(Millis(10), [done = std::move(done)]() mutable {
+        done(UnavailableError("rsds down"));
+      });
+      return;
+    }
+    loop_.ScheduleAfter(Seconds(1), [done = std::move(done)]() mutable { done(OkStatus()); });
+  });
+  agent.Start();
+  agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));
+  WriteObject(0, "out", MiB(300), rc::ObjectClass::kFinalOutput, /*dirty=*/true);
+  // Target 220 MiB. The first write-back fails before the first 50 ms retry,
+  // which launches it again; later retries find that one in flight.
+  agent.OnSandboxMemoryChange(Ev(0, MiB(64), MiB(704)));
+  RunFor(Seconds(2));
+  EXPECT_EQ(calls, 2);
+  EXPECT_FALSE(cluster_.Contains("out"));
+  EXPECT_EQ(cluster_.Capacity(0), MiB(220));
 }
 
 TEST_F(CacheAgentTest, PressureWatermarksUseHysteresis) {
