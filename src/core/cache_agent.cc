@@ -17,10 +17,6 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
   slack_.assign(n, options_.initial_slack);
   churn_accum_.assign(n, 0);
   churn_windows_.assign(n, SlidingTimeWindow(options_.churn_window));
-  inflight_writebacks_.assign(n, 0);
-  writeback_backlog_.assign(n, {});
-  writeback_pending_.assign(n, {});
-  under_pressure_.assign(n, false);
 
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
@@ -50,12 +46,6 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
   m_.objects_evicted = metrics_->GetCounter("ofc.cache_agent.objects_evicted");
   m_.objects_swept = metrics_->GetCounter("ofc.cache_agent.objects_swept");
   m_.writebacks_triggered = metrics_->GetCounter("ofc.cache_agent.writebacks_triggered");
-  m_.writebacks_throttled = metrics_->GetCounter("ofc.cache_agent.writebacks_throttled");
-  pressure_gauges_.reserve(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    pressure_gauges_.push_back(
-        metrics_->GetGauge("ofc.overload.cache_pressure", std::to_string(w)));
-  }
   m_.scale_up_time_us = metrics_->GetGauge("ofc.cache_agent.scale_up_time_us");
   m_.scale_down_time_us = metrics_->GetGauge("ofc.cache_agent.scale_down_time_us");
   m_.migration_ms = metrics_->GetSeries("ofc.cache_agent.migration_ms");
@@ -122,7 +112,7 @@ void CacheAgent::SweepOnce() {
         continue;
       }
       if (obj.dirty) {
-        LaunchWriteback(node, obj.key, /*count_swept=*/true);
+        LaunchWriteback(obj.key, /*count_swept=*/true);
         continue;
       }
       (void)cluster_->Remove(obj.key);
@@ -178,11 +168,10 @@ void CacheAgent::ApplyTarget(int worker) {
   bool migrated = false;
   bool evicted = false;
   if (used > target) {
-    const Bytes freed = FreeBytes(worker, used - target, &migrated, &evicted);
+    FreeBytes(worker, used - target, &migrated, &evicted);
     if (cluster_->Used(worker) > target) {
       // Could not free enough synchronously (e.g. everything dirty, write-backs
       // in flight): shrink to what is feasible now and retry shortly.
-      (void)freed;
       const Bytes feasible = std::max(target, cluster_->Used(worker));
       SimDuration partial = 0;
       if (cluster_->SetCapacity(worker, feasible, &partial).ok()) {
@@ -194,20 +183,14 @@ void CacheAgent::ApplyTarget(int worker) {
   }
   if (cluster_->SetCapacity(worker, target, &duration).ok()) {
     AddScaleDownTime(duration);
-    if (migrated) {
-      ++*m_.scale_downs_migration;
-    } else if (evicted) {
-      ++*m_.scale_downs_eviction;
-    } else {
-      ++*m_.scale_downs_plain;
-    }
+    CountScaleDown(migrated, evicted);
     emit_.Emit({.kind = FlightEventKind::kScaleDown, .time = loop_->now(), .worker = worker,
                 .detail = migrated ? "migration" : (evicted ? "eviction" : "plain"),
                 .duration = duration, .n = target});
   }
 }
 
-Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evicted) {
+void CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evicted) {
   const SimTime now = loop_->now();
   Bytes freed = 0;
   // One bulk snapshot of the worker's mastered objects feeds all three phases.
@@ -219,7 +202,7 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
   // Phase 1: discard persisted output objects (final outputs first, §6.4).
   for (const rc::CachedObject& obj : objects) {
     if (freed >= needed) {
-      return freed;
+      return;
     }
     const bool output = obj.object_class != rc::ObjectClass::kInput;
     if (output && obj.persisted && !obj.dirty) {
@@ -233,14 +216,12 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
   }
 
   // Phase 2: trigger write-back of dirty outputs; they free memory when the
-  // persistor completes (asynchronous, so not counted in `freed`). The
-  // in-flight budget (max_inflight_writebacks) bounds the storm a large shrink
-  // would otherwise unleash on the RSDS.
+  // persistor completes (asynchronous, so not counted in `freed`).
   for (const rc::CachedObject& obj : objects) {
     if (!obj.dirty || obj.object_class == rc::ObjectClass::kInput) {
       continue;
     }
-    LaunchWriteback(worker, obj.key, /*count_swept=*/false);
+    LaunchWriteback(obj.key, /*count_swept=*/false);
   }
 
   // Phase 3: input objects, in the policy's eviction order (the default lru
@@ -276,117 +257,41 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
     AddScaleDownTime(options_.eviction_op_cost);
     policy_->NoteEviction(obj, EvictionReason::kCapacity, worker, now);
   }
-  return freed;
 }
 
-// ---- Overload protection ------------------------------------------------------------
-
-void CacheAgent::LaunchWriteback(int worker, const std::string& key, bool count_swept) {
-  if (!writeback_) {
-    return;
+void CacheAgent::CountScaleDown(bool migrated, bool evicted) {
+  if (migrated) {
+    ++*m_.scale_downs_migration;
+  } else if (evicted) {
+    ++*m_.scale_downs_eviction;
+  } else {
+    ++*m_.scale_downs_plain;
   }
-  if (options_.max_inflight_writebacks <= 0) {
-    // Unbounded legacy path: fire immediately (possibly redundantly — the
-    // budget below exists to bound exactly this).
-    ++*m_.writebacks_triggered;
-    const std::string k = key;
-    writeback_(k, [this, k, count_swept](Status status) {
-      if (status.ok()) {
-        const auto obj = cluster_->Inspect(k);
-        (void)cluster_->Remove(k);
-        if (count_swept) {
-          ++*m_.objects_swept;
-        }
-        if (obj.ok()) {
-          policy_->NoteEviction(*obj,
-                                count_swept ? EvictionReason::kSweep
-                                            : EvictionReason::kCapacity,
-                                obj->master, loop_->now());
-        }
-      }
-    });
-    return;
-  }
-  const std::size_t w = static_cast<std::size_t>(worker);
-  if (!writeback_pending_[w].insert(key).second) {
-    return;  // Already in flight or queued.
-  }
-  if (inflight_writebacks_[w] >= options_.max_inflight_writebacks) {
-    ++*m_.writebacks_throttled;
-    writeback_backlog_[w].push_back(PendingWriteback{key, count_swept});
-    return;
-  }
-  StartWriteback(worker, key, count_swept);
 }
 
-void CacheAgent::StartWriteback(int worker, const std::string& key, bool count_swept) {
-  const std::size_t w = static_cast<std::size_t>(worker);
-  ++inflight_writebacks_[w];
+void CacheAgent::LaunchWriteback(const std::string& key, bool count_swept) {
+  if (!writeback_ || !writeback_pending_.insert(key).second) {
+    return;
+  }
   ++*m_.writebacks_triggered;
-  writeback_(key, [this, worker, key, count_swept](Status status) {
-    const std::size_t idx = static_cast<std::size_t>(worker);
-    --inflight_writebacks_[idx];
-    writeback_pending_[idx].erase(key);
-    if (status.ok()) {
-      const auto obj = cluster_->Inspect(key);
-      (void)cluster_->Remove(key);
-      if (count_swept) {
-        ++*m_.objects_swept;
-      }
-      if (obj.ok()) {
-        policy_->NoteEviction(*obj,
-                              count_swept ? EvictionReason::kSweep
-                                          : EvictionReason::kCapacity,
-                              obj->master, loop_->now());
-      }
+  writeback_(key, [this, key, count_swept](Status status) {
+    writeback_pending_.erase(key);
+    if (!status.ok()) {
+      return;
     }
-    DrainWritebackBacklog(worker);
+    const auto obj = cluster_->Inspect(key);
+    (void)cluster_->Remove(key);
+    if (count_swept) {
+      ++*m_.objects_swept;
+    }
+    if (obj.ok()) {
+      policy_->NoteEviction(*obj, count_swept ? EvictionReason::kSweep : EvictionReason::kCapacity,
+                            obj->master, loop_->now());
+    }
   });
 }
 
-void CacheAgent::DrainWritebackBacklog(int worker) {
-  const std::size_t w = static_cast<std::size_t>(worker);
-  while (!writeback_backlog_[w].empty() &&
-         inflight_writebacks_[w] < options_.max_inflight_writebacks) {
-    PendingWriteback next = std::move(writeback_backlog_[w].front());
-    writeback_backlog_[w].pop_front();
-    // The object may have been persisted, evicted or rewritten while queued.
-    const auto obj = cluster_->Inspect(next.key);
-    if (!obj.ok() || !obj->dirty) {
-      writeback_pending_[w].erase(next.key);
-      continue;
-    }
-    StartWriteback(worker, next.key, next.count_swept);
-  }
-}
-
-bool CacheAgent::UnderPressure(int worker) {
-  if (options_.pressure_high_watermark > 1.0) {
-    return false;  // Disabled.
-  }
-  const std::size_t w = static_cast<std::size_t>(worker);
-  const Bytes capacity = cluster_->Capacity(worker);
-  const Bytes used = cluster_->Used(worker);
-  // Capacity 0 with residue still cached (mid-shrink) is full pressure.
-  const double ratio = capacity > 0
-                           ? static_cast<double>(used) / static_cast<double>(capacity)
-                           : (used > 0 ? 1.0 : 0.0);
-  if (under_pressure_[w]) {
-    if (ratio < options_.pressure_low_watermark) {
-      under_pressure_[w] = false;
-      pressure_gauges_[w]->Set(0.0);
-      emit_.Emit({.kind = FlightEventKind::kPressureExit, .time = loop_->now(), .worker = worker});
-    }
-  } else if (ratio >= options_.pressure_high_watermark) {
-    under_pressure_[w] = true;
-    pressure_gauges_[w]->Set(1.0);
-    emit_.Emit({.kind = FlightEventKind::kPressureEnter, .time = loop_->now(), .worker = worker});
-  }
-  return under_pressure_[w];
-}
-
 bool CacheAgent::ReleaseForSandbox(int worker, Bytes bytes) {
-  const std::size_t w = static_cast<std::size_t>(worker);
   // The monitor needs `bytes` more for sandboxes: permanently move the target
   // down by raising the mirrored reservation (the platform will report the
   // actual sandbox change right after; reconciliation happens in
@@ -406,14 +311,7 @@ bool CacheAgent::ReleaseForSandbox(int worker, Bytes bytes) {
     return false;
   }
   AddScaleDownTime(duration);
-  if (migrated) {
-    ++*m_.scale_downs_migration;
-  } else if (evicted) {
-    ++*m_.scale_downs_eviction;
-  } else {
-    ++*m_.scale_downs_plain;
-  }
-  (void)w;
+  CountScaleDown(migrated, evicted);
   return true;
 }
 

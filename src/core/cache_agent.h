@@ -31,7 +31,6 @@
 #ifndef OFC_CORE_CACHE_AGENT_H_
 #define OFC_CORE_CACHE_AGENT_H_
 
-#include <deque>
 #include <memory>
 #include <set>
 #include <string>
@@ -61,24 +60,13 @@ struct CacheAgentOptions {
   std::uint32_t sweep_min_access = 5;     // Evict when n_access < 5 ...
   SimDuration sweep_max_idle = Minutes(30);  // ... or idle > 30 min.
   SimDuration eviction_op_cost = Micros(120);  // Per-object eviction overhead.
-  // ---- Overload protection (memory pressure & write-back throttling) ------------
-  // Cap on concurrently in-flight reclamation write-backs per worker; further
-  // dirty objects queue FIFO and launch as completions free budget, bounding
-  // the §6.4 shrink-time write-back storm. 0 = unbounded (legacy behaviour).
-  int max_inflight_writebacks = 0;
-  // Memory-pressure hysteresis on used/capacity: a worker enters pressure at
-  // >= high and leaves below low. While under pressure the proxy's admission
-  // gate defers new cache admissions, so shrink degrades admission rather than
-  // latency. high > 1.0 disables pressure signalling (the default).
-  double pressure_high_watermark = 2.0;
-  double pressure_low_watermark = 0.85;
   // Eviction/sweep policy engine (cache_policy.h), normally owned by the
   // OfcSystem so the Proxy's data-plane notifications feed the same instance.
   // Null: the agent owns a private default engine (the paper's lru policy).
   CachePolicyEngine* policy = nullptr;
   // Observability sinks (src/obs/). Null `metrics` -> private registry; null
   // `trace` -> scaling/migration events are skipped; null `flight` -> no
-  // black-box scale/pressure/migration records.
+  // black-box scale/migration records.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;
   obs::FlightRecorder* flight = nullptr;
@@ -116,10 +104,6 @@ class CacheAgent {
   // tests and benches.
   void SweepOnce();
 
-  // Memory-pressure watermark query (hysteresis; see the options). The proxy's
-  // admission gate calls this on every read-miss admission decision.
-  bool UnderPressure(int worker);
-
   Bytes slack(int worker) const { return slack_[static_cast<std::size_t>(worker)]; }
   // Sum of (booked - limit) across the worker's live sandboxes.
   Bytes hoard(int worker) const { return hoard_[static_cast<std::size_t>(worker)]; }
@@ -139,7 +123,6 @@ class CacheAgent {
     obs::Counter* objects_evicted = nullptr;
     obs::Counter* objects_swept = nullptr;
     obs::Counter* writebacks_triggered = nullptr;
-    obs::Counter* writebacks_throttled = nullptr;  // Queued behind the in-flight budget.
     obs::Gauge* scale_up_time_us = nullptr;
     obs::Gauge* scale_down_time_us = nullptr;
     obs::Series* migration_ms = nullptr;
@@ -149,19 +132,19 @@ class CacheAgent {
   }
 
   // Frees at least `needed` bytes of mastered objects on `worker` following the
-  // reclamation order. Returns the bytes actually freed synchronously.
-  Bytes FreeBytes(int worker, Bytes needed, bool* migrated, bool* evicted);
+  // reclamation order; dirty outputs free theirs only when their write-backs
+  // land.
+  void FreeBytes(int worker, Bytes needed, bool* migrated, bool* evicted);
 
-  // One queued reclamation write-back (see max_inflight_writebacks).
-  struct PendingWriteback {
-    std::string key;
-    bool count_swept = false;  // Sweep-triggered: counts into objects_swept.
-  };
-  // Write-back launch with the in-flight budget applied (dedups keys already
-  // pending; over-budget launches queue in writeback_backlog_).
-  void LaunchWriteback(int worker, const std::string& key, bool count_swept);
-  void StartWriteback(int worker, const std::string& key, bool count_swept);
-  void DrainWritebackBacklog(int worker);
+  // Counts a completed scale-down by what it took: a migration, an eviction,
+  // or neither.
+  void CountScaleDown(bool migrated, bool evicted);
+
+  // Starts the write-back of dirty output `key` unless one is already in
+  // flight; on success the object leaves the cache (counted as swept when
+  // `count_swept`), on failure the next shrink retry or sweep launches it
+  // again.
+  void LaunchWriteback(const std::string& key, bool count_swept);
 
   void SweepTick();
   void ChurnSampleTick();
@@ -176,14 +159,9 @@ class CacheAgent {
   std::vector<Bytes> slack_;
   std::vector<Bytes> churn_accum_;
   std::vector<SlidingTimeWindow> churn_windows_;
-  // Write-back budget state, per worker. The pending set (ordered — it is
-  // mutated along deterministic paths only, never iterated) covers keys both
-  // in flight and queued, so one shrink storm cannot launch duplicates.
-  std::vector<int> inflight_writebacks_;
-  std::vector<std::deque<PendingWriteback>> writeback_backlog_;
-  std::vector<std::set<std::string>> writeback_pending_;
-  std::vector<bool> under_pressure_;  // Hysteresis state per worker.
-  std::vector<obs::Gauge*> pressure_gauges_;  // ofc.overload.cache_pressure{w}
+  // Keys whose write-back is in flight, whichever worker masters them now
+  // (ordered: mutated along deterministic paths only, never iterated).
+  std::set<std::string> writeback_pending_;
   std::unique_ptr<CachePolicyEngine> owned_policy_;  // When none injected.
   CachePolicyEngine* policy_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.

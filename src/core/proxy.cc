@@ -55,7 +55,6 @@ Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsd
   m_.breaker_probe_failures = metrics_->GetCounter("ofc.breaker.probe_failures");
   m_.breaker_bypassed_reads = metrics_->GetCounter("ofc.breaker.bypassed_reads");
   m_.breaker_bypassed_writes = metrics_->GetCounter("ofc.breaker.bypassed_writes");
-  m_.admission_deferred = metrics_->GetCounter("ofc.overload.admission_deferred");
   m_.corrupt_acked = metrics_->GetCounter("ofc.integrity.corrupt_acked");
   m_.reread_from_rsds = metrics_->GetCounter("ofc.integrity.reread_from_rsds");
   m_.breaker_state = metrics_->GetGauge("ofc.breaker.state");
@@ -199,21 +198,14 @@ void Proxy::OnRsdsRead(ReadOp& op, const Result<store::ObjectMetadata>& meta) {
   const faas::InvocationContext& ctx = op.ctx;
   if (!op.bypass && ctx.should_cache && !meta->IsShadow() && size > 0 &&
       size <= options_.max_cacheable_size) {
-    if (admission_gate_ && !admission_gate_(ctx.worker)) {
-      // Memory pressure on this worker: shrink is reclaiming the cache, so
-      // admitting would only force more eviction work. Defer (skip); the
-      // object stays fetchable from the RSDS.
-      ++*m_.admission_deferred;
-    } else {
-      op.size = size;
-      CacheWrite(ctx.worker, op.key, size, meta->rsds_version, rc::ObjectClass::kInput,
-                 /*dirty=*/false, [this, op = &op](Status status) { OnAdmitted(*op, status); });
-      // The function proceeds without waiting for the admission, whose
-      // completion releases the record.
-      ReadDone done = std::move(op.done);
-      done(size);
-      return;
-    }
+    op.size = size;
+    CacheWrite(ctx.worker, op.key, size, meta->rsds_version, rc::ObjectClass::kInput,
+               /*dirty=*/false, [this, op = &op](Status status) { OnAdmitted(*op, status); });
+    // The function proceeds without waiting for the admission, whose
+    // completion releases the record.
+    ReadDone done = std::move(op.done);
+    done(size);
+    return;
   }
   FinishRead(op, size);
 }

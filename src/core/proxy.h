@@ -159,13 +159,6 @@ class Proxy : public faas::DataService {
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
   BreakerState breaker_state() const { return breaker_; }
 
-  // Admission gate consulted before a read miss populates the cache; OfcSystem
-  // wires it to the CacheAgent's memory-pressure watermarks so admissions are
-  // deferred (counted, not queued) while the worker's cache shrinks under
-  // pressure. Null (default) admits everything.
-  using AdmissionGate = sim::InlineFunction<bool(int worker)>;
-  void set_admission_gate(AdmissionGate gate) { admission_gate_ = std::move(gate); }
-
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // Keys with a persistor scheduled, retrying or pushing (the size of the
@@ -200,7 +193,6 @@ class Proxy : public faas::DataService {
     obs::Counter* breaker_probe_failures = nullptr;   // Probes that re-opened the breaker.
     obs::Counter* breaker_bypassed_reads = nullptr;   // Reads served RSDS-direct while open.
     obs::Counter* breaker_bypassed_writes = nullptr;  // Writes sent RSDS-direct while open.
-    obs::Counter* admission_deferred = nullptr;       // Admissions skipped under memory pressure.
     obs::Counter* corrupt_acked = nullptr;            // I6 tripwire: must stay 0 forever.
     obs::Counter* reread_from_rsds = nullptr;         // Cache data loss healed via RSDS re-read.
     obs::Gauge* breaker_state = nullptr;              // 0 closed / 1 open / 2 half-open.
@@ -372,7 +364,6 @@ class Proxy : public faas::DataService {
   int breaker_successes_ = 0;  // Consecutive probe successes while half-open.
   SimTime breaker_open_until_ = 0;
   SimTime breaker_opened_at_ = 0;
-  AdmissionGate admission_gate_;
   Metrics m_;
   // Node-based: fn_metrics_by_index_ holds pointers into it, so cell addresses
   // must stay stable as functions are added.

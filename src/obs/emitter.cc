@@ -70,8 +70,6 @@ constexpr KindInfo kKinds[] = {
      "target_bytes={n},mode={d}"},
     {"migration", "to_{n}", "migrate-master", "cache", kPidCache, kSpanFrom, "key={s}"},
     {"evict", "{d}"},
-    {"pressure_enter", "", "pressure-enter", "overload", kPidCache, kInstant},
-    {"pressure_exit", "", "pressure-exit", "overload", kPidCache, kInstant},
     // fault/ + ramcloud/.
     {"fault_inject", "", "{s}:inject", "fault", kPidFaults, kInstant, "target={w}"},
     {"fault_heal", "", "{s}:heal", "fault", kPidFaults, kInstant, "target={w}"},

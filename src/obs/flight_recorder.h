@@ -2,10 +2,10 @@
 //
 // Every instrumented layer appends compact records (submit → queue → cold/warm
 // start → E/T/L phases → cache ops → persistor/write-back, plus control-plane
-// events: breaker trips, pressure hysteresis, injected faults, node crashes) to
-// a bounded ring. Parent ids link pipeline tasks to their pipeline and
-// persistor jobs back to the invocation that issued the write, so the causal
-// chain for any invocation can be reassembled after the fact.
+// events: breaker trips, injected faults, node crashes) to a bounded ring.
+// Parent ids link pipeline tasks to their pipeline and persistor jobs back to
+// the invocation that issued the write, so the causal chain for any invocation
+// can be reassembled after the fact.
 //
 // Unlike the TraceRecorder (off by default, sampled, unbounded categories),
 // the flight recorder is designed to be cheap enough to leave ON for long
@@ -65,8 +65,6 @@ enum class FlightEventKind : std::uint8_t {
   kScaleDown,
   kMigration,
   kEvict,  // Object left the cache; detail = eviction reason (policy engine).
-  kPressureEnter,
-  kPressureExit,
   // fault/ + ramcloud/.
   kFaultInject,
   kFaultHeal,

@@ -600,40 +600,7 @@ TEST_F(ProxyTest, ExternalReadBlocksUntilPersisted) {
   EXPECT_GE(proxy_.metrics().CounterValue("ofc.proxy.external_read_boosts"), 1u);
 }
 
-// ---- CacheAgent: write-back budget & memory pressure --------------------------
-
-TEST_F(CacheAgentTest, WritebackBudgetThrottlesAndDrainsBacklog) {
-  CacheAgentOptions options = MakeAgentOptions();
-  options.max_inflight_writebacks = 1;
-  CacheAgent agent(&loop_, &cluster_, options);
-  int inflight = 0;
-  int peak_inflight = 0;
-  // Slow write-backs (10 s) so one is still in flight when the manual sweep
-  // below re-encounters the remaining dirty objects.
-  agent.set_writeback([&](const std::string&, CacheAgent::WritebackDone done) {
-    peak_inflight = std::max(peak_inflight, ++inflight);
-    loop_.ScheduleAfter(Seconds(10), [&inflight, done = std::move(done)]() mutable {
-      --inflight;
-      done(OkStatus());
-    });
-  });
-  agent.Start();
-  agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));
-  WriteObject(0, "d0", MiB(2), rc::ObjectClass::kFinalOutput, /*dirty=*/true);
-  WriteObject(0, "d1", MiB(2), rc::ObjectClass::kFinalOutput, /*dirty=*/true);
-  WriteObject(0, "d2", MiB(2), rc::ObjectClass::kFinalOutput, /*dirty=*/true);
-  RunFor(Seconds(301));  // Age past the sweep coldness bound; the periodic
-                         // sweep at t=300 already started one write-back.
-  agent.SweepOnce();     // The rest are dirty: write-back, not eviction.
-  // The in-flight budget is 1, so later write-backs queue.
-  EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.writebacks_throttled"), 2u);
-  RunFor(Seconds(40));  // Backlog drains serially, 10 s per write-back.
-  EXPECT_EQ(peak_inflight, 1);
-  EXPECT_FALSE(cluster_.Contains("d0"));
-  EXPECT_FALSE(cluster_.Contains("d1"));
-  EXPECT_FALSE(cluster_.Contains("d2"));
-  EXPECT_GE(agent.metrics().CounterValue("ofc.cache_agent.writebacks_triggered"), 3u);
-}
+// ---- CacheAgent: write-backs ---------------------------------------------------
 
 TEST_F(CacheAgentTest, WritebackDeduplicatesPendingKeys) {
   CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
@@ -699,31 +666,6 @@ TEST_F(CacheAgentTest, FailedWritebackIsLaunchedAgain) {
   EXPECT_EQ(calls, 2);
   EXPECT_FALSE(cluster_.Contains("out"));
   EXPECT_EQ(cluster_.Capacity(0), MiB(220));
-}
-
-TEST_F(CacheAgentTest, PressureWatermarksUseHysteresis) {
-  CacheAgentOptions options = MakeAgentOptions();
-  options.pressure_high_watermark = 0.8;
-  options.pressure_low_watermark = 0.5;
-  CacheAgent agent(&loop_, &cluster_, options);
-  agent.Start();
-  agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));  // Capacity 860 MiB.
-  EXPECT_FALSE(agent.UnderPressure(0));
-  WriteObject(0, "a", MiB(500));
-  WriteObject(0, "b", MiB(200));  // 700/860 = 81 % >= high watermark.
-  EXPECT_TRUE(agent.UnderPressure(0));
-  (void)cluster_.Remove("b");  // 500/860 = 58 %: between the watermarks.
-  EXPECT_TRUE(agent.UnderPressure(0));  // Hysteresis holds pressure.
-  (void)cluster_.Remove("a");  // 0 %: below the low watermark.
-  EXPECT_FALSE(agent.UnderPressure(0));
-}
-
-TEST_F(CacheAgentTest, PressureDisabledByDefault) {
-  CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
-  agent.Start();
-  agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));
-  WriteObject(0, "full", MiB(800));  // 93 % of capacity.
-  EXPECT_FALSE(agent.UnderPressure(0));
 }
 
 // ---- Proxy circuit breaker ----------------------------------------------------
