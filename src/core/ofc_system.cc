@@ -113,10 +113,7 @@ std::size_t OfcSystem::PickSandbox(const std::vector<faas::SandboxInfo>& candida
   // master cached copy, (iv) most recently used.
   int master = -1;
   if (!inputs.empty()) {
-    const auto result = cluster_->MasterOf(inputs.front().key);
-    if (result.ok()) {
-      master = *result;
-    }
+    master = cluster_->MasterOf(inputs.front().key).value_or(-1);
   }
   std::size_t best = 0;
   for (std::size_t i = 1; i < candidates.size(); ++i) {
@@ -151,7 +148,7 @@ int OfcSystem::PickWorkerForNewSandbox(const faas::FunctionConfig&,
   // (in-memory) copy of the requested object.
   if (options_.locality_routing && !inputs.empty()) {
     const auto master = cluster_->MasterOf(inputs.front().key);
-    if (master.ok() &&
+    if (master.has_value() &&
         std::find(candidates.begin(), candidates.end(), *master) != candidates.end()) {
       return *master;
     }

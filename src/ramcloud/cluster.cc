@@ -263,10 +263,10 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
   read_done_.After(cost, std::move(done), ReadHit{obj.size, obj.version, obj.checksum});
 }
 
-Result<int> Cluster::MasterOf(const std::string& key) const {
+std::optional<int> Cluster::MasterOf(const std::string& key) const {
   auto it = objects_.find(key);
   if (it == objects_.end()) {
-    return NotFoundError("no master: " + key);
+    return std::nullopt;
   }
   return it->second.master;
 }

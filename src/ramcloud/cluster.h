@@ -160,7 +160,7 @@ class Cluster {
   // ---- Coordinator queries (synchronous, control plane) ----------------------
 
   bool Contains(const std::string& key) const { return objects_.contains(key); }
-  Result<int> MasterOf(const std::string& key) const;
+  std::optional<int> MasterOf(const std::string& key) const;  // nullopt: not cached.
   Result<CachedObject> Inspect(const std::string& key) const;
   std::size_t NumObjects() const { return objects_.size(); }
 

@@ -286,7 +286,7 @@ TEST(OfcEndToEndTest, SurvivesSimultaneousWorkerAndCacheNodeCrash) {
       continue;  // May have been legitimately evicted.
     }
     const auto master = env.cluster()->MasterOf(object.key);
-    ASSERT_TRUE(master.ok());
+    ASSERT_TRUE(master.has_value());
     EXPECT_NE(*master, 0);
   }
 }

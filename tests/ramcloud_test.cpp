@@ -45,7 +45,7 @@ class ClusterTest : public ::testing::Test {
 TEST_F(ClusterTest, WritePlacesMasterOnClientNode) {
   ASSERT_TRUE(WriteSync(2, "a", MiB(1)).ok());
   const auto master = cluster_.MasterOf("a");
-  ASSERT_TRUE(master.ok());
+  ASSERT_TRUE(master.has_value());
   EXPECT_EQ(*master, 2);
   EXPECT_EQ(cluster_.Used(2), MiB(1));
 }
@@ -72,7 +72,7 @@ TEST_F(ClusterTest, SpillsToOtherNodeWhenClientFull) {
   ASSERT_TRUE(cluster_.SetCapacity(1, MiB(1), &d).ok());
   ASSERT_TRUE(WriteSync(1, "a", MiB(5)).ok());
   const auto master = cluster_.MasterOf("a");
-  ASSERT_TRUE(master.ok());
+  ASSERT_TRUE(master.has_value());
   EXPECT_NE(*master, 1);
 }
 
