@@ -9,6 +9,9 @@
 // record's strings keep their capacity: copying the next operation's key into
 // it allocates nothing once the pool is warm.
 //
+// KeyTable keeps stored objects in a pool the same way, so a new object takes
+// the record, and the key capacity, of one erased before it.
+//
 // Acquire() hands out a record as its last user left it. The caller sets
 // every field it reads, and releases the record once it has moved out what it
 // still needs (a completion, typically, so that a completion which starts the

@@ -1,14 +1,22 @@
-// Unit tests for src/common: Status/Result, units, RNG, stats, RecyclingPool.
+// Unit tests for src/common: Status/Result, units, RNG, stats, RecyclingPool,
+// KeyTable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
+#include "src/common/key_table.h"
 #include "src/common/recycling_pool.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -333,6 +341,133 @@ TEST(RecyclingPoolTest, RecordOutlivingItsPoolReleasesSafely) {
   }
   EXPECT_EQ(*survivor, "outlives the pool");
   survivor.reset();
+}
+
+struct KeyedItem {
+  std::string key;
+  int value = 0;
+  std::vector<int> payload;
+};
+
+// Homes every key in one of the last four slots, whatever the table's
+// capacity, so every probe run wraps past the end of the slot array and every
+// erase shifts records back across it.
+struct TailHash {
+  std::size_t operator()(std::string_view key) const {
+    return ~std::size_t{0} - std::hash<std::string_view>{}(key) % 4;
+  }
+};
+
+// Drives a KeyTable and a std::map through the same random inserts, finds and
+// erases, checking at every step that they agree and that a new key reuses the
+// record erased last, capacity kept. Returns everything the table showed:
+// each operation's outcome, filtered key-order walks, and cursor slices, which
+// start halfway through so that later inserts and erases maintain the table's
+// key-ordered index.
+template <typename Hash>
+std::vector<std::string> RunAgainstMap(int num_keys, int steps) {
+  KeyTable<KeyedItem, Hash> table;
+  const KeyTable<KeyedItem, Hash>& view = table;
+  std::map<std::string, int> model;
+  std::vector<std::pair<KeyedItem*, std::size_t>> erased;  // Record, payload capacity.
+  std::vector<std::string> shown;
+  Rng rng(11);
+  const auto random_key = [&] { return "k" + std::to_string(rng.UniformInt(0, num_keys - 1)); };
+  for (int step = 0; step < steps; ++step) {
+    const std::string key = random_key();
+    const std::int64_t op = rng.UniformInt(0, 9);
+    if (op < 5) {
+      const auto [item, inserted] = table.Insert(key);
+      EXPECT_EQ(inserted, !model.contains(key)) << key;
+      EXPECT_EQ(item->key, key);
+      if (inserted && !erased.empty()) {
+        EXPECT_EQ(item, erased.back().first) << key;
+        EXPECT_EQ(item->payload.capacity(), erased.back().second) << key;
+        erased.pop_back();
+      }
+      if (inserted) {
+        item->payload.assign(static_cast<std::size_t>(key.size()), step);
+      }
+      item->value = step;
+      model[key] = step;
+      shown.push_back("insert " + key + (inserted ? " new" : " old"));
+    } else if (op < 8) {
+      KeyedItem* item = table.Find(key);
+      EXPECT_EQ(item != nullptr, model.contains(key)) << key;
+      if (item != nullptr) {
+        erased.emplace_back(item, item->payload.capacity());
+        table.Erase(item);
+        model.erase(key);
+      }
+      shown.push_back("erase " + key + (item != nullptr ? " hit" : " miss"));
+    } else {
+      const KeyedItem* item = view.Find(key);
+      const auto modeled = model.find(key);
+      EXPECT_EQ(item != nullptr, modeled != model.end()) << key;
+      if (item != nullptr && modeled != model.end()) {
+        EXPECT_EQ(item->value, modeled->second) << key;
+      }
+      shown.push_back("find " + key + " " + std::to_string(item ? item->value : -1));
+    }
+    EXPECT_EQ(table.size(), model.size());
+    if (step % 101 == 0) {
+      std::string walk = "walk";
+      std::string expected = "walk";
+      for (const KeyedItem* item :
+           view.InKeyOrder([](const KeyedItem& candidate) { return candidate.value % 2 == 0; })) {
+        walk += " " + item->key;
+      }
+      for (const auto& [k, value] : model) {
+        if (value % 2 == 0) {
+          expected += " " + k;
+        }
+      }
+      EXPECT_EQ(walk, expected) << "step " << step;
+      shown.push_back(walk);
+    }
+    if (step >= steps / 2 && step % 7 == 0) {
+      const std::string after = step % 5 == 0 ? "" : random_key();
+      const std::size_t limit = static_cast<std::size_t>(rng.UniformInt(0, 40));
+      std::vector<std::string> expected;
+      for (auto it = model.upper_bound(after); it != model.end() && expected.size() < limit;
+           ++it) {
+        expected.push_back(it->first);
+      }
+      const std::vector<std::string> slice = view.KeysAfter(after, limit);
+      EXPECT_EQ(slice, expected) << "after '" << after << "' step " << step;
+      std::string joined = "after " + after + ":";
+      for (const std::string& k : slice) {
+        joined += " " + k;
+      }
+      shown.push_back(joined);
+    }
+  }
+  // Every record left is erased through the table, and all of them come back
+  // for the next inserts.
+  for (KeyedItem* item : table.InKeyOrder([](const KeyedItem&) { return true; })) {
+    table.Erase(item);
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(view.Find("k0"), nullptr);
+  EXPECT_TRUE(view.KeysAfter("", 10).empty());
+  return shown;
+}
+
+TEST(KeyTableTest, MatchesAnOrderedMapWhateverTheHashSalt) {
+  // 3,000 keys, about 1,900 live at a time: the slot array doubles from 16
+  // to 4,096.
+  SetHashSalt(0);
+  const std::vector<std::string> unsalted = RunAgainstMap<DetHash<std::string_view>>(3000, 30000);
+  SetHashSalt(0x9e3779b97f4a7c15ull);
+  const std::vector<std::string> salted = RunAgainstMap<DetHash<std::string_view>>(3000, 30000);
+  SetHashSalt(0);
+  EXPECT_EQ(unsalted, salted);
+}
+
+TEST(KeyTableTest, MatchesAnOrderedMapWhenEveryProbeRunWraps) {
+  const std::vector<std::string> wrapped = RunAgainstMap<TailHash>(200, 6000);
+  // The same operations on well-spread keys show the same things.
+  EXPECT_EQ(wrapped, RunAgainstMap<DetHash<std::string_view>>(200, 6000));
 }
 
 }  // namespace
