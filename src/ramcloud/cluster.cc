@@ -10,6 +10,21 @@ namespace ofc::rc {
 
 using obs::FlightEventKind;
 
+namespace {
+
+// The backup copy `obj` holds on `node`, or obj.backups.end(). Backups sit on
+// distinct nodes, so there is at most one.
+template <typename Object>
+auto FindCopy(Object& obj, int node) {
+  return std::ranges::find(obj.backups, node, &Replica::node);
+}
+
+bool HoldsCopy(const CachedObject& obj, int node) {
+  return FindCopy(obj, node) != obj.backups.end();
+}
+
+}  // namespace
+
 Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rng rng)
     : loop_(loop), options_(options), rng_(rng), write_done_(loop), read_done_(loop) {
   assert(num_nodes > 0);
@@ -135,29 +150,26 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
   // master. The old copy's memory and backup disk are released first, so
   // placement sees the cluster without it.
   int prefer = client_node;
-  auto it = objects_.find(key);
-  if (it != objects_.end()) {
-    prefer = it->second.master;
-    Release(it->second);
+  CachedObject* existing = objects_.Find(key);
+  if (existing != nullptr) {
+    prefer = existing->master;
+    Release(*existing);
   }
 
   SimDuration cleaning_cost = 0;
   const auto placement = PlaceInLog(prefer, size, &cleaning_cost);
   if (!placement.ok()) {
-    if (it != objects_.end()) {
-      objects_.erase(it);  // The old copy is gone; nothing replaces it.
+    if (existing != nullptr) {
+      objects_.Erase(existing);  // The old copy is gone; nothing replaces it.
     }
     ++*m_.write_rejects;
     return placement.status();
   }
   const int master = placement->first;
-  if (it == objects_.end()) {
-    it = objects_.try_emplace(key).first;
-    it->second.key = key;
-  }
 
-  // Every field is (re)set: an update leaves no trace of the old record.
-  CachedObject& obj = it->second;
+  // Every field is (re)set: neither an update nor a recycled record leaves a
+  // trace of the object it held.
+  CachedObject& obj = existing != nullptr ? *existing : *objects_.Insert(key).first;
   obj.size = size;
   obj.version = version;
   obj.object_class = object_class;
@@ -168,18 +180,19 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
   obj.last_access = loop_->now();
   obj.master = master;
   obj.log_entry = placement->second;
-  const std::vector<int>& backups = PickBackups(master, options_.replication_factor);
-  obj.backups.assign(backups.begin(), backups.end());
-  for (int b : obj.backups) {
-    nodes_[b].disk_used += size;
-  }
   // Stamp the stored checksum: the caller's fingerprint (proxy edge) when one
   // was carried through, else derived here. Every replica starts healthy.
   if (fingerprint == 0) {
     fingerprint = PayloadFingerprint(key, size);
   }
   obj.checksum = StampChecksum(fingerprint, version);
-  obj.backup_checksums.assign(obj.backups.size(), obj.checksum);
+  const std::vector<int>& picked = PickBackups(master, options_.replication_factor);
+  obj.backups.clear();
+  obj.backups.reserve(picked.size());
+  for (int b : picked) {
+    obj.backups.push_back({b, obj.checksum});
+    nodes_[b].disk_used += size;
+  }
   ++*m_.writes;
   ++nodes_[master].writes_served;
 
@@ -211,15 +224,15 @@ void Cluster::Write(int client_node, const std::string& key, Bytes size,
 }
 
 void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
-  auto it = objects_.find(key);
+  CachedObject* found = objects_.Find(key);
   ++*m_.reads;
-  if (it == objects_.end()) {
+  if (found == nullptr) {
     ++*m_.read_misses;
     read_done_.After(options_.local_access.Cost(0, &rng_), std::move(done),
                      NotFoundError("cache miss: " + key));
     return;
   }
-  CachedObject& obj = it->second;
+  CachedObject& obj = *found;
   obj.access_count += 1;
   obj.last_access = loop_->now();
   const bool local = obj.master == client_node;
@@ -239,20 +252,15 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
   const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
   if (obj.checksum != expected) {
     NoteCorruption(key, obj.master, "read_master");
-    int healthy = -1;
-    for (std::size_t i = 0; i < obj.backups.size(); ++i) {
-      if (nodes_[static_cast<std::size_t>(obj.backups[i])].alive &&
-          obj.backup_checksums[i] == expected) {
-        healthy = static_cast<int>(i);
-        break;
-      }
-    }
-    if (healthy < 0) {
+    const bool healthy = std::ranges::any_of(obj.backups, [&](const Replica& copy) {
+      return nodes_[static_cast<std::size_t>(copy.node)].alive && copy.checksum == expected;
+    });
+    if (!healthy) {
       ++*m_.read_data_loss;
       // Drop the object everywhere: a re-fetch from the RSDS re-admits a good
       // copy, which is the repair path when no replica survives.
       Release(obj);
-      objects_.erase(it);
+      objects_.Erase(&obj);
       read_done_.After(cost, std::move(done), DataLossError("all copies corrupt: " + key));
       return;
     }
@@ -264,49 +272,50 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
 }
 
 std::optional<int> Cluster::MasterOf(const std::string& key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  const CachedObject* obj = objects_.Find(key);
+  if (obj == nullptr) {
     return std::nullopt;
   }
-  return it->second.master;
+  return obj->master;
 }
 
 Result<CachedObject> Cluster::Inspect(const std::string& key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  const CachedObject* obj = objects_.Find(key);
+  if (obj == nullptr) {
     return NotFoundError("inspect: " + key);
   }
-  return it->second;
+  return *obj;
 }
 
 std::vector<CachedObject> Cluster::ObjectsOn(int node) const {
+  const std::vector<const CachedObject*> mastered =
+      objects_.InKeyOrder([node](const CachedObject& obj) { return obj.master == node; });
   std::vector<CachedObject> snapshot;
-  for (const auto& [key, obj] : objects_) {
-    if (obj.master == node) {
-      snapshot.push_back(obj);
-    }
+  snapshot.reserve(mastered.size());
+  for (const CachedObject* obj : mastered) {
+    snapshot.push_back(*obj);
   }
   return snapshot;
 }
 
 Status Cluster::Remove(const std::string& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  CachedObject* obj = objects_.Find(key);
+  if (obj == nullptr) {
     return NotFoundError("remove: " + key);
   }
-  Release(it->second);
-  objects_.erase(it);
+  Release(*obj);
+  objects_.Erase(obj);
   ++*m_.evictions;
   return OkStatus();
 }
 
 Status Cluster::MarkPersisted(const std::string& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  CachedObject* obj = objects_.Find(key);
+  if (obj == nullptr) {
     return NotFoundError("mark persisted: " + key);
   }
-  it->second.dirty = false;
-  it->second.persisted = true;
+  obj->dirty = false;
+  obj->persisted = true;
   return OkStatus();
 }
 
@@ -332,11 +341,11 @@ Status Cluster::SetCapacity(int node, Bytes capacity, SimDuration* out_duration)
 }
 
 Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  CachedObject* found = objects_.Find(key);
+  if (found == nullptr) {
     return NotFoundError("migrate: " + key);
   }
-  CachedObject& obj = it->second;
+  CachedObject& obj = *found;
   // Elect a backup that can absorb the object into its log, most-free first.
   SegmentedLog::EntryId new_entry = 0;
   SimDuration cleaning_cost = 0;
@@ -344,8 +353,9 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   if (slot < 0) {
     return ResourceExhaustedError("no backup can host the master copy: " + key);
   }
+  Replica& replica = obj.backups[static_cast<std::size_t>(slot)];
   const int old_master = obj.master;
-  const int new_master = obj.backups[static_cast<std::size_t>(slot)];
+  const int new_master = replica.node;
   // The new master already holds an on-disk replica: it loads the object from
   // local disk. The old master demotes to backup, keeping an on-disk copy —
   // replication factor is preserved with zero inter-node transfer (§6.4).
@@ -358,8 +368,7 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   // replica stored, verified on load — a rotted replica is repaired from the
   // (still alive, still healthy) old master's copy before promotion. The old
   // master's copy becomes the backup copy in that slot.
-  const std::size_t slot_idx = static_cast<std::size_t>(slot);
-  Checksum promoted = obj.backup_checksums[slot_idx];
+  Checksum promoted = replica.checksum;
   const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
   if (promoted != expected) {
     NoteCorruption(key, new_master, "migrate_load");
@@ -369,9 +378,8 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
       NoteRepair(key, new_master, "replica");
     }
   }
-  obj.backup_checksums[slot_idx] = obj.checksum;
+  replica = {old_master, obj.checksum};
   obj.checksum = promoted;
-  obj.backups[slot_idx] = old_master;
   obj.master = new_master;
   obj.log_entry = new_entry;
   ++*m_.migrations;
@@ -414,16 +422,14 @@ void Cluster::RestartNode(int node) {
   // Objects written while the node was down picked backups among the survivors;
   // with fewer than rf alive peers they stayed under-replicated. The restarted
   // node's disk is empty but writable, so the coordinator re-replicates onto it.
-  for (auto& [key, obj] : objects_) {
-    if (obj.master == node ||
-        std::find(obj.backups.begin(), obj.backups.end(), node) != obj.backups.end()) {
-      continue;
-    }
-    if (static_cast<int>(obj.backups.size()) < options_.replication_factor) {
-      obj.backups.push_back(node);
-      obj.backup_checksums.push_back(obj.checksum);  // Fresh copy from the master.
-      nodes_[node].disk_used += obj.size;
-    }
+  const std::vector<CachedObject*> under_replicated =
+      objects_.InKeyOrder([&](const CachedObject& obj) {
+        return obj.master != node && !HoldsCopy(obj, node) &&
+               static_cast<int>(obj.backups.size()) < options_.replication_factor;
+      });
+  for (CachedObject* obj : under_replicated) {
+    obj->backups.push_back({node, obj->checksum});  // Fresh copy from the master.
+    nodes_[node].disk_used += obj->size;
   }
 }
 
@@ -432,17 +438,16 @@ int Cluster::CorruptReplica(int node, int flips) {
   int corrupted = 0;
   // Key order: replays flip the same copies. Only healthy copies are damaged,
   // so repeated events escalate instead of accidentally un-flipping (XOR).
-  for (auto& [key, obj] : objects_) {
+  const std::vector<CachedObject*> held =
+      objects_.InKeyOrder([node](const CachedObject& obj) { return HoldsCopy(obj, node); });
+  for (CachedObject* obj : held) {
     if (corrupted >= flips) {
       break;
     }
-    const Checksum expected = ExpectedChecksum(key, obj.size, obj.version);
-    for (std::size_t i = 0; i < obj.backups.size(); ++i) {
-      if (obj.backups[i] == node && obj.backup_checksums[i] == expected) {
-        obj.backup_checksums[i] = CorruptChecksum(obj.backup_checksums[i]);
-        ++corrupted;
-        break;
-      }
+    Replica& copy = *FindCopy(*obj, node);
+    if (copy.checksum == ExpectedChecksum(obj->key, obj->size, obj->version)) {
+      copy.checksum = CorruptChecksum(copy.checksum);
+      ++corrupted;
     }
   }
   return corrupted;
@@ -451,13 +456,14 @@ int Cluster::CorruptReplica(int node, int flips) {
 int Cluster::CorruptSegment(int node, int flips) {
   CheckNode(node);
   int corrupted = 0;
-  for (auto& [key, obj] : objects_) {
+  const std::vector<CachedObject*> mastered =
+      objects_.InKeyOrder([node](const CachedObject& obj) { return obj.master == node; });
+  for (CachedObject* obj : mastered) {
     if (corrupted >= flips) {
       break;
     }
-    if (obj.master == node &&
-        obj.checksum == ExpectedChecksum(key, obj.size, obj.version)) {
-      obj.checksum = CorruptChecksum(obj.checksum);
+    if (obj->checksum == ExpectedChecksum(obj->key, obj->size, obj->version)) {
+      obj->checksum = CorruptChecksum(obj->checksum);
       ++corrupted;
     }
   }
@@ -466,18 +472,18 @@ int Cluster::CorruptSegment(int node, int flips) {
 
 Cluster::ScrubResult Cluster::ScrubObject(const std::string& key) {
   ScrubResult result;
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  CachedObject* found = objects_.Find(key);
+  if (found == nullptr) {
     return result;  // Raced an eviction, drop, or crash: nothing to scrub.
   }
-  CachedObject& obj = it->second;
+  CachedObject& obj = *found;
   const Checksum expected = ExpectedChecksum(key, obj.size, obj.version);
   // Repair source for the flight record: a surviving healthy copy when one
   // exists (replica-to-replica copy), else the authoritative RSDS payload.
-  bool any_healthy = obj.checksum == expected;
-  for (const Checksum c : obj.backup_checksums) {
-    any_healthy = any_healthy || c == expected;
-  }
+  const bool any_healthy =
+      obj.checksum == expected || std::ranges::any_of(obj.backups, [&](const Replica& copy) {
+        return copy.checksum == expected;
+      });
   const char* source = any_healthy ? "replica" : "rsds";
   if (obj.checksum != expected) {
     NoteCorruption(key, obj.master, "scrub_master");
@@ -486,13 +492,13 @@ Cluster::ScrubResult Cluster::ScrubObject(const std::string& key) {
     ++result.corrupt_copies;
     result.corrupt_nodes.push_back(obj.master);
   }
-  for (std::size_t i = 0; i < obj.backups.size(); ++i) {
-    if (obj.backup_checksums[i] != expected) {
-      NoteCorruption(key, obj.backups[i], "scrub_replica");
-      obj.backup_checksums[i] = expected;
-      NoteRepair(key, obj.backups[i], source);
+  for (Replica& copy : obj.backups) {
+    if (copy.checksum != expected) {
+      NoteCorruption(key, copy.node, "scrub_replica");
+      copy.checksum = expected;
+      NoteRepair(key, copy.node, source);
       ++result.corrupt_copies;
-      result.corrupt_nodes.push_back(obj.backups[i]);
+      result.corrupt_nodes.push_back(copy.node);
     }
   }
   return result;
@@ -500,12 +506,7 @@ Cluster::ScrubResult Cluster::ScrubObject(const std::string& key) {
 
 std::vector<std::string> Cluster::KeysAfter(const std::string& after,
                                             std::size_t limit) const {
-  std::vector<std::string> keys;
-  for (auto it = objects_.upper_bound(after);
-       it != objects_.end() && keys.size() < limit; ++it) {
-    keys.push_back(it->first);
-  }
-  return keys;
+  return objects_.KeysAfter(after, limit);
 }
 
 RecoveryResult Cluster::QuarantineNode(int node) {
@@ -527,16 +528,16 @@ int Cluster::ElectMaster(const CachedObject& obj, std::optional<Checksum> health
   std::vector<std::size_t> order(obj.backups.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   const auto is_healthy = [&](std::size_t slot) {
-    return healthy.has_value() && obj.backup_checksums[slot] == *healthy;
+    return healthy.has_value() && obj.backups[slot].checksum == *healthy;
   };
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (is_healthy(a) != is_healthy(b)) {
       return is_healthy(a);
     }
-    return FreeMemory(obj.backups[a]) > FreeMemory(obj.backups[b]);
+    return FreeMemory(obj.backups[a].node) > FreeMemory(obj.backups[b].node);
   });
   for (std::size_t slot : order) {
-    const int b = obj.backups[slot];
+    const int b = obj.backups[slot].node;
     if (!nodes_[b].alive) {
       continue;
     }
@@ -551,9 +552,8 @@ int Cluster::ElectMaster(const CachedObject& obj, std::optional<Checksum> health
 
 int Cluster::AddBackup(CachedObject& obj, Checksum copy) {
   for (int candidate : PickBackups(obj.master, num_nodes())) {
-    if (std::find(obj.backups.begin(), obj.backups.end(), candidate) == obj.backups.end()) {
-      obj.backups.push_back(candidate);
-      obj.backup_checksums.push_back(copy);
+    if (!HoldsCopy(obj, candidate)) {
+      obj.backups.push_back({candidate, copy});
       nodes_[candidate].disk_used += obj.size;
       return candidate;
     }
@@ -572,25 +572,23 @@ void Cluster::RestoreReplication(CachedObject& obj, Checksum copy) {
 void Cluster::Release(const CachedObject& obj) {
   (void)logs_[obj.master].Free(obj.log_entry);
   SyncUsed(obj.master);
-  for (int b : obj.backups) {
-    nodes_[b].disk_used -= obj.size;
-    SIM_ASSERT(nodes_[b].disk_used >= 0) << "; backup disk accounting underflow on node " << b;
+  for (const Replica& copy : obj.backups) {
+    nodes_[copy.node].disk_used -= obj.size;
+    SIM_ASSERT(nodes_[copy.node].disk_used >= 0)
+        << "; backup disk accounting underflow on node " << copy.node;
   }
 }
 
 void Cluster::MoveBackupOff(CachedObject& obj, int node, const char* note,
                             const char* verifier) {
-  const auto held = std::find(obj.backups.begin(), obj.backups.end(), node);
+  const auto held = FindCopy(obj, node);
   if (held == obj.backups.end()) {
     return;
   }
-  const std::ptrdiff_t idx = std::distance(obj.backups.begin(), held);
   const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
   // Only a verifier can audit the copy left behind.
-  const bool rotted =
-      verifier != nullptr && obj.backup_checksums[static_cast<std::size_t>(idx)] != expected;
+  const bool rotted = verifier != nullptr && held->checksum != expected;
   obj.backups.erase(held);
-  obj.backup_checksums.erase(obj.backup_checksums.begin() + idx);
   nodes_[node].disk_used -= obj.size;
   if (rotted) {
     NoteCorruption(obj.key, node, note);
@@ -611,25 +609,31 @@ RecoveryResult Cluster::Evacuate(int node, const char* note, const char* verifie
   std::vector<SimDuration> per_node_load(nodes_.size(), 0);
   // Dropped after the walk, so their backups' disk stays booked while later
   // keys pick backups.
-  std::vector<std::string> to_drop;
-  for (auto& [key, obj] : objects_) {
+  std::vector<CachedObject*> to_drop;
+  const std::vector<CachedObject*> touched =
+      objects_.InKeyOrder([node](const CachedObject& obj) {
+        return obj.master == node || HoldsCopy(obj, node);
+      });
+  for (CachedObject* record : touched) {
+    CachedObject& obj = *record;
     if (obj.master != node) {
       MoveBackupOff(obj, node, note, verifier);
       continue;
     }
     // Promote a surviving backup (partitioned recovery: spread by free
     // memory), a healthy copy first.
+    const std::string& key = obj.key;
     const Checksum expected = ExpectedChecksum(key, obj.size, obj.version);
     SegmentedLog::EntryId entry = 0;
     const int elected = ElectMaster(obj, expected, &entry, /*cleaning_cost=*/nullptr);
     if (elected < 0) {
-      to_drop.push_back(key);
+      to_drop.push_back(&obj);
       ++result.objects_lost;
       continue;
     }
     const std::size_t slot = static_cast<std::size_t>(elected);
-    const int new_master = obj.backups[slot];
-    Checksum promoted = obj.backup_checksums[slot];
+    const int new_master = obj.backups[slot].node;
+    Checksum promoted = obj.backups[slot].checksum;
     if (promoted != expected) {
       NoteCorruption(key, new_master, note);
       // Only corrupt copies could host. Repair from the verifier, else from any
@@ -637,7 +641,8 @@ RecoveryResult Cluster::Evacuate(int node, const char* note, const char* verifie
       // bits on disk).
       const char* source = verifier;
       for (std::size_t i = 0; source == nullptr && i < obj.backups.size(); ++i) {
-        if (i != slot && nodes_[obj.backups[i]].alive && obj.backup_checksums[i] == expected) {
+        if (i != slot && nodes_[static_cast<std::size_t>(obj.backups[i].node)].alive &&
+            obj.backups[i].checksum == expected) {
           source = "replica";
         }
       }
@@ -649,7 +654,6 @@ RecoveryResult Cluster::Evacuate(int node, const char* note, const char* verifie
     SyncUsed(new_master);
     nodes_[new_master].disk_used -= obj.size;
     obj.backups.erase(obj.backups.begin() + elected);
-    obj.backup_checksums.erase(obj.backup_checksums.begin() + elected);
     obj.master = new_master;
     obj.checksum = promoted;
     obj.log_entry = entry;
@@ -660,10 +664,9 @@ RecoveryResult Cluster::Evacuate(int node, const char* note, const char* verifie
     // verified payload, else from the promoted copy.
     RestoreReplication(obj, verifier != nullptr ? expected : obj.checksum);
   }
-  for (const std::string& key : to_drop) {
-    const auto it = objects_.find(key);
-    Release(it->second);
-    objects_.erase(it);
+  for (CachedObject* obj : to_drop) {
+    Release(*obj);
+    objects_.Erase(obj);
   }
   // Makespan of the parallel partitioned reload.
   result.duration = std::ranges::max(per_node_load);

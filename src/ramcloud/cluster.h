@@ -22,13 +22,13 @@
 #define OFC_RAMCLOUD_CLUSTER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/checksum.h"
+#include "src/common/key_table.h"
 #include "src/common/rng.h"
 #include "src/common/sim_assert.h"
 #include "src/common/status.h"
@@ -49,6 +49,13 @@ enum class ObjectClass {
   kFinalOutput,   // Produced by the last stage; dropped once persisted.
 };
 
+// One on-disk backup copy of an object: the node holding it and the checksum
+// stored with it.
+struct Replica {
+  int node = -1;
+  Checksum checksum = 0;
+};
+
 struct CachedObject {
   std::string key;
   Bytes size = 0;
@@ -60,16 +67,15 @@ struct CachedObject {
   SimTime last_access = 0;         // OFC extension: T_access.
   SimTime created_at = 0;
   int master = -1;
-  std::vector<int> backups;
+  std::vector<Replica> backups;
   // Entry in the master's log-structured memory.
   SegmentedLog::EntryId log_entry = 0;
-  // Integrity: the checksum stored with the master copy, plus one per backup
-  // copy (parallel to `backups`). A healthy copy stores
+  // Integrity: the checksum stored with the master copy; each backup copy
+  // stores its own in its Replica. A healthy copy stores
   // ExpectedChecksum(key, size, version); anything else is corruption. The
   // checksums live in coordinator metadata, so they survive log-cleaner
   // relocation and migration with the object.
   Checksum checksum = 0;
-  std::vector<Checksum> backup_checksums;
 };
 
 // What a cache read hands back: the served copy's size, version and checksum
@@ -159,7 +165,7 @@ class Cluster {
 
   // ---- Coordinator queries (synchronous, control plane) ----------------------
 
-  bool Contains(const std::string& key) const { return objects_.contains(key); }
+  bool Contains(const std::string& key) const { return objects_.Find(key) != nullptr; }
   std::optional<int> MasterOf(const std::string& key) const;  // nullopt: not cached.
   Result<CachedObject> Inspect(const std::string& key) const;
   std::size_t NumObjects() const { return objects_.size(); }
@@ -343,10 +349,11 @@ class Cluster {
   Rng rng_;
   std::vector<NodeStats> nodes_;
   std::vector<SegmentedLog> logs_;
-  // Ordered: Evacuate() and ObjectsOn() iterate this map and their visit order
-  // is event-visible (log packing, eviction order), so it must be independent
-  // of hashing.
-  std::map<std::string, CachedObject> objects_;
+  // Found by hash. The walks whose visit order is event-visible (Evacuate()'s
+  // log packing, ObjectsOn()'s eviction order, the fault flips) sort what they
+  // visit by key, and the scrubber's KeysAfter() reads the table's key-ordered
+  // index, so no order depends on hashing.
+  KeyTable<CachedObject> objects_;
   // Candidate buffers of PlaceInLog and PickBackups, reused across calls.
   std::vector<int> place_candidates_;
   std::vector<int> backup_candidates_;

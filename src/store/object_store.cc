@@ -111,7 +111,8 @@ bool ObjectStore::FailIfUnavailable(const char* op, const std::string& key,
 }
 
 void ObjectStore::Install(const std::string& key, Bytes size, Tags tags) {
-  Entry& entry = objects_[key];
+  // Every field is set, so a recycled record keeps nothing of its last object.
+  Entry& entry = *objects_.Insert(key).first;
   ObjectMetadata& obj = entry.meta;
   obj.size = size;
   obj.pending_size = 0;
@@ -168,8 +169,8 @@ void ObjectStore::LandPutIfVersion(Op& op) {
     Finish(op, DataLossError("put_if_version: corrupt payload push: " + key));
     return;
   }
-  auto found = objects_.find(key);
-  const ObjectVersion current = found == objects_.end() ? 0 : found->second.meta.latest_version;
+  const Entry* found = objects_.Find(key);
+  const ObjectVersion current = found == nullptr ? 0 : found->meta.latest_version;
   // Checked when the write *lands*, not when it starts: an atomic
   // compare-and-swap against whatever arrived while it was in flight.
   if (current != op.version) {
@@ -194,7 +195,12 @@ void ObjectStore::PutShadow(const std::string& key, Bytes pending_size, MetaCall
 
 void ObjectStore::LandShadow(Op& op) {
   // A new key starts with no resident payload (rsds_version 0) and no tags.
-  ObjectMetadata& obj = objects_[op.key].meta;
+  const auto [entry, inserted] = objects_.Insert(op.key);
+  if (inserted) {
+    entry->meta = {};
+    entry->tags = {};
+  }
+  ObjectMetadata& obj = entry->meta;
   obj.pending_size = op.size;
   obj.latest_version = next_version_++;
   // Shadow state machine: the placeholder's cache-visible version is always
@@ -226,12 +232,12 @@ void ObjectStore::LandFinalize(Op& op) {
     Finish(op, DataLossError("finalize: corrupt payload push: " + key));
     return;
   }
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  Entry* entry = objects_.Find(key);
+  if (entry == nullptr) {
     Finish(op, NotFoundError("finalize: " + key));
     return;
   }
-  ObjectMetadata& obj = it->second.meta;
+  ObjectMetadata& obj = entry->meta;
   if (op.version <= obj.rsds_version) {
     Finish(op, AbortedError("finalize out of order: " + key));
     return;
@@ -256,23 +262,22 @@ void ObjectStore::Get(const std::string& key, MetaCallback done) {
   if (FailIfUnavailable("get", key, done)) {
     return;
   }
-  auto it = objects_.find(key);
+  const Entry* entry = objects_.Find(key);
   // Cost is computed up front from the current size; a miss costs one RTT.
-  const SimDuration cost =
-      it == objects_.end() ? ControlCost() : ReadCost(it->second.meta.size);
+  const SimDuration cost = entry == nullptr ? ControlCost() : ReadCost(entry->meta.size);
   Op& op = NewOp(key, &ObjectStore::LandGet);
   op.meta_done = std::move(done);
   After(cost, op);
 }
 
 void ObjectStore::LandGet(Op& op) {
-  auto it = objects_.find(op.key);
-  if (it == objects_.end()) {
+  Entry* entry = objects_.Find(op.key);
+  if (entry == nullptr) {
     FinishMeta(op, NotFoundError("get: " + op.key));
     return;
   }
   ++*m_.reads;
-  ObjectMetadata& obj = it->second.meta;
+  ObjectMetadata& obj = entry->meta;
   m_.bytes_read->Add(static_cast<std::uint64_t>(obj.size));
   const Checksum expected = ExpectedChecksum(op.key, obj.size, obj.rsds_version);
   if (obj.checksum != expected) {
@@ -290,13 +295,13 @@ void ObjectStore::LandGet(Op& op) {
 }
 
 void ObjectStore::LandRepairedGet(Op& op) {
-  auto it = objects_.find(op.key);
-  if (it == objects_.end()) {
+  const Entry* entry = objects_.Find(op.key);
+  if (entry == nullptr) {
     FinishMeta(op, NotFoundError("get: " + op.key));
     return;
   }
-  m_.bytes_read->Add(static_cast<std::uint64_t>(it->second.meta.size));
-  FinishMeta(op, it->second.meta);
+  m_.bytes_read->Add(static_cast<std::uint64_t>(entry->meta.size));
+  FinishMeta(op, entry->meta);
 }
 
 void ObjectStore::Head(const std::string& key, MetaCallback done) {
@@ -310,12 +315,12 @@ void ObjectStore::Head(const std::string& key, MetaCallback done) {
 }
 
 void ObjectStore::LandHead(Op& op) {
-  auto it = objects_.find(op.key);
-  if (it == objects_.end()) {
+  const Entry* entry = objects_.Find(op.key);
+  if (entry == nullptr) {
     FinishMeta(op, NotFoundError("head: " + op.key));
     return;
   }
-  FinishMeta(op, it->second.meta);
+  FinishMeta(op, entry->meta);
 }
 
 void ObjectStore::Delete(const std::string& key, Callback done) {
@@ -329,10 +334,12 @@ void ObjectStore::Delete(const std::string& key, Callback done) {
 }
 
 void ObjectStore::LandDelete(Op& op) {
-  if (objects_.erase(op.key) == 0) {
+  Entry* entry = objects_.Find(op.key);
+  if (entry == nullptr) {
     Finish(op, NotFoundError("delete: " + op.key));
     return;
   }
+  objects_.Erase(entry);
   ++*m_.deletes;
   Finish(op, OkStatus());
 }
@@ -373,83 +380,80 @@ void ObjectStore::ExternalWrite(const std::string& key, Bytes size, Callback don
 }
 
 Result<ObjectMetadata> ObjectStore::Stat(const std::string& key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  const Entry* entry = objects_.Find(key);
+  if (entry == nullptr) {
     return NotFoundError("stat: " + key);
   }
-  return it->second.meta;
+  return entry->meta;
 }
 
 Result<Tags> ObjectStore::TagsOf(const std::string& key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  const Entry* entry = objects_.Find(key);
+  if (entry == nullptr) {
     return NotFoundError("tags: " + key);
   }
-  return it->second.tags;
+  return entry->tags;
 }
 
 std::vector<std::string> ObjectStore::Keys() const {
   std::vector<std::string> keys;
   keys.reserve(objects_.size());
-  for (const auto& [key, obj] : objects_) {
-    keys.push_back(key);
+  for (const Entry* entry : objects_.InKeyOrder([](const Entry&) { return true; })) {
+    keys.push_back(entry->key);
   }
   return keys;
 }
 
 std::vector<std::string> ObjectStore::KeysAfter(const std::string& after,
                                                 std::size_t limit) const {
-  std::vector<std::string> keys;
-  for (auto it = objects_.upper_bound(after); it != objects_.end() && keys.size() < limit;
-       ++it) {
-    keys.push_back(it->first);
-  }
-  return keys;
+  return objects_.KeysAfter(after, limit);
 }
 
 Bytes ObjectStore::TotalBytes() const {
   Bytes total = 0;
-  for (const auto& [key, entry] : objects_) {
-    total += entry.meta.size;
+  for (const Entry* entry : objects_.InKeyOrder([](const Entry&) { return true; })) {
+    total += entry->meta.size;
   }
   return total;
 }
 
 void ObjectStore::Seed(const std::string& key, Bytes size, Tags tags) {
-  Entry& entry = objects_[key];
-  ObjectMetadata& obj = entry.meta;
+  const auto [entry, inserted] = objects_.Insert(key);
+  ObjectMetadata& obj = entry->meta;
+  if (inserted) {
+    obj.pending_size = 0;  // A recycled record still holds its last object's.
+  }
   obj.size = size;
   obj.latest_version = next_version_++;
   obj.rsds_version = obj.latest_version;
-  entry.tags = tags;
+  entry->tags = tags;
   obj.checksum = ExpectedChecksum(key, obj.size, obj.rsds_version);
 }
 
 int ObjectStore::Rot(int flips) {
+  // Only damage currently-healthy copies: CorruptChecksum is an involution,
+  // so re-corrupting an already-rotted object would silently heal it.
+  const std::vector<Entry*> healthy = objects_.InKeyOrder([](const Entry& entry) {
+    return entry.meta.checksum ==
+           ExpectedChecksum(entry.key, entry.meta.size, entry.meta.rsds_version);
+  });
   int flipped = 0;
-  for (auto& [key, entry] : objects_) {
+  for (Entry* entry : healthy) {
     if (flipped >= flips) {
       break;
     }
-    ObjectMetadata& obj = entry.meta;
-    const Checksum expected = ExpectedChecksum(key, obj.size, obj.rsds_version);
-    // Only damage currently-healthy copies: CorruptChecksum is an involution,
-    // so re-corrupting an already-rotted object would silently heal it.
-    if (obj.checksum != expected) {
-      continue;
-    }
-    obj.checksum = CorruptChecksum(obj.checksum);
+    entry->meta.checksum = CorruptChecksum(entry->meta.checksum);
     ++flipped;
   }
   return flipped;
 }
 
 int ObjectStore::ScrubKey(const std::string& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  Entry* entry = objects_.Find(key);
+  if (entry == nullptr) {
     return 0;
   }
-  ObjectMetadata& obj = it->second.meta;
+  ObjectMetadata& obj = entry->meta;
   const Checksum expected = ExpectedChecksum(key, obj.size, obj.rsds_version);
   if (obj.checksum == expected) {
     return 0;

@@ -17,7 +17,6 @@
 #define OFC_STORE_OBJECT_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "src/common/checksum.h"
+#include "src/common/key_table.h"
 #include "src/common/record_pool.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -216,7 +216,7 @@ class ObjectStore {
   Result<ObjectMetadata> Stat(const std::string& key) const;
   // The feature tags the object was last written or seeded with.
   Result<Tags> TagsOf(const std::string& key) const;
-  bool Exists(const std::string& key) const { return objects_.contains(key); }
+  bool Exists(const std::string& key) const { return objects_.Find(key) != nullptr; }
   std::size_t NumObjects() const { return objects_.size(); }
   // All object keys in sorted order (chaos-harness consistency sweeps).
   std::vector<std::string> Keys() const;
@@ -300,16 +300,19 @@ class ObjectStore {
   StoreProfile profile_;
   Rng rng_;
   std::string name_;
-  // One stored object: its metadata, handed out by value, and its tags, read
-  // only through the management plane. Both are fixed-size values, so every
-  // object costs one map node whatever its tags hold.
+  // One stored object: its key, its metadata, handed out by value, and its
+  // tags, read only through the management plane. The metadata and tags are
+  // fixed-size values, so an object costs one pooled record plus its key's
+  // buffer whatever its tags hold.
   struct Entry {
+    std::string key;
     ObjectMetadata meta;
     Tags tags;
   };
-  // Ordered: the scrubber's KeysAfter() slices, Rot()'s replayable flips and
-  // Keys() (chaos sweeps) all walk this map in key order.
-  std::map<std::string, Entry> objects_;
+  // Found by hash. Keys(), TotalBytes() and Rot()'s replayable flips sort what
+  // they visit by key, and the scrubber's KeysAfter() slices read the table's
+  // key-ordered index.
+  KeyTable<Entry> objects_;
   Webhook read_webhook_;
   Webhook write_webhook_;
   RecordPool<Op> ops_;

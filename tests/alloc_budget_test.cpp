@@ -227,8 +227,10 @@ TEST_F(RsdsBudgetTest, PutOfANewKeyAllocatesOnlyTheStoredRecord) {
     }
   });
   EXPECT_EQ(written, 2 * kOps);
-  // The object's map node and its key's own buffer.
-  EXPECT_EQ(allocations, 2u * kOps);
+  // Each object's key buffer in its pooled record; a block of five 96-byte
+  // records per five objects; and one doubling of the table's slot array,
+  // which passes 3/4 full at the 3,073rd object.
+  EXPECT_EQ(allocations, kOps + kOps / 5 + 1u);
 }
 
 class ClusterBudgetTest : public ::testing::Test {
@@ -272,6 +274,45 @@ TEST_F(ClusterBudgetTest, WriteUpdateAllocatesNothing) {
     }
   });
   EXPECT_EQ(written, 2 * kOps);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST_F(ClusterBudgetTest, WriteOfANewKeyAllocatesItsKeyReplicaListAndLogEntry) {
+  SKIP_UNDER_SANITIZERS();
+  const std::vector<std::string> fresh = Keys("data/alloc-budget/n", 2 * kOps);
+  int written = 0;
+  const std::uint64_t allocations = CountedAfterWarmUp([&](int first) {
+    for (int i = first; i < first + kOps; ++i) {
+      cluster_.Write(/*client_node=*/0, fresh[static_cast<std::size_t>(i)], kObjectSize,
+                     /*version=*/1, rc::ObjectClass::kInput, /*dirty=*/false,
+                     [&written](Status status) { written += status.ok(); });
+      loop_.Run();
+    }
+  });
+  EXPECT_EQ(written, 2 * kOps);
+  // Per object: its key buffer and its replica list in its pooled record, and
+  // the master log's entry and index nodes. Besides: a block of four 128-byte
+  // records per four objects, one doubling of the table's slot array and one
+  // growth of the pool's array of block pointers.
+  EXPECT_EQ(allocations, 4u * kOps + kOps / 4 + 2u);
+}
+
+TEST_F(ClusterBudgetTest, RemoveThenWriteOfANewKeyAllocatesNothing) {
+  SKIP_UNDER_SANITIZERS();
+  const std::vector<std::string> fresh = Keys("data/alloc-budget/n", 2 * kOps);
+  int written = 0;
+  const std::uint64_t allocations = CountedAfterWarmUp([&](int first) {
+    for (int i = first; i < first + kOps; ++i) {
+      ASSERT_TRUE(cluster_.Remove(keys_[static_cast<std::size_t>(i)]).ok());
+      cluster_.Write(/*client_node=*/0, fresh[static_cast<std::size_t>(i)], kObjectSize,
+                     /*version=*/1, rc::ObjectClass::kInput, /*dirty=*/false,
+                     [&written](Status status) { written += status.ok(); });
+      loop_.Run();
+    }
+  });
+  EXPECT_EQ(written, 2 * kOps);
+  // The removed object's record, with its key's and replica list's capacity,
+  // and its log nodes take the new object.
   EXPECT_EQ(allocations, 0u);
 }
 
@@ -356,9 +397,10 @@ TEST(PlatformBudgetTest, WarmInvocationThroughTheDirectDataService) {
   EXPECT_EQ(platform.NumSandboxes(0) + platform.NumSandboxes(1) + platform.NumSandboxes(2) +
                 platform.NumSandboxes(3),
             1u);
-  // Per invocation: the output key ("out/thumbnail/<id>"), and the RSDS's
-  // record of the new output object (its map node and its key's buffer).
-  EXPECT_EQ(allocations, 3u * kOps);
+  // Per invocation: the output key ("out/thumbnail/<id>"), and the key buffer
+  // of the RSDS's record of the new output object; a block of five records
+  // per five outputs.
+  EXPECT_EQ(allocations, 2u * kOps + kOps / 5);
 }
 
 }  // namespace

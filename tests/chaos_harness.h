@@ -275,11 +275,14 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
         violate("I4: object " + key + " mastered on dead node " +
                 std::to_string(obj.master));
       }
-      std::set<int> backups(obj.backups.begin(), obj.backups.end());
+      std::set<int> backups;
+      for (const rc::Replica& backup : obj.backups) {
+        backups.insert(backup.node);
+      }
       if (backups.size() != obj.backups.size() || backups.contains(obj.master)) {
         violate("I4: object " + key + " has duplicate or self-referential backups");
       }
-      for (int backup : obj.backups) {
+      for (int backup : backups) {
         if (!cluster->Alive(backup)) {
           violate("I4: object " + key + " has backup on dead node " +
                   std::to_string(backup));
@@ -294,10 +297,10 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
       if (scrubbed && obj.checksum != expected) {
         violate("I6: cached object " + key + " master copy still corrupt after drain");
       }
-      for (std::size_t b = 0; scrubbed && b < obj.backup_checksums.size(); ++b) {
-        if (obj.backup_checksums[b] != expected) {
+      for (const rc::Replica& backup : obj.backups) {
+        if (scrubbed && backup.checksum != expected) {
           violate("I6: cached object " + key + " backup copy on node " +
-                  std::to_string(obj.backups[b]) + " still corrupt after drain");
+                  std::to_string(backup.node) + " still corrupt after drain");
         }
       }
     }

@@ -1025,9 +1025,9 @@ TEST(ClusterFaultTest, CrashAfterMigrationKeepsObjectConsistent) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->master, migration->new_master);
   EXPECT_TRUE(cluster.Alive(after->master));
-  for (int backup : after->backups) {
-    EXPECT_TRUE(cluster.Alive(backup)) << "dead backup " << backup;
-    EXPECT_NE(backup, after->master);
+  for (const rc::Replica& backup : after->backups) {
+    EXPECT_TRUE(cluster.Alive(backup.node)) << "dead backup " << backup.node;
+    EXPECT_NE(backup.node, after->master);
   }
   // And the reverse race: crash the *new* master right after promotion.
   const auto migration2 = cluster.MigrateMaster("hot");

@@ -198,17 +198,19 @@ TEST_P(ClusterPropertyTest, AccountingStaysConsistent) {
         ASSERT_EQ(modeled->second, obj.size) << obj.key << " step " << step;
         mastered[static_cast<std::size_t>(n)] += obj.size;
         // Invariant 3: master and backups are alive, the backups are
-        // distinct and exclude the master, replication is exactly
-        // min(rf, alive - 1), and every backup carries one checksum.
+        // distinct and exclude the master, and replication is exactly
+        // min(rf, alive - 1).
         ASSERT_TRUE(cluster.Alive(n)) << obj.key << " step " << step;
         ASSERT_EQ(static_cast<int>(obj.backups.size()), want_backups)
             << obj.key << " step " << step;
-        ASSERT_EQ(obj.backup_checksums.size(), obj.backups.size()) << obj.key;
-        std::vector<int> backups = obj.backups;
+        std::vector<int> backups;
+        for (const rc::Replica& backup : obj.backups) {
+          backups.push_back(backup.node);
+        }
         std::sort(backups.begin(), backups.end());
         ASSERT_EQ(std::adjacent_find(backups.begin(), backups.end()), backups.end())
             << obj.key << " step " << step;
-        for (int b : obj.backups) {
+        for (int b : backups) {
           ASSERT_NE(b, obj.master) << obj.key;
           ASSERT_TRUE(cluster.Alive(b)) << obj.key << " step " << step;
           held[static_cast<std::size_t>(b)] += obj.size;

@@ -55,9 +55,9 @@ TEST_F(ClusterTest, WriteReplicatesToBackups) {
   const auto obj = cluster_.Inspect("a");
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(obj->backups.size(), 2u);
-  for (int b : obj->backups) {
-    EXPECT_NE(b, obj->master);
-    EXPECT_EQ(cluster_.node_stats(b).disk_used, MiB(2));
+  for (const Replica& b : obj->backups) {
+    EXPECT_NE(b.node, obj->master);
+    EXPECT_EQ(cluster_.node_stats(b.node).disk_used, MiB(2));
   }
 }
 
@@ -130,8 +130,8 @@ TEST_F(ClusterTest, RemoveReleasesMemoryAndDisk) {
   const auto obj = cluster_.Inspect("a");
   ASSERT_TRUE(cluster_.Remove("a").ok());
   EXPECT_EQ(cluster_.Used(0), 0);
-  for (int b : obj->backups) {
-    EXPECT_EQ(cluster_.node_stats(b).disk_used, 0);
+  for (const Replica& b : obj->backups) {
+    EXPECT_EQ(cluster_.node_stats(b.node).disk_used, 0);
   }
   EXPECT_FALSE(cluster_.Contains("a"));
   EXPECT_FALSE(cluster_.Remove("a").ok());
@@ -151,15 +151,14 @@ TEST_F(ClusterTest, MigrationPromotesBackupWithoutTransfer) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->old_master, 0);
   // The new master must be one of the previous backups.
-  EXPECT_TRUE(std::find(before->backups.begin(), before->backups.end(),
-                        result->new_master) != before->backups.end());
+  EXPECT_TRUE(std::ranges::find(before->backups, result->new_master, &Replica::node) !=
+              before->backups.end());
   const auto after = cluster_.Inspect("a");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->master, result->new_master);
   // The old master keeps an on-disk copy: replication factor preserved.
   EXPECT_EQ(after->backups.size(), before->backups.size());
-  EXPECT_TRUE(std::find(after->backups.begin(), after->backups.end(), 0) !=
-              after->backups.end());
+  EXPECT_TRUE(std::ranges::find(after->backups, 0, &Replica::node) != after->backups.end());
   EXPECT_EQ(cluster_.Used(0), 0);
   EXPECT_EQ(cluster_.Used(result->new_master), MiB(4));
   EXPECT_GT(result->duration, 0);
@@ -192,10 +191,10 @@ TEST_F(ClusterTest, CrashRecoveryPromotesBackups) {
     // The promotion consumed one on-disk copy; the coordinator re-replicated
     // to restore the factor, on alive nodes distinct from the master.
     EXPECT_EQ(obj->backups.size(), 2u);
-    for (int b : obj->backups) {
-      EXPECT_NE(b, obj->master);
-      EXPECT_NE(b, 0);
-      EXPECT_TRUE(cluster_.node_stats(b).alive);
+    for (const Replica& b : obj->backups) {
+      EXPECT_NE(b.node, obj->master);
+      EXPECT_NE(b.node, 0);
+      EXPECT_TRUE(cluster_.node_stats(b.node).alive);
     }
   }
 }
@@ -203,12 +202,12 @@ TEST_F(ClusterTest, CrashRecoveryPromotesBackups) {
 TEST_F(ClusterTest, CrashedBackupsAreReplaced) {
   ASSERT_TRUE(WriteSync(0, "a", MiB(2)).ok());
   const auto before = cluster_.Inspect("a");
-  const int backup = before->backups.front();
+  const int backup = before->backups.front().node;
   (void)cluster_.CrashNode(backup);
   const auto after = cluster_.Inspect("a");
   ASSERT_TRUE(after.ok());
-  for (int b : after->backups) {
-    EXPECT_NE(b, backup);
+  for (const Replica& b : after->backups) {
+    EXPECT_NE(b.node, backup);
   }
   EXPECT_EQ(after->backups.size(), 2u);
 }
@@ -270,9 +269,8 @@ TEST_F(ClusterTest, WriteStampsVerifiableChecksumOnEveryCopy) {
   ASSERT_TRUE(obj.ok());
   const Checksum expected = ExpectedChecksum("a", obj->size, obj->version);
   EXPECT_EQ(obj->checksum, expected);
-  ASSERT_EQ(obj->backup_checksums.size(), obj->backups.size());
-  for (const Checksum backup : obj->backup_checksums) {
-    EXPECT_EQ(backup, expected);
+  for (const Replica& backup : obj->backups) {
+    EXPECT_EQ(backup.checksum, expected);
   }
 }
 
@@ -309,8 +307,8 @@ TEST_F(ClusterTest, ReadWithEveryCopyCorruptReportsDataLoss) {
   const auto before = cluster_.Inspect("a");
   ASSERT_TRUE(before.ok());
   ASSERT_EQ(cluster_.CorruptSegment(before->master, 1), 1);
-  for (int backup : before->backups) {
-    ASSERT_EQ(cluster_.CorruptReplica(backup, 1), 1);
+  for (const Replica& backup : before->backups) {
+    ASSERT_EQ(cluster_.CorruptReplica(backup.node, 1), 1);
   }
   const auto read = ReadSync(1, "a");
   ASSERT_FALSE(read.ok());
@@ -324,7 +322,7 @@ TEST_F(ClusterTest, ScrubObjectRepairsDivergentBackup) {
   ASSERT_TRUE(WriteSync(0, "a", MiB(2)).ok());
   const auto before = cluster_.Inspect("a");
   ASSERT_TRUE(before.ok());
-  const int sick = before->backups.front();
+  const int sick = before->backups.front().node;
   ASSERT_EQ(cluster_.CorruptReplica(sick, 1), 1);
 
   const auto result = cluster_.ScrubObject("a");
@@ -358,7 +356,7 @@ TEST_F(ClusterTest, PlacementBreaksTiesInCandidateOrder) {
       const auto obj = cluster.Inspect(key);
       out += key + ":" + std::to_string(obj->master) + "[";
       for (std::size_t i = 0; i < obj->backups.size(); ++i) {
-        out += (i == 0 ? "" : ",") + std::to_string(obj->backups[i]);
+        out += (i == 0 ? "" : ",") + std::to_string(obj->backups[i].node);
       }
       out += "] ";
     }
@@ -413,9 +411,9 @@ TEST_F(ClusterTest, QuarantineNodeDrainsWithoutDataLoss) {
     EXPECT_NE(obj->master, 1);
     const Checksum expected = ExpectedChecksum(key, obj->size, obj->version);
     EXPECT_EQ(obj->checksum, expected) << key;
-    for (std::size_t i = 0; i < obj->backups.size(); ++i) {
-      EXPECT_NE(obj->backups[i], 1) << key;
-      EXPECT_EQ(obj->backup_checksums[i], expected) << key;
+    for (const Replica& backup : obj->backups) {
+      EXPECT_NE(backup.node, 1) << key;
+      EXPECT_EQ(backup.checksum, expected) << key;
     }
   }
   // The drained node rejoins empty, like a restarted one.
@@ -442,7 +440,7 @@ TEST_F(ClusterTest, CrashRecoveryPrefersHealthyReplicaOverCorruptOne) {
   ASSERT_TRUE(before.ok());
   // One backup copy is rotten when the master dies; recovery must promote a
   // verified copy — never the corrupt bits — into the new master.
-  ASSERT_EQ(cluster_.CorruptReplica(before->backups.front(), 1), 1);
+  ASSERT_EQ(cluster_.CorruptReplica(before->backups.front().node, 1), 1);
   const auto result = cluster_.CrashNode(before->master);
   EXPECT_EQ(result.objects_recovered, 1u);
   EXPECT_EQ(result.objects_lost, 0u);
@@ -457,8 +455,8 @@ TEST_F(ClusterTest, CrashRecoveryPrefersHealthyReplicaOverCorruptOne) {
   const auto scrubbed = cluster_.Inspect("a");
   ASSERT_TRUE(scrubbed.ok());
   EXPECT_EQ(scrubbed->checksum, expected);
-  for (const Checksum backup : scrubbed->backup_checksums) {
-    EXPECT_EQ(backup, expected);
+  for (const Replica& backup : scrubbed->backups) {
+    EXPECT_EQ(backup.checksum, expected);
   }
 }
 
@@ -471,9 +469,8 @@ TEST_F(ClusterTest, ChecksumsSurviveMigrationAndRestart) {
   ASSERT_TRUE(obj.ok());
   const Checksum expected = ExpectedChecksum("a", obj->size, obj->version);
   EXPECT_EQ(obj->checksum, expected);
-  ASSERT_EQ(obj->backup_checksums.size(), obj->backups.size());
-  for (const Checksum backup : obj->backup_checksums) {
-    EXPECT_EQ(backup, expected);
+  for (const Replica& backup : obj->backups) {
+    EXPECT_EQ(backup.checksum, expected);
   }
 }
 

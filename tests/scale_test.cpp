@@ -172,8 +172,8 @@ TEST(ScaleTest, IntegrityHoldsThroughBitFlipStormAtScale) {
     for (const rc::CachedObject& obj : cluster->ObjectsOn(node)) {
       const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
       EXPECT_EQ(obj.checksum, expected) << "corrupt master copy survived: " << obj.key;
-      for (const Checksum backup : obj.backup_checksums) {
-        EXPECT_EQ(backup, expected) << "corrupt backup copy survived: " << obj.key;
+      for (const rc::Replica& backup : obj.backups) {
+        EXPECT_EQ(backup.checksum, expected) << "corrupt backup copy survived: " << obj.key;
       }
     }
   }
