@@ -282,10 +282,10 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
       if (backups.size() != obj.backups.size() || backups.contains(obj.master)) {
         violate("I4: object " + key + " has duplicate or self-referential backups");
       }
-      for (int backup : backups) {
-        if (!cluster->Alive(backup)) {
+      for (const rc::Replica& backup : obj.backups) {
+        if (!cluster->Alive(backup.node)) {
           violate("I4: object " + key + " has backup on dead node " +
-                  std::to_string(backup));
+                  std::to_string(backup.node));
         }
       }
       if (static_cast<int>(obj.backups.size()) < want_backups) {

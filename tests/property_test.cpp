@@ -210,10 +210,10 @@ TEST_P(ClusterPropertyTest, AccountingStaysConsistent) {
         std::sort(backups.begin(), backups.end());
         ASSERT_EQ(std::adjacent_find(backups.begin(), backups.end()), backups.end())
             << obj.key << " step " << step;
-        for (int b : backups) {
-          ASSERT_NE(b, obj.master) << obj.key;
-          ASSERT_TRUE(cluster.Alive(b)) << obj.key << " step " << step;
-          held[static_cast<std::size_t>(b)] += obj.size;
+        for (const rc::Replica& backup : obj.backups) {
+          ASSERT_NE(backup.node, obj.master) << obj.key;
+          ASSERT_TRUE(cluster.Alive(backup.node)) << obj.key << " step " << step;
+          held[static_cast<std::size_t>(backup.node)] += obj.size;
         }
       }
     }
