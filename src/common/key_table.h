@@ -9,6 +9,17 @@
 // Keys hash through DetHash, so a perturbed hash salt moves every record to
 // another slot (tests/determinism_test.cpp).
 //
+// A slot array of 128 KiB or more is an anonymous mapping of its own, not a
+// malloc block. Were it a malloc block, freeing the first one glibc had
+// mapped would raise glibc's dynamic mmap threshold to its size, and later
+// arrays would come from the heap, where a freed array leaves a hole that the
+// process keeps: its peak RSS would then depend on where in the heap each
+// array landed, and so on every allocation made before. A mapped array
+// returns its pages when it is freed. Its pages become resident as slots on
+// them are written, and a rehash hands back each 64 KiB of the old array once
+// it has moved the records there, so that growing to 2n slots holds about 2n
+// slots' pages at a time, not 3n.
+//
 // The table hands out no walk in slot order, which the salt would reach. A
 // walk gets its records sorted by key (InKeyOrder), and the scrubber's cursor
 // (KeysAfter) reads a key-ordered index that the first KeysAfter call builds
@@ -31,6 +42,17 @@
 #include "src/common/sim_assert.h"
 
 namespace ofc {
+
+namespace internal {
+
+// `bytes` of zeroed memory for a slot array, and its release; see above.
+void* AllocateSlots(std::size_t bytes);
+void ReleaseSlots(void* slots, std::size_t bytes);
+// Hands bytes [begin, end) of a slot array of `bytes` back to the system if
+// the array is mapped; they read as zero afterwards.
+void ReleaseSlotPages(void* slots, std::size_t bytes, std::size_t begin, std::size_t end);
+
+}  // namespace internal
 
 template <typename T, typename Hash = DetHash<std::string_view>>
 class KeyTable {
@@ -122,9 +144,44 @@ class KeyTable {
   }
 
  private:
+  // All-zero bytes are an empty slot.
   struct Slot {
     std::size_t hash = 0;
     T* record = nullptr;  // Null: the slot is empty.
+  };
+
+  // A fixed number of slots, all empty at first.
+  class SlotArray {
+   public:
+    SlotArray() = default;
+    explicit SlotArray(std::size_t size)
+        : slots_(static_cast<Slot*>(internal::AllocateSlots(size * sizeof(Slot)))), size_(size) {}
+    SlotArray(SlotArray&& other) noexcept
+        : slots_(std::exchange(other.slots_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+    SlotArray& operator=(SlotArray&& other) noexcept {
+      std::swap(slots_, other.slots_);
+      std::swap(size_, other.size_);
+      return *this;
+    }
+    ~SlotArray() { internal::ReleaseSlots(slots_, size_ * sizeof(Slot)); }
+
+    // If the array is mapped, releases the pages of slots [begin, end), which
+    // read as empty afterwards.
+    void ReleasePages(std::size_t begin, std::size_t end) {
+      internal::ReleaseSlotPages(slots_, size_ * sizeof(Slot), begin * sizeof(Slot),
+                                 end * sizeof(Slot));
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Slot& operator[](std::size_t i) { return slots_[i]; }
+    const Slot& operator[](std::size_t i) const { return slots_[i]; }
+    const Slot* begin() const { return slots_; }
+    const Slot* end() const { return slots_ + size_; }
+
+   private:
+    Slot* slots_ = nullptr;
+    std::size_t size_ = 0;
   };
 
   // Orders records, and a record against a bare key, by key.
@@ -178,17 +235,26 @@ class KeyTable {
 
   void Grow() {
     const std::size_t capacity = slots_.empty() ? kMinSlots : 2 * slots_.size();
-    const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
-    for (const Slot& slot : old) {
-      if (slot.record != nullptr) {
-        Place(slot);
+    SlotArray old = std::exchange(slots_, SlotArray(capacity));
+    // A record's new home is its old one or that plus old.size(), so moving
+    // the old array in order fills the new one in step.
+    for (std::size_t begin = 0; begin < old.size(); begin += kChunkSlots) {
+      const std::size_t end = std::min(old.size(), begin + kChunkSlots);
+      for (std::size_t i = begin; i < end; ++i) {
+        if (old[i].record != nullptr) {
+          Place(old[i]);
+        }
       }
+      old.ReleasePages(begin, end);
     }
   }
 
   static constexpr std::size_t kMinSlots = 16;
+  // Old slots a rehash moves before it releases their pages: 64 KiB, a
+  // multiple of the page size.
+  static constexpr std::size_t kChunkSlots = (std::size_t{64} << 10) / sizeof(Slot);
 
-  std::vector<Slot> slots_;
+  SlotArray slots_;
   std::size_t size_ = 0;
   RecordPool<T> pool_;
   // Every record in key order, once a KeysAfter call has asked for it.

@@ -363,9 +363,11 @@ struct TailHash {
 // record erased last, capacity kept. Returns everything the table showed:
 // each operation's outcome, filtered key-order walks, and cursor slices, which
 // start halfway through so that later inserts and erases maintain the table's
-// key-ordered index.
+// key-ordered index. `most_live`, if given, receives the largest size the
+// table reached.
 template <typename Hash>
-std::vector<std::string> RunAgainstMap(int num_keys, int steps) {
+std::vector<std::string> RunAgainstMap(int num_keys, int steps,
+                                       std::size_t* most_live = nullptr) {
   KeyTable<KeyedItem, Hash> table;
   const KeyTable<KeyedItem, Hash>& view = table;
   std::map<std::string, int> model;
@@ -410,6 +412,9 @@ std::vector<std::string> RunAgainstMap(int num_keys, int steps) {
       shown.push_back("find " + key + " " + std::to_string(item ? item->value : -1));
     }
     EXPECT_EQ(table.size(), model.size());
+    if (most_live != nullptr) {
+      *most_live = std::max(*most_live, table.size());
+    }
     if (step % 101 == 0) {
       std::string walk = "walk";
       std::string expected = "walk";
@@ -462,6 +467,16 @@ TEST(KeyTableTest, MatchesAnOrderedMapWhateverTheHashSalt) {
   const std::vector<std::string> salted = RunAgainstMap<DetHash<std::string_view>>(3000, 30000);
   SetHashSalt(0);
   EXPECT_EQ(unsalted, salted);
+}
+
+TEST(KeyTableTest, MatchesAnOrderedMapOnceItsSlotArrayIsMapped) {
+  // 12,000 keys, about 7,500 live at a time: the slot array doubles from
+  // operator new's arrays into a mapped one of 8,192 slots (128 KiB) and,
+  // past 6,144 records, into one of 16,384, whose rehash releases the old
+  // array's pages 64 KiB at a time.
+  std::size_t most_live = 0;
+  RunAgainstMap<DetHash<std::string_view>>(12000, 40000, &most_live);
+  EXPECT_GT(most_live, 6144u);
 }
 
 TEST(KeyTableTest, MatchesAnOrderedMapWhenEveryProbeRunWraps) {
