@@ -1,5 +1,6 @@
 #include "src/sim/event_loop.h"
 
+#include <bit>
 #include <utility>
 
 #include "src/common/sim_assert.h"
@@ -17,7 +18,8 @@ EventLoop::EventId EventLoop::ScheduleAt(SimTime when, Callback cb) {
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.armed = true;
-  HeapPush(HeapEntry{when, next_seq_++, slot});
+  ++next_seq_;
+  Push(slot, when);
   return MakeId(slot, s.generation);
 }
 
@@ -32,7 +34,7 @@ bool EventLoop::Cancel(EventId id) {
     return false;  // Already ran, already cancelled, or the slot was reused.
   }
   s.cb = Callback();  // Destroy captured state now, not at pop time.
-  s.armed = false;    // Tombstone: the heap entry is dropped when popped.
+  s.armed = false;    // Tombstone: the queue entry is dropped when popped.
   ++cancelled_;
   MaybeCompact();
   return true;
@@ -47,6 +49,7 @@ std::uint32_t EventLoop::AcquireSlot() {
     index = static_cast<std::uint32_t>(slots_.size());
     SIM_ASSERT(index != kNoSlot) << "; event slot slab exhausted";
     slots_.emplace_back();
+    links_.emplace_back();
   }
   Slot& s = slots_[index];
   if (++s.generation == 0) {  // Skip 0 so EventId 0 stays a "no event" sentinel.
@@ -63,103 +66,111 @@ void EventLoop::ReleaseSlot(std::uint32_t index) {
   free_head_ = index;
 }
 
-void EventLoop::HeapPush(HeapEntry entry) {
-  // Sift up in a 4-ary min-heap: fewer levels than binary, and the four-child
-  // compare in SiftDown runs over one cache line of 16-byte entries.
-  std::size_t i = heap_.size();
-  heap_.push_back(entry);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!Before(heap_[i], heap_[parent])) {
-      break;
+int EventLoop::BucketOf(SimTime when) const {
+  return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(when ^ ref_)));
+}
+
+void EventLoop::Push(std::uint32_t slot, SimTime when) {
+  if (nonempty_ == 0) {
+    ref_ = now_;  // ref_ may have passed now() by popping a cancelled entry.
+  }
+  SIM_ASSERT(when >= ref_) << "; event at " << when << " queued below the radix reference "
+                           << ref_;
+  links_[slot].when = when;
+  Append(BucketOf(when), slot);
+  ++queued_;
+}
+
+void EventLoop::Append(int bucket, std::uint32_t slot) {
+  const std::uint64_t bit = std::uint64_t{1} << bucket;
+  Link& link = links_[slot];
+  link.next = kNoSlot;
+  if ((nonempty_ & bit) == 0) {
+    nonempty_ |= bit;
+    head_[bucket] = slot;
+    min_[bucket] = link.when;
+  } else {
+    links_[tail_[bucket]].next = slot;
+    if (link.when < min_[bucket]) {
+      min_[bucket] = link.when;
     }
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+  }
+  tail_[bucket] = slot;
+}
+
+void EventLoop::Redistribute() {
+  // Every entry of the lowest non-empty bucket shares the bits above its
+  // bucket's with the new reference, so each lands in a lower bucket, all of
+  // which are empty: re-appending in list order keeps scheduling order.
+  const int bucket = std::countr_zero(nonempty_);
+  nonempty_ &= ~(std::uint64_t{1} << bucket);
+  ref_ = min_[bucket];
+  for (std::uint32_t slot = head_[bucket]; slot != kNoSlot;) {
+    const std::uint32_t next = links_[slot].next;
+    Append(BucketOf(links_[slot].when), slot);
+    slot = next;
   }
 }
 
-void EventLoop::SiftDown(std::size_t i) {
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) {
-      return;
-    }
-    std::size_t best = first_child;
-    const std::size_t last_child = first_child + 4 < n ? first_child + 4 : n;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (Before(heap_[c], heap_[best])) {
-        best = c;
-      }
-    }
-    if (!Before(heap_[best], heap_[i])) {
-      return;
-    }
-    std::swap(heap_[i], heap_[best]);
-    i = best;
-  }
-}
-
-void EventLoop::HeapPopTop() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    SiftDown(0);
-  }
-}
-
-void EventLoop::Heapify() {
-  if (heap_.size() < 2) {
-    return;
-  }
-  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-    SiftDown(i);
-  }
+SimTime EventLoop::PeekTime() const {
+  const int bucket = std::countr_zero(nonempty_);
+  return bucket == 0 ? ref_ : min_[bucket];
 }
 
 void EventLoop::MaybeCompact() {
   // Compact when tombstones outnumber live entries (amortized O(1) per cancel;
   // the trigger depends only on deterministic counters, so replays compact at
-  // identical points — not that order could drift: (when, seq) is total).
-  if (cancelled_ < 64 || cancelled_ * 2 < heap_.size()) {
+  // identical points). Unlinking keeps each bucket's list order.
+  if (cancelled_ < 64 || cancelled_ * 2 < queued_) {
     return;
   }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const std::uint32_t slot = heap_[i].slot;
-    if (slots_[slot].armed) {
-      heap_[kept++] = heap_[i];
-    } else {
-      ReleaseSlot(slot);
+  const std::uint64_t buckets = nonempty_;
+  nonempty_ = 0;
+  for (std::uint64_t rest = buckets; rest != 0; rest &= rest - 1) {
+    const int bucket = std::countr_zero(rest);
+    for (std::uint32_t slot = head_[bucket]; slot != kNoSlot;) {
+      const std::uint32_t next = links_[slot].next;
+      if (slots_[slot].armed) {
+        Append(bucket, slot);
+      } else {
+        ReleaseSlot(slot);
+      }
+      slot = next;
     }
   }
-  heap_.resize(kept);
+  queued_ -= cancelled_;
   cancelled_ = 0;
-  Heapify();
 }
 
 bool EventLoop::TakeTop(Callback* out) {
-  const HeapEntry top = heap_.front();
-  HeapPopTop();
-  Slot& s = slots_[top.slot];
+  if ((nonempty_ & 1) == 0) {
+    Redistribute();
+  }
+  const std::uint32_t slot = head_[0];
+  head_[0] = links_[slot].next;
+  if (head_[0] == kNoSlot) {
+    nonempty_ &= ~std::uint64_t{1};
+  }
+  --queued_;
+  Slot& s = slots_[slot];
   if (!s.armed) {
     --cancelled_;
-    ReleaseSlot(top.slot);
+    ReleaseSlot(slot);
     return false;
   }
   *out = std::move(s.cb);
   s.cb = Callback();
-  ReleaseSlot(top.slot);
+  ReleaseSlot(slot);
   // Event-loop monotonicity: simulated time never moves backwards.
-  SIM_ASSERT(top.when >= now_) << "; event at " << top.when << " dispatched at " << now_;
-  now_ = top.when;
+  SIM_ASSERT(ref_ >= now_) << "; event at " << ref_ << " dispatched at " << now_;
+  now_ = ref_;
   ++dispatched_;
   return true;
 }
 
 void EventLoop::Run() {
   Callback cb;
-  while (!heap_.empty()) {
+  while (nonempty_ != 0) {
     if (dispatch_budget_exhausted()) {
       return;
     }
@@ -172,7 +183,7 @@ void EventLoop::Run() {
 
 void EventLoop::RunUntil(SimTime deadline) {
   Callback cb;
-  while (!heap_.empty() && heap_.front().when <= deadline) {
+  while (nonempty_ != 0 && PeekTime() <= deadline) {
     if (dispatch_budget_exhausted()) {
       return;  // Leave now() where it is: the run is resumable.
     }
@@ -188,7 +199,7 @@ void EventLoop::RunUntil(SimTime deadline) {
 
 bool EventLoop::Step() {
   Callback cb;
-  while (!heap_.empty()) {
+  while (nonempty_ != 0) {
     if (dispatch_budget_exhausted()) {
       return false;
     }

@@ -2,8 +2,8 @@
 //
 // Every component of the reproduced system (FaaS platform, RAMCloud cluster,
 // object store, load injector) schedules callbacks on one EventLoop. Events at
-// equal timestamps run in scheduling order (a monotonically increasing sequence
-// number breaks ties), so a (seed, workload) pair fully determines a run.
+// equal timestamps run in scheduling order, so a (seed, workload) pair fully
+// determines a run.
 //
 // Hot-path design (perfbench's sim.bare_ns_per_event measures the bare loop):
 //   * Callbacks live in a slab of recycled slots holding InlineCallback values
@@ -11,13 +11,30 @@
 //     allocation and no hash-map lookup on schedule/cancel/dispatch. An
 //     EventId encodes (slot index, generation); generations make stale ids
 //     (already ran, already cancelled, slot since reused) miss cheaply.
-//   * The ready queue is a hand-rolled 4-ary min-heap of 24-byte entries
-//     ordered by (when, seq). seq is unique, so the order is total and heap
-//     arity can never change dispatch order — only cache behavior.
+//   * The ready queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+//     1990). The loop never schedules before now(), so queued times only grow,
+//     and no two entries are ever compared. The queue keeps a reference time
+//     `ref`, the last time it extracted. An event at `ref` goes to bucket 0;
+//     any other goes to bucket b, where bit b-1 is the highest bit in which
+//     its time differs from `ref`. Every entry of bucket b lies below every
+//     entry of a higher bucket. A pop takes bucket 0's head; when bucket 0 is
+//     empty, the lowest non-empty bucket (a 64-bit mask and ctz) moves `ref`
+//     to its minimum and re-appends its entries to lower buckets, each entry
+//     moving at most 63 times. Each bucket is a FIFO list threaded through a
+//     16-byte {when, next} link per slot. Pushes append, and a bucket is only
+//     re-appended into empty ones, so list order is scheduling order: equal
+//     times dispatch in (when, seq) order without storing seq.
+//   * Two invariants keep every queued time at or above `ref`:
+//       - `ref` never exceeds a time that can still be scheduled. Popping a
+//         cancelled entry can leave `ref` above now() once the queue is empty,
+//         so a push into an empty queue restarts `ref` at now().
+//       - RunUntil peeks at the lowest bucket's minimum and does not
+//         redistribute it: it then sets now() to a deadline that may lie
+//         below that minimum.
 //   * Cancellation is O(1): the slot is disarmed and its callback destroyed
-//     immediately (freeing captured state), leaving a tombstone entry in the
-//     heap. Tombstones are dropped when popped, and when they ever outnumber
-//     live events the heap compacts in one deterministic O(n) pass — cancel
+//     immediately (freeing captured state), leaving a tombstone entry in its
+//     bucket. Tombstones are dropped when popped, and when they ever outnumber
+//     live events the buckets compact in one deterministic O(n) pass — cancel
 //     storms (keep-alive timers re-armed per warm hit) cannot accumulate
 //     unbounded dead entries.
 //   * An optional dispatch budget bounds huge runs (`ofc-sim --max-events`):
@@ -26,6 +43,7 @@
 #ifndef OFC_SIM_EVENT_LOOP_H_
 #define OFC_SIM_EVENT_LOOP_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -68,7 +86,7 @@ class EventLoop {
   // Runs exactly one event if any is pending; returns whether one ran.
   bool Step();
 
-  std::size_t pending_events() const { return heap_.size() - cancelled_; }
+  std::size_t pending_events() const { return queued_ - cancelled_; }
 
   // Total events ever scheduled. Together with now() this fingerprints a run:
   // two replays of the same (seed, workload) must agree on both, which the
@@ -89,16 +107,13 @@ class EventLoop {
   }
 
  private:
-  // 24 bytes; the heap never touches slot storage until an entry is popped.
-  struct HeapEntry {
-    SimTime when;
-    // Scheduling order: the event's index among every event ever scheduled,
-    // so it is unique and breaks ties between equal timestamps.
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t pad = 0;
+  // One per slot: the queued time of the slot's event and the next slot in
+  // its bucket's list.
+  struct Link {
+    SimTime when = 0;
+    std::uint32_t next = kNoSlot;
   };
-  static_assert(sizeof(HeapEntry) == 24);
+  static_assert(sizeof(Link) == 16);
 
   struct Slot {
     Callback cb;
@@ -108,10 +123,8 @@ class EventLoop {
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr int kBuckets = 64;  // Times are non-negative: bit 63 never differs.
 
-  static bool Before(const HeapEntry& a, const HeapEntry& b) {
-    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
-  }
   static EventId MakeId(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(slot) << 32) | generation;
   }
@@ -119,10 +132,11 @@ class EventLoop {
   std::uint32_t AcquireSlot();
   void ReleaseSlot(std::uint32_t index);
 
-  void HeapPush(HeapEntry entry);
-  void HeapPopTop();       // Removes heap_[0], restoring heap order.
-  void Heapify();          // Full rebuild after compaction.
-  void SiftDown(std::size_t i);
+  int BucketOf(SimTime when) const;
+  void Push(std::uint32_t slot, SimTime when);
+  void Append(int bucket, std::uint32_t slot);
+  void Redistribute();      // Refills bucket 0 from the lowest non-empty bucket.
+  SimTime PeekTime() const;  // The least queued time; the queue must not be empty.
   void MaybeCompact();
 
   // Pops the top entry and, if live, moves its callback into `out` (advancing
@@ -133,10 +147,20 @@ class EventLoop {
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t dispatch_stop_at_ = 0;  // 0 = no budget.
-  std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
+  std::vector<Link> links_;  // Parallel to slots_.
   std::uint32_t free_head_ = kNoSlot;
-  std::size_t cancelled_ = 0;
+  std::size_t queued_ = 0;     // Entries in the buckets, tombstones included.
+  std::size_t cancelled_ = 0;  // Tombstones among them.
+
+  // The radix queue. Bit b of nonempty_ is set iff bucket b holds an entry,
+  // and head_[b], tail_[b] and min_[b] (its least time) are meaningful only
+  // then. Bucket 0's entries all lie at ref_.
+  SimTime ref_ = 0;
+  std::uint64_t nonempty_ = 0;
+  std::array<std::uint32_t, kBuckets> head_{};
+  std::array<std::uint32_t, kBuckets> tail_{};
+  std::array<SimTime, kBuckets> min_{};
 };
 
 }  // namespace ofc::sim

@@ -1,11 +1,16 @@
 // Property-based tests: invariants that must hold across randomized sweeps —
 // cluster accounting under arbitrary operation sequences, interval-labeling
 // algebra, latency-model monotonicity, ML coverage guarantees per function,
-// and event-loop ordering under random schedules.
+// and event-loop ordering under random schedules, checked against a reference
+// queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/intervals.h"
 #include "src/core/ml_service.h"
@@ -53,6 +58,242 @@ TEST_P(EventLoopPropertyTest, CancelledEventsNeverFire) {
   }
   loop.Run();
   EXPECT_EQ(fired + cancelled, 100);
+}
+
+// The loop's observable behaviour, modelled on an ordered set of (when, seq)
+// with a live flag per event. A cancelled event stays queued until it is popped
+// or until cancelled events outnumber live ones (the loop's compaction
+// trigger), because a RunUntil that the dispatch budget stops still sees it.
+// The budget counts live dispatches only.
+class ReferenceLoop {
+ public:
+  using EventId = std::uint64_t;
+
+  SimTime now() const { return now_; }
+  EventId ScheduleAfter(SimDuration delay, sim::InlineCallback cb) {
+    return ScheduleAt(now_ + delay, std::move(cb));
+  }
+  EventId ScheduleAt(SimTime when, sim::InlineCallback cb) {
+    queue_.emplace(when, events_.size());
+    events_.push_back(Event{std::move(cb), true});
+    return events_.size();
+  }
+  bool Cancel(EventId id) {
+    Event& event = events_[id - 1];
+    if (!event.live) {
+      return false;
+    }
+    event.live = false;
+    event.cb = sim::InlineCallback();
+    ++cancelled_;
+    if (cancelled_ >= 64 && cancelled_ * 2 >= queue_.size()) {
+      std::erase_if(queue_, [&](const auto& entry) { return !events_[entry.second].live; });
+      cancelled_ = 0;
+    }
+    return true;
+  }
+  void Run() {
+    while (!queue_.empty() && !dispatch_budget_exhausted()) {
+      PopFirst();
+    }
+  }
+  void RunUntil(SimTime deadline) {
+    while (!queue_.empty() && queue_.begin()->first <= deadline) {
+      if (dispatch_budget_exhausted()) {
+        return;
+      }
+      PopFirst();
+    }
+    now_ = std::max(now_, deadline);
+  }
+  bool Step() {
+    while (!queue_.empty() && !dispatch_budget_exhausted()) {
+      if (PopFirst()) {
+        return true;
+      }
+    }
+    return false;
+  }
+  std::size_t pending_events() const { return queue_.size() - cancelled_; }
+  std::uint64_t total_scheduled() const { return events_.size(); }
+  std::uint64_t total_dispatched() const { return dispatched_; }
+  void set_dispatch_budget(std::uint64_t budget) {
+    stop_at_ = budget == 0 ? 0 : dispatched_ + budget;
+  }
+
+ private:
+  struct Event {
+    sim::InlineCallback cb;
+    bool live;  // Queued and not cancelled.
+  };
+
+  bool dispatch_budget_exhausted() const { return stop_at_ != 0 && dispatched_ >= stop_at_; }
+
+  // Pops the first entry and runs it if it is live; returns whether it was.
+  bool PopFirst() {
+    const auto [when, seq] = *queue_.begin();
+    queue_.erase(queue_.begin());
+    Event& event = events_[seq];
+    if (!event.live) {
+      --cancelled_;
+      return false;
+    }
+    event.live = false;
+    sim::InlineCallback cb = std::move(event.cb);
+    now_ = when;
+    ++dispatched_;
+    cb();
+    return true;
+  }
+
+  SimTime now_ = 0;
+  std::set<std::pair<SimTime, std::uint64_t>> queue_;
+  std::vector<Event> events_;
+  std::size_t cancelled_ = 0;
+  std::uint64_t dispatched_ = 0;
+  std::uint64_t stop_at_ = 0;
+};
+
+// Plays one random script on a loop and records all it can observe of it:
+// each dispatch (named by the order its event was scheduled in, not by its
+// EventId, which slot reuse makes arbitrary), each Cancel and Step result, and
+// now() and the counters after every operation. Callbacks schedule and cancel
+// too, and delays span 0 µs to 2^40 µs so that every radix bucket fills.
+template <typename Loop>
+class LoopScript {
+ public:
+  explicit LoopScript(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<std::string> Play(int operations) {
+    for (int op = 0; op < operations; ++op) {
+      const std::int64_t kind = rng_.UniformInt(0, 99);
+      if (kind < 30) {
+        for (std::int64_t n = rng_.UniformInt(1, 4); n > 0; --n) {
+          Schedule();
+        }
+        Record("schedule");
+      } else if (kind < 45) {
+        CancelAny();
+        Record("cancel");
+      } else if (kind < 60) {
+        const bool stepped = loop_.Step();
+        Record(stepped ? "step ran" : "step idle");
+      } else if (kind < 75) {
+        // Mostly ahead of now(), sometimes behind it.
+        const SimTime deadline = loop_.now() + Delay() - rng_.UniformInt(0, 2);
+        loop_.RunUntil(deadline);
+        Record("run-until " + std::to_string(deadline));
+      } else if (kind < 83) {
+        const std::uint64_t budget =
+            rng_.Bernoulli(0.3) ? 0 : static_cast<std::uint64_t>(rng_.UniformInt(1, 40));
+        loop_.set_dispatch_budget(budget);
+        Record("budget " + std::to_string(budget));
+      } else if (kind < 90) {
+        loop_.Run();
+        Record("run");
+      } else {
+        DrainPastACancelledLastEntry();
+      }
+    }
+    loop_.set_dispatch_budget(0);
+    loop_.Run();
+    Record("final run");
+    return std::move(transcript_);
+  }
+
+ private:
+  SimDuration Delay() {
+    switch (rng_.UniformInt(0, 5)) {
+      case 0:
+        return 0;
+      case 1:
+        return rng_.UniformInt(1, 3);
+      case 2:
+        return rng_.UniformInt(0, 1000);
+      case 3:
+        return rng_.UniformInt(0, 1'000'000);
+      case 4:
+        return rng_.UniformInt(0, 600'000'000);
+      default:
+        return rng_.UniformInt(0, std::int64_t{1} << 40);
+    }
+  }
+
+  std::size_t Schedule(SimDuration delay) {
+    const std::size_t token = ids_.size();
+    auto cb = [this, token] { OnEvent(token); };
+    ids_.push_back(rng_.Bernoulli(0.5) ? loop_.ScheduleAfter(delay, std::move(cb))
+                                       : loop_.ScheduleAt(loop_.now() + delay, std::move(cb)));
+    return token;
+  }
+  std::size_t Schedule() { return Schedule(Delay()); }
+
+  // Cancels a pending, already-run or already-cancelled event, favouring
+  // recent ones, which are more often still pending.
+  void CancelAny() {
+    if (ids_.empty()) {
+      return;
+    }
+    const std::size_t recent = std::min<std::size_t>(ids_.size(), 16);
+    const std::size_t token = rng_.Bernoulli(0.7) ? ids_.size() - 1 - rng_.Index(recent)
+                                                  : rng_.Index(ids_.size());
+    const bool cancelled = loop_.Cancel(ids_[token]);
+    transcript_.push_back("cancel " + std::to_string(token) + (cancelled ? " ok" : " missed"));
+  }
+
+  void OnEvent(std::size_t token) {
+    transcript_.push_back("event " + std::to_string(token) + " at " + std::to_string(loop_.now()));
+    const double children = rng_.NextDouble();
+    if (children < 0.45) {
+      Schedule();
+    } else if (children < 0.55) {
+      Schedule();
+      Schedule();
+    }
+    if (rng_.Bernoulli(0.2)) {
+      CancelAny();
+    }
+  }
+
+  // Runs the queue dry with a cancelled event as its last entry, which leaves
+  // the queue's last extracted time above now(), then schedules again.
+  void DrainPastACancelledLastEntry() {
+    loop_.set_dispatch_budget(0);
+    loop_.Run();
+    Schedule(rng_.UniformInt(0, 1000));
+    const std::size_t last = Schedule(rng_.UniformInt(1, std::int64_t{1} << 40));
+    transcript_.push_back("cancel " + std::to_string(last) +
+                          (loop_.Cancel(ids_[last]) ? " ok" : " missed"));
+    loop_.Run();
+    Record("drain past a cancelled entry");
+    Schedule(rng_.UniformInt(0, 3));
+    Record("schedule after the drain");
+  }
+
+  void Record(const std::string& op) {
+    transcript_.push_back(op + ": now=" + std::to_string(loop_.now()) +
+                          " pending=" + std::to_string(loop_.pending_events()) +
+                          " scheduled=" + std::to_string(loop_.total_scheduled()) +
+                          " dispatched=" + std::to_string(loop_.total_dispatched()));
+  }
+
+  Loop loop_;
+  Rng rng_;
+  std::vector<typename Loop::EventId> ids_;  // By token: scheduling order.
+  std::vector<std::string> transcript_;
+};
+
+TEST_P(EventLoopPropertyTest, MatchesAReferenceQueue) {
+  for (std::uint64_t script = 0; script < 40; ++script) {
+    const std::uint64_t seed = GetParam() * 1000 + script;
+    const std::vector<std::string> expected = LoopScript<ReferenceLoop>(seed).Play(1500);
+    const std::vector<std::string> actual = LoopScript<sim::EventLoop>(seed).Play(1500);
+    const auto [e, a] = std::mismatch(expected.begin(), expected.end(), actual.begin(), actual.end());
+    ASSERT_TRUE(e == expected.end() && a == actual.end())
+        << "seed " << seed << ", transcript line " << (e - expected.begin()) << ": expected \""
+        << (e == expected.end() ? "<end>" : *e) << "\", got \""
+        << (a == actual.end() ? "<end>" : *a) << "\"";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventLoopPropertyTest, ::testing::Values(1, 7, 42, 1337));

@@ -206,6 +206,81 @@ TEST(EventLoopTest, StepSkipsCancelledEvents) {
   EXPECT_FALSE(loop.Step());
 }
 
+TEST(EventLoopTest, DispatchBudgetStopsRunAndStep) {
+  EventLoop loop;
+  int ran = 0;
+  for (int i = 1; i <= 5; ++i) {
+    loop.ScheduleAfter(Millis(i), [&] { ++ran; });
+  }
+  loop.set_dispatch_budget(2);
+  loop.Run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_TRUE(loop.dispatch_budget_exhausted());
+  EXPECT_EQ(loop.now(), Millis(2));
+  EXPECT_EQ(loop.pending_events(), 3u);
+  EXPECT_FALSE(loop.Step());  // Spent: nothing runs and nothing is dropped.
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(loop.pending_events(), 3u);
+
+  loop.set_dispatch_budget(1);
+  EXPECT_FALSE(loop.dispatch_budget_exhausted());
+  EXPECT_TRUE(loop.Step());
+  EXPECT_FALSE(loop.Step());
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(loop.now(), Millis(3));
+  EXPECT_EQ(loop.total_dispatched(), 3u);
+}
+
+TEST(EventLoopTest, RunUntilStoppedByTheBudgetLeavesNowShortOfItsDeadline) {
+  EventLoop loop;
+  int ran = 0;
+  for (int i = 1; i <= 4; ++i) {
+    loop.ScheduleAfter(Millis(i), [&] { ++ran; });
+  }
+  loop.set_dispatch_budget(2);
+  loop.RunUntil(Millis(10));
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(loop.now(), Millis(2));  // Not the deadline: the run is resumable.
+
+  loop.set_dispatch_budget(0);
+  loop.RunUntil(Millis(10));
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(loop.now(), Millis(10));
+}
+
+TEST(EventLoopTest, CancelledEventsDoNotConsumeTheBudget) {
+  EventLoop loop;
+  std::vector<int> order;
+  std::vector<EventLoop::EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(loop.ScheduleAfter(Millis(i + 1), [&order, i] { order.push_back(i); }));
+  }
+  loop.Cancel(ids[0]);
+  loop.Cancel(ids[2]);
+  loop.set_dispatch_budget(2);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(loop.total_dispatched(), 2u);
+  EXPECT_EQ(loop.pending_events(), 2u);
+}
+
+TEST(EventLoopTest, ClearingTheBudgetResumesInTimeThenScheduleOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  // (when, scheduling order): 0@3ms 1@1ms 2@3ms 3@1ms 4@2ms 5@3ms.
+  const int millis[] = {3, 1, 3, 1, 2, 3};
+  for (int i = 0; i < 6; ++i) {
+    loop.ScheduleAfter(Millis(millis[i]), [&order, i] { order.push_back(i); });
+  }
+  loop.set_dispatch_budget(3);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+  loop.set_dispatch_budget(0);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 0, 2, 5}));
+  EXPECT_EQ(loop.now(), Millis(3));
+}
+
 TEST(PeriodicTaskTest, FiresEveryIntervalUntilStopped) {
   EventLoop loop;
   int ticks = 0;
