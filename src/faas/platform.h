@@ -31,8 +31,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/record_pool.h"
 #include "src/common/recycling_pool.h"
 #include "src/common/rng.h"
@@ -438,7 +440,9 @@ class Platform {
   std::unique_ptr<PlatformHooks> default_hooks_;
   Rng rng_;
 
-  std::map<std::string, FunctionConfig> functions_;
+  // Only emplaced and found, never iterated or erased: its nodes stay put, so
+  // Request::fn can point into it.
+  std::unordered_map<std::string, FunctionConfig, DetHash<std::string>> functions_;
   // std::map: Sandbox addresses must stay stable across insertions because
   // async completions re-resolve by id while other sandboxes are created, and
   // idle_by_function_ points at its nodes.
