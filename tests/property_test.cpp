@@ -158,7 +158,8 @@ class ReferenceLoop {
 // each dispatch (named by the order its event was scheduled in, not by its
 // EventId, which slot reuse makes arbitrary), each Cancel and Step result, and
 // now() and the counters after every operation. Callbacks schedule and cancel
-// too, and delays span 0 µs to 2^40 µs so that every radix bucket fills.
+// too, delays span 0 µs to 2^40 µs so that every radix bucket fills, and
+// bursts of cancels make the loop compact.
 template <typename Loop>
 class LoopScript {
  public:
@@ -188,9 +189,11 @@ class LoopScript {
             rng_.Bernoulli(0.3) ? 0 : static_cast<std::uint64_t>(rng_.UniformInt(1, 40));
         loop_.set_dispatch_budget(budget);
         Record("budget " + std::to_string(budget));
-      } else if (kind < 90) {
+      } else if (kind < 88) {
         loop_.Run();
         Record("run");
+      } else if (kind < 94) {
+        CancelStorm();
       } else {
         DrainPastACancelledLastEntry();
       }
@@ -235,10 +238,27 @@ class LoopScript {
       return;
     }
     const std::size_t recent = std::min<std::size_t>(ids_.size(), 16);
-    const std::size_t token = rng_.Bernoulli(0.7) ? ids_.size() - 1 - rng_.Index(recent)
-                                                  : rng_.Index(ids_.size());
+    Cancel(rng_.Bernoulli(0.7) ? ids_.size() - 1 - rng_.Index(recent) : rng_.Index(ids_.size()));
+  }
+
+  void Cancel(std::size_t token) {
     const bool cancelled = loop_.Cancel(ids_[token]);
     transcript_.push_back("cancel " + std::to_string(token) + (cancelled ? " ok" : " missed"));
+  }
+
+  // Schedules a burst and cancels most of it, so that cancelled entries come
+  // to outnumber live ones and the loop compacts its queue.
+  void CancelStorm() {
+    const std::size_t first = ids_.size();
+    for (std::int64_t n = rng_.UniformInt(64, 160); n > 0; --n) {
+      Schedule();
+    }
+    for (std::size_t token = first; token < ids_.size(); ++token) {
+      if (rng_.Bernoulli(0.8)) {
+        Cancel(token);
+      }
+    }
+    Record("cancel storm");
   }
 
   void OnEvent(std::size_t token) {
@@ -261,9 +281,7 @@ class LoopScript {
     loop_.set_dispatch_budget(0);
     loop_.Run();
     Schedule(rng_.UniformInt(0, 1000));
-    const std::size_t last = Schedule(rng_.UniformInt(1, std::int64_t{1} << 40));
-    transcript_.push_back("cancel " + std::to_string(last) +
-                          (loop_.Cancel(ids_[last]) ? " ok" : " missed"));
+    Cancel(Schedule(rng_.UniformInt(1, std::int64_t{1} << 40)));
     loop_.Run();
     Record("drain past a cancelled entry");
     Schedule(rng_.UniformInt(0, 3));
