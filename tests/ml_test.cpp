@@ -2,6 +2,7 @@
 // Table 1, the evaluation harness, and golden digests of trained J48 trees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -626,8 +627,99 @@ Dataset TiedWeightedMissingDataset() {
   return data;
 }
 
+// The split-search corpus: seeded datasets aimed at the numeric threshold
+// scan. Each case varies one axis the scan's arithmetic depends on: classes
+// present (up to 40 of the 128 memory intervals, or two), instance weights,
+// missing values (children then receive fractional descents), runs of tied
+// values, and n from 4 to 1,600. Every case also carries attributes with
+// exactly one boundary (`flag`, eligible wherever both values keep a leaf's
+// weight), one boundary that is never eligible (`rare`: one instance of
+// weight 1.0 differs) and none (`constant`).
+enum class ScanWeights { kUnit, kCurated, kFractional };
+
+struct ScanCase {
+  const char* name;
+  int n;
+  int num_classes;  // 128 (the memory intervals' schema) or 2.
+  int present;      // Classes drawn, spread evenly over the schema's.
+  ScanWeights weights;
+  double missing;  // Chance that x, and independently y, is missing.
+  int x_levels;    // 0: continuous x; else x takes this many values.
+};
+
+constexpr ScanCase kScanCases[] = {
+    {"scan.c128.k2.n40.curated", 40, 128, 2, ScanWeights::kCurated, 0.0, 0},
+    {"scan.c128.k5.n4.curated", 4, 128, 5, ScanWeights::kCurated, 0.0, 0},
+    {"scan.c128.k5.n150.curated", 150, 128, 5, ScanWeights::kCurated, 0.0, 0},
+    {"scan.c128.k12.n600.curated", 600, 128, 12, ScanWeights::kCurated, 0.0, 0},
+    {"scan.c128.k40.n1600.curated", 1600, 128, 40, ScanWeights::kCurated, 0.0, 0},
+    {"scan.c128.k40.n600.unit.ties", 600, 128, 40, ScanWeights::kUnit, 0.0, 6},
+    {"scan.c128.k20.n1600.curated.ties", 1600, 128, 20, ScanWeights::kCurated, 0.0, 12},
+    {"scan.c128.k12.n1600.unit.missing", 1600, 128, 12, ScanWeights::kUnit, 0.2, 0},
+    {"scan.c128.k12.n600.fractional.missing", 600, 128, 12, ScanWeights::kFractional, 0.2,
+     0},
+    {"scan.c128.k30.n1600.fractional.missing.ties", 1600, 128, 30,
+     ScanWeights::kFractional, 0.15, 9},
+    {"scan.c2.n4.unit", 4, 2, 2, ScanWeights::kUnit, 0.0, 0},
+    {"scan.c2.n9.curated", 9, 2, 2, ScanWeights::kCurated, 0.0, 0},
+    {"scan.c2.n40.unit.ties", 40, 2, 2, ScanWeights::kUnit, 0.0, 3},
+    {"scan.c2.n600.curated", 600, 2, 2, ScanWeights::kCurated, 0.0, 0},
+    {"scan.c2.n1600.curated.ties", 1600, 2, 2, ScanWeights::kCurated, 0.0, 4},
+    {"scan.c2.n150.fractional.missing", 150, 2, 2, ScanWeights::kFractional, 0.25, 0},
+    {"scan.c2.n1600.fractional.missing.ties", 1600, 2, 2, ScanWeights::kFractional, 0.1,
+     20},
+};
+
+Dataset ScanDataset(const ScanCase& c, std::uint64_t seed) {
+  std::vector<std::string> class_names;
+  for (int i = 0; i < c.num_classes; ++i) {
+    class_names.push_back("m" + std::to_string(i));
+  }
+  Schema schema({Attribute::Numeric("x"), Attribute::Numeric("y"), Attribute::Numeric("flag"),
+                 Attribute::Numeric("rare"), Attribute::Numeric("constant"),
+                 Attribute::Nominal("color", {"red", "green", "blue"})},
+                Attribute::Nominal("class", class_names));
+  Dataset data(schema);
+  Rng rng(seed);
+  const int stride = c.num_classes / c.present;
+  for (int i = 0; i < c.n; ++i) {
+    const double x = c.x_levels > 0
+                         ? static_cast<double>(rng.UniformInt(0, c.x_levels - 1))
+                         : rng.Uniform(0.0, 100.0);
+    const double x_scale = c.x_levels > 0 ? static_cast<double>(c.x_levels) : 100.0;
+    const double y = std::round(rng.Uniform(0.0, 8.0));
+    const double flag = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+    const double color = static_cast<double>(rng.UniformInt(0, 2));
+    const double score = 0.6 * x / x_scale + 0.3 * y / 8.0 + 0.1 * flag;
+    int band = std::clamp(static_cast<int>(score * c.present), 0, c.present - 1);
+    if (rng.Bernoulli(0.15)) {
+      band = static_cast<int>(rng.UniformInt(0, c.present - 1));
+    }
+    double weight = 1.0;
+    if (c.weights == ScanWeights::kCurated) {
+      weight = rng.Bernoulli(0.3) ? 2.0 : 1.0;
+    } else if (c.weights == ScanWeights::kFractional) {
+      weight = rng.Uniform(0.1, 3.0);
+    }
+    const bool rare = i == 0;
+    EXPECT_TRUE(data.Add({{rng.Bernoulli(c.missing) ? kMissing : x,
+                           rng.Bernoulli(c.missing) ? kMissing : y, flag, rare ? 1.0 : 0.0,
+                           3.0, color},
+                          band * stride,
+                          rare ? 1.0 : weight})
+                    .ok());
+  }
+  return data;
+}
+
 std::map<std::string, std::string> GoldenTreeDigests() {
   std::map<std::string, std::string> digests;
+  std::uint64_t seed = 3001;
+  for (const ScanCase& c : kScanCases) {
+    J48 model;
+    EXPECT_TRUE(model.Train(ScanDataset(c, seed++)).ok()) << c.name;
+    digests[c.name] = TreeDigest(model);
+  }
   J48 missing_x;
   EXPECT_TRUE(missing_x.Train(MissingXDataset()).ok());
   digests["missing_x"] = TreeDigest(missing_x);

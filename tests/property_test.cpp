@@ -18,6 +18,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/ml/j48.h"
+#include "src/ml/serialization.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/latency.h"
@@ -701,29 +702,41 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShadowPropertyTest, ::testing::Values(61, 62, 63
 
 class J48PropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(J48PropertyTest, TrainingIsDeterministic) {
+// A wand_sepia memory-interval training set of `n` invocations, each with
+// `weight`.
+ml::Dataset SepiaMemoryDataset(std::uint64_t seed, int n, double weight) {
   const workloads::FunctionSpec* spec = workloads::FindFunction("wand_sepia");
   const core::MemoryIntervals intervals;
   ml::Dataset data(
       ml::Schema(workloads::FeatureAttributes(*spec), intervals.ClassAttribute()));
-  workloads::MediaGenerator generator{Rng(GetParam())};  // Braces: vexing parse.
-  Rng rng(GetParam() + 1);
-  for (int i = 0; i < 250; ++i) {
+  workloads::MediaGenerator generator{Rng(seed)};  // Braces: vexing parse.
+  Rng rng(seed + 1);
+  for (int i = 0; i < n; ++i) {
     const auto media = generator.Generate(spec->kind);
     const auto args = workloads::SampleArgs(*spec, rng);
     const auto demand = workloads::ComputeDemand(*spec, media, args, &rng);
-    ASSERT_TRUE(data.Add({workloads::ExtractFeatures(*spec, media, args),
-                          intervals.Label(demand.memory), 1.0})
+    EXPECT_TRUE(data.Add({workloads::ExtractFeatures(*spec, media, args),
+                          intervals.Label(demand.memory), weight})
                     .ok());
   }
+  return data;
+}
+
+TEST_P(J48PropertyTest, TrainingIsDeterministic) {
+  const ml::Dataset data = SepiaMemoryDataset(GetParam(), 250, 1.0);
   ml::J48 a;
   ml::J48 b;
   ASSERT_TRUE(a.Train(data).ok());
   ASSERT_TRUE(b.Train(data).ok());
-  EXPECT_EQ(a.NumNodes(), b.NumNodes());
-  for (const ml::Instance& inst : data.instances()) {
-    ASSERT_EQ(a.Predict(inst.features), b.Predict(inst.features));
-  }
+  const std::string dump = ml::SerializeJ48(a);
+  EXPECT_EQ(dump, ml::SerializeJ48(b));
+  // FunctionModel retrains the same J48 objects. Retraining `b` on a larger,
+  // heavier second set and then on the first again must leave no state of the
+  // second training behind.
+  ASSERT_TRUE(b.Train(SepiaMemoryDataset(GetParam() + 100, 500, 2.0)).ok());
+  EXPECT_NE(dump, ml::SerializeJ48(b));
+  ASSERT_TRUE(b.Train(data).ok());
+  EXPECT_EQ(dump, ml::SerializeJ48(b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, J48PropertyTest, ::testing::Values(51, 52));
