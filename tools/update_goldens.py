@@ -4,7 +4,10 @@
 The exporter golden scenario lives in tests/golden_test.cpp and the J48 tree
 digests in tests/ml_test.cpp (J48GoldenTest); this script builds both binaries
 and re-runs them with OFC_UPDATE_GOLDENS=1, which makes each test rewrite its
-golden in place instead of comparing. It then runs perfbench (perfbench/run.py,
+golden in place instead of comparing. It does the same for the ML paper
+benches whose stdout digests tools/check_paper_bench.py pins
+(paper_benches.txt; table1_ml_accuracy takes tens of seconds). It then runs
+perfbench (perfbench/run.py,
 one repetition) on every workload at seeds 1 and 7919 and rewrites the
 fingerprints tools/check_perfbench_fingerprints.py pins. Review the resulting
 diff before committing — a golden churn you cannot explain is a regression,
@@ -27,6 +30,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDENS = REPO_ROOT / "tests" / "testdata" / "goldens"
 PERFBENCH_WORKLOADS = ("azure-ofc", "azure-owk", "starved-pipelines", "azure-ofc-observed")
 PERFBENCH_SEEDS = ("1", "7919")
+PAPER_BENCHES = ("fig5_error_distribution", "maturation_quickness", "table1_ml_accuracy")
 
 
 def run(cmd, **kwargs):
@@ -46,11 +50,14 @@ def main() -> int:
     if not (build_dir / "CMakeCache.txt").exists():
         run(["cmake", "-B", str(build_dir), "-S", str(REPO_ROOT)])
     run(["cmake", "--build", str(build_dir), "--target", "golden_test", "ml_test",
-         "-j", str(os.cpu_count() or 2)])
+         *PAPER_BENCHES, "-j", str(os.cpu_count() or 2)])
 
     env = dict(os.environ, OFC_UPDATE_GOLDENS="1")
     run([str(build_dir / "tests" / "golden_test")], env=env)
     run([str(build_dir / "tests" / "ml_test"), "--gtest_filter=J48GoldenTest.*"], env=env)
+    for bench in PAPER_BENCHES:
+        run([sys.executable, str(REPO_ROOT / "tools" / "check_paper_bench.py"), "--name", bench,
+             str(build_dir / "bench" / bench)], env=env)
 
     fingerprints = {}
     for seed in PERFBENCH_SEEDS:
