@@ -14,6 +14,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -712,6 +714,33 @@ Dataset ScanDataset(const ScanCase& c, std::uint64_t seed) {
   return data;
 }
 
+// Mirror-image sets: the classes and weights along x read the same from both
+// ends, so each boundary's exact gain ties bit for bit with its mirror's
+// (whole weights keep every class weight exact, and the sum of the two branch
+// terms is the same in either order), while the scan reaches the two from
+// opposite ends. The first of the tied boundaries must win.
+Dataset MirrorDataset(int half, int num_classes, int present, std::uint64_t seed) {
+  std::vector<std::string> class_names;
+  for (int i = 0; i < num_classes; ++i) {
+    class_names.push_back("m" + std::to_string(i));
+  }
+  Dataset data(Schema({Attribute::Numeric("x")}, Attribute::Nominal("class", class_names)));
+  Rng rng(seed);
+  std::vector<std::pair<int, double>> side;  // (label, weight) of the first half.
+  int label = 0;
+  for (int i = 0; i < half; ++i) {
+    if (rng.Bernoulli(0.2)) {
+      label = static_cast<int>(rng.UniformInt(0, present - 1)) * (num_classes / present);
+    }
+    side.emplace_back(label, rng.Bernoulli(0.3) ? 2.0 : 1.0);
+  }
+  for (int i = 0; i < 2 * half; ++i) {
+    const auto& [cls, weight] = side[static_cast<std::size_t>(i < half ? i : 2 * half - 1 - i)];
+    EXPECT_TRUE(data.Add({{static_cast<double>(i)}, cls, weight}).ok());
+  }
+  return data;
+}
+
 std::map<std::string, std::string> GoldenTreeDigests() {
   std::map<std::string, std::string> digests;
   std::uint64_t seed = 3001;
@@ -719,6 +748,17 @@ std::map<std::string, std::string> GoldenTreeDigests() {
     J48 model;
     EXPECT_TRUE(model.Train(ScanDataset(c, seed++)).ok()) << c.name;
     digests[c.name] = TreeDigest(model);
+  }
+  for (const auto& [half, num_classes, present] :
+       {std::tuple{20, 2, 2}, std::tuple{100, 2, 2}, std::tuple{400, 2, 2},
+        std::tuple{60, 128, 5}, std::tuple{300, 128, 12}, std::tuple{800, 128, 40}}) {
+    for (int round = 0; round < 2; ++round) {
+      J48 model;
+      EXPECT_TRUE(model.Train(MirrorDataset(half, num_classes, present, seed++)).ok());
+      digests["mirror.c" + std::to_string(num_classes) + ".k" + std::to_string(present) +
+              ".n" + std::to_string(2 * half) + "." + std::to_string(round)] =
+          TreeDigest(model);
+    }
   }
   J48 missing_x;
   EXPECT_TRUE(missing_x.Train(MissingXDataset()).ok());
