@@ -74,7 +74,24 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
     std::swap(attrs[i], attrs[i + rng.Index(num_features - i)]);
   }
 
-  const std::size_t num_classes = node->class_dist.size();
+  // The split search works on the k classes present here, in ascending class
+  // order, as J48's does: an absent class's column would hold exact +0.0 and
+  // change no sum or entropy, so the tree is bit-identical to one searched
+  // over all num_classes columns.
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> column(node->class_dist.size(), kAbsent);
+  std::vector<double> present_dist;
+  for (std::size_t c = 0; c < column.size(); ++c) {
+    if (node->class_dist[c] > 0.0) {
+      column[c] = present_dist.size();
+      present_dist.push_back(node->class_dist[c]);
+    }
+  }
+  const std::size_t num_present = present_dist.size();
+  auto column_of = [&](const Instance& inst) {
+    return column[static_cast<std::size_t>(inst.label)];
+  };
+
   double best_gain = 1e-9;
   int best_attr = -1;
   bool best_numeric = false;
@@ -84,16 +101,16 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
     const Attribute& attr = schema_.feature(a);
     if (attr.kind == AttributeKind::kNominal) {
       // One row of class weights per nominal value.
-      std::vector<double> branches(attr.num_values() * num_classes, 0.0);
+      std::vector<double> branches(attr.num_values() * num_present, 0.0);
       for (std::size_t i : indices) {
         const Instance& inst = data.instance(i);
         if (std::isnan(inst.features[a])) {
           continue;  // Missing values carry no evidence for this split.
         }
-        branches[static_cast<std::size_t>(inst.features[a]) * num_classes +
-                 static_cast<std::size_t>(inst.label)] += inst.weight;
+        branches[static_cast<std::size_t>(inst.features[a]) * num_present + column_of(inst)] +=
+            inst.weight;
       }
-      const double gain = node_entropy - PartitionEntropy(branches, num_classes);
+      const double gain = node_entropy - PartitionEntropy(branches, num_present);
       if (gain > best_gain) {
         best_gain = gain;
         best_attr = static_cast<int>(a);
@@ -110,19 +127,19 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
         return data.instance(x).features[a] < data.instance(y).features[a];
       });
       // [left | right] class weights.
-      std::vector<double> split(2 * num_classes, 0.0);
-      std::copy(node->class_dist.begin(), node->class_dist.end(),
-                split.begin() + static_cast<std::ptrdiff_t>(num_classes));
+      std::vector<double> split(2 * num_present, 0.0);
+      std::copy(present_dist.begin(), present_dist.end(),
+                split.begin() + static_cast<std::ptrdiff_t>(num_present));
       for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
         const Instance& inst = data.instance(sorted[pos]);
-        split[static_cast<std::size_t>(inst.label)] += inst.weight;
-        split[num_classes + static_cast<std::size_t>(inst.label)] -= inst.weight;
+        split[column_of(inst)] += inst.weight;
+        split[num_present + column_of(inst)] -= inst.weight;
         const double v = inst.features[a];
         const double v_next = data.instance(sorted[pos + 1]).features[a];
         if (v_next <= v) {
           continue;
         }
-        const double gain = node_entropy - PartitionEntropy(split, num_classes);
+        const double gain = node_entropy - PartitionEntropy(split, num_present);
         if (gain > best_gain) {
           best_gain = gain;
           best_attr = static_cast<int>(a);
