@@ -6,6 +6,7 @@
 #include <limits>
 #include <span>
 
+#include "src/common/sim_assert.h"
 #include "src/ml/tree_math.h"
 
 namespace ofc::ml {
@@ -40,6 +41,63 @@ struct Record {
 
 constexpr std::size_t kAbsent = std::numeric_limits<std::size_t>::max();
 
+// An eligible boundary of the numeric scan: it lies between sorted records
+// `pos` and `pos + 1`, and splitting there has about `approx_gain`.
+struct Boundary {
+  std::size_t pos;
+  double approx_gain;
+};
+
+// The best binary threshold of one numeric attribute.
+struct Threshold {
+  double gain = -1.0;  // Exact; -1 when no boundary is eligible.
+  double value = 0.0;  // Midway between the boundary's two values.
+  double split_info = 0.0;
+  std::size_t num_boundaries = 0;  // Between distinct values, eligible or not.
+};
+
+// The tables of x * log2 x cover whole x up to this many times the training
+// set's size: one logarithm per entry, against about two per record and
+// numeric attribute at every node when the terms are computed.
+constexpr double kTableWeightPerInstance = 16.0;
+
+// Slack on the approximate gains, so that every eligible boundary's
+// approximate gain lies within it of the gain the exact scan computes.
+//
+// Derivation. Let u = 2^-53 be the unit roundoff; the scan has n records of
+// k present classes, total weight T and smallest weight w_min. Every branch
+// total x lies in [w_min, T], so |log2 x| + 1/ln 2 <= Lambda, with
+// Lambda = log2 max(T, 2) + log2 max(1, 1/w_min) + 2; and every sum of |x log2 x|
+// over the 2k class weights, or over the two branch totals, is at most
+// M = T * Lambda + 2k (a weight below 1 adds at most 1/(e ln 2) < 1). Log2 is
+// std::log (within one ulp) times a rounded 1/ln 2, so each x log2 x term,
+// tabled or computed, is within 5u of its value. Both gains read the same
+// class weights, so the two differ only by rounding:
+//  - the approximate side: its terms, 10 u M in all; the running sum, whose
+//    four operations per record round quantities of at most 4M (9 u M per
+//    record) and whose first 2k terms add 2k u M; the branch totals, running
+//    sums that may sit 4 n u T from the class weights' totals and move their
+//    terms by Lambda times that, 8 n u T Lambda in all; the divisor T, n u T
+//    off, moving the entropy by 2 n u log2 k; and the final sums, 4 u M;
+//  - the exact scan: PartitionEntropy's sums, divisions and logarithms, at
+//    most (4k + 12) u (log2 k + 2); and a class weight that the right
+//    branch's subtractions leave a few ulps below zero, which the entropy
+//    skips but the branch total counts, at most n u Lambda.
+// After dividing the approximate side by T, with log2 k <= Lambda, the gains
+// differ by at most u (20n + 6k + 28) (Lambda + 2k/T). For a 1,600-record
+// curated set of 40 classes (T about 2,250) that is about 5e-11. The slack is
+// 128 times the bound.
+double GainSlack(std::size_t n, std::size_t k, double total, double min_weight) {
+  constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2.0;
+  constexpr double kMargin = 128.0;
+  const double lambda =
+      Log2(std::max(total, 2.0)) + Log2(std::max(1.0, 1.0 / min_weight)) + 2.0;
+  const auto records = static_cast<double>(n);
+  const auto classes = static_cast<double>(k);
+  return kMargin * kUnitRoundoff * (20.0 * records + 6.0 * classes + 28.0) *
+         (lambda + 2.0 * classes / total);
+}
+
 }  // namespace
 
 // Reused by every node of one Train() call: once the buffers have grown, the
@@ -58,11 +116,134 @@ struct J48::Workspace {
   std::vector<Record> records;
   std::vector<double> known_dist;  // One column per present class.
   std::vector<double> counts;      // Branches x present classes.
+  // The numeric threshold search (FindThreshold).
+  std::vector<double> xlog2x;  // XLog2X of whole x; empty unless weights are whole.
+  std::vector<double> terms;   // XLog2X of each entry of `counts`.
+  std::vector<Boundary> boundaries;
   // Partitioning of the chosen split.
   std::vector<std::size_t> branch_of;  // Per instance; kAbsent when missing.
   std::vector<double> branch_weights;
   std::vector<std::size_t> cursor;
+
+  // The best threshold over `records`, sorted by value, whose class weights
+  // are `known_dist` (k present classes, total `known_weight`, entropy
+  // `known_entropy`, smallest record weight `min_weight`). `whole_weights`:
+  // every record's weight is a whole number.
+  //
+  // It returns what a scan computing PartitionEntropy at every eligible
+  // boundary would, bit for bit: the first boundary of highest exact gain, and
+  // that gain and split information. Pass 1 computes every eligible
+  // boundary's gain to within GainSlack() in O(1) from running sums of
+  // x log2 x; pass 2 replays the scan and evaluates exactly, in scan order,
+  // only the boundaries whose approximate gain is within twice the slack of
+  // the largest. The exact maximum's approximate gain is at least the largest
+  // exact gain minus the slack, which is at least the largest approximate gain
+  // minus twice the slack, so pass 2 evaluates it and every boundary that ties
+  // it, and keeps the same first one.
+  Threshold FindThreshold(std::size_t k, double known_weight, double known_entropy,
+                          double min_weight, bool whole_weights, double min_leaf_weight);
+
+  // Pass 1 of FindThreshold: appends each eligible boundary to `boundaries`,
+  // counts every boundary into `num_boundaries`, and returns the largest
+  // approximate gain. `xlog2x_of` maps a class weight or branch total to its
+  // XLog2X term.
+  template <typename XLog2XOf>
+  double ApproximateGains(std::size_t k, double known_weight, double known_entropy,
+                          double min_leaf_weight, std::size_t& num_boundaries,
+                          XLog2XOf xlog2x_of);
+
+  // counts = [0 | known_dist], the scan's state before its first record.
+  void ResetCounts(std::size_t k) {
+    counts.assign(2 * k, 0.0);
+    std::copy(known_dist.begin(), known_dist.end(),
+              counts.begin() + static_cast<std::ptrdiff_t>(k));
+  }
 };
+
+template <typename XLog2XOf>
+double J48::Workspace::ApproximateGains(std::size_t k, double known_weight,
+                                        double known_entropy, double min_leaf_weight,
+                                        std::size_t& num_boundaries, XLog2XOf xlog2x_of) {
+  // sum = the XLog2X terms of every class weight of both branches, kept as
+  // each record moves from the right branch to the left. Then T times the
+  // partition entropy is XLog2X(left) + XLog2X(right) - sum.
+  terms.resize(2 * k);
+  double sum = 0.0;
+  for (std::size_t c = 0; c < 2 * k; ++c) {
+    terms[c] = xlog2x_of(counts[c]);
+    sum += terms[c];
+  }
+  boundaries.clear();
+  double max_gain = -std::numeric_limits<double>::infinity();
+  double left_total = 0.0;
+  for (std::size_t pos = 0; pos + 1 < records.size(); ++pos) {
+    const Record& rec = records[pos];
+    // The same operations as the exact scan's, so the class weights match.
+    counts[rec.cls] += rec.weight;
+    left_total += rec.weight;
+    counts[k + rec.cls] -= rec.weight;
+    const double left_term = xlog2x_of(counts[rec.cls]);
+    const double right_term = xlog2x_of(counts[k + rec.cls]);
+    sum += (left_term - terms[rec.cls]) + (right_term - terms[k + rec.cls]);
+    terms[rec.cls] = left_term;
+    terms[k + rec.cls] = right_term;
+    if (records[pos + 1].value <= rec.value) {
+      continue;  // Not a boundary between distinct values.
+    }
+    ++num_boundaries;
+    const double right_total = known_weight - left_total;
+    if (left_total < min_leaf_weight || right_total < min_leaf_weight) {
+      continue;
+    }
+    const double gain =
+        known_entropy - (xlog2x_of(left_total) + xlog2x_of(right_total) - sum) / known_weight;
+    boundaries.push_back(Boundary{pos, gain});
+    max_gain = std::max(max_gain, gain);
+  }
+  return max_gain;
+}
+
+Threshold J48::Workspace::FindThreshold(std::size_t k, double known_weight,
+                                        double known_entropy, double min_weight,
+                                        bool whole_weights, double min_leaf_weight) {
+  Threshold best;
+  ResetCounts(k);
+  // Whole weights keep every class weight and branch total whole, and at most
+  // the set's total weight, so their terms are table lookups.
+  const double max_gain =
+      whole_weights && known_weight < static_cast<double>(xlog2x.size())
+          ? ApproximateGains(k, known_weight, known_entropy, min_leaf_weight,
+                             best.num_boundaries,
+                             [this](double x) { return xlog2x[static_cast<std::size_t>(x)]; })
+          : ApproximateGains(k, known_weight, known_entropy, min_leaf_weight,
+                             best.num_boundaries, XLog2X);
+  if (boundaries.empty()) {
+    return best;
+  }
+  const double slack = GainSlack(records.size(), k, known_weight, min_weight);
+  const double cutoff = max_gain - 2.0 * slack;
+  ResetCounts(k);
+  std::size_t next = 0;  // The first record not yet moved to the left branch.
+  for (const Boundary& boundary : boundaries) {
+    if (boundary.approx_gain < cutoff) {
+      continue;
+    }
+    for (; next <= boundary.pos; ++next) {
+      counts[records[next].cls] += records[next].weight;
+      counts[k + records[next].cls] -= records[next].weight;
+    }
+    const double gain = known_entropy - PartitionEntropy(counts, k);
+    SIM_ASSERT(std::abs(gain - boundary.approx_gain) <= slack)
+        << "J48 split search: approximate gain " << boundary.approx_gain << " vs exact "
+        << gain << ", slack " << slack;
+    if (gain > best.gain) {
+      best.gain = gain;
+      best.value = (records[boundary.pos].value + records[boundary.pos + 1].value) / 2.0;
+      best.split_info = SplitInformation(counts, k);
+    }
+  }
+  return best;
+}
 
 Status J48::Train(const Dataset& data) {
   if (data.empty()) {
@@ -75,8 +256,20 @@ Status J48::Train(const Dataset& data) {
   Workspace ws;
   ws.data = &data;
   ws.items.resize(data.size());
+  double total_weight = 0.0;
+  bool whole_weights = true;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    ws.items[i] = WeightedIndex{i, data.instance(i).weight};
+    const double weight = data.instance(i).weight;
+    ws.items[i] = WeightedIndex{i, weight};
+    total_weight += weight;
+    whole_weights = whole_weights && weight == std::floor(weight);
+  }
+  if (whole_weights &&
+      total_weight <= kTableWeightPerInstance * static_cast<double>(data.size())) {
+    ws.xlog2x.resize(static_cast<std::size_t>(total_weight) + 1);
+    for (std::size_t x = 0; x < ws.xlog2x.size(); ++x) {
+      ws.xlog2x[x] = XLog2X(static_cast<double>(x));
+    }
   }
   root_ = Build(ws, 0, data.size(), 0);
   if (options_.prune) {
@@ -94,10 +287,13 @@ std::unique_ptr<J48::Node> J48::Build(Workspace& ws, std::size_t begin, std::siz
   std::vector<double>& dist = node->class_dist;
   dist.assign(num_classes, 0.0);
   ws.column.assign(num_classes, kAbsent);
+  bool whole_weights = true;  // Missing values descend with fractional weights.
   for (std::size_t i = begin; i < end; ++i) {
     const auto label = static_cast<std::size_t>(data.instance(ws.items[i].index).label);
-    dist[label] += ws.items[i].weight;
+    const double weight = ws.items[i].weight;
+    dist[label] += weight;
     ws.column[label] = 0;  // Present; numbered below.
+    whole_weights = whole_weights && weight == std::floor(weight);
   }
   const double total = WeightSum(dist);
   node->majority = static_cast<int>(ArgMax(dist));
@@ -134,6 +330,7 @@ std::unique_ptr<J48::Node> J48::Build(Workspace& ws, std::size_t begin, std::siz
     ws.records.clear();
     ws.known_dist.assign(k, 0.0);
     double known_weight = 0.0;
+    double min_weight = std::numeric_limits<double>::infinity();
     for (std::size_t i = begin; i < end; ++i) {
       const Instance& inst = data.instance(ws.items[i].index);
       const double value = inst.features[a];
@@ -142,6 +339,7 @@ std::unique_ptr<J48::Node> J48::Build(Workspace& ws, std::size_t begin, std::siz
         const std::size_t cls = ws.column[static_cast<std::size_t>(inst.label)];
         ws.records.push_back(Record{value, weight, cls});
         known_weight += weight;
+        min_weight = std::min(min_weight, weight);
         ws.known_dist[cls] += weight;
       }
     }
@@ -180,55 +378,25 @@ std::unique_ptr<J48::Node> J48::Build(Workspace& ws, std::size_t begin, std::siz
       // Numeric: scan sorted known values for the best binary threshold.
       // std::sort sees the same sequence and comparisons as a sort of
       // instance indices by value would, so ties land in the same order.
-      std::vector<Record>& sorted = ws.records;
-      std::sort(sorted.begin(), sorted.end(),
+      std::sort(ws.records.begin(), ws.records.end(),
                 [](const Record& x, const Record& y) { return x.value < y.value; });
-      // counts = [left | right], one row per branch.
-      ws.counts.assign(2 * k, 0.0);
-      std::copy(ws.known_dist.begin(), ws.known_dist.end(),
-                ws.counts.begin() + static_cast<std::ptrdiff_t>(k));
-      double left_total = 0.0;
-      double best_gain = -1.0;
-      double best_threshold = 0.0;
-      double best_split_info = 0.0;
-      std::size_t num_boundaries = 0;
-      for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
-        const Record& rec = sorted[pos];
-        ws.counts[rec.cls] += rec.weight;
-        left_total += rec.weight;
-        ws.counts[k + rec.cls] -= rec.weight;
-        const double v = rec.value;
-        const double v_next = sorted[pos + 1].value;
-        if (v_next <= v) {
-          continue;  // Not a boundary between distinct values.
-        }
-        ++num_boundaries;
-        if (left_total < options_.min_leaf_weight ||
-            known_weight - left_total < options_.min_leaf_weight) {
-          continue;
-        }
-        const double gain = known_entropy - PartitionEntropy(ws.counts, k);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_threshold = (v + v_next) / 2.0;
-          best_split_info = SplitInformation(ws.counts, k);
-        }
-      }
-      if (best_gain <= 1e-9 || num_boundaries == 0) {
+      const Threshold threshold = ws.FindThreshold(k, known_weight, known_entropy, min_weight,
+                                                   whole_weights, options_.min_leaf_weight);
+      if (threshold.gain <= 1e-9 || threshold.num_boundaries == 0) {
         continue;
       }
       // C4.5's MDL correction: distributing log2(#candidate thresholds) bits of
       // threshold-choice cost over the instances.
       const double corrected =
-          known_fraction * best_gain -
-          Log2(static_cast<double>(num_boundaries)) / total;
-      if (corrected <= 1e-9 || best_split_info <= 1e-9) {
+          known_fraction * threshold.gain -
+          Log2(static_cast<double>(threshold.num_boundaries)) / total;
+      if (corrected <= 1e-9 || threshold.split_info <= 1e-9) {
         continue;
       }
       cand.numeric = true;
-      cand.threshold = best_threshold;
+      cand.threshold = threshold.value;
       cand.gain = corrected;
-      cand.gain_ratio = corrected / best_split_info;
+      cand.gain_ratio = corrected / threshold.split_info;
       cand.valid = true;
     }
   }

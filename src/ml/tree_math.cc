@@ -7,6 +7,8 @@ namespace ofc::ml {
 
 double Log2(double x) { return std::log(x) * 1.4426950408889634; }
 
+double XLog2X(double x) { return x > 0.0 ? x * Log2(x) : 0.0; }
+
 double WeightSum(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -12,6 +12,11 @@ namespace ofc::ml {
 // bit for bit to this rounding.
 double Log2(double x);
 
+// x * Log2(x), and 0 for x <= 0 (an empty class adds nothing to an entropy).
+// Entropies are sums of these terms: T * H(w) = XLog2X(T) - sum XLog2X(w_c)
+// for weights w_c summing to T.
+double XLog2X(double x);
+
 // Sum of the weights, added in order.
 double WeightSum(std::span<const double> weights);
 
