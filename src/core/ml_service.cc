@@ -65,7 +65,7 @@ Prediction Predictor::Predict(const workloads::FunctionSpec& spec,
   return prediction;
 }
 
-void ModelTrainer::RecordInvocation(const workloads::FunctionSpec& spec,
+bool ModelTrainer::RecordInvocation(const workloads::FunctionSpec& spec,
                                     const workloads::MediaDescriptor& media,
                                     const std::vector<double>& args, Bytes actual_memory,
                                     SimDuration compute_time, Bytes input_bytes,
@@ -86,6 +86,7 @@ void ModelTrainer::RecordInvocation(const workloads::FunctionSpec& spec,
       ++*models_matured_;
     }
   }
+  return was_mature;
 }
 
 void ModelTrainer::Pretrain(const workloads::FunctionSpec& spec, int invocations, Rng& rng) {

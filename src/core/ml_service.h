@@ -90,8 +90,10 @@ class ModelTrainer {
   }
 
   // Completion feedback from the Monitor: actual peak memory (cgroup), the
-  // measured transform time, and the observed input/output sizes.
-  void RecordInvocation(const workloads::FunctionSpec& spec,
+  // measured transform time, and the observed input/output sizes. Returns
+  // whether the function's model was mature before it learned this sample,
+  // that is, whether the Predictor sized the invocation from the model.
+  bool RecordInvocation(const workloads::FunctionSpec& spec,
                         const workloads::MediaDescriptor& media,
                         const std::vector<double>& args, Bytes actual_memory,
                         SimDuration compute_time, Bytes input_bytes, Bytes output_bytes);

@@ -173,8 +173,9 @@ void OfcSystem::OnInvocationComplete(const faas::FunctionConfig& fn,
                                      const std::vector<double>& args,
                                      const faas::InvocationRecord& record) {
   const workloads::MediaDescriptor media = faas::Platform::AggregateMedia(inputs);
-  const FunctionModel* model = registry_.Find(fn.spec.name);
-  const bool from_model = model != nullptr && model->mature();
+  const bool from_model =
+      trainer_.RecordInvocation(fn.spec, media, args, record.memory_used, record.compute_time,
+                                record.input_bytes, record.output_bytes);
   if (from_model) {
     if (record.oom_rescued || record.oom_killed) {
       ++*m_.bad_predictions;
@@ -182,8 +183,6 @@ void OfcSystem::OnInvocationComplete(const faas::FunctionConfig& fn,
       ++*m_.good_predictions;
     }
   }
-  trainer_.RecordInvocation(fn.spec, media, args, record.memory_used, record.compute_time,
-                            record.input_bytes, record.output_bytes);
 }
 
 }  // namespace ofc::core
