@@ -56,9 +56,10 @@ struct Threshold {
   std::size_t num_boundaries = 0;  // Between distinct values, eligible or not.
 };
 
-// The tables of x * log2 x cover whole x up to this many times the training
-// set's size: one logarithm per entry, against about two per record and
-// numeric attribute at every node when the terms are computed.
+// Train() tables x log2 x when the training set's weights are whole numbers
+// that average at most this much. The table costs one logarithm per entry;
+// computing the terms costs about two per record and numeric attribute at
+// every node.
 constexpr double kTableWeightPerInstance = 16.0;
 
 // Slack on the approximate gains, so that every eligible boundary's
@@ -67,26 +68,28 @@ constexpr double kTableWeightPerInstance = 16.0;
 // Derivation. Let u = 2^-53 be the unit roundoff; the scan has n records of
 // k present classes, total weight T and smallest weight w_min. Every branch
 // total x lies in [w_min, T], so |log2 x| + 1/ln 2 <= Lambda, with
-// Lambda = log2 max(T, 2) + log2 max(1, 1/w_min) + 2; and every sum of |x log2 x|
-// over the 2k class weights, or over the two branch totals, is at most
+// Lambda = log2 max(T, 2) + log2 max(1, 1/w_min) + 2; and every sum of
+// |x log2 x| over the 2k class weights, or over the two branch totals, is at most
 // M = T * Lambda + 2k (a weight below 1 adds at most 1/(e ln 2) < 1). Log2 is
 // std::log (within one ulp) times a rounded 1/ln 2, so each x log2 x term,
-// tabled or computed, is within 5u of its value. Both gains read the same
-// class weights, so the two differ only by rounding:
+// tabled or computed, is within a relative 5u of its value. Both gains read
+// the same class weights, so the two differ only by rounding:
 //  - the approximate side: its terms, 10 u M in all; the running sum, whose
 //    four operations per record round quantities of at most 4M (9 u M per
 //    record) and whose first 2k terms add 2k u M; the branch totals, running
 //    sums that may sit 4 n u T from the class weights' totals and move their
-//    terms by Lambda times that, 8 n u T Lambda in all; the divisor T, n u T
-//    off, moving the entropy by 2 n u log2 k; and the final sums, 4 u M;
+//    terms by Lambda times that, 8 n u T Lambda in all; the divisor T, up to
+//    2 n u T off, moving the entropy by 2 n u log2 k; and the final sums,
+//    4 u M;
 //  - the exact scan: PartitionEntropy's sums, divisions and logarithms, at
 //    most (4k + 12) u (log2 k + 2); and a class weight that the right
 //    branch's subtractions leave a few ulps below zero, which the entropy
-//    skips but the branch total counts, at most n u Lambda.
-// After dividing the approximate side by T, with log2 k <= Lambda, the gains
-// differ by at most u (20n + 6k + 28) (Lambda + 2k/T). For a 1,600-record
-// curated set of 40 classes (T about 2,250) that is about 5e-11. The slack is
-// 128 times the bound.
+//    skips but the branch total counts, at most n u Lambda;
+//  - on both sides, subtracting the entropy from the node's, u log2 k each.
+// After dividing the approximate side by T, with log2 k <= Lambda (k <= n <=
+// T / w_min), the gains differ by at most u (20n + 6k + 28) (Lambda + 2k/T).
+// For a 1,600-record curated set of 40 classes (T about 2,250) that is about
+// 5e-11. The slack is 128 times the bound.
 double GainSlack(std::size_t n, std::size_t k, double total, double min_weight) {
   constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2.0;
   constexpr double kMargin = 128.0;

@@ -78,8 +78,7 @@ std::unique_ptr<RandomTree::Node> RandomTree::Build(const Dataset& data,
   // order, as J48's does: an absent class's column would hold exact +0.0 and
   // change no sum or entropy, so the tree is bit-identical to one searched
   // over all num_classes columns.
-  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> column(node->class_dist.size(), kAbsent);
+  std::vector<std::size_t> column(node->class_dist.size());  // Read for present classes only.
   std::vector<double> present_dist;
   for (std::size_t c = 0; c < column.size(); ++c) {
     if (node->class_dist[c] > 0.0) {

@@ -630,7 +630,7 @@ Dataset TiedWeightedMissingDataset() {
 }
 
 // The split-search corpus: seeded datasets aimed at the numeric threshold
-// scan. Each case varies one axis the scan's arithmetic depends on: classes
+// scan. The cases vary what the scan's arithmetic depends on: classes
 // present (up to 40 of the 128 memory intervals, or two), instance weights,
 // missing values (children then receive fractional descents), runs of tied
 // values, and n from 4 to 1,600. Every case also carries attributes with
