@@ -11,11 +11,11 @@
 // Decision trees fit OFC's constraints: prediction is a handful of comparisons
 // (Figure 6 budget of ~1 ms is beaten by orders of magnitude), and nominal
 // argument values need no semantic preprocessing. Full retraining on the
-// curated training set (§5.3.3) is not free: on a 4-vCPU Xeon VM a full
-// 1,500-instance set takes 10.7 ms over the 128 memory intervals and 3.9 ms
-// over the two benefit classes (bench/micro_ops_benchmark,
-// BM_J48Retrain*), down from 50.2 ms and 6.8 ms when every node's split
-// search walked all 128 class columns.
+// curated training set (§5.3.3) is not free: on a 4-vCPU VM, in a Release
+// build, a full 1,500-instance set takes 3.4 ms over the 128 memory intervals
+// and 2.1 ms over the two benefit classes (bench/micro_ops_benchmark,
+// BM_J48Retrain*), down from 7.8 ms and 2.7 ms when the numeric split search
+// computed every boundary's entropy exactly (DESIGN.md §12, "Split search").
 #ifndef OFC_ML_J48_H_
 #define OFC_ML_J48_H_
 
